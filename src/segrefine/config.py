@@ -96,6 +96,13 @@ def _coerce(current, raw):
     return raw
 
 
+def format_value(value):
+    """The key=value spelling of a setting: tuples join with commas."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return value
+
+
 def _field_map(cfg: RunConfig):
     out = {}
     for section in ("model", "loss", "train"):
@@ -145,8 +152,5 @@ def dump_settings(cfg: RunConfig):
         if (id(obj), name) in seen:
             continue
         seen.add((id(obj), name))
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
+        lines.append(f"{key}={format_value(getattr(obj, name))}")
     return "\n".join(lines) + "\n"

@@ -171,9 +171,3 @@ class Dataset:
             raise FormatError(f"sample {i}: image/label size mismatch")
         return image, labels
 
-
-def load_batch(path, indices):
-    """Assemble (images N,3,H,W, labels N,H,W) in the given index order."""
-    ds = Dataset(path)
-    images, labels = zip(*(ds[i] for i in indices))
-    return np.stack(images), np.stack(labels)

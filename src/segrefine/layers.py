@@ -1,11 +1,15 @@
 """Neural building blocks: convolutions, batch norm, pooling, upsampling.
 
-Convolutions run as im2col + matmul; the small pooling/upsampling kernels
-use index arithmetic. Every layer registers its parameters on a light
+Convolutions run as im2col + matmul. Adaptive pooling and bilinear resizing
+are linear and separable, so both are one product Rh @ x @ Rw.T with cached
+dense per-axis matrices; the backward pass is the same product with the
+matrices transposed. Every layer registers its parameters on a light
 Module tree so checkpoints and the cost profiler can walk named tensors.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,13 +72,10 @@ class Module:
         """Cast all parameters (and batch-norm buffers) in place; gradcheck uses float64."""
         for p in self.parameters():
             p.data = p.data.astype(dtype)
-        for _, child in self.named_children():
-            if isinstance(child, BatchNorm2d):
-                child.running_mean = child.running_mean.astype(dtype)
-                child.running_var = child.running_var.astype(dtype)
-        if isinstance(self, BatchNorm2d):
-            self.running_mean = self.running_mean.astype(dtype)
-            self.running_var = self.running_var.astype(dtype)
+        for module in (self, *(child for _, child in self.named_children())):
+            if isinstance(module, BatchNorm2d):
+                module.running_mean = module.running_mean.astype(dtype)
+                module.running_var = module.running_var.astype(dtype)
         return self
 
     def __call__(self, *args, **kwargs):
@@ -239,84 +240,71 @@ class BatchNorm2d(Module):
         return int(np.prod(self.last_out_shape))
 
 
-def _pool_bounds(in_size, out_size):
-    starts = (np.arange(out_size) * in_size) // out_size
-    ends = -((-(np.arange(out_size) + 1) * in_size) // out_size)  # ceil division
-    return starts, ends
+@functools.lru_cache(maxsize=256)
+def resample_matrix(in_size, out_size, kind, dtype):
+    """Dense out_size x in_size matrix of one separable resampling axis.
+
+    "bilinear": align_corners=False taps, with source coordinates clamped to
+    [0, in_size - 1]. "pool": each row averages a floor/ceil window, so the
+    windows tile the input exactly. Cached, so the result is read-only.
+    """
+    rows = np.arange(out_size)
+    if kind == "bilinear":
+        src = np.clip((rows + 0.5) * (in_size / out_size) - 0.5, 0, in_size - 1)
+        i0 = np.floor(src).astype(np.intp)
+        i1 = np.minimum(i0 + 1, in_size - 1)
+        frac = src - i0
+        m = np.zeros((out_size, in_size))
+        m[rows, i0] = 1 - frac
+        m[rows, i1] += frac  # i0 == i1 where the clamp bites: the row sums to 1
+    elif kind == "pool":
+        starts = (rows * in_size) // out_size
+        ends = -((-(rows + 1) * in_size) // out_size)  # ceil division
+        cols = np.arange(in_size)
+        inside = (cols >= starts[:, None]) & (cols < ends[:, None])
+        m = inside / (ends - starts)[:, None]
+    else:
+        raise ContractError(f"unknown resampling kind {kind!r}")
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
+
+
+def resample(a, rh, rw):
+    """rh @ a @ rw.T over the last two axes of `a` (any leading axes)."""
+    *lead, h, w = a.shape
+    out = (a.reshape(-1, w) @ rw.T).reshape(-1, h, rw.shape[0])
+    return np.matmul(rh, out).reshape(*lead, rh.shape[0], rw.shape[0])
+
+
+def _resample_op(x, out_h, out_w, kind):
+    _, _, h, w = x.shape
+    dt = x.data.dtype
+    rh = resample_matrix(h, out_h, kind, dt)
+    rw = resample_matrix(w, out_w, kind, dt)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(resample(g, rh.T, rw.T))
+
+    return _make(resample(x.data, rh, rw), (x,), backward)
 
 
 def adaptive_avg_pool(x, out_h, out_w):
     """Mean over floor/ceil-partitioned windows that tile the input exactly."""
     if out_h < 1 or out_w < 1:
         raise ContractError(f"output extents must be positive, got {out_h}x{out_w}")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if out_h > h or out_w > w:
         raise ContractError(f"pool output {out_h}x{out_w} exceeds input {h}x{w}")
-    hs, he = _pool_bounds(h, out_h)
-    ws, we = _pool_bounds(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=x.data.dtype)
-    for i in range(out_h):
-        for j in range(out_w):
-            out[:, :, i, j] = x.data[:, :, hs[i] : he[i], ws[j] : we[j]].mean(axis=(2, 3))
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for i in range(out_h):
-                for j in range(out_w):
-                    area = (he[i] - hs[i]) * (we[j] - ws[j])
-                    gx[:, :, hs[i] : he[i], ws[j] : we[j]] += g[:, :, i, j, None, None] / area
-            x._accumulate(gx)
-
-    return _make(out, (x,), backward)
-
-
-def _bilinear_weights(in_size, out_size, dtype):
-    # align_corners = False
-    scale = in_size / out_size
-    src = (np.arange(out_size) + 0.5) * scale - 0.5
-    src = np.clip(src, 0, in_size - 1)
-    i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    frac = (src - i0).astype(dtype)
-    return i0, i1, frac
+    return _resample_op(x, out_h, out_w, "pool")
 
 
 def bilinear_upsample(x, out_h, out_w):
+    """Bilinear resize (align_corners=False) to out_h x out_w, up or down."""
     if out_h < 1 or out_w < 1:
         raise ContractError("output extents must be positive")
-    n, c, h, w = x.shape
-    dt = x.data.dtype
-    y0, y1, fy = _bilinear_weights(h, out_h, dt)
-    x0, x1, fx = _bilinear_weights(w, out_w, dt)
-    fy_col = fy[:, None]
-    fx_row = fx[None, :]
-    d = x.data
-    top = d[:, :, y0][:, :, :, x0] * (1 - fx_row) + d[:, :, y0][:, :, :, x1] * fx_row
-    bot = d[:, :, y1][:, :, :, x0] * (1 - fx_row) + d[:, :, y1][:, :, :, x1] * fx_row
-    out = top * (1 - fy_col) + bot * fy_col
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            wts = [
-                (y0, x0, (1 - fy_col) * (1 - fx_row)),
-                (y0, x1, (1 - fy_col) * fx_row),
-                (y1, x0, fy_col * (1 - fx_row)),
-                (y1, x1, fy_col * fx_row),
-            ]
-            for yi, xi, wgt in wts:
-                contrib = g * wgt
-                yy = np.repeat(yi, out_w)
-                xx = np.tile(xi, out_h)
-                np.add.at(
-                    gx.transpose(2, 3, 0, 1),
-                    (yy, xx),
-                    contrib.transpose(2, 3, 0, 1).reshape(out_h * out_w, n, c),
-                )
-            x._accumulate(gx)
-
-    return _make(out, (x,), backward)
+    return _resample_op(x, out_h, out_w, "bilinear")
 
 
 class ReLU(Module):

@@ -6,14 +6,15 @@ training-only embedding head.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .baselines import DappmHead, PpmHead
-from .config import ConfigError, ModelConfig
+from .config import ConfigError, ModelConfig, _coerce, format_value
 from .layers import BatchNorm2d, Conv2d, ConvBnRelu, Module, bilinear_upsample
 from .refine import FeaturePyramid, FeatureRefineHead
-from .tensor import ContractError, FormatError, Tensor, load_array, save_array
+from .tensor import ContractError, FormatError, Tensor, load_array, read_exact, save_array
 
 
 class Backbone(Module):
@@ -121,17 +122,7 @@ def _state_arrays(model: SegModel):
 
 
 def save_checkpoint(path, model: SegModel, extra=None):
-    cfg = model.cfg
-    header = {
-        "channels": ",".join(str(c) for c in cfg.channels),
-        "decoder_channels": cfg.decoder_channels,
-        "num_classes": cfg.num_classes,
-        "context_head": cfg.context_head,
-        "ffn_expansion": cfg.ffn_expansion,
-        "ppm_bins": ",".join(str(b) for b in cfg.ppm_bins),
-        "dappm_scales": ",".join(str(s) for s in cfg.dappm_scales),
-        "embed_dim": cfg.embed_dim,
-    }
+    header = {f.name: format_value(getattr(model.cfg, f.name)) for f in fields(ModelConfig)}
     header.update(extra or {})
     text = "".join(f"{k}={v}\n" for k, v in header.items()).encode("utf-8")
     with open(path, "wb") as f:
@@ -145,37 +136,63 @@ def save_checkpoint(path, model: SegModel, extra=None):
             save_array(f, arr)
 
 
-def read_checkpoint_header(path):
-    with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        (length,) = struct.unpack("<I", f.read(4))
-        text = f.read(length).decode("utf-8")
+def _read_text(f, path, what):
+    """A u32 length prefix and that many UTF-8 bytes."""
+    (length,) = struct.unpack("<I", read_exact(f, 4, path, what + " length"))
+    try:
+        return read_exact(f, length, path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not UTF-8") from exc
+
+
+def _read_header(f, path):
+    if f.read(4) != _CKPT_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
     header = {}
-    for line in text.splitlines():
+    for line in _read_text(f, path, "header").splitlines():
         if line:
             k, _, v = line.partition("=")
             header[k] = v
     return header
 
 
+def read_checkpoint_header(path):
+    with open(path, "rb") as f:
+        return _read_header(f, path)
+
+
 def model_config_from_header(header):
-    return ModelConfig(
-        channels=tuple(int(c) for c in header["channels"].split(",")),
-        decoder_channels=int(header["decoder_channels"]),
-        num_classes=int(header["num_classes"]),
-        context_head=header["context_head"],
-        ffn_expansion=int(header["ffn_expansion"]),
-        ppm_bins=tuple(int(b) for b in header["ppm_bins"].split(",")),
-        dappm_scales=tuple(int(s) for s in header["dappm_scales"].split(",")),
-        embed_dim=int(header["embed_dim"]),
-    )
+    defaults = ModelConfig()
+    values = {}
+    for f in fields(ModelConfig):
+        if f.name not in header:
+            raise FormatError(f"checkpoint header has no {f.name!r}")
+        try:
+            values[f.name] = _coerce(getattr(defaults, f.name), header[f.name])
+        except ValueError as exc:
+            raise FormatError(f"checkpoint header {f.name}={header[f.name]!r}: {exc}") from exc
+    cfg = ModelConfig(**values)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint header: {exc}") from exc
+    return cfg
 
 
 def load_checkpoint(path):
-    """Rebuild the model from the header and load every named tensor."""
-    header = read_checkpoint_header(path)
-    model = SegModel(model_config_from_header(header))
+    """Rebuild the model from the header and load every named tensor.
+
+    The whole file is parsed before the model is built, so a truncated or
+    garbled file fails with FormatError before any model work.
+    """
+    with open(path, "rb") as f:
+        header = _read_header(f, path)
+        cfg = model_config_from_header(header)
+        arrays = {}
+        while f.peek(1):  # empty only at end of file
+            name = _read_text(f, path, "tensor name")
+            arrays[name] = load_array(f, name=name)
+    model = SegModel(cfg)
     expected = dict(_state_arrays(model))
     targets = {name: p for name, p in model.named_parameters()}
     buffers = {}
@@ -183,31 +200,19 @@ def load_checkpoint(path):
         if isinstance(child, BatchNorm2d):
             buffers[bpath + ".running_mean"] = (child, "running_mean")
             buffers[bpath + ".running_var"] = (child, "running_var")
-    with open(path, "rb") as f:
-        f.read(4)
-        (length,) = struct.unpack("<I", f.read(4))
-        f.read(length)
-        loaded = set()
-        while True:
-            raw = f.read(4)
-            if not raw:
-                break
-            (nlen,) = struct.unpack("<I", raw)
-            name = f.read(nlen).decode("utf-8")
-            arr = load_array(f, name=name)
-            if name not in expected:
-                raise FormatError(f"{path}: unexpected tensor {name!r}")
-            if arr.shape != expected[name].shape:
-                raise FormatError(
-                    f"{path}: shape mismatch for {name}: {arr.shape} vs {expected[name].shape}"
-                )
-            if name in targets:
-                targets[name].data = arr
-            else:
-                child, attr = buffers[name]
-                setattr(child, attr, arr)
-            loaded.add(name)
-    missing = set(expected) - loaded
+    for name, arr in arrays.items():
+        if name not in expected:
+            raise FormatError(f"{path}: unexpected tensor {name!r}")
+        if arr.shape != expected[name].shape:
+            raise FormatError(
+                f"{path}: shape mismatch for {name}: {arr.shape} vs {expected[name].shape}"
+            )
+        if name in targets:
+            targets[name].data = arr
+        else:
+            child, attr = buffers[name]
+            setattr(child, attr, arr)
+    missing = set(expected) - set(arrays)
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)[:3]}...")
     return model, header

@@ -118,9 +118,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def reshape(self, *shape):
         return reshape(self, shape)
 
@@ -194,19 +191,6 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), backward)
 
 
-def div(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
-
-
 def powi(a, exponent):
     """Elementwise power with a constant exponent."""
     a = _as_tensor(a)
@@ -238,17 +222,6 @@ def log(a):
             a._accumulate(g / a.data)
 
     return _make(np.log(a.data), (a,), backward)
-
-
-def sqrt(a):
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, (a,), backward)
 
 
 def relu(a):
@@ -399,18 +372,24 @@ def save_array(f, arr):
     f.write(arr.tobytes())
 
 
+def read_exact(f, count, name, what):
+    """Read exactly `count` bytes; a short read is a FormatError."""
+    data = f.read(count)
+    if len(data) != count:
+        raise FormatError(f"{name}: truncated {what}")
+    return data
+
+
 def load_array(f, name="<stream>"):
     magic = f.read(4)
     if magic != FRMT_MAGIC:
         raise FormatError(f"{name}: bad magic {magic!r}, expected {FRMT_MAGIC!r}")
-    version, rank = struct.unpack("<II", f.read(8))
+    version, rank = struct.unpack("<II", read_exact(f, 8, name, "header"))
     if version != FRMT_VERSION:
         raise FormatError(f"{name}: unsupported version {version}")
-    shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+    shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, name, "extents"))
     count = int(np.prod(shape)) if rank else 1
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise FormatError(f"{name}: truncated payload")
+    payload = read_exact(f, 4 * count, name, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 

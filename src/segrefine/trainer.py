@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LossConfig, TrainConfig
-from .layers import _bilinear_weights
+from .layers import resample, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
 from .tensor import ContractError, Tensor, no_grad
@@ -60,22 +60,11 @@ class TrainSchedule:
         return self.lr0 * frac**self.power
 
 
-def poly_lr(sched: TrainSchedule):
-    return sched.lr()
-
-
-def _resize_image(image, out_h, out_w):
-    c, h, w = image.shape
-    y0, y1, fy = _bilinear_weights(h, out_h, image.dtype)
-    x0, x1, fx = _bilinear_weights(w, out_w, image.dtype)
-    fy = fy[:, None]
-    fx = fx[None, :]
-    top = image[:, y0][:, :, x0] * (1 - fx) + image[:, y0][:, :, x1] * fx
-    bot = image[:, y1][:, :, x0] * (1 - fx) + image[:, y1][:, :, x1] * fx
-    return top * (1 - fy) + bot * fy
-
-
 def _resize_labels(labels, out_h, out_w):
+    # Pixel-centre nearest rule. losses.downsample_labels picks window centres
+    # instead. The two agree when in % out == 0 and otherwise round apart
+    # (30 -> 8 maps output row 1 to row 5 here, to row 4 there). Merging them
+    # would change the labels, and so the training runs, of one of the two.
     h, w = labels.shape
     rows = np.minimum(((np.arange(out_h) + 0.5) * h / out_h).astype(np.intp), h - 1)
     cols = np.minimum(((np.arange(out_w) + 0.5) * w / out_w).astype(np.intp), w - 1)
@@ -91,7 +80,9 @@ def augment(image, labels, rng, crop, scale_range=(0.5, 2.0), ignore_index=255):
     h, w = labels.shape
     nh, nw = max(int(round(h * scale)), 1), max(int(round(w * scale)), 1)
     if (nh, nw) != (h, w):
-        image = _resize_image(image, nh, nw)
+        dt = image.dtype
+        image = resample(image, resample_matrix(h, nh, "bilinear", dt),
+                         resample_matrix(w, nw, "bilinear", dt))
         labels = _resize_labels(labels, nh, nw)
     if nh < crop or nw < crop:
         pad_h, pad_w = max(crop - nh, 0), max(crop - nw, 0)

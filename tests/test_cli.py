@@ -1,8 +1,9 @@
 import numpy as np
 
 from segrefine.cli import main
+from segrefine.config import ModelConfig
 from segrefine.datagen import load_pgm, read_manifest
-from segrefine.model import read_checkpoint_header
+from segrefine.model import SegModel, read_checkpoint_header, save_checkpoint
 from segrefine.tensor import save_tensor_file
 
 TINY_NET = [
@@ -16,6 +17,12 @@ TINY_NET = [
     "eval_interval=2",
     "eval_count=4",
 ]
+
+
+# one channel per stage keeps the checkpoint to a few KB: the truncation test
+# runs the CLI once per prefix length of it
+MINI_NET = ModelConfig(channels=(1, 1, 1, 1), decoder_channels=1, num_classes=2,
+                       context_head="ppm", ffn_expansion=1, ppm_bins=(1,), embed_dim=1)
 
 
 def write_config(tmp_path, lines, name="run.cfg"):
@@ -183,6 +190,33 @@ class TestProvenanceAndErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "format error" in capsys.readouterr().err
+
+    def test_truncated_inputs_are_format_errors(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        image = tmp_path / "image.frmt"
+        save_tensor_file(image, np.zeros((3, 2, 2), dtype=np.float32))
+        for target in (ckpt, image):
+            raw = target.read_bytes()
+            cut = tmp_path / ("cut" + target.suffix)
+            ckpt_arg, image_arg = (cut, image) if target is ckpt else (ckpt, cut)
+            for n in range(len(raw)):
+                cut.write_bytes(raw[:n])
+                code = main(["infer", "--checkpoint", str(ckpt_arg), "--out",
+                             str(tmp_path / "o"), str(image_arg), str(tmp_path / "m.pgm")])
+                assert code == 3, f"{target.name} cut to {n} of {len(raw)} bytes"
+        assert "truncated" in capsys.readouterr().err
+
+    def test_garbled_checkpoint_header_is_format_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"embed_dim=", b"embed_dum=", 1))
+        image = tmp_path / "image.frmt"
+        save_tensor_file(image, np.zeros((3, 32, 32), dtype=np.float32))
+        code = main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                     str(image), str(tmp_path / "m.pgm")])
+        assert code == 3
+        assert "embed_dim" in capsys.readouterr().err
 
     def test_infer_rejects_non_image_tensor(self, tmp_path):
         data = make_dataset(tmp_path)

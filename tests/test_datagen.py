@@ -8,7 +8,6 @@ from segrefine.datagen import (
     SceneSpec,
     class_palette,
     generate,
-    load_batch,
     load_pgm,
     read_manifest,
     render_scene,
@@ -135,9 +134,9 @@ class TestGenerate:
 
     def test_batch_assembly_preserves_index_order(self, tmp_path):
         generate(SceneSpec(seed=4), 4, tmp_path)
-        images, labels = load_batch(tmp_path, [3, 0, 2, 1])
+        ds = Dataset(tmp_path)
+        images, labels = (np.stack(parts) for parts in zip(*(ds[i] for i in [3, 0, 2, 1])))
         assert images.shape == (4, 3, 64, 64)
         assert labels.shape == (4, 64, 64)
-        ds = Dataset(tmp_path)
         np.testing.assert_array_equal(images[0], ds[3][0])
         np.testing.assert_array_equal(labels[1], ds[0][1])

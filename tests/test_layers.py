@@ -1,15 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
+from segrefine import tensor as T
+from segrefine.gradcheck import TOLERANCE, finite_difference
 from segrefine.layers import (
     BatchNorm2d,
     Conv2d,
     adaptive_avg_pool,
     bilinear_upsample,
+    resample_matrix,
 )
 from segrefine.tensor import ContractError, ShapeError, Tensor
 
 from conftest import set_identity_1x1
+
+
+def _weighted_sum_fd(op, x, out_h, out_w, rng):
+    """Worst finite-difference error of `op` under a fixed random weighting."""
+    weights = Tensor(rng.standard_normal((*x.shape[:2], out_h, out_w)))
+    return finite_difference(lambda: T.tsum(op(x, out_h, out_w) * weights), [x])
 
 
 class TestConv:
@@ -73,13 +84,31 @@ class TestAdaptiveAvgPool:
         out = adaptive_avg_pool(x, 2, 2)
         np.testing.assert_allclose(out.data[0, 0], [[3.5, 5.5], [11.5, 13.5]])
 
-    def test_against_brute_force_windows(self, rng):
-        x = rng.standard_normal((1, 3, 24, 24)).astype(np.float32)
-        got = adaptive_avg_pool(Tensor(x), 3, 3).data
-        for i in range(3):
-            for j in range(3):
-                window = x[:, :, i * 8 : (i + 1) * 8, j * 8 : (j + 1) * 8]
-                np.testing.assert_allclose(got[:, :, i, j], window.mean(axis=(2, 3)), atol=1e-6)
+    @pytest.mark.parametrize("size, out", [
+        ((24, 24), (3, 3)),  # integer ratio
+        ((7, 7), (3, 3)),
+        ((5, 7), (2, 3)),
+        ((10, 7), (7, 5)),
+        ((1, 5), (1, 2)),  # 1-pixel extent
+        ((6, 1), (4, 1)),
+        ((9, 10), (1, 1)),
+        ((4, 6), (4, 6)),  # identity
+    ], ids=lambda extents: "x".join(map(str, extents)))
+    def test_against_brute_force_windows(self, rng, size, out):
+        (h, w), (oh, ow) = size, out
+        x = rng.standard_normal((2, 3, h, w))
+        got = adaptive_avg_pool(Tensor(x), oh, ow).data
+        want = np.zeros((2, 3, oh, ow))
+        for i in range(oh):
+            for j in range(ow):
+                rows = slice(math.floor(i * h / oh), math.ceil((i + 1) * h / oh))
+                cols = slice(math.floor(j * w / ow), math.ceil((j + 1) * w / ow))
+                want[:, :, i, j] = x[:, :, rows, cols].mean(axis=(2, 3))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_non_integer_ratio_gradient(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 7, 5)), requires_grad=True)
+        assert _weighted_sum_fd(adaptive_avg_pool, x, 3, 2, rng) < TOLERANCE
 
     def test_pool_to_1x1_is_global_mean(self, rng):
         x = rng.standard_normal((2, 4, 5, 7)).astype(np.float32)
@@ -106,21 +135,48 @@ class TestBilinearUpsample:
         x = Tensor(np.array([[[[2.5]]]], dtype=np.float32))
         np.testing.assert_allclose(bilinear_upsample(x, 4, 4).data, 2.5)
 
-    def test_2x2_to_4x4_closed_form(self, rng):
-        x = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        got = bilinear_upsample(Tensor(x), 4, 4).data[0, 0]
-        # align_corners=False: source coords (o + 0.5)/2 - 0.5, clamped
-        src = np.clip((np.arange(4) + 0.5) * 0.5 - 0.5, 0, 1)
-        i0 = np.floor(src).astype(int)
-        i1 = np.minimum(i0 + 1, 1)
-        f = src - i0
-        want = np.zeros((4, 4))
-        for r in range(4):
-            for c in range(4):
-                top = x[0, 0, i0[r], i0[c]] * (1 - f[c]) + x[0, 0, i0[r], i1[c]] * f[c]
-                bot = x[0, 0, i1[r], i0[c]] * (1 - f[c]) + x[0, 0, i1[r], i1[c]] * f[c]
-                want[r, c] = top * (1 - f[r]) + bot * f[r]
-        np.testing.assert_allclose(got, want, atol=1e-6)
+    @pytest.mark.parametrize("size, out", [
+        ((2, 2), (4, 4)),
+        ((3, 5), (7, 8)),  # non-integer ratio
+        ((7, 9), (3, 4)),  # downsampling
+        ((6, 4), (4, 7)),
+        ((1, 1), (3, 2)),  # 1-pixel extent
+        ((4, 1), (6, 1)),
+        ((1, 5), (1, 2)),
+        ((5, 6), (5, 6)),  # identity
+    ], ids=lambda extents: "x".join(map(str, extents)))
+    def test_2x2_to_4x4_closed_form(self, rng, size, out):
+        (h, w), (oh, ow) = size, out
+        x = rng.standard_normal((1, 2, h, w))
+        got = bilinear_upsample(Tensor(x), oh, ow).data
+
+        def taps(o, n_in, n_out):
+            # align_corners=False: source coordinate (o + 0.5) * in/out - 0.5, clamped
+            src = min(max((o + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+            i0 = math.floor(src)
+            return i0, min(i0 + 1, n_in - 1), src - i0
+
+        want = np.zeros((1, 2, oh, ow))
+        for r in range(oh):
+            r0, r1, fr = taps(r, h, oh)
+            for c in range(ow):
+                c0, c1, fc = taps(c, w, ow)
+                top = x[0, :, r0, c0] * (1 - fc) + x[0, :, r0, c1] * fc
+                bot = x[0, :, r1, c0] * (1 - fc) + x[0, :, r1, c1] * fc
+                want[0, :, r, c] = top * (1 - fr) + bot * fr
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if size == out:
+            np.testing.assert_array_equal(got, x)
+
+    def test_downsampling_gradient(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 7, 6)), requires_grad=True)
+        assert _weighted_sum_fd(bilinear_upsample, x, 3, 4, rng) < TOLERANCE
+
+    def test_resample_matrices_are_cached_read_only(self):
+        m = resample_matrix(5, 3, "bilinear", np.dtype(np.float32))
+        assert m is resample_matrix(5, 3, "bilinear", np.dtype(np.float32))
+        assert m.dtype == np.float32 and not m.flags.writeable
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestBatchNorm:

@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from segrefine.config import ModelConfig
-from segrefine.model import Backbone, SegModel, load_checkpoint, save_checkpoint
+from segrefine.config import ModelConfig, format_value
+from segrefine.model import (
+    Backbone,
+    SegModel,
+    load_checkpoint,
+    model_config_from_header,
+    read_checkpoint_header,
+    save_checkpoint,
+)
 from segrefine.tensor import ContractError, FormatError, Tensor
 
 TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=19, embed_dim=16)
 
 
 def toy_model(rng, **overrides):
-    from dataclasses import replace
-
     return SegModel(replace(TOY, **overrides), rng=rng)
 
 
@@ -92,6 +99,33 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_header_bytes_follow_model_config(self, rng, tmp_path):
+        path = tmp_path / "model.srcp"
+        save_checkpoint(path, toy_model(rng, context_head="ppm"), extra={"iteration": 7})
+        text = (
+            "channels=8,16,32,64\ndecoder_channels=32\nnum_classes=19\ncontext_head=ppm\n"
+            "ffn_expansion=4\nppm_bins=1,2,3,6\ndappm_scales=2,4,8,0\nembed_dim=16\n"
+            "iteration=7\n"
+        ).encode()
+        raw = path.read_bytes()
+        assert raw[4:8] == len(text).to_bytes(4, "little")
+        assert raw[8 : 8 + len(text)] == text
+        header = read_checkpoint_header(path)
+        assert model_config_from_header(header) == replace(TOY, context_head="ppm")
+
+    @pytest.mark.parametrize("key, value", [
+        ("channels", None), ("embed_dim", None), ("num_classes", "19x"),
+        ("ppm_bins", "1,,2"), ("channels", "8,16,32"), ("context_head", "nope"),
+    ])
+    def test_bad_header_key_is_format_error(self, key, value):
+        header = {k: str(format_value(v)) for k, v in vars(TOY).items()}
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        with pytest.raises(FormatError, match=key if value is None else None):
+            model_config_from_header(header)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bogus.srcp"

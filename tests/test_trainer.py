@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from segrefine.layers import Parameter
 from segrefine.tensor import ContractError
-from segrefine.trainer import SGD, ConfusionMatrix, TrainSchedule, augment, poly_lr
+from segrefine.trainer import SGD, ConfusionMatrix, TrainSchedule, augment
 
 
 class TestSgd:
@@ -49,22 +49,22 @@ class TestSgd:
 class TestPolySchedule:
     def test_initial_rate(self):
         sched = TrainSchedule(lr0=0.01, total_iters=1000, power=0.9, iteration=0)
-        assert poly_lr(sched) == pytest.approx(0.01)
+        assert sched.lr() == pytest.approx(0.01)
 
     def test_final_rate_is_zero(self):
         sched = TrainSchedule(lr0=0.01, total_iters=1000, power=0.9, iteration=1000)
-        assert poly_lr(sched) == 0.0
+        assert sched.lr() == 0.0
 
     def test_halfway_value(self):
         sched = TrainSchedule(lr0=0.01, total_iters=1000, power=0.9, iteration=500)
-        assert poly_lr(sched) == pytest.approx(0.01 * 0.5**0.9, abs=1e-6)
+        assert sched.lr() == pytest.approx(0.01 * 0.5**0.9, abs=1e-6)
 
     def test_non_increasing(self):
         sched = TrainSchedule(lr0=0.01, total_iters=100, power=0.9)
         rates = []
         for it in range(101):
             sched.iteration = it
-            rates.append(poly_lr(sched))
+            rates.append(sched.lr())
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
