@@ -179,6 +179,13 @@ def model_config_from_header(header):
     return cfg
 
 
+class _NoDrawRng:
+    """Init rng stand-in for a model whose weights are all about to be loaded."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape, dtype=np.float32)
+
+
 def load_checkpoint(path):
     """Rebuild the model from the header and load every named tensor.
 
@@ -192,7 +199,7 @@ def load_checkpoint(path):
         while f.peek(1):  # empty only at end of file
             name = _read_text(f, path, "tensor name")
             arrays[name] = load_array(f, name=name)
-    model = SegModel(cfg)
+    model = SegModel(cfg, rng=_NoDrawRng())
     expected = dict(_state_arrays(model))
     targets = {name: p for name, p in model.named_parameters()}
     buffers = {}

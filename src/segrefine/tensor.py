@@ -8,6 +8,7 @@ runs the closures in reverse topological order.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -132,9 +133,14 @@ def _as_tensor(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def records_graph(parents):
+    """Whether an op on `parents` records a backward closure."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if records_graph(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -373,7 +379,17 @@ def save_array(f, arr):
 
 
 def read_exact(f, count, name, what):
-    """Read exactly `count` bytes; a short read is a FormatError."""
+    """Read exactly `count` bytes; a short read is a FormatError.
+
+    A count beyond the bytes left in a seekable stream fails before the read,
+    so a garbled length never asks for a huge buffer.
+    """
+    if f.seekable():
+        here = f.tell()
+        left = f.seek(0, 2) - here
+        f.seek(here)
+        if count > left:
+            raise FormatError(f"{name}: truncated {what} ({count} bytes needed, {left} left)")
     data = f.read(count)
     if len(data) != count:
         raise FormatError(f"{name}: truncated {what}")
@@ -388,7 +404,7 @@ def load_array(f, name="<stream>"):
     if version != FRMT_VERSION:
         raise FormatError(f"{name}: unsupported version {version}")
     shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, name, "extents"))
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)  # a Python int: garbled extents cannot wrap
     payload = read_exact(f, 4 * count, name, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 

@@ -1,4 +1,8 @@
+import struct
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from segrefine.cli import main
 from segrefine.config import ModelConfig
@@ -156,6 +160,17 @@ class TestChecksAndBench:
         assert "context_head.attention.pairwise" not in per_head["ppm"]
 
 
+    def test_bench_costs_match_golden_csvs(self, tmp_path, capsys):
+        # the analytic per-module costs of the bench config above, committed
+        # so that a change to the layers or the profiler cannot move them
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, ["channels=4,8,8,8", "decoder_channels=8", "embed_dim=4"])
+        assert main(["bench", "--config", cfg, "--out", str(out), "--size", "192x192"]) == 0
+        for name in ("frm", "ppm", "dappm"):
+            golden = Path(__file__).parent / "golden" / f"costs_{name}.csv"
+            assert (out / f"costs_{name}.csv").read_bytes() == golden.read_bytes(), name
+
+
 class TestProvenanceAndErrors:
     def test_run_txt_records_resolved_settings(self, tmp_path):
         out = tmp_path / "o"
@@ -206,6 +221,19 @@ class TestProvenanceAndErrors:
                              str(tmp_path / "o"), str(image_arg), str(tmp_path / "m.pgm")])
                 assert code == 3, f"{target.name} cut to {n} of {len(raw)} bytes"
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extents", [(2**31, 2**31), (2**31, 2**31, 4)],
+                             ids=["rank2-overflow", "rank3-wraps-to-zero"])
+    def test_garbled_frmt_extents_are_format_errors(self, tmp_path, capsys, extents):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        image = tmp_path / "image.frmt"
+        header = struct.pack(f"<4sII{len(extents)}I", b"FRMT", 1, len(extents), *extents)
+        image.write_bytes(header + bytes(3 * 32 * 32 * 4))
+        code = main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                     str(image), str(tmp_path / "m.pgm")])
+        assert code == 3
+        assert "format error" in capsys.readouterr().err
 
     def test_garbled_checkpoint_header_is_format_error(self, tmp_path, capsys):
         ckpt = tmp_path / "model.srcp"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from segrefine import tensor as T
 from segrefine.gradcheck import TOLERANCE, finite_difference
+from segrefine import layers
 from segrefine.layers import (
     BatchNorm2d,
     Conv2d,
@@ -12,7 +14,7 @@ from segrefine.layers import (
     bilinear_upsample,
     resample_matrix,
 )
-from segrefine.tensor import ContractError, ShapeError, Tensor
+from segrefine.tensor import ContractError, ShapeError, Tensor, no_grad
 
 from conftest import set_identity_1x1
 
@@ -72,6 +74,92 @@ class TestConv:
     def test_bad_groups_rejected(self):
         with pytest.raises(ContractError):
             Conv2d(4, 6, 3, groups=4)
+
+
+# column budget of the streamed-conv sweep, in elements: a few hundred bytes
+SWEEP_BUDGET = 80
+
+
+def _multi_image(n, oh, images, rows):
+    return images > 1 and n % images and rows == oh
+
+
+def _row_bands(n, oh, images, rows):
+    return images == 1 and 1 < rows < oh and oh % rows
+
+
+def _one_row(n, oh, images, rows):
+    return rows == 1
+
+
+class TestStreamedConv:
+    """No-grad convolutions stream their columns; recorded ones build them whole."""
+
+    @pytest.mark.parametrize("kwargs, shape, plan", [
+        (dict(in_c=1, out_c=3, kernel=3), (7, 1, 4, 4), _multi_image),
+        (dict(in_c=1, out_c=3, kernel=3, pad=1), (2, 1, 7, 4), _row_bands),
+        (dict(in_c=3, out_c=4, kernel=3, stride=2, pad=1), (2, 3, 9, 7), _one_row),
+        (dict(in_c=1, out_c=4, kernel=3, stride=2), (9, 1, 5, 5), _multi_image),
+        (dict(in_c=4, out_c=4, kernel=3, pad=1, groups=4), (3, 4, 5, 6), _one_row),
+        (dict(in_c=4, out_c=6, kernel=3, pad=1, groups=2), (1, 4, 9, 1), _row_bands),
+        (dict(in_c=2, out_c=3, kernel=3), (4, 2, 3, 6), _one_row),  # 1-row outputs
+        (dict(in_c=2, out_c=3, kernel=3), (3, 2, 3, 9), _one_row),
+    ], ids=["multi-image", "row-bands", "stride2", "stride2-multi-image", "depthwise",
+            "groups2-row-bands", "one-row-image", "one-row-band"])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    def test_matches_recorded_path(self, rng, monkeypatch, kwargs, shape, plan, dtype, rtol):
+        budget = SWEEP_BUDGET * np.dtype(dtype).itemsize
+        monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+        plans = []
+        chunk_shape = layers._chunk_shape
+
+        def spy(windows_shape, itemsize, limit):
+            plans.append((limit, chunk_shape(windows_shape, itemsize, limit)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(layers, "_chunk_shape", spy)
+        conv = Conv2d(rng=rng, **kwargs).cast(dtype)
+        conv.bias.data = rng.standard_normal(conv.out_c).astype(dtype)
+        x = Tensor(rng.standard_normal(shape).astype(dtype))
+        with no_grad():
+            streamed = conv(x)
+        recorded = conv(x)
+        assert recorded.requires_grad and not streamed.requires_grad
+        assert streamed.dtype == recorded.dtype == dtype
+        (limit, (images, rows)), (whole, _) = plans
+        assert limit == budget and whole is None
+        assert plan(shape[0], streamed.shape[2], images, rows)
+        np.testing.assert_allclose(streamed.data, recorded.data, rtol=rtol, atol=0)
+
+    def test_1x1_columns_are_a_view(self, rng):
+        x = rng.standard_normal((2, 5, 4, 3)).astype(np.float32)
+        w_mat = rng.standard_normal((1, 6, 5)).astype(np.float32)
+        out = np.empty((2, 6, 4, 3), np.float32)
+        cols = layers._conv_columns(layers._windows(x, 1, 1, 0), w_mat, out)
+        assert np.shares_memory(cols, x)
+        np.testing.assert_allclose(out, np.einsum("oc,nchw->nohw", w_mat[0], x), rtol=1e-5)
+
+    def test_1x1_input_gradient_closed_form(self, rng):
+        conv = Conv2d(5, 3, 1, bias=False, rng=rng).cast(np.float64)
+        x = Tensor(rng.standard_normal((2, 5, 4, 3)), requires_grad=True)
+        g = rng.standard_normal((2, 3, 4, 3))
+        T.tsum(conv(x) * Tensor(g)).backward()
+        want = np.einsum("oc,nohw->nchw", conv.weight.data[:, :, 0, 0], g)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+
+    def test_streamed_forward_peaks_below_column_matrix(self, rng):
+        conv = Conv2d(64, 64, 3, pad=1, rng=rng)
+        x = Tensor(rng.standard_normal((1, 64, 64, 128)).astype(np.float32))
+        columns_bytes = 64 * 9 * 64 * 128 * 4  # the 18.9 MB im2col matrix
+        tracemalloc.start()
+        try:
+            with no_grad():
+                conv(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < columns_bytes
 
 
 class TestAdaptiveAvgPool:
