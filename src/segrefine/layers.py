@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, _make, records_graph
+from .tensor import ContractError, ShapeError, Tensor, _make, records_graph, relu
 
 
 class Parameter(Tensor):
@@ -177,7 +177,6 @@ class Conv2d(Module):
             init_kaiming(rng, out_c, in_c // groups, kernel, kernel), decay=True
         )
         self.bias = Parameter(np.zeros(out_c, dtype=np.float32)) if bias else None
-        self.last_out_shape = None
 
     def forward(self, x):
         if x.shape[1] != self.in_c:
@@ -196,7 +195,6 @@ class Conv2d(Module):
         cols_g = _conv_columns(windows, w_mat, out, _COL_BUDGET if stream else None)
         if b is not None:
             out += b.data[None, :, None, None]
-        self.last_out_shape = out.shape
         x_shape = x.data.shape
 
         def backward(grad):
@@ -220,10 +218,8 @@ class Conv2d(Module):
     def param_count(self):
         return self.weight.size + (self.bias.size if self.bias is not None else 0)
 
-    def flops(self):
-        if self.last_out_shape is None:
-            return 0
-        n, oc, oh, ow = self.last_out_shape
+    def flops(self, out_shape):
+        n, oc, oh, ow = out_shape
         f = 2 * n * oh * ow * oc * (self.in_c // self.groups) * self.kernel * self.kernel
         if self.bias is not None:
             f += n * oh * ow * oc
@@ -239,11 +235,9 @@ class BatchNorm2d(Module):
         self.shift = Parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.last_out_shape = None
 
     def forward(self, x):
         gamma, beta = self.scale, self.shift
-        self.last_out_shape = x.shape
         if self.training:
             axes = (0, 2, 3)
             mean = x.data.mean(axis=axes)
@@ -276,8 +270,9 @@ class BatchNorm2d(Module):
 
         invstd = 1.0 / np.sqrt(self.running_var + self.eps)
         scale = gamma.data * invstd
-        out = scale[None, :, None, None] * (x.data - self.running_mean[None, :, None, None])
-        out = out + beta.data[None, :, None, None]
+        # one per-channel affine: a single full-size temporary, shifted in place
+        out = x.data * scale[None, :, None, None]
+        out += (beta.data - self.running_mean * scale)[None, :, None, None]
 
         def backward(g):
             if gamma.requires_grad:
@@ -293,10 +288,8 @@ class BatchNorm2d(Module):
     def param_count(self):
         return 2 * self.channels
 
-    def flops(self):
-        if self.last_out_shape is None:
-            return 0
-        return int(np.prod(self.last_out_shape))
+    def flops(self, out_shape):
+        return math.prod(out_shape)
 
 
 @functools.lru_cache(maxsize=256)
@@ -367,21 +360,14 @@ def bilinear_upsample(x, out_h, out_w):
 
 
 class ReLU(Module):
-    def __init__(self):
-        super().__init__()
-        self.last_out_shape = None
-
     def forward(self, x):
-        self.last_out_shape = x.shape
-        from .tensor import relu
-
         return relu(x)
 
     def param_count(self):
         return 0
 
-    def flops(self):
-        return int(np.prod(self.last_out_shape)) if self.last_out_shape else 0
+    def flops(self, out_shape):
+        return math.prod(out_shape)
 
 
 class ConvBnRelu(Module):

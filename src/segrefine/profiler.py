@@ -2,8 +2,15 @@
 
 Counting rules: conv/matmul cost multiply-accumulates x 2; batch norm,
 activations, pooling, and interpolation cost one op per output element.
-A dummy forward at the requested size records output shapes; counts are
-then computed from the layer formulas.
+
+`count_costs` runs one batch-1 no-grad forward at the requested size and
+records what ran. For that forward only, it wraps the `forward` (and, on a
+context head, the `context`) of every submodule instance, which records each
+call's output shape, and `layers._resample_op`, which records each resample's
+output elements; a `finally` takes the wrappers off. A layer's row is its
+`flops(out_shape)` summed over its recorded calls; a module that never ran
+(the embedding head at inference) has no row. Each resample is charged to the
+innermost recorded call around it (see `_RESAMPLE_ROW`).
 """
 
 from __future__ import annotations
@@ -12,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import DappmHead, PpmHead
-from .layers import BatchNorm2d, Conv2d, Module, ReLU
+from . import layers
 from .model import SegModel
 from .refine import DisentangledAttention
 from .tensor import Tensor, no_grad
+
+# Row suffix of a resample, after the path of the innermost recorded call
+# around it: a head's `context` resamples its pooled branches, a head's
+# forward pools the stages it aggregates, and the decoder's forward upsamples.
+_RESAMPLE_ROW = {"context": "resample", "pool": "aggregate.pool", "bilinear": "upsample"}
 
 
 @dataclass
@@ -69,71 +80,62 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _reset_shapes(model: Module):
-    for _, child in model.named_children():
-        if hasattr(child, "last_out_shape"):
-            child.last_out_shape = None
-        if isinstance(child, DisentangledAttention):
-            child.last_attn_shape = None
-
-
-def _elements(shape):
-    return int(np.prod(shape)) if shape else 0
-
-
 def count_costs(model: SegModel, input_size, mode="inference"):
     """Cost report for a batch-1 forward at input_size (h, w)."""
     h, w = input_size
+    frames = []  # (path, method) of the recorded calls now running, innermost last
+    shapes = {}  # (path, method) -> output shapes of its recorded calls
+    resampled = {}  # row path -> output elements of the resamples charged to it
+
+    def recording(path, method, call):
+        def recorded(*args, **kwargs):
+            frames.append((path, method))
+            try:
+                out = call(*args, **kwargs)
+            finally:
+                frames.pop()
+            shapes.setdefault((path, method), []).append(getattr(out, "shape", None))
+            return out
+
+        return recorded
+
+    resample_op = layers._resample_op
+
+    def recorded_resample(x, out_h, out_w, kind):
+        out = resample_op(x, out_h, out_w, kind)
+        path, method = frames[-1]
+        row = f"{path}.{_RESAMPLE_ROW[kind if method == 'forward' else method]}"
+        resampled[row] = resampled.get(row, 0) + out.size
+        return out
+
+    wrapped = []
     was_training = model.training
-    model.eval()
-    _reset_shapes(model)
-    with no_grad():
-        model(Tensor(np.zeros((1, 3, h, w), dtype=np.float32)), train_mode=(mode == "training"))
-    model.train(was_training)
+    try:
+        for path, child in model.named_children():
+            for method in ("forward", "context"):
+                if hasattr(child, method):
+                    setattr(child, method, recording(path, method, getattr(child, method)))
+                    wrapped.append((child, method))
+        layers._resample_op = recorded_resample
+        model.eval()
+        with no_grad():
+            model(Tensor(np.zeros((1, 3, h, w), dtype=np.float32)), train_mode=(mode == "training"))
+    finally:
+        layers._resample_op = resample_op
+        for child, method in wrapped:
+            delattr(child, method)
+        model.train(was_training)
 
     rows = []
     for path, child in model.named_children():
-        if isinstance(child, (Conv2d, BatchNorm2d, ReLU)):
-            if child.last_out_shape is None:
-                continue  # embedding head never ran in inference mode
-            rows.append(CostRow(path, child.param_count(), child.flops()))
-        if isinstance(child, DisentangledAttention):
-            rows.append(CostRow(path + ".pairwise", 0, child.attention_flops()))
-
-    f_shapes = [
-        model.backbone.stem_b.act.last_out_shape,
-        model.backbone.stage2.act.last_out_shape,
-        model.backbone.stage3.act.last_out_shape,
-        model.backbone.stage4.act.last_out_shape,
-    ]
-    n, _, h4, w4 = f_shapes[3]
-
-    head = model.context_head
-    agg_pool = sum(n * s[1] * h4 * w4 for s in f_shapes[:3])
-    rows.append(CostRow("context_head.aggregate.pool", 0, agg_pool))
-    in_c = head.in_channels
-    if isinstance(head, PpmHead):
-        resample = 0
-        for bin_size in head.bins:
-            resample += n * in_c * bin_size * bin_size  # adaptive pool
-            resample += n * head.branch_channels * h4 * w4  # upsample back
-        rows.append(CostRow("context_head.resample", 0, resample))
-    elif isinstance(head, DappmHead):
-        resample = 0
-        for scale in head.scales:
-            ph = pw = 1
-            if scale:
-                ph, pw = max(h4 // scale, 1), max(w4 // scale, 1)
-            resample += n * in_c * ph * pw
-            resample += n * head.branch_channels * h4 * w4
-        rows.append(CostRow("context_head.resample", 0, resample))
-
-    dec = model.decoder
-    upsample = 0
-    for lateral in (dec.lateral3, dec.lateral2, dec.lateral1):
-        upsample += _elements(lateral.last_out_shape)
-    upsample += n * model.cfg.num_classes * h * w  # final logits upsample
-    rows.append(CostRow("decoder.upsample", 0, upsample))
+        ran = shapes.get((path, "forward"))
+        if ran is None:
+            continue
+        if hasattr(child, "flops"):
+            rows.append(CostRow(path, child.param_count(), sum(child.flops(s) for s in ran)))
+        if isinstance(child, DisentangledAttention):  # its output has its input's shape
+            rows.append(CostRow(path + ".pairwise", 0, sum(child.attention_flops(s) for s in ran)))
+    rows += [CostRow(path, 0, n) for path, n in resampled.items()]
     return CostReport(rows=rows, input_size=(h, w), mode=mode)
 
 

@@ -71,7 +71,6 @@ class DisentangledAttention(Module):
         self.unary = Conv2d(channels, 1, 1, rng=rng)
         self.value = Conv2d(channels, channels, 1, rng=rng)
         self.proj = Conv2d(channels, channels, 1, rng=rng)
-        self.last_attn_shape = None
 
     def attention_weights(self, q, k, m):
         """The n,HW,HW weight matrix: whitened pairwise softmax plus the
@@ -91,7 +90,6 @@ class DisentangledAttention(Module):
         """Attention math given the transformed maps (exposed for invariance tests)."""
         n, c, h, w = x.shape
         hw = h * w
-        self.last_attn_shape = (n, hw, self.qk_channels, c)
         weights = self.attention_weights(q, k, m)
         vf = v.reshape(n, c, hw)
         y = T.matmul(weights, vf.transpose(0, 2, 1))  # n,hw,c
@@ -104,11 +102,10 @@ class DisentangledAttention(Module):
         y = self.proj(y)
         return x + y if self.residual else y
 
-    def attention_flops(self):
-        """Matmul and softmax cost of the pairwise/unary terms at the last size."""
-        if self.last_attn_shape is None:
-            return 0
-        n, hw, cqk, c = self.last_attn_shape
+    def attention_flops(self, x_shape):
+        """Matmul and softmax cost of the pairwise/unary terms for an n,c,h,w input."""
+        n, c, h, w = x_shape
+        hw, cqk = h * w, self.qk_channels
         f = 2 * n * hw * hw * cqk  # whitened q.k inner products
         f += 2 * n * hw * hw * c  # weighted sum over values
         f += 3 * n * hw * hw + 3 * n * hw  # softmaxes and weight addition

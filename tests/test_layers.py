@@ -283,3 +283,15 @@ class TestBatchNorm:
         bn.eval()
         out = bn(x).data
         assert np.abs(out.mean(axis=(0, 2, 3))).max() < 1e-2
+
+    def test_eval_matches_closed_form(self, rng):
+        bn = BatchNorm2d(4).cast(np.float64).eval()
+        bn.scale.data = rng.uniform(0.5, 2.0, 4)
+        bn.shift.data = rng.standard_normal(4)
+        bn.running_mean = rng.standard_normal(4)
+        bn.running_var = rng.uniform(0.2, 3.0, 4)
+        x = rng.standard_normal((2, 4, 5, 6)) * 4 + 3
+        c = (None, slice(None), None, None)
+        want = (x - bn.running_mean[c]) / np.sqrt(bn.running_var[c] + bn.eps)
+        want = want * bn.scale.data[c] + bn.shift.data[c]
+        np.testing.assert_allclose(bn(Tensor(x)).data, want, rtol=1e-6)

@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from segrefine import layers
 from segrefine.config import ModelConfig
 from segrefine.layers import Conv2d
 from segrefine.model import SegModel
 from segrefine.profiler import bench_heads, bench_table, count_costs
-from segrefine.tensor import Tensor
+from segrefine.tensor import ContractError, Tensor
 
 TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=7, embed_dim=16)
 
@@ -19,24 +22,21 @@ def toy_model(rng, **overrides):
 class TestLayerCounts:
     def test_pointwise_conv_hand_count(self, rng):
         conv = Conv2d(4, 8, 1, bias=False, rng=rng)
-        conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
+        out = conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
         assert conv.param_count() == 4 * 8
-        assert conv.flops() == 2 * 16 * 16 * 8 * 4  # two ops per multiply-accumulate
+        assert conv.flops(out.shape) == 2 * 16 * 16 * 8 * 4  # two ops per multiply-accumulate
 
     def test_bias_adds_one_op_per_output_element(self, rng):
         conv = Conv2d(4, 8, 1, bias=True, rng=rng)
-        conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
+        out = conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
         assert conv.param_count() == 4 * 8 + 8
-        assert conv.flops() == 2 * 16 * 16 * 8 * 4 + 16 * 16 * 8
+        assert conv.flops(out.shape) == 2 * 16 * 16 * 8 * 4 + 16 * 16 * 8
 
     def test_spatial_conv_scales_with_kernel_area(self, rng):
         conv = Conv2d(4, 8, 3, pad=1, bias=False, rng=rng)
-        conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
+        out = conv(Tensor(np.zeros((1, 4, 16, 16), dtype=np.float32)))
         assert conv.param_count() == 4 * 8 * 9
-        assert conv.flops() == 2 * 16 * 16 * 8 * 4 * 9
-
-    def test_unrun_layer_reports_zero_flops(self, rng):
-        assert Conv2d(4, 8, 1, rng=rng).flops() == 0
+        assert conv.flops(out.shape) == 2 * 16 * 16 * 8 * 4 * 9
 
 
 class TestModelReport:
@@ -87,6 +87,25 @@ class TestModelReport:
         assert text.count("\n") == len(report.rows) + 2
         assert csv.splitlines()[0] == "module,params,flops"
         assert csv.splitlines()[-1].startswith("TOTAL,")
+
+    def test_training_costs_match_golden_csv(self):
+        # the bench config of tests/test_cli.py, in training mode, where the
+        # embedding head runs too
+        cfg = ModelConfig(channels=(4, 8, 8, 8), decoder_channels=8, embed_dim=4)
+        model = SegModel(cfg, rng=np.random.default_rng(0))
+        csv = count_costs(model, (192, 192), mode="training").to_csv() + "\n"
+        golden = Path(__file__).parent / "golden" / "costs_frm_training.csv"
+        assert csv.encode() == golden.read_bytes()
+
+    def test_failed_forward_restores_the_model(self, rng):
+        model = toy_model(rng, context_head="ppm")  # bin 6 exceeds the 2x2 stage at 64x64
+        resample_op = layers._resample_op
+        with pytest.raises(ContractError, match="exceeds input extent"):
+            count_costs(model, (64, 64))
+        assert model.training
+        assert layers._resample_op is resample_op
+        for _, child in model.named_children():
+            assert "forward" not in vars(child) and "context" not in vars(child)
 
 
 class TestHeadComparison:
