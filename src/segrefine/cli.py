@@ -15,9 +15,10 @@ import numpy as np
 
 from . import datagen, gradcheck, profiler, trainer
 from .config import ConfigError, RunConfig, apply_settings, dump_settings, parse_config_file
-from .model import SegModel, load_checkpoint
+from .layers import _WINOGRAD_MIN_CHANNELS, Conv2d
+from .model import Backbone, SegModel, load_checkpoint
 from .refine import DisentangledAttention, attention_reference
-from .tensor import FormatError, Tensor, load_tensor_file, no_grad
+from .tensor import ContractError, FormatError, Tensor, load_tensor_file, no_grad
 
 
 def _build_parser():
@@ -101,7 +102,13 @@ def cmd_train(cfg: RunConfig, args):
     start_iter = 0
     if cfg.checkpoint:
         model, header = load_checkpoint(cfg.checkpoint)
-        start_iter = int(header.get("iteration", 0))
+        try:
+            start_iter = int(header.get("iteration", 0))
+        except ValueError as exc:
+            raise FormatError(
+                f"{cfg.checkpoint}: checkpoint header iteration={header['iteration']!r} "
+                "is not an integer"
+            ) from exc
     else:
         model = SegModel(cfg.model, rng=np.random.default_rng(cfg.train.seed))
     val = datagen.Dataset(args.val) if args.val else None
@@ -164,9 +171,27 @@ def cmd_oracle(cfg: RunConfig, args):
                 )
                 worst = max(worst, float(np.abs(got - want).max()))
     print(f"max deviation vs literal oracle: {worst:.3e}")
-    if worst >= 1e-5:
+    conv_worst = _winograd_deviation(rng)
+    print(f"max deviation of winograd conv vs im2col: {conv_worst:.3e} (of max |im2col|)")
+    if worst >= 1e-5 or conv_worst > 1e-4:
         return 1
     return 0
+
+
+def _winograd_deviation(rng):
+    """Worst float32 |no-grad Winograd - recorded im2col| / max |im2col| over a sweep."""
+    worst = 0.0
+    for in_c, out_c in ((_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS),
+                        (_WINOGRAD_MIN_CHANNELS + 8, 16)):
+        for h, w in ((1, 1), (2, 33), (5, 7), (13, 17)):
+            conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng)
+            conv.bias.data = rng.standard_normal(out_c).astype(np.float32)
+            x = Tensor(rng.standard_normal((2, in_c, h, w)).astype(np.float32))
+            with no_grad():
+                fast = conv(x).data
+            slow = conv(x).data  # the weight needs a gradient: recorded, im2col
+            worst = max(worst, float(np.abs(fast - slow).max() / np.abs(slow).max()))
+    return worst
 
 
 def cmd_bench(cfg: RunConfig, args):
@@ -185,6 +210,10 @@ def cmd_infer(cfg: RunConfig, args):
     image = load_tensor_file(args.input)
     if image.ndim != 3 or image.shape[0] != 3:
         raise FormatError(f"{args.input}: expected a 3xHxW image tensor")
+    try:
+        Backbone.check_extents(*image.shape[1:])
+    except ContractError as exc:
+        raise FormatError(f"{args.input}: {exc}") from exc
     model.eval()
     with no_grad():
         logits = model(Tensor(image[None]), train_mode=False)["logits"]

@@ -142,14 +142,20 @@ def generate(spec: SceneSpec, count, out_dir):
 
 
 def read_manifest(path):
+    manifest = os.path.join(path, "manifest.txt")
     out = {}
-    with open(os.path.join(path, "manifest.txt"), "r", encoding="utf-8") as f:
-        for line in f:
-            key, _, value = line.strip().partition("=")
-            out[key] = value
-    out["count"] = int(out["count"])
-    out["num_classes"] = int(out["num_classes"])
-    out["histogram"] = [int(v) for v in out["histogram"].split(",")]
+    with open(manifest, "r", encoding="utf-8") as f:
+        try:
+            for line in f:
+                key, _, value = line.strip().partition("=")
+                out[key] = value
+            out["count"] = int(out["count"])
+            out["num_classes"] = int(out["num_classes"])
+            out["histogram"] = [int(v) for v in out["histogram"].split(",")]
+        except KeyError as exc:
+            raise FormatError(f"{manifest}: no {exc.args[0]!r} key") from exc
+        except ValueError as exc:  # a garbled integer, or bytes that are not UTF-8
+            raise FormatError(f"{manifest}: {exc}") from exc
     return out
 
 

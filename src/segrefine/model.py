@@ -32,10 +32,28 @@ class Backbone(Module):
         self.stage4_down = ConvBnRelu(c3, c4, stride=2, rng=rng)
         self.stage4 = ConvBnRelu(c4, c4, rng=rng)
 
+    @staticmethod
+    def check_extents(h, w):
+        """Raise ContractError unless the backbone can take an H x W image.
+
+        H and W must be at least 32, and each stage extent must halve the one
+        before it exactly, as the feature pyramid requires. The two stem convs
+        give ceil(H / 4), and the three stage downsamplings halve that again,
+        so ceil(H / 4) and ceil(W / 4) must be multiples of 8.
+        """
+        if h < 32 or w < 32:
+            raise ContractError(f"backbone expects H,W >= 32, got {h}x{w}")
+        if -(-h // 4) % 8 or -(-w // 4) % 8:
+            raise ContractError(
+                f"backbone stage extents of a {h}x{w} image do not halve exactly: "
+                "ceil(H/4) and ceil(W/4) must be multiples of 8"
+            )
+
     def forward(self, image: Tensor) -> FeaturePyramid:
         n, c, h, w = image.shape
-        if c != 3 or h < 32 or w < 32:
-            raise ContractError(f"backbone expects Nx3xHxW with H,W >= 32, got {image.shape}")
+        if c != 3:
+            raise ContractError(f"backbone expects Nx3xHxW, got {image.shape}")
+        self.check_extents(h, w)
         f1 = self.stem_b(self.stem_a(image))
         f2 = self.stage2(self.stage2_down(f1))
         f3 = self.stage3(self.stage3_down(f2))

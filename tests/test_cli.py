@@ -246,6 +246,38 @@ class TestProvenanceAndErrors:
         assert code == 3
         assert "embed_dim" in capsys.readouterr().err
 
+    def test_garbled_checkpoint_iteration_is_format_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET), extra={"iteration": "1x"})
+        code = main(["train", "--checkpoint", str(ckpt), "--data", make_dataset(tmp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "iteration='1x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [(b"count=4\n", b""), (b"count=4", b"count=1x")],
+                             ids=["missing-key", "garbled-integer"])
+    def test_garbled_manifest_is_format_error(self, tmp_path, capsys, old, new):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        data = make_dataset(tmp_path)
+        manifest = Path(data) / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", data,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "manifest.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extents", [(40, 72), (16, 16)], ids=["not-halving", "undersized"])
+    def test_infer_rejects_extents_the_backbone_cannot_take(self, tmp_path, capsys, extents):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        image = tmp_path / "image.frmt"
+        save_tensor_file(image, np.zeros((3, *extents), dtype=np.float32))
+        code = main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                     str(image), str(tmp_path / "m.pgm")])
+        assert code == 3
+        assert f"{extents[0]}x{extents[1]}" in capsys.readouterr().err
+
     def test_infer_rejects_non_image_tensor(self, tmp_path):
         data = make_dataset(tmp_path)
         out = tmp_path / "run"

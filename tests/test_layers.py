@@ -162,6 +162,67 @@ class TestStreamedConv:
         assert peak < columns_bytes
 
 
+# fewest input channels of a Winograd convolution
+WINO_C = layers._WINOGRAD_MIN_CHANNELS
+
+
+def _three_tile_rows(in_c, out_c, w, itemsize):
+    """A budget that holds three rows of 4x4 Winograd tiles."""
+    return 3 * 36 * max(in_c, out_c) * -(-w // 4) * itemsize
+
+
+class TestWinogradConv:
+    """No-grad 3x3 stride-1 convolutions with enough channels run Winograd F(4x4, 3x3)."""
+
+    @pytest.mark.parametrize("n, in_c, out_c, hw", [
+        (2, WINO_C, WINO_C, (1, 1)),
+        (1, WINO_C, WINO_C + 8, (2, 33)),
+        (3, WINO_C + 1, 16, (5, 7)),
+        (2, WINO_C, WINO_C, (13, 17)),
+        (1, WINO_C, WINO_C, (16, 16)),
+        (2, WINO_C - 1, WINO_C, (13, 17)),
+    ], ids=["1x1", "2x33-wider", "5x7-narrower", "13x17", "16x16", "below-threshold"])
+    @pytest.mark.parametrize("bands", ["one-band", "three-tile-rows"])
+    @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-4), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    def test_matches_recorded_path(self, rng, monkeypatch, n, in_c, out_c, hw, bands,
+                                   dtype, bound):
+        if bands == "three-tile-rows":
+            budget = _three_tile_rows(in_c, out_c, hw[1], np.dtype(dtype).itemsize)
+            monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+        plans = []
+        chunk_shape = layers._chunk_shape
+
+        def spy(*args):
+            plans.append(args)
+            return chunk_shape(*args)
+
+        monkeypatch.setattr(layers, "_chunk_shape", spy)
+        conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng).cast(dtype)
+        conv.bias.data = rng.standard_normal(out_c).astype(dtype)
+        x = Tensor(rng.standard_normal((n, in_c, *hw)).astype(dtype))
+        with no_grad():
+            fast = conv(x)
+        assert bool(plans) == (in_c < WINO_C)  # im2col plans its chunks, Winograd does not
+        recorded = conv(x)
+        assert recorded.requires_grad and not fast.requires_grad
+        assert fast.dtype == recorded.dtype == dtype
+        assert fast.shape == recorded.shape and fast.data.flags.c_contiguous
+        ref = recorded.data
+        assert np.abs(fast.data - ref).max() <= bound * np.abs(ref).max()
+
+    def test_follows_in_place_weight_updates(self, rng):
+        conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng).cast(np.float64)
+        x = Tensor(rng.standard_normal((1, WINO_C, 8, 8)))
+        with no_grad():
+            before = conv(x).data
+            conv.weight.data *= -0.5  # in place, as an SGD step; the bias is zero
+            after = conv(x).data
+        ref = conv(x).data
+        np.testing.assert_allclose(after, -0.5 * before, rtol=0, atol=1e-12 * np.abs(ref).max())
+        assert np.abs(after - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestAdaptiveAvgPool:
     def test_constant_input(self, rng):
         x = Tensor(np.full((1, 2, 7, 5), 3.25, dtype=np.float32))

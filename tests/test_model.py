@@ -12,7 +12,8 @@ from segrefine.model import (
     read_checkpoint_header,
     save_checkpoint,
 )
-from segrefine.tensor import ContractError, FormatError, Tensor
+from segrefine.refine import FeaturePyramid
+from segrefine.tensor import ContractError, FormatError, ShapeError, Tensor
 
 TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=19, embed_dim=16)
 
@@ -46,6 +47,25 @@ class TestBackbone:
         with pytest.raises(ContractError):
             b(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
 
+
+    def test_extent_rule_matches_the_pyramid_check(self, rng):
+        b = Backbone((1, 1, 1, 1), rng=rng)
+        for h in range(32, 140):
+            stem = b.stem_b(b.stem_a(Tensor(np.zeros((1, 3, h, 32), dtype=np.float32))))
+            f2 = b.stage2(b.stage2_down(stem))
+            f3 = b.stage3(b.stage3_down(f2))
+            pyramid = FeaturePyramid(stem, f2, f3, b.stage4(b.stage4_down(f3)))
+            try:
+                pyramid.validate()
+                halves = True
+            except ShapeError:
+                halves = False
+            try:
+                Backbone.check_extents(h, 32)
+                accepted = True
+            except ContractError:
+                accepted = False
+            assert accepted == halves, f"H={h}"
 
 class TestModelForward:
     def test_inference_mode_has_no_embeddings(self, rng):
