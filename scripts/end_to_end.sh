@@ -1,11 +1,18 @@
 #!/bin/sh
 # Minimal end-to-end demo: dataset -> training -> evaluation -> inference
 # -> cost comparison. Uses a small model so the whole flow finishes in
-# about a minute. Pass a work directory as $1 (default: ./demo-run).
+# well under a minute. Pass a work directory as $1 (default: ./demo-run).
+# Runs from a plain checkout: the package is taken from ../src, as the
+# pytest configuration does, so no install is needed.
 set -eu
 
 WORK="${1:-demo-run}"
 mkdir -p "$WORK"
+
+SRC="$(cd "$(dirname "$0")/../src" && pwd)"
+segrefine() {
+    PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}" python3 -m segrefine.cli "$@"
+}
 
 cat > "$WORK/small.cfg" <<'EOF'
 channels=8,16,32,64

@@ -61,18 +61,10 @@ def _resolve(args) -> RunConfig:
     if args.config:
         apply_settings(cfg, parse_config_file(args.config))
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.data is not None:
-        overrides["data"] = args.data
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.context_head is not None:
-        overrides["context_head"] = args.context_head
-    if args.size is not None:
-        overrides["size"] = args.size
-    if args.checkpoint is not None:
-        overrides["checkpoint"] = args.checkpoint
+    for name in ("seed", "data", "out", "context_head", "size", "checkpoint"):
+        value = getattr(args, name)
+        if value is not None:
+            overrides[name] = str(value)
     apply_settings(cfg, overrides)
     cfg.validate()
     return cfg
@@ -195,6 +187,10 @@ def _winograd_deviation(rng):
 
 
 def cmd_bench(cfg: RunConfig, args):
+    try:
+        Backbone.check_extents(*cfg.size)
+    except ContractError as exc:
+        raise ConfigError(f"bench size: {exc}") from exc
     reports = profiler.bench_heads(cfg.model, cfg.size, seed=cfg.train.seed)
     print(profiler.bench_table(reports, cfg.size))
     for name, report in reports.items():

@@ -75,17 +75,16 @@ class RunConfig:
     def validate(self):
         self.model.validate()
         self.loss.validate()
+        if len(self.size) != 2 or min(self.size) < 1:
+            raise ConfigError(f"size must be two positive extents, got {format_value(self.size)}")
 
 
-_TUPLE_KEYS = {"channels", "ppm_bins", "dappm_scales", "size"}
 # config-file key -> (section attr, field name); "lambda" is the file/flag
 # spelling of the contrastive weight
 _ALIASES = {"lambda": ("loss", "lam")}
 
 
 def _coerce(current, raw):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -123,7 +122,12 @@ def apply_settings(cfg: RunConfig, settings: dict):
         if key not in fmap:
             raise ConfigError(f"unknown config key {key!r}")
         obj, name = fmap[key]
-        value = _coerce(getattr(obj, name), raw) if isinstance(raw, str) else raw
+        value = raw
+        if isinstance(raw, str):
+            try:
+                value = _coerce(getattr(obj, name), raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
         setattr(obj, name, value)
     return cfg
 
@@ -145,12 +149,8 @@ def parse_config_file(path):
 def dump_settings(cfg: RunConfig):
     """Flat key=value view of every resolved setting (run provenance)."""
     lines = []
-    seen = set()
     for key, (obj, name) in sorted(_field_map(cfg).items()):
         if key in _ALIASES:
             continue
-        if (id(obj), name) in seen:
-            continue
-        seen.add((id(obj), name))
         lines.append(f"{key}={format_value(getattr(obj, name))}")
     return "\n".join(lines) + "\n"

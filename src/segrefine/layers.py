@@ -16,7 +16,10 @@ input, so those convolutions never copy. Adaptive pooling and bilinear resizing
 are linear and separable, so both are one product Rh @ x @ Rw.T with cached
 dense per-axis matrices; the backward pass is the same product with the
 matrices transposed. Every layer registers its parameters on a light
-Module tree so checkpoints and the cost profiler can walk named tensors.
+Module tree, and a layer with state besides its parameters (batch norm's
+running statistics) lists it in `_buffers`. `Module.named_state` names both,
+so checkpoints and `cast` walk one map of named arrays, and the cost
+profiler's parameter counts are sums over `Module.parameters`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class Parameter(Tensor):
 
 
 class Module:
+    # attributes holding arrays that are state but not parameters (running
+    # statistics, say); `named_state` names them next to the parameters
+    _buffers = ()
+
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_children", {})
@@ -81,14 +88,28 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def named_state(self):
+        """Every array the module tree owns: name -> (owner, attribute).
+
+        Parameters come first, in `named_parameters` order, as (p, "data");
+        then each module's `_buffers`, this module first and then in
+        `named_children` order, named "path.attribute". Checkpoints and
+        `cast` read this one map, so a module with more state than its
+        parameters only has to list it in `_buffers`.
+        """
+        state = {name: (p, "data") for name, p in self.named_parameters()}
+        for path, module in (("", self), *self.named_children()):
+            for attr in module._buffers:
+                state[f"{path}.{attr}" if path else attr] = (module, attr)
+        return state
+
+    def param_count(self):
+        return sum(p.size for p in self.parameters())
+
     def cast(self, dtype):
-        """Cast all parameters (and batch-norm buffers) in place; gradcheck uses float64."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
-        for module in (self, *(child for _, child in self.named_children())):
-            if isinstance(module, BatchNorm2d):
-                module.running_mean = module.running_mean.astype(dtype)
-                module.running_var = module.running_var.astype(dtype)
+        """Cast every parameter and buffer in place; gradcheck uses float64."""
+        for owner, attr in self.named_state().values():
+            setattr(owner, attr, getattr(owner, attr).astype(dtype))
         return self
 
     def __call__(self, *args, **kwargs):
@@ -307,9 +328,6 @@ class Conv2d(Module):
 
         return _make(out, parents, backward)
 
-    def param_count(self):
-        return self.weight.size + (self.bias.size if self.bias is not None else 0)
-
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape
         f = 2 * n * oh * ow * oc * (self.in_c // self.groups) * self.kernel * self.kernel
@@ -319,6 +337,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    _buffers = ("running_mean", "running_var")
+
     def __init__(self, channels, eps=1e-5, momentum=0.1):
         super().__init__()
         self.channels = channels
@@ -376,9 +396,6 @@ class BatchNorm2d(Module):
                 x._accumulate(g * scale[None, :, None, None])
 
         return _make(out, (x, gamma, beta), backward)
-
-    def param_count(self):
-        return 2 * self.channels
 
     def flops(self, out_shape):
         return math.prod(out_shape)
@@ -454,9 +471,6 @@ def bilinear_upsample(x, out_h, out_w):
 class ReLU(Module):
     def forward(self, x):
         return relu(x)
-
-    def param_count(self):
-        return 0
 
     def flops(self, out_shape):
         return math.prod(out_shape)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .baselines import DappmHead, PpmHead
 from .config import ConfigError, ModelConfig, _coerce, format_value
-from .layers import BatchNorm2d, Conv2d, ConvBnRelu, Module, bilinear_upsample
+from .layers import Conv2d, ConvBnRelu, Module, bilinear_upsample
 from .refine import FeaturePyramid, FeatureRefineHead
 from .tensor import ContractError, FormatError, Tensor, load_array, read_exact, save_array
 
@@ -125,18 +125,10 @@ class SegModel(Module):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: a key=value config header followed by named FRMT tensors.
+# Checkpoints: a key=value config header followed by every array of
+# `named_state()`, in its order, as a named FRMT tensor.
 
 _CKPT_MAGIC = b"SRCP"
-
-
-def _state_arrays(model: SegModel):
-    items = [(name, p.data) for name, p in model.named_parameters()]
-    for path, child in model.named_children():
-        if isinstance(child, BatchNorm2d):
-            items.append((path + ".running_mean", child.running_mean))
-            items.append((path + ".running_var", child.running_var))
-    return items
 
 
 def save_checkpoint(path, model: SegModel, extra=None):
@@ -147,11 +139,11 @@ def save_checkpoint(path, model: SegModel, extra=None):
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", len(text)))
         f.write(text)
-        for name, arr in _state_arrays(model):
+        for name, (owner, attr) in model.named_state().items():
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
-            save_array(f, arr)
+            save_array(f, getattr(owner, attr))
 
 
 def _read_text(f, path, what):
@@ -218,26 +210,16 @@ def load_checkpoint(path):
             name = _read_text(f, path, "tensor name")
             arrays[name] = load_array(f, name=name)
     model = SegModel(cfg, rng=_NoDrawRng())
-    expected = dict(_state_arrays(model))
-    targets = {name: p for name, p in model.named_parameters()}
-    buffers = {}
-    for bpath, child in model.named_children():
-        if isinstance(child, BatchNorm2d):
-            buffers[bpath + ".running_mean"] = (child, "running_mean")
-            buffers[bpath + ".running_var"] = (child, "running_var")
+    state = model.named_state()
     for name, arr in arrays.items():
-        if name not in expected:
+        if name not in state:
             raise FormatError(f"{path}: unexpected tensor {name!r}")
-        if arr.shape != expected[name].shape:
-            raise FormatError(
-                f"{path}: shape mismatch for {name}: {arr.shape} vs {expected[name].shape}"
-            )
-        if name in targets:
-            targets[name].data = arr
-        else:
-            child, attr = buffers[name]
-            setattr(child, attr, arr)
-    missing = set(expected) - set(arrays)
+        owner, attr = state[name]
+        shape = getattr(owner, attr).shape
+        if arr.shape != shape:
+            raise FormatError(f"{path}: shape mismatch for {name}: {arr.shape} vs {shape}")
+        setattr(owner, attr, arr)
+    missing = state.keys() - arrays.keys()
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)[:3]}...")
     return model, header

@@ -232,13 +232,12 @@ def log(a):
 
 def relu(a):
     a = _as_tensor(a)
-    mask = a.data > 0
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * (a.data > 0))
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(np.maximum(a.data, 0), (a,), backward)
 
 
 def matmul(a, b):

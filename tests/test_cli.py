@@ -197,6 +197,20 @@ class TestProvenanceAndErrors:
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("iters", "1x"), ("lambda", "abc"), ("size", "12x")])
+    def test_garbled_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, [f"{key}={value}"])
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and repr(value) in err
+
+    @pytest.mark.parametrize("command, size", [
+        ("gen", "12x"), ("gen", "64"), ("gen", "0x64"), ("bench", "64"), ("bench", "40x40"),
+    ])
+    def test_bad_size_flag_is_usage_error(self, tmp_path, capsys, command, size):
+        assert main([command, "--size", size, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_checkpoint_is_format_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.srcp"
         bogus.write_bytes(b"not a checkpoint")

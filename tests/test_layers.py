@@ -10,6 +10,7 @@ from segrefine import layers
 from segrefine.layers import (
     BatchNorm2d,
     Conv2d,
+    ConvBnRelu,
     adaptive_avg_pool,
     bilinear_upsample,
     resample_matrix,
@@ -356,3 +357,32 @@ class TestBatchNorm:
         want = (x - bn.running_mean[c]) / np.sqrt(bn.running_var[c] + bn.eps)
         want = want * bn.scale.data[c] + bn.shift.data[c]
         np.testing.assert_allclose(bn(Tensor(x)).data, want, rtol=1e-6)
+
+    def test_eval_gradient(self, rng):
+        bn = BatchNorm2d(3).cast(np.float64).eval()
+        bn.scale.data = rng.uniform(0.5, 2.0, 3)
+        bn.shift.data = rng.standard_normal(3)
+        bn.running_mean = rng.standard_normal(3)
+        bn.running_var = rng.uniform(0.2, 3.0, 3)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)) * 2 + 1, requires_grad=True)
+        weights = Tensor(rng.standard_normal(x.shape))
+        err = finite_difference(lambda: T.tsum(bn(x) * weights), [x, bn.scale, bn.shift])
+        assert err < TOLERANCE
+
+
+class TestModuleState:
+    def test_parameters_then_buffers(self):
+        block = ConvBnRelu(2, 3)
+        assert list(block.named_state()) == [
+            "conv.weight", "bn.scale", "bn.shift", "bn.running_mean", "bn.running_var",
+        ]
+        assert block.named_state()["bn.running_var"] == (block.bn, "running_var")
+        assert block.param_count() == 3 * 2 * 9 + 3 + 3
+
+    def test_own_buffers_are_named_without_a_prefix(self):
+        bn = BatchNorm2d(2)
+        assert list(bn.named_state()) == ["scale", "shift", "running_mean", "running_var"]
+
+    def test_cast_reaches_every_parameter_and_buffer(self):
+        block = ConvBnRelu(2, 3).cast(np.float64)
+        assert {getattr(o, a).dtype for o, a in block.named_state().values()} == {np.dtype(np.float64)}

@@ -1,9 +1,12 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from segrefine import model as model_module
 from segrefine.config import ModelConfig, format_value
+from segrefine.layers import ConvBnRelu
 from segrefine.model import (
     Backbone,
     SegModel,
@@ -20,6 +23,24 @@ TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=19,
 
 def toy_model(rng, **overrides):
     return SegModel(replace(TOY, **overrides), rng=rng)
+
+
+def seeded_buffers(model, rng):
+    """Fill every non-parameter array with seeded values in (0.5, 1.5)."""
+    for owner, attr in model.named_state().values():
+        if attr != "data":
+            value = getattr(owner, attr)
+            setattr(owner, attr, (rng.random(value.shape) + 0.5).astype(value.dtype))
+
+
+class StepCountingBlock(ConvBnRelu):
+    """A stage block with state besides its parameters: a per-channel counter."""
+
+    _buffers = ("steps",)
+
+    def __init__(self, in_c, out_c, **kwargs):
+        super().__init__(in_c, out_c, **kwargs)
+        self.steps = np.zeros(out_c, dtype=np.float32)
 
 
 class TestBackbone:
@@ -146,6 +167,59 @@ class TestCheckpoint:
             header[key] = value
         with pytest.raises(FormatError, match=key if value is None else None):
             model_config_from_header(header)
+
+    # sha256 of seeded checkpoints: the layout (parameters, then the running
+    # statistics in module order) is the file format, so existing checkpoints
+    # keep loading only while it stays put
+    PINNED = {
+        "frm": "ae50c81e81c3346da7bbde5855efa9ebe3df547a1cd7e08da476eecf607876da",
+        "ppm": "4399a8f2bec3bfd9ff9f0a585b488e1005976f5eff1cf5efc1ef15c862691bf0",
+        "dappm": "ebe7771f37e68f900880d79a9fa68ca9bea3e96527f0d3ca679f8f37dd75505f",
+    }
+
+    @pytest.mark.parametrize("head", ["frm", "ppm", "dappm"])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, head):
+        rng = np.random.default_rng(7)
+        model = toy_model(rng, context_head=head)
+        seeded_buffers(model, rng)
+        path = tmp_path / "model.srcp"
+        save_checkpoint(path, model, extra={"iteration": 3})
+        raw = path.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[head]
+        loaded, header = load_checkpoint(path)
+        save_checkpoint(path, loaded, extra={"iteration": header["iteration"]})
+        assert path.read_bytes() == raw
+
+    def test_declared_buffers_are_cast_saved_and_loaded(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(model_module, "ConvBnRelu", StepCountingBlock)
+        model = toy_model(rng)
+        seeded_buffers(model, rng)
+        assert model.named_state()["backbone.stem_a.steps"] == (model.backbone.stem_a, "steps")
+        model.cast(np.float64)
+        assert model.decoder.smooth1.steps.dtype == np.float64
+        model.cast(np.float32)
+        path = tmp_path / "model.srcp"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        for name, (owner, attr) in model.named_state().items():
+            want = getattr(owner, attr)
+            got_owner, got_attr = loaded.named_state()[name]
+            np.testing.assert_array_equal(getattr(got_owner, got_attr), want, err_msg=name)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=r"unexpected tensor '[\w.]+\.steps'"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_and_missing_tensor_rejected(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "model.srcp"
+        model = toy_model(rng)
+        model.backbone.stem_a.bn.running_var = np.ones(3, dtype=np.float32)
+        save_checkpoint(path, model)
+        with pytest.raises(FormatError, match="shape mismatch for backbone.stem_a.bn.running_var"):
+            load_checkpoint(path)
+        save_checkpoint(path, toy_model(rng))
+        monkeypatch.setattr(model_module, "ConvBnRelu", StepCountingBlock)
+        with pytest.raises(FormatError, match="missing tensors"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bogus.srcp"

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ class TestElementwiseOps:
     def test_relu(self):
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.0, 2.0])
+
+    def test_no_grad_relu_peaks_at_its_output_size(self, rng):
+        x = Tensor(rng.standard_normal((1, 16, 128, 128)).astype(np.float32))
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.relu(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # a boolean mask would add a quarter of the float32 output
+        assert peak < 1.05 * out.data.nbytes
+        np.testing.assert_array_equal(out.data, np.where(x.data > 0, x.data, 0))
 
     def test_concat_and_split_gradient(self, rng):
         a = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
