@@ -58,6 +58,8 @@ def _build_parser():
 
 def _resolve(args) -> RunConfig:
     cfg = RunConfig()
+    if args.command == "gen":
+        cfg.size = (64, 64)  # the image size `gen` writes unless a file or flag sets one
     if args.config:
         apply_settings(cfg, parse_config_file(args.config))
     overrides = {}
@@ -77,7 +79,7 @@ def _write_provenance(cfg: RunConfig):
 
 
 def cmd_gen(cfg: RunConfig, args):
-    h, w = cfg.size if args.size else (64, 64)
+    h, w = cfg.size
     spec = datagen.SceneSpec(height=h, width=w, num_classes=args.classes, seed=cfg.train.seed)
     datagen.generate(spec, args.count, cfg.out)
     print(f"wrote {args.count} samples to {cfg.out}")
@@ -142,7 +144,7 @@ def cmd_gradcheck(cfg: RunConfig, args):
 
 
 def cmd_oracle(cfg: RunConfig, args):
-    """Vectorized attention vs the literal per-pair evaluation."""
+    """Vectorized attention vs the literal per-pair evaluation, and both conv paths vs references."""
     rng = np.random.default_rng(cfg.train.seed)
     worst = 0.0
     for channels in (4, 8):
@@ -165,7 +167,16 @@ def cmd_oracle(cfg: RunConfig, args):
     print(f"max deviation vs literal oracle: {worst:.3e}")
     conv_worst = _winograd_deviation(rng)
     print(f"max deviation of winograd conv vs im2col: {conv_worst:.3e} (of max |im2col|)")
-    if worst >= 1e-5 or conv_worst > 1e-4:
+    recorded = {
+        dtype: max(gradcheck.recorded_conv_deviation(*case, dtype, rng)
+                   for case in gradcheck.CONV_ORACLE_CASES)
+        for dtype in gradcheck.CONV_ORACLE_BOUNDS
+    }
+    print("max deviation of recorded conv gradients vs direct reference: "
+          + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in recorded.items())
+          + " (of max |reference|)")
+    recorded_ok = all(recorded[dt] <= bound for dt, bound in gradcheck.CONV_ORACLE_BOUNDS.items())
+    if worst >= 1e-5 or conv_worst > 1e-4 or not recorded_ok:
         return 1
     return 0
 

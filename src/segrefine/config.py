@@ -44,6 +44,9 @@ class LossConfig:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
         if self.lam < 0:
             raise ConfigError(f"contrastive weight must be >= 0, got {self.lam}")
+        for name in ("anchors_per_class", "max_positives", "max_negatives"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Central finite-difference verification of every backward rule.
+"""Central finite-difference verification of every backward rule, and a
+direct float64 oracle for the recorded convolution.
 
 Checks rebuild each component in float64 (single-precision finite
 differences are too noisy) and compare analytic gradients element by
@@ -232,6 +233,77 @@ def component_checks(seed=0, fault=None):
 
     run("full_model", model_check)
     return results
+
+
+def conv_reference(x, w, b, grad, stride, pad, groups):
+    """Direct float64 convolution and its gradients, tap by tap; no im2col.
+
+    Each kernel tap (i, j) sees one strided window of the padded input: the
+    output adds an einsum of that window with the tap's weights, the weight
+    gradient is an einsum of the window with the output gradient `grad`, and
+    the input gradient adds the tap's weights times `grad` back into the same
+    window. Returns (out, grad_x, grad_w, grad_b).
+    """
+    x, w, b, grad = (np.asarray(a, np.float64) for a in (x, w, b, grad))
+    n, c, h, wd = x.shape
+    oc, cg, k, _ = w.shape
+    oh, ow = grad.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = xp.reshape(n, groups, cg, h + 2 * pad, wd + 2 * pad)
+    wg = w.reshape(groups, oc // groups, cg, k, k)
+    gg = grad.reshape(n, groups, oc // groups, oh, ow)
+    out = np.zeros(gg.shape)
+    gxp, gw = np.zeros(xp.shape), np.zeros(wg.shape)
+    for i in range(k):
+        for j in range(k):
+            tap = (..., slice(i, i + stride * (oh - 1) + 1, stride),
+                   slice(j, j + stride * (ow - 1) + 1, stride))
+            out += np.einsum("goc,ngchw->ngohw", wg[..., i, j], xp[tap])
+            gw[..., i, j] = np.einsum("ngohw,ngchw->goc", gg, xp[tap])
+            gxp[tap] += np.einsum("goc,ngohw->ngchw", wg[..., i, j], gg)
+    gx = gxp.reshape(n, c, h + 2 * pad, wd + 2 * pad)[:, :, pad : pad + h, pad : pad + wd]
+    out = out.reshape(n, oc, oh, ow) + b[None, :, None, None]
+    return out, gx, gw.reshape(w.shape), grad.sum(axis=(0, 2, 3))
+
+
+# (kernel, stride, pad, groups) of the recorded-conv oracle; 4 input channels,
+# so groups 4 is depthwise. Each runs at batch 1 and 3 over CONV_ORACLE_EXTENTS.
+CONV_ORACLE_CASES = [
+    (k, s, p, g) for k in (1, 3) for s in (1, 2) for p in (0, 1) for g in (1, 2, 4)
+]
+CONV_ORACLE_EXTENTS = ((1, 1), (2, 33), (5, 7))
+# worst |recorded - direct| / max |direct| allowed per dtype
+CONV_ORACLE_BOUNDS = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng):
+    """Worst deviation of a recorded conv from `conv_reference`, relative to max |reference|.
+
+    Covers the output and the input, weight and bias gradients, at batch 1
+    and 3 over every extent of CONV_ORACLE_EXTENTS the kernel fits.
+    """
+    worst = 0.0
+    out_c = 4 if groups == 4 else 6
+    for n in (1, 3):
+        for h, w in CONV_ORACLE_EXTENTS:
+            if min(h, w) + 2 * pad < kernel:
+                continue
+            conv = Conv2d(4, out_c, kernel, stride=stride, pad=pad, groups=groups, rng=rng)
+            conv.cast(dtype)
+            conv.bias.data = rng.standard_normal(out_c).astype(dtype)
+            x = Tensor(rng.standard_normal((n, 4, h, w)).astype(dtype), requires_grad=True)
+            out = conv(x)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            T.tsum(out * Tensor(grad)).backward()
+            want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad,
+                                  stride, pad, groups)
+            got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
+            for a, ref in zip(got, want):
+                # an all-zero reference (taps that see only padding) counts absolutely;
+                # np.maximum keeps a NaN, so it fails the bound
+                dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
+                worst = float(np.maximum(worst, dev))
+    return worst
 
 
 def run_suite(seed=0, fault=None, log=print):

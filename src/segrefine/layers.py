@@ -12,7 +12,15 @@ input tiles, multiply the channels and transform back, with 4x fewer
 multiplies in the channel products than im2col.
 A recorded convolution builds its columns once and keeps them, since the
 weight gradient needs all of them; 1x1 stride-1 columns are a view of the
-input, so those convolutions never copy. Adaptive pooling and bilinear resizing
+input, so those convolutions never copy and run one GEMM per image (their
+weight gradient folds copies of both operands only on maps so small that the
+per-image products would be larger). Other recorded columns are a copy anyway, so they are built with the batch folded
+in, (groups, k_g, n*oh*ow): the forward, the weight gradient and the column
+gradient are each one GEMM per group. A stride-1 input gradient is itself a
+stride-1 convolution, of the output gradient padded by k - 1 - pad with the
+flipped kernel whose in/out channels swap, so it streams through the same
+buffered im2col; only strided convolutions scatter their column gradient
+back with `_col2im`. Adaptive pooling and bilinear resizing
 are linear and separable, so both are one product Rh @ x @ Rw.T with cached
 dense per-axis matrices; the backward pass is the same product with the
 matrices transposed. Every layer registers its parameters on a light
@@ -152,17 +160,26 @@ def _chunk_shape(windows_shape, itemsize, budget):
     return 1, max(1, budget // row_bytes)
 
 
-def _conv_columns(windows, w_mat, out, budget=None):
+def _conv_columns(windows, w_mat, out, budget=None, fold=False):
     """out = w_mat @ im2col(windows), chunk by chunk; returns the last chunk's columns.
 
     Each chunk's columns are copied into one reused buffer and its product is
     written straight into the matching slice of `out` (n, out_c, oh, ow).
     Without a budget there is one chunk, built without a buffer, so 1x1
-    stride-1 columns stay a view of the input.
+    stride-1 columns stay a view of the input, (n, g, kg, oh*ow), with one
+    GEMM per image. With `fold` (no budget only) the columns are copied once
+    with the batch folded in, (g, kg, n*oh*ow), so the product is one GEMM
+    per group and its result is transposed into `out`.
     """
     n, c, kh, kw, oh, ow = windows.shape
     g, ocg, kg = w_mat.shape
     images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
+    if fold:
+        cols = windows.reshape(n, g, c // g, kh, kw, oh, ow).transpose(1, 2, 3, 4, 0, 5, 6)
+        cols = np.ascontiguousarray(cols).reshape(g, kg, n * oh * ow)
+        prod = np.matmul(w_mat, cols).reshape(g, ocg, n, oh * ow)
+        np.copyto(out.reshape(n, g, ocg, oh * ow), prod.transpose(2, 0, 1, 3))
+        return cols
     buf = None if budget is None else np.empty(images * c * kh * kw * rows * ow, windows.dtype)
     for i in range(0, n, images):
         for r in range(0, oh, rows):
@@ -260,16 +277,21 @@ def _winograd_conv(x, weight, dtype, budget):
     return out
 
 
+def _fold_batch(a):
+    """(n, g, rows, p) -> (g, rows, n*p): a copy with the batch folded into the columns."""
+    n, g, rows, p = a.shape
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).reshape(g, rows, n * p)
+
+
 def _col2im(cols_grad, x_shape, kh, kw, stride, pad, oh, ow):
+    """Scatter-add batch-folded column gradients (c*kh*kw, n*oh*ow) back to (n, c, h, w)."""
     n, c, h, w = x_shape
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols_grad.dtype)
-    cg = cols_grad.reshape(n, c, kh, kw, oh, ow)
+    gx = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols_grad.dtype)
+    cg = cols_grad.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cg[:, :, i, j]
-    if pad:
-        gx = gx[:, :, pad : pad + h, pad : pad + w]
-    return gx
+            gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cg[:, i, j]
+    return gx[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 class Conv2d(Module):
@@ -300,31 +322,53 @@ class Conv2d(Module):
             return Tensor(out)
         windows = _windows(x.data, k, s, p)
         n, _, _, _, oh, ow = windows.shape
-        kg = (self.in_c // g) * k * k
-        w_mat = w.data.reshape(g, self.out_c // g, kg)
+        ocg, cg = self.out_c // g, self.in_c // g
+        w_mat = w.data.reshape(g, ocg, cg * k * k)
         out = np.empty((n, self.out_c, oh, ow), dtype)
-        # a recorded graph keeps every column for the weight gradient
-        stream = not recorded and (k > 1 or s > 1)
-        cols_g = _conv_columns(windows, w_mat, out, _COL_BUDGET if stream else None)
+        # columns of kernels or strides above 1 are a copy: streamed when no
+        # graph is recorded, else kept whole, batch folded, for the weight gradient
+        copied = k > 1 or s > 1
+        fold = copied and recorded
+        budget = _COL_BUDGET if copied and not recorded else None
+        cols = _conv_columns(windows, w_mat, out, budget, fold)
         if b is not None:
             out += b.data[None, :, None, None]
         x_shape = x.data.shape
 
         def backward(grad):
-            gmat = grad.reshape(n, g, self.out_c // g, oh * ow)
+            gmat = grad.reshape(n, g, ocg, oh * ow)
+            if fold:
+                gmat = _fold_batch(gmat)  # the layout of the folded columns
             if w.requires_grad:
-                gw = np.matmul(gmat, cols_g.transpose(0, 1, 3, 2)).sum(axis=0)
+                if fold:
+                    gw = np.matmul(gmat, cols.swapaxes(-1, -2))
+                elif ocg * cg > (ocg + cg) * oh * ow:
+                    # on small maps the per-image products would outsize
+                    # folded copies of both operands: fold them instead
+                    gw = np.matmul(_fold_batch(gmat), _fold_batch(cols).swapaxes(-1, -2))
+                else:
+                    gw = np.matmul(gmat, cols.swapaxes(-1, -2)).sum(axis=0)
                 w._accumulate(gw.reshape(w.shape))
             if b is not None and b.requires_grad:
                 b._accumulate(grad.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                gcols = np.matmul(w_mat.transpose(0, 2, 1)[None], gmat)
-                if k == 1 and s == 1 and p == 0:
-                    gx = gcols.reshape(x_shape)
-                else:
-                    gcols = gcols.reshape(n, self.in_c * k * k, oh * ow)
-                    gx = _col2im(gcols, x_shape, k, k, s, p, oh, ow)
+            if not x.requires_grad:
+                return
+            if k == 1 and s == 1 and p == 0:
+                x._accumulate(np.matmul(w_mat.transpose(0, 2, 1)[None], gmat).reshape(x_shape))
+            elif s == 1:
+                # a stride-1 input gradient is the correlation of the output
+                # gradient, padded by k - 1 - p, with the flipped kernel whose
+                # in/out channels swap within each group
+                q = k - 1 - p
+                gpad = grad if q >= 0 else grad[:, :, -q : oh + q, -q : ow + q]
+                w_t = w.data.reshape(g, ocg, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+                gx = np.empty(x_shape, dtype)
+                _conv_columns(_windows(gpad, k, 1, max(q, 0)),
+                              w_t.reshape(g, cg, ocg * k * k), gx, _COL_BUDGET)
                 x._accumulate(gx)
+            else:
+                gcols = np.matmul(w_mat.transpose(0, 2, 1), gmat)
+                x._accumulate(_col2im(gcols, x_shape, k, k, s, p, oh, ow))
 
         return _make(out, parents, backward)
 

@@ -54,7 +54,7 @@ def cross_entropy(logits: Tensor, labels, ignore_index=255):
         if logits.requires_grad:
             softmax = np.exp(x - lse)
             grad = softmax * valid[:, None].astype(x.dtype)
-            np.subtract.at(grad, (ni, safe_labels[ni, hi, wi], hi, wi), 1.0)
+            grad[ni, safe_labels[ni, hi, wi], hi, wi] -= 1.0  # the indices are unique
             logits._accumulate(grad * (g / count))
 
     return _make(np.asarray(loss, dtype=x.dtype), (logits,), backward), count
@@ -92,6 +92,12 @@ def sample_anchors(labels, cfg: LossConfig, rng):
             np.array(ci, dtype=np.intp), np.array(cls))
 
 
+def _cap_rows(mask, order, cap):
+    """Keep, in place, the first `cap` set entries of each row of `mask`, visited in `order`."""
+    ranked = np.take_along_axis(mask, order, axis=1)
+    np.put_along_axis(mask, order, ranked & (np.cumsum(ranked, axis=1) <= cap), axis=1)
+
+
 def contrastive_from_embeddings(emb_matrix: Tensor, class_ids, cfg: LossConfig, rng):
     """Supervised contrastive loss over already-gathered embedding vectors.
 
@@ -109,11 +115,8 @@ def contrastive_from_embeddings(emb_matrix: Tensor, class_ids, cfg: LossConfig, 
     neg_mask = ~same
     # apply sampling caps with a seeded shuffle per anchor
     order = np.argsort(rng.random((m, m)), axis=1)
-    for a in range(m):
-        for mask, cap in ((pos_mask, cfg.max_positives), (neg_mask, cfg.max_negatives)):
-            cols = [j for j in order[a] if mask[a, j]]
-            for j in cols[cap:]:
-                mask[a, j] = False
+    _cap_rows(pos_mask, order, cfg.max_positives)
+    _cap_rows(neg_mask, order, cfg.max_negatives)
     anchor_ok = pos_mask.any(axis=1)
     n_anchors = int(anchor_ok.sum())
     if n_anchors == 0:

@@ -78,11 +78,20 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the first gradient is written once, as a C-ordered copy in the
+            # tensor's dtype, so later ones can add into it in place
+            g = np.broadcast_to(g, self.data.shape)
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += g
 
     def backward(self):
-        """Reverse-mode sweep from a scalar loss; accumulates into leaf grads."""
+        """Reverse-mode sweep from a scalar loss; accumulates into leaf grads.
+
+        An intermediate tensor's gradient is dropped once its closure has
+        passed it on, so the sweep does not hold a gradient for every
+        activation at once.
+        """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar, got shape {self.shape}")
         topo = []
@@ -104,6 +113,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # operator sugar used throughout the layers
     def __add__(self, other):
@@ -281,7 +291,7 @@ def tsum(a, axis=None, keepdims=False):
         if a.requires_grad:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(g)  # broadcast to a's shape
 
     return _make(out_data, (a,), backward)
 
@@ -295,7 +305,7 @@ def tmean(a, axis=None, keepdims=False):
         if a.requires_grad:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
+            a._accumulate(g / count)
 
     return _make(out_data, (a,), backward)
 
@@ -323,7 +333,7 @@ def transpose(a, axes):
 
 
 def concat(tensors, axis=1):
-    """Concatenate; backward splits by offsets (copies, no views)."""
+    """Concatenate; backward splits by offsets."""
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -333,7 +343,7 @@ def concat(tensors, axis=1):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)].copy())
+                t._accumulate(g[tuple(idx)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 

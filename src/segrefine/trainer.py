@@ -184,6 +184,9 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
             opt.zero_grad()
             total.backward()
             opt.step(lr)
+            # drop this step's graph (activations and saved columns) before
+            # the next batch is built, so two graphs are never alive at once
+            del out, total
             running.append(report)
             if (it + 1) % train_cfg.eval_interval == 0 or it + 1 == train_cfg.iters:
                 mean_loss = float(np.mean([r.total for r in running]))

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segrefine import layers
 from segrefine.cli import main
 from segrefine.config import ModelConfig
 from segrefine.datagen import load_pgm, read_manifest
@@ -53,6 +54,20 @@ class TestGen:
         out = tmp_path / "d"
         assert main(["gen", "--out", str(out), "--count", "1", "--size", "32x48"]) == 0
         assert load_pgm(out / "labels" / "0000.pgm").shape == (32, 48)
+
+    @pytest.mark.parametrize("source, shape", [
+        ("config", (32, 48)), ("flag", (48, 32)), ("neither", (64, 64)),
+    ])
+    def test_size_from_config_flag_or_default(self, tmp_path, source, shape):
+        out = tmp_path / "d"
+        argv = ["gen", "--out", str(out), "--count", "1"]
+        if source == "config":
+            argv += ["--config", write_config(tmp_path, ["size=32x48"])]
+        elif source == "flag":
+            argv += ["--size", "48x32"]
+        assert main(argv) == 0
+        assert load_pgm(out / "labels" / "0000.pgm").shape == shape
+        assert f"size={shape[0]},{shape[1]}" in (out / "run.txt").read_text()
 
     def test_seed_flag_gives_identical_datasets(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -137,7 +152,14 @@ class TestChecksAndBench:
 
     def test_oracle_agrees(self, capsys, tmp_path):
         assert main(["oracle", "--out", str(tmp_path / "o")]) == 0
-        assert "max deviation" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "max deviation" in out
+        assert "max deviation of recorded conv gradients vs direct reference" in out
+
+    def test_oracle_catches_a_broken_conv_backward(self, capsys, tmp_path, monkeypatch):
+        col2im = layers._col2im
+        monkeypatch.setattr(layers, "_col2im", lambda *args: col2im(*args) * 1.001)
+        assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
 
     def test_bench_shares_backbone_and_decoder_across_heads(self, tmp_path, capsys):
         out = tmp_path / "bench"

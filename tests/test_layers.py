@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segrefine import gradcheck
 from segrefine import tensor as T
 from segrefine.gradcheck import TOLERANCE, finite_difference
 from segrefine import layers
@@ -161,6 +162,63 @@ class TestStreamedConv:
         finally:
             tracemalloc.stop()
         assert peak < columns_bytes
+
+
+class TestRecordedConv:
+    """Recorded convolutions against a direct float64 reference, tap by tap."""
+
+    @pytest.mark.parametrize("kernel, stride, pad, groups", gradcheck.CONV_ORACLE_CASES,
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_direct_reference(self, rng, kernel, stride, pad, groups, dtype):
+        dev = gradcheck.recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng)
+        assert dev <= gradcheck.CONV_ORACLE_BOUNDS[dtype]
+
+    def test_reference_matches_sliding_window_loop(self, rng):
+        x = rng.standard_normal((2, 4, 5, 7))
+        w = rng.standard_normal((6, 2, 3, 3))
+        b = rng.standard_normal(6)
+        g = rng.standard_normal((2, 6, 3, 4))
+        out, gx, gw, gb = gradcheck.conv_reference(x, w, b, g, 2, 1, 2)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want, want_gxp, want_gw = np.zeros_like(out), np.zeros_like(xp), np.zeros_like(w)
+        for o in range(6):
+            cs = slice(2 * (o // 3), 2 * (o // 3) + 2)
+            for i in range(3):
+                for j in range(4):
+                    window = xp[:, cs, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
+                    want[:, o, i, j] = (window * w[o]).sum(axis=(1, 2, 3)) + b[o]
+                    want_gxp[:, cs, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3] += (
+                        g[:, o, i, j, None, None, None] * w[o])
+                    want_gw[o] += np.einsum("n,nckl->ckl", g[:, o, i, j], window)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gxp[:, :, 1:-1, 1:-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel, stride, pad, scatters", [
+        (3, 1, 1, False), (3, 1, 0, False), (1, 1, 1, False), (1, 1, 0, False),
+        (3, 2, 1, True), (1, 2, 0, True),
+    ])
+    def test_col2im_runs_only_for_strided_convs(self, rng, monkeypatch, kernel, stride, pad,
+                                                scatters):
+        calls = []
+        col2im = layers._col2im
+        monkeypatch.setattr(layers, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+        conv = Conv2d(4, 6, kernel, stride=stride, pad=pad, rng=rng)
+        x = Tensor(rng.standard_normal((2, 4, 6, 5)).astype(np.float32), requires_grad=True)
+        T.tsum(conv(x)).backward()
+        assert bool(calls) == scatters
+
+    def test_folded_columns_hold_the_whole_batch(self, rng):
+        x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        w_mat = rng.standard_normal((2, 3, 18)).astype(np.float32)
+        out = np.empty((3, 6, 5, 6), np.float32)
+        cols = layers._conv_columns(layers._windows(x, 3, 1, 1), w_mat, out, fold=True)
+        assert cols.shape == (2, 18, 3 * 5 * 6) and cols.flags.c_contiguous
+        want = np.empty_like(out)
+        layers._conv_columns(layers._windows(x, 3, 1, 1), w_mat, want)
+        np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-6)
 
 
 # fewest input channels of a Winograd convolution

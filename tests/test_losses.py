@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrefine.config import ConfigError, LossConfig
+from segrefine import losses
 from segrefine.losses import (
     contrastive_from_embeddings,
     contrastive_loss,
@@ -53,6 +54,20 @@ class TestCrossEntropy:
         assert loss.item() == 0.0
         assert count == 0
 
+    def test_gradient_closed_form(self, rng):
+        logits = Tensor(rng.standard_normal((2, 5, 4, 3)), requires_grad=True)
+        labels = rng.integers(0, 5, (2, 4, 3))
+        labels[0, 1] = 255
+        labels[1, :, 2] = 255
+        loss, count = cross_entropy(logits, labels, 255)
+        loss.backward()
+        valid = labels != 255
+        softmax = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
+        onehot = np.moveaxis(np.eye(5)[np.where(valid, labels, 0)], -1, 1)
+        want = (softmax - onehot) * valid[:, None] / count
+        assert count == valid.sum()
+        np.testing.assert_allclose(logits.grad, want, rtol=0, atol=1e-12)
+
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10**6))
     def test_nonnegative(self, seed):
@@ -63,7 +78,33 @@ class TestCrossEntropy:
         assert loss.item() >= 0
 
 
+def _cap_loop(mask, order, cap):
+    """The per-anchor loop the vectorized cap replaced: the reference."""
+    for a in range(mask.shape[0]):
+        cols = [j for j in order[a] if mask[a, j]]
+        for j in cols[cap:]:
+            mask[a, j] = False
+
+
 class TestContrastive:
+    @pytest.mark.parametrize("cap", [0, 1, 3, 40], ids=["zero", "one", "below", "above"])
+    def test_caps_match_the_per_anchor_loop(self, cap):
+        rng = np.random.default_rng(cap)
+        for _ in range(75):
+            m = int(rng.integers(1, 30))
+            mask = rng.random((m, m)) < rng.random()
+            order = np.argsort(rng.random((m, m)), axis=1)
+            want = mask.copy()
+            _cap_loop(want, order, cap)
+            losses._cap_rows(mask, order, cap)
+            np.testing.assert_array_equal(mask, want)
+            assert (mask.sum(axis=1) <= cap).all()
+
+    def test_negative_caps_rejected(self):
+        for name in ("anchors_per_class", "max_positives", "max_negatives"):
+            with pytest.raises(ConfigError, match=name):
+                LossConfig(**{name: -1}).validate()
+
     def test_symmetric_case_is_log_two(self):
         emb = Tensor(np.eye(3, dtype=np.float32), requires_grad=True)
         cfg = LossConfig(tau=1.0)

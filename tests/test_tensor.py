@@ -88,6 +88,14 @@ class TestBackward:
         T.tsum(x).backward()
         np.testing.assert_allclose(x.grad, 2.0)
 
+    def test_intermediate_gradients_are_dropped(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = x * x
+        loss = T.tsum(y)
+        loss.backward()
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2 * x.data, rtol=0, atol=1e-15)
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             Tensor(np.zeros(3), requires_grad=True).backward()
@@ -100,6 +108,40 @@ class TestBackward:
             return T.tsum(T.softmax(T.matmul(t.reshape(2, 8, 16), t.reshape(2, 16, 8)), axis=2)).data
 
         assert run().tobytes() == run().tobytes()
+
+
+class TestAccumulate:
+    def test_tensor_consumed_twice(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        T.tsum(x * x).backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data, rtol=0, atol=1e-15)
+        y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        T.tsum(T.add(y, y) * Tensor(x.data)).backward()
+        np.testing.assert_allclose(y.grad, 2 * x.data, rtol=0, atol=1e-15)
+
+    def test_first_gradient_owns_c_ordered_memory(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        upstream = rng.standard_normal((4, 3))
+        T.tsum(x.transpose(1, 0) * Tensor(upstream)).backward()
+        assert x.grad.flags.c_contiguous and x.grad.flags.owndata
+        np.testing.assert_array_equal(x.grad, upstream.T)
+        g = rng.standard_normal((4, 3)).T
+        z = Tensor(np.zeros((3, 4)), requires_grad=True)
+        z._accumulate(g)
+        g[0, 0] = 7.0  # the caller's array stays the caller's
+        assert z.grad.flags.c_contiguous and z.grad[0, 0] != 7.0
+
+    def test_first_gradient_takes_the_tensor_dtype(self):
+        x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        x._accumulate(np.full((2, 3), 0.1))  # float64
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32(0.1))
+        y = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        y._accumulate(np.float64(2.5))  # a broadcast scalar
+        assert y.grad.dtype == np.float32 and y.grad.shape == (2, 3)
+        np.testing.assert_array_equal(y.grad, 2.5)
+        y._accumulate(np.ones((2, 3)))
+        np.testing.assert_array_equal(y.grad, 3.5)
 
 
 class TestElementwiseOps:
