@@ -14,16 +14,16 @@ from .tensor import ContractError, Tensor
 
 
 class PpmHead(Module):
-    """Per-bin adaptive pooling, 1x1 convs, upsample, concat, fuse."""
+    """Per-bin adaptive pooling, 1x1 convs to in/4 channels, upsample,
+    concat, fuse."""
 
-    def __init__(self, stage_channels, out_channels, bins=(1, 2, 3, 6), branch_channels=None, rng=None):
+    def __init__(self, stage_channels, out_channels, bins=(1, 2, 3, 6), rng=None):
         super().__init__()
         in_c = sum(stage_channels)
         self.in_channels = in_c
         self.out_channels = out_channels
         self.bins = tuple(bins)
-        bc = branch_channels or max(in_c // 4, 1)
-        self.branch_channels = bc
+        bc = max(in_c // 4, 1)
         for i in range(len(self.bins)):
             setattr(self, f"branch{i}", Conv2d(in_c, bc, 1, rng=rng))
         self.fuse = Conv2d(in_c + bc * len(self.bins), out_channels, 1, rng=rng)
@@ -45,17 +45,16 @@ class PpmHead(Module):
 
 class DappmHead(Module):
     """Hierarchical pyramid pooling: each branch adds the previous branch's
-    output to its pooled input before a 3x3 fusion conv; branches are then
-    concatenated and compressed."""
+    output to its pooled input before a 3x3 fusion conv; branches (in/4
+    channels each) are then concatenated and compressed."""
 
-    def __init__(self, stage_channels, out_channels, scales=(2, 4, 8, 0), branch_channels=None, rng=None):
+    def __init__(self, stage_channels, out_channels, scales=(2, 4, 8, 0), rng=None):
         super().__init__()
         in_c = sum(stage_channels)
         self.in_channels = in_c
         self.out_channels = out_channels
         self.scales = tuple(scales)  # pooling downsample factors; 0 means global
-        bc = branch_channels or max(in_c // 4, 1)
-        self.branch_channels = bc
+        bc = max(in_c // 4, 1)
         self.branch0 = Conv2d(in_c, bc, 1, rng=rng)
         for i in range(len(self.scales)):
             setattr(self, f"pool_conv{i + 1}", Conv2d(in_c, bc, 1, rng=rng))

@@ -127,7 +127,7 @@ def cmd_eval(cfg: RunConfig, args):
         raise ConfigError(
             f"dataset has {dataset.num_classes} classes, model {model.cfg.num_classes}"
         )
-    miou, per_class = trainer.evaluate(model, dataset, ignore_index=cfg.loss.ignore_index)
+    miou, per_class = trainer.evaluate(model, dataset)
     for c, iou in enumerate(per_class):
         print(f"class {c}: IoU {iou:.4f}")
     print(f"mIoU {miou:.4f}")
@@ -156,13 +156,7 @@ def cmd_oracle(cfg: RunConfig, args):
                     got = block.attend(
                         x, block.query(x), block.key(x), block.unary(x), block.value(x)
                     ).data
-                want = attention_reference(
-                    x.data,
-                    block.query.weight.data[:, :, 0, 0], block.key.weight.data[:, :, 0, 0],
-                    block.unary.weight.data[:, :, 0, 0], block.value.weight.data[:, :, 0, 0],
-                    block.query.bias.data, block.key.bias.data,
-                    block.unary.bias.data, block.value.bias.data,
-                )
+                want = attention_reference(x.data, block)
                 worst = max(worst, float(np.abs(got - want).max()))
     print(f"max deviation vs literal oracle: {worst:.3e}")
     conv_worst = _winograd_deviation(rng)

@@ -34,7 +34,6 @@ class ModelConfig:
 class LossConfig:
     lam: float = 1.0  # weight of the contrastive term
     tau: float = 0.1  # contrastive temperature
-    ignore_index: int = 255
     anchors_per_class: int = 16
     max_positives: int = 16
     max_negatives: int = 64
@@ -138,14 +137,18 @@ def apply_settings(cfg: RunConfig, settings: dict):
 def parse_config_file(path):
     settings = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        settings[key.strip()] = value.strip()
     return settings
 
 

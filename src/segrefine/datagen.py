@@ -92,6 +92,7 @@ def save_pgm(path, labels):
 
 
 def load_pgm(path):
+    """Labels of a binary PGM; a short or garbled header is a FormatError."""
     with open(path, "rb") as f:
         data = f.read()
     fields = []
@@ -106,9 +107,13 @@ def load_pgm(path):
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise FormatError(f"{path}: truncated header ({len(fields)} of 4 fields)")
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (magic {fields[0]!r})")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise FormatError(f"{path}: width, height and maxval must be decimal, got {fields[1:]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise FormatError(f"{path}: maxval must be 255, got {maxval}")

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import LossConfig, ModelConfig
+from .datagen import IGNORE_INDEX
 from .layers import BatchNorm2d, Conv2d, adaptive_avg_pool, bilinear_upsample
 from .losses import cross_entropy, hybrid_loss
 from .model import SegModel
@@ -188,9 +189,9 @@ def component_checks(seed=0, fault=None):
     def ce_check(rng, scale):
         logits = _rand(rng, 1, 4, 3, 3)
         labels = rng.integers(0, 4, size=(1, 3, 3))
-        labels[0, 0, 0] = 255
+        labels[0, 0, 0] = IGNORE_INDEX
         return finite_difference(
-            lambda: cross_entropy(logits, labels, 255)[0], [logits], grad_scale=scale
+            lambda: cross_entropy(logits, labels)[0], [logits], grad_scale=scale
         )
 
     run("cross_entropy", ce_check)

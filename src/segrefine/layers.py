@@ -14,13 +14,14 @@ A recorded convolution builds its columns once and keeps them, since the
 weight gradient needs all of them; 1x1 stride-1 columns are a view of the
 input, so those convolutions never copy and run one GEMM per image (their
 weight gradient folds copies of both operands only on maps so small that the
-per-image products would be larger). Other recorded columns are a copy anyway, so they are built with the batch folded
-in, (groups, k_g, n*oh*ow): the forward, the weight gradient and the column
-gradient are each one GEMM per group. A stride-1 input gradient is itself a
-stride-1 convolution, of the output gradient padded by k - 1 - pad with the
-flipped kernel whose in/out channels swap, so it streams through the same
-buffered im2col; only strided convolutions scatter their column gradient
-back with `_col2im`. Adaptive pooling and bilinear resizing
+per-image products would be larger). Other recorded columns are a copy
+anyway, so they are built with the batch folded in, (groups, k_g, n*oh*ow):
+the forward, the weight gradient and the column gradient are each one GEMM
+per group. A stride-1 input gradient is itself a stride-1 convolution, of the
+output gradient padded by k - 1 - pad with the flipped kernel whose in/out
+channels swap, so it streams through the same buffered im2col (unbuffered
+for 1x1, whose columns are a view); only strided convolutions scatter their
+column gradient back with `_col2im`. Adaptive pooling and bilinear resizing
 are linear and separable, so both are one product Rh @ x @ Rw.T with cached
 dense per-axis matrices; the backward pass is the same product with the
 matrices transposed. Every layer registers its parameters on a light
@@ -41,13 +42,13 @@ from .tensor import ContractError, ShapeError, Tensor, _make, records_graph, rel
 
 
 class Parameter(Tensor):
-    """Trainable tensor; `decay` marks it for weight decay (conv weights only)."""
+    """Trainable tensor that a Module registers. Weight decay follows the
+    shape: `SGD` decays parameters with more than one axis (conv weights)."""
 
-    __slots__ = ("decay",)
+    __slots__ = ()
 
-    def __init__(self, data, decay=False):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.decay = decay
 
 
 class Module:
@@ -302,9 +303,7 @@ class Conv2d(Module):
         self.in_c, self.out_c = in_c, out_c
         self.kernel, self.stride, self.pad, self.groups = kernel, stride, pad, groups
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = Parameter(
-            init_kaiming(rng, out_c, in_c // groups, kernel, kernel), decay=True
-        )
+        self.weight = Parameter(init_kaiming(rng, out_c, in_c // groups, kernel, kernel))
         self.bias = Parameter(np.zeros(out_c, dtype=np.float32)) if bias else None
 
     def forward(self, x):
@@ -353,18 +352,16 @@ class Conv2d(Module):
                 b._accumulate(grad.sum(axis=(0, 2, 3)))
             if not x.requires_grad:
                 return
-            if k == 1 and s == 1 and p == 0:
-                x._accumulate(np.matmul(w_mat.transpose(0, 2, 1)[None], gmat).reshape(x_shape))
-            elif s == 1:
+            if s == 1:
                 # a stride-1 input gradient is the correlation of the output
                 # gradient, padded by k - 1 - p, with the flipped kernel whose
-                # in/out channels swap within each group
+                # in/out channels swap within each group; 1x1 columns stay a view
                 q = k - 1 - p
                 gpad = grad if q >= 0 else grad[:, :, -q : oh + q, -q : ow + q]
                 w_t = w.data.reshape(g, ocg, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
                 gx = np.empty(x_shape, dtype)
-                _conv_columns(_windows(gpad, k, 1, max(q, 0)),
-                              w_t.reshape(g, cg, ocg * k * k), gx, _COL_BUDGET)
+                _conv_columns(_windows(gpad, k, 1, max(q, 0)), w_t.reshape(g, cg, ocg * k * k),
+                              gx, _COL_BUDGET if k > 1 else None)
                 x._accumulate(gx)
             else:
                 gcols = np.matmul(w_mat.transpose(0, 2, 1), gmat)
@@ -382,11 +379,12 @@ class Conv2d(Module):
 
 class BatchNorm2d(Module):
     _buffers = ("running_mean", "running_var")
+    EPS = 1e-5  # added to the variance before the inverse square root
+    MOMENTUM = 0.1  # weight of the batch statistics in the running ones
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps, self.momentum = eps, momentum
         self.scale = Parameter(np.ones(channels, dtype=np.float32))
         self.shift = Parameter(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -398,9 +396,9 @@ class BatchNorm2d(Module):
             axes = (0, 2, 3)
             mean = x.data.mean(axis=axes)
             var = x.data.var(axis=axes)
-            invstd = 1.0 / np.sqrt(var + self.eps)
+            invstd = 1.0 / np.sqrt(var + self.EPS)
             xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean.astype(self.running_mean.dtype)
             self.running_var = (1 - m) * self.running_var + m * var.astype(self.running_var.dtype)
             out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
@@ -424,7 +422,7 @@ class BatchNorm2d(Module):
 
             return _make(out, (x, gamma, beta), backward)
 
-        invstd = 1.0 / np.sqrt(self.running_var + self.eps)
+        invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
         scale = gamma.data * invstd
         # one per-channel affine: a single full-size temporary, shifted in place
         out = x.data * scale[None, :, None, None]
@@ -521,11 +519,12 @@ class ReLU(Module):
 
 
 class ConvBnRelu(Module):
-    """conv3x3/1x1 + batch norm + ReLU, the backbone's stage block."""
+    """Bias-free 3x3 conv (pad 1) + batch norm + ReLU: the backbone's stage
+    block and the decoder's smoothing block."""
 
-    def __init__(self, in_c, out_c, kernel=3, stride=1, rng=None):
+    def __init__(self, in_c, out_c, stride=1, rng=None):
         super().__init__()
-        self.conv = Conv2d(in_c, out_c, kernel, stride=stride, pad=kernel // 2, bias=False, rng=rng)
+        self.conv = Conv2d(in_c, out_c, 3, stride=stride, pad=1, bias=False, rng=rng)
         self.bn = BatchNorm2d(out_c)
         self.act = ReLU()
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import LossConfig
+from .datagen import IGNORE_INDEX
 from .tensor import Tensor, _make
 
 
@@ -26,8 +27,8 @@ class LossReport:
     cl_empty: bool = False
 
 
-def cross_entropy(logits: Tensor, labels, ignore_index=255):
-    """Mean of -log softmax(logits)[label] over non-ignored pixels.
+def cross_entropy(logits: Tensor, labels):
+    """Mean of -log softmax(logits)[label] over pixels not labelled IGNORE_INDEX.
 
     Returns (scalar loss, valid pixel count); count 0 flags an empty loss.
     Computed in log-sum-exp form as a single primitive op.
@@ -36,7 +37,7 @@ def cross_entropy(logits: Tensor, labels, ignore_index=255):
     n, k, h, w = logits.shape
     if labels.shape != (n, h, w):
         raise T.ShapeError(f"labels {labels.shape} do not match logits {logits.shape}")
-    valid = labels != ignore_index
+    valid = labels != IGNORE_INDEX
     count = int(valid.sum())
     if count == 0:
         return Tensor(np.zeros((), dtype=logits.dtype)), 0
@@ -70,7 +71,8 @@ def downsample_labels(labels, out_h, out_w):
 
 
 def sample_anchors(labels, cfg: LossConfig, rng):
-    """Pick up to anchors_per_class pixels per present class (uniform, seeded).
+    """Pick up to anchors_per_class pixels per present class but IGNORE_INDEX
+    (uniform, seeded).
 
     Returns (batch_idx, row_idx, col_idx, class_ids) for the sampled pixels.
     """
@@ -78,7 +80,7 @@ def sample_anchors(labels, cfg: LossConfig, rng):
     bi, ri, ci, cls = [], [], [], []
     classes = np.unique(labels)
     for c in classes:
-        if c == cfg.ignore_index:
+        if c == IGNORE_INDEX:
             continue
         locs = np.argwhere(labels == c)
         if len(locs) > cfg.anchors_per_class:
@@ -137,7 +139,7 @@ def contrastive_from_embeddings(emb_matrix: Tensor, class_ids, cfg: LossConfig, 
     return loss, n_anchors
 
 
-def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig, rng=None):
+def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig, rng):
     """Eq-style pixel contrastive loss on N,D,h,w embeddings.
 
     Labels are nearest-downsampled to the embedding resolution; embeddings
@@ -145,7 +147,6 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig, rng=None):
     Returns (scalar loss, anchor count).
     """
     cfg.validate()
-    rng = rng if rng is not None else np.random.default_rng(0)
     n, d, h, w = embeddings.shape
     small = downsample_labels(labels, h, w)
     bi, ri, ci, cls = sample_anchors(small, cfg, rng)
@@ -155,10 +156,10 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig, rng=None):
     return contrastive_from_embeddings(gathered, cls, cfg, rng)
 
 
-def hybrid_loss(logits: Tensor, embeddings, labels, cfg: LossConfig, rng=None):
+def hybrid_loss(logits: Tensor, embeddings, labels, cfg: LossConfig, rng):
     """total = ce + lam * contrastive; returns (total tensor, LossReport)."""
     cfg.validate()
-    ce, n_pix = cross_entropy(logits, labels, cfg.ignore_index)
+    ce, n_pix = cross_entropy(logits, labels)
     if embeddings is not None:
         cl, n_anchor = contrastive_loss(embeddings, labels, cfg, rng)
     else:

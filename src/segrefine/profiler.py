@@ -21,7 +21,6 @@ import numpy as np
 
 from . import layers
 from .model import SegModel
-from .refine import DisentangledAttention
 from .tensor import Tensor, no_grad
 
 # Row suffix of a resample, after the path of the innermost recorded call
@@ -133,21 +132,22 @@ def count_costs(model: SegModel, input_size, mode="inference"):
             continue
         if hasattr(child, "flops"):
             rows.append(CostRow(path, child.param_count(), sum(child.flops(s) for s in ran)))
-        if isinstance(child, DisentangledAttention):  # its output has its input's shape
+        if hasattr(child, "attention_flops"):  # attention's output has its input's shape
             rows.append(CostRow(path + ".pairwise", 0, sum(child.attention_flops(s) for s in ran)))
     rows += [CostRow(path, 0, n) for path, n in resampled.items()]
     return CostReport(rows=rows, input_size=(h, w), mode=mode)
 
 
-def bench_heads(base_cfg, input_size, mode="inference", heads=("frm", "ppm", "dappm"), seed=0):
-    """CostReport per context head; identical backbone/decoder across heads."""
+def bench_heads(base_cfg, input_size, seed=0):
+    """Inference CostReport per context head (frm, ppm, dappm); identical
+    backbone/decoder across heads."""
     from dataclasses import replace
 
     reports = {}
-    for head in heads:
+    for head in ("frm", "ppm", "dappm"):
         cfg = replace(base_cfg, context_head=head)
         model = SegModel(cfg, rng=np.random.default_rng(seed))
-        reports[head] = count_costs(model, input_size, mode)
+        reports[head] = count_costs(model, input_size)
     return reports
 
 

@@ -59,13 +59,12 @@ class DisentangledAttention(Module):
     channel-preserving 1x1 convs. A residual connection wraps the block.
     """
 
-    def __init__(self, channels, rng=None, residual=True):
+    def __init__(self, channels, rng=None):
         super().__init__()
         if channels // 4 < 1:
             raise ContractError(f"attention needs channels >= 4, got {channels}")
         self.channels = channels
         self.qk_channels = channels // 4
-        self.residual = residual
         self.query = Conv2d(channels, self.qk_channels, 1, rng=rng)
         self.key = Conv2d(channels, self.qk_channels, 1, rng=rng)
         self.unary = Conv2d(channels, 1, 1, rng=rng)
@@ -99,8 +98,8 @@ class DisentangledAttention(Module):
         if x.shape[1] != self.channels:
             raise ShapeError(f"attention expects {self.channels} channels, got {x.shape[1]}")
         y = self.attend(x, self.query(x), self.key(x), self.unary(x), self.value(x))
-        y = self.proj(y)
-        return x + y if self.residual else y
+        y = self.proj(y)  # rebinding frees the attention output before the add
+        return x + y
 
     def attention_flops(self, x_shape):
         """Matmul and softmax cost of the pairwise/unary terms for an n,c,h,w input."""
@@ -147,29 +146,28 @@ class FeatureRefineHead(Module):
         return self.context(aggregate_stages(p))
 
 
-def attention_reference(x, wq, wk, wm, wg, bq=None, bk=None, bm=None, bg=None):
+def attention_reference(x, block: DisentangledAttention):
     """Literal per-pair evaluation of the disentangled attention output.
 
     Double loop over query and key positions in float64; the independent
-    oracle the vectorized block is checked against. Weight matrices are the
-    1x1 conv kernels squeezed to (out, in); returns the pre-projection,
-    pre-residual output.
+    oracle the vectorized block is checked against. Reads the block's
+    query/key/unary/value 1x1 conv weights and biases; returns the
+    pre-projection, pre-residual output.
     """
     x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
     hw = h * w
-    wq, wk, wm, wg = (np.asarray(m, dtype=np.float64) for m in (wq, wk, wm, wg))
 
-    def transform(weight, bias):
+    def transform(conv):
+        weight = conv.weight.data[:, :, 0, 0].astype(np.float64)
         out = np.einsum("oc,nchw->nohw", weight, x)
-        if bias is not None:
-            out = out + np.asarray(bias, dtype=np.float64)[None, :, None, None]
+        out = out + conv.bias.data.astype(np.float64)[None, :, None, None]
         return out.reshape(n, -1, hw)
 
-    q = transform(wq, bq)
-    k = transform(wk, bk)
-    m = transform(wm, bm)[:, 0]
-    v = transform(wg, bg)
+    q = transform(block.query)
+    k = transform(block.key)
+    m = transform(block.unary)[:, 0]
+    v = transform(block.value)
     out = np.zeros((n, c, hw))
     for b in range(n):
         mu_q = q[b].mean(axis=1)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LossConfig, TrainConfig
+from .datagen import IGNORE_INDEX
 from .layers import resample, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
@@ -20,8 +21,9 @@ from .tensor import ContractError, Tensor, no_grad
 class SGD:
     """v <- mu*v + g + wd*p ; p <- p - lr*v  (decay folded into the velocity).
 
-    Weight decay applies only to parameters tagged decay=True (conv weights;
-    BN scale/shift and biases are exempt).
+    Weight decay applies only to parameters with more than one axis, which in
+    this model are exactly the conv weights; batch-norm scale/shift and biases
+    are 1-D and exempt.
     """
 
     def __init__(self, params, momentum=0.9, weight_decay=1e-4):
@@ -35,7 +37,7 @@ class SGD:
             if p.grad is None:
                 raise ContractError("sgd_step: parameter has no gradient")
             g = p.grad
-            if self.weight_decay and getattr(p, "decay", False):
+            if self.weight_decay and p.data.ndim > 1:
                 g = g + self.weight_decay * p.data
             v *= self.momentum
             v += g
@@ -71,8 +73,8 @@ def _resize_labels(labels, out_h, out_w):
     return labels[rows[:, None], cols[None, :]]
 
 
-def augment(image, labels, rng, crop, scale_range=(0.5, 2.0), ignore_index=255):
-    """Random horizontal flip, random resize, random crop (ignore-padded)."""
+def augment(image, labels, rng, crop, scale_range=(0.5, 2.0)):
+    """Random horizontal flip, random resize, random crop (padded with IGNORE_INDEX)."""
     if rng.random() < 0.5:
         image = image[:, :, ::-1]
         labels = labels[:, ::-1]
@@ -87,7 +89,7 @@ def augment(image, labels, rng, crop, scale_range=(0.5, 2.0), ignore_index=255):
     if nh < crop or nw < crop:
         pad_h, pad_w = max(crop - nh, 0), max(crop - nw, 0)
         image = np.pad(image, ((0, 0), (0, pad_h), (0, pad_w)))
-        labels = np.pad(labels, ((0, pad_h), (0, pad_w)), constant_values=ignore_index)
+        labels = np.pad(labels, ((0, pad_h), (0, pad_w)), constant_values=IGNORE_INDEX)
         nh, nw = labels.shape
     top = rng.integers(0, nh - crop + 1)
     left = rng.integers(0, nw - crop + 1)
@@ -102,10 +104,11 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, pred, target, ignore_index=255):
+    def update(self, pred, target):
+        """Count (target, pred) pairs, skipping pixels labelled IGNORE_INDEX."""
         pred = np.asarray(pred).ravel()
         target = np.asarray(target).ravel()
-        valid = target != ignore_index
+        valid = target != IGNORE_INDEX
         idx = target[valid] * self.num_classes + pred[valid]
         self.counts += np.bincount(idx, minlength=self.num_classes**2).reshape(
             self.num_classes, self.num_classes
@@ -126,7 +129,7 @@ class ConfusionMatrix:
         return mean, iou.tolist()
 
 
-def evaluate(model: SegModel, dataset, indices=None, ignore_index=255, batch=8):
+def evaluate(model: SegModel, dataset, indices=None, batch=8):
     """mIoU of the model over a dataset (inference mode, no embedding head)."""
     was_training = model.training
     model.eval()
@@ -140,7 +143,7 @@ def evaluate(model: SegModel, dataset, indices=None, ignore_index=255, batch=8):
             images = np.stack([dataset[i][0] for i in chunk])
             labels = np.stack([dataset[i][1] for i in chunk])
             logits = model(Tensor(images), train_mode=False)["logits"]
-            cm.update(np.argmax(logits.data, axis=1), labels, ignore_index)
+            cm.update(np.argmax(logits.data, axis=1), labels)
     model.train(was_training)
     return cm.miou()
 
@@ -170,8 +173,7 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
             for idx in picks:
                 img, lab = dataset[int(idx)]
                 img, lab = augment(
-                    img, lab, rng, train_cfg.crop,
-                    (train_cfg.scale_min, train_cfg.scale_max), loss_cfg.ignore_index,
+                    img, lab, rng, train_cfg.crop, (train_cfg.scale_min, train_cfg.scale_max)
                 )
                 images.append(img)
                 labels.append(lab)
@@ -196,9 +198,7 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
                 val_miou = ""
                 if val_dataset is not None:
                     n_val = min(train_cfg.eval_count, len(val_dataset))
-                    val_miou, _ = evaluate(
-                        model, val_dataset, range(n_val), loss_cfg.ignore_index
-                    )
+                    val_miou, _ = evaluate(model, val_dataset, range(n_val))
                 row = [it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou]
                 history.append(row)
                 if writer:

@@ -26,15 +26,6 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _attention_args(block):
-    return (
-        block.query.weight.data[:, :, 0, 0], block.key.weight.data[:, :, 0, 0],
-        block.unary.weight.data[:, :, 0, 0], block.value.weight.data[:, :, 0, 0],
-        block.query.bias.data, block.key.bias.data,
-        block.unary.bias.data, block.value.bias.data,
-    )
-
-
 class TestAttentionCriteria:
     def test_vectorized_attention_matches_literal_oracle(self):
         start = time.perf_counter()
@@ -49,7 +40,7 @@ class TestAttentionCriteria:
                         got = block.attend(
                             x, block.query(x), block.key(x), block.unary(x), block.value(x)
                         ).data
-                    want = attention_reference(x.data, *_attention_args(block))
+                    want = attention_reference(x.data, block)
                     worst = max(worst, float(np.abs(got - want).max()))
         elapsed = time.perf_counter() - start
         report(

@@ -58,7 +58,7 @@ class TestDappmHead:
         assert head.context(make_input(rng)).shape == (1, 24, 8, 8)
 
     def test_single_branch_reduces_to_1x1_conv(self, rng):
-        head = DappmHead(PLAN, 30, scales=(), branch_channels=30, rng=rng)
+        head = DappmHead(PLAN, 30, scales=(), rng=rng)
         set_identity_1x1(head.compress)
         x = make_input(rng)
         np.testing.assert_allclose(head.context(x).data, head.branch0(x).data, atol=1e-6)

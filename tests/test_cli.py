@@ -226,6 +226,13 @@ class TestProvenanceAndErrors:
         err = capsys.readouterr().err
         assert "config error" in err and key in err and repr(value) in err
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n\xff\xfe=3\n")
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "UTF-8" in err
+
     @pytest.mark.parametrize("command, size", [
         ("gen", "12x"), ("gen", "64"), ("gen", "0x64"), ("bench", "64"), ("bench", "40x40"),
     ])
@@ -257,6 +264,14 @@ class TestProvenanceAndErrors:
                              str(tmp_path / "o"), str(image_arg), str(tmp_path / "m.pgm")])
                 assert code == 3, f"{target.name} cut to {n} of {len(raw)} bytes"
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"P5\n", b"P5\n64 64"])
+    def test_truncated_label_header_is_format_error(self, tmp_path, capsys, header):
+        data = make_dataset(tmp_path, count=1)
+        (Path(data) / "labels" / "0000.pgm").write_bytes(header)
+        code = main(["train", "--data", data, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "0000.pgm" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extents", [(2**31, 2**31), (2**31, 2**31, 4)],
                              ids=["rank2-overflow", "rank3-wraps-to-zero"])

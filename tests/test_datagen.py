@@ -1,3 +1,7 @@
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +93,48 @@ class TestPgm:
         with pytest.raises(FormatError, match="truncated"):
             load_pgm(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        save_pgm(path, np.ones((2, 3), dtype=np.int64))
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(FormatError):
+                load_pgm(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"P5\n# just a comment", b"P5\n2 x\n255\n", b"P5\n-2 -2\n255\n\0\0\0\0",
+    ])
+    def test_garbled_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            load_pgm(path)
+
     def test_out_of_range_labels_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_pgm(tmp_path / "x.pgm", np.full((2, 2), 300))
+
+
+@pytest.fixture(scope="module")
+def one_sample(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_sample")
+    generate(SceneSpec(height=16, width=16, seed=3), 1, out)
+    return out
+
+
+class TestTruncatedSample:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["images/0000.frmt", "labels/0000.pgm"]), st.data())
+    def test_cut_file_is_format_error(self, one_sample, name, data):
+        raw = (one_sample / name).read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        with tempfile.TemporaryDirectory() as d:
+            root = Path(d) / "data"
+            shutil.copytree(one_sample, root)
+            (root / name).write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                Dataset(root)[0]
 
 
 class TestGenerate:

@@ -412,7 +412,7 @@ class TestBatchNorm:
         bn.running_var = rng.uniform(0.2, 3.0, 4)
         x = rng.standard_normal((2, 4, 5, 6)) * 4 + 3
         c = (None, slice(None), None, None)
-        want = (x - bn.running_mean[c]) / np.sqrt(bn.running_var[c] + bn.eps)
+        want = (x - bn.running_mean[c]) / np.sqrt(bn.running_var[c] + bn.EPS)
         want = want * bn.scale.data[c] + bn.shift.data[c]
         np.testing.assert_allclose(bn(Tensor(x)).data, want, rtol=1e-6)
 

@@ -36,7 +36,7 @@ class TestCrossEntropy:
         logits = rng.standard_normal((1, 4, 3, 3)).astype(np.float32)
         labels = rng.integers(0, 4, (1, 3, 3))
         labels[0, 1, 1] = 255
-        loss, count = cross_entropy(Tensor(logits), labels, 255)
+        loss, count = cross_entropy(Tensor(logits), labels)
         total = 0.0
         for i in range(3):
             for j in range(3):
@@ -59,7 +59,7 @@ class TestCrossEntropy:
         labels = rng.integers(0, 5, (2, 4, 3))
         labels[0, 1] = 255
         labels[1, :, 2] = 255
-        loss, count = cross_entropy(logits, labels, 255)
+        loss, count = cross_entropy(logits, labels)
         loss.backward()
         valid = labels != 255
         softmax = np.exp(logits.data) / np.exp(logits.data).sum(axis=1, keepdims=True)
@@ -164,6 +164,7 @@ class TestContrastive:
                 Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32)),
                 np.zeros((1, 4, 4), dtype=np.int64),
                 LossConfig(tau=0.0),
+                np.random.default_rng(0),
             )
 
     def test_label_downsampling_is_nearest(self):
@@ -180,7 +181,7 @@ class TestHybrid:
         labels = rng.integers(0, 3, (1, 8, 8))
         cfg = LossConfig(lam=0.0, tau=0.1)
         total, report = hybrid_loss(logits, emb, labels, cfg, rng)
-        ce, _ = cross_entropy(logits, labels, cfg.ignore_index)
+        ce, _ = cross_entropy(logits, labels)
         assert total.item() == ce.item()
         assert report.total == report.ce_term
 

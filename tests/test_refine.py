@@ -26,18 +26,6 @@ def make_pyramid(rng, plan=(8, 16, 32, 64), base=32, batch=1):
     return FeaturePyramid(*tensors)
 
 
-def oracle_block(channels, rng):
-    """Attention block plus the arguments its literal oracle needs."""
-    block = DisentangledAttention(channels, rng=rng)
-    args = (
-        block.query.weight.data[:, :, 0, 0], block.key.weight.data[:, :, 0, 0],
-        block.unary.weight.data[:, :, 0, 0], block.value.weight.data[:, :, 0, 0],
-        block.query.bias.data, block.key.bias.data,
-        block.unary.bias.data, block.value.bias.data,
-    )
-    return block, args
-
-
 def attend_raw(block, x):
     """Pre-projection, pre-residual attention output."""
     return block.attend(x, block.query(x), block.key(x), block.unary(x), block.value(x))
@@ -74,36 +62,36 @@ class TestAggregateStages:
 
 class TestDisentangledAttention:
     def test_zero_transforms_give_double_mean_field(self, rng):
-        block = DisentangledAttention(8, rng=rng, residual=False)
+        block = DisentangledAttention(8, rng=rng)
         zero_params(block)
         set_identity_1x1(block.value)
         set_identity_1x1(block.proj)
         x = Tensor(rng.standard_normal((2, 8, 3, 4)).astype(np.float32))
-        out = block(x).data
+        out = block.proj(attend_raw(block, x)).data
         want = 2 * x.data.mean(axis=(2, 3), keepdims=True)
         np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), atol=1e-5)
 
     def test_singleton_position_doubles_value(self, rng):
-        block = DisentangledAttention(8, rng=rng, residual=False)
+        block = DisentangledAttention(8, rng=rng)
         set_identity_1x1(block.proj)
         x = Tensor(rng.standard_normal((1, 8, 1, 1)).astype(np.float32))
         want = 2 * block.value(x).data
-        np.testing.assert_allclose(block(x).data, want, atol=1e-5)
+        np.testing.assert_allclose(block.proj(attend_raw(block, x)).data, want, atol=1e-5)
 
     def test_matches_literal_pairwise_oracle(self, rng):
-        block, args = oracle_block(8, rng)
+        block = DisentangledAttention(8, rng=rng)
         x = Tensor(rng.standard_normal((1, 8, 3, 3)).astype(np.float32))
         got = attend_raw(block, x).data
-        np.testing.assert_allclose(got, attention_reference(x.data, *args), atol=1e-5)
+        np.testing.assert_allclose(got, attention_reference(x.data, block), atol=1e-5)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([4, 8]), st.integers(0, 10**6))
     def test_oracle_equivalence_all_small_sizes(self, h, w, channels, seed):
         rng = np.random.default_rng(seed)
-        block, args = oracle_block(channels, rng)
+        block = DisentangledAttention(channels, rng=rng)
         x = Tensor(rng.standard_normal((2, channels, h, w)).astype(np.float32))
         got = attend_raw(block, x).data
-        assert np.abs(got - attention_reference(x.data, *args)).max() < 1e-5
+        assert np.abs(got - attention_reference(x.data, block)).max() < 1e-5
 
     def test_weight_rows_sum_to_two(self, rng):
         block = DisentangledAttention(8, rng=rng)

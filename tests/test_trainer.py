@@ -32,12 +32,13 @@ class TestSgd:
         np.testing.assert_allclose(p.data, [-0.29], atol=1e-7)
 
     def test_weight_decay_only_on_tagged_params(self):
-        decayed = Parameter(np.array([1.0], dtype=np.float32), decay=True)
-        plain = Parameter(np.array([1.0], dtype=np.float32), decay=False)
+        # decay follows the shape: a 4-D conv weight decays, a 1-D bias does not
+        decayed = Parameter(np.ones((1, 1, 1, 1), dtype=np.float32))
+        plain = Parameter(np.array([1.0], dtype=np.float32))
         for p in (decayed, plain):
-            p.grad = np.zeros(1, dtype=np.float32)
+            p.grad = np.zeros_like(p.data)
         SGD([decayed, plain], momentum=0.0, weight_decay=0.5).step(lr=0.1)
-        np.testing.assert_allclose(decayed.data, [0.95])
+        np.testing.assert_allclose(decayed.data, [[[[0.95]]]])
         np.testing.assert_allclose(plain.data, [1.0])
 
     def test_missing_grad_rejected(self):
@@ -107,7 +108,7 @@ class TestAugment:
         rng = np.random.default_rng(seed)
         image = rng.random((3, 32, 32)).astype(np.float32)
         labels = rng.integers(0, 4, (32, 32))
-        _, out = augment(image, labels, rng, 32, (0.5, 2.0), ignore_index=255)
+        _, out = augment(image, labels, rng, 32, (0.5, 2.0))
         assert out.shape == (32, 32)
         assert set(np.unique(out)) <= set(np.unique(labels)) | {255}
 
@@ -141,7 +142,7 @@ class TestMiou:
     def test_count_invariant_excludes_ignored(self):
         cm = ConfusionMatrix(2)
         gt = np.array([0, 1, 255, 1])
-        cm.update(np.array([0, 0, 1, 1]), gt, ignore_index=255)
+        cm.update(np.array([0, 0, 1, 1]), gt)
         assert cm.counts.sum() == 3
 
     @settings(deadline=None, max_examples=30)
