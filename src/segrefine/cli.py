@@ -144,7 +144,8 @@ def cmd_gradcheck(cfg: RunConfig, args):
 
 
 def cmd_oracle(cfg: RunConfig, args):
-    """Vectorized attention vs the literal per-pair evaluation, and both conv paths vs references."""
+    """Vectorized attention vs the literal per-pair evaluation, and the no-grad
+    Winograd, recorded im2col and recorded Winograd convs vs a direct reference."""
     rng = np.random.default_rng(cfg.train.seed)
     worst = 0.0
     for channels in (4, 8):
@@ -160,33 +161,45 @@ def cmd_oracle(cfg: RunConfig, args):
                 worst = max(worst, float(np.abs(got - want).max()))
     print(f"max deviation vs literal oracle: {worst:.3e}")
     conv_worst = _winograd_deviation(rng)
-    print(f"max deviation of winograd conv vs im2col: {conv_worst:.3e} (of max |im2col|)")
-    recorded = {
-        dtype: max(gradcheck.recorded_conv_deviation(*case, dtype, rng)
-                   for case in gradcheck.CONV_ORACLE_CASES)
-        for dtype in gradcheck.CONV_ORACLE_BOUNDS
-    }
-    print("max deviation of recorded conv gradients vs direct reference: "
-          + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in recorded.items())
-          + " (of max |reference|)")
-    recorded_ok = all(recorded[dt] <= bound for dt, bound in gradcheck.CONV_ORACLE_BOUNDS.items())
-    if worst >= 1e-5 or conv_worst > 1e-4 or not recorded_ok:
+    print(f"max deviation of winograd conv vs direct reference: {conv_worst:.3e} "
+          "(of max |reference|)")
+    recorded_ok = _report_recorded(
+        "recorded conv gradients",
+        {dtype: max(gradcheck.recorded_conv_deviation(*case, dtype, rng)
+                    for case in gradcheck.CONV_ORACLE_CASES)
+         for dtype in gradcheck.CONV_ORACLE_BOUNDS},
+        gradcheck.CONV_ORACLE_BOUNDS)
+    winograd_ok = _report_recorded(
+        "recorded winograd conv gradients",
+        {dtype: gradcheck.recorded_winograd_deviation(dtype, rng)
+         for dtype in gradcheck.WINOGRAD_ORACLE_BOUNDS},
+        gradcheck.WINOGRAD_ORACLE_BOUNDS)
+    if worst >= 1e-5 or conv_worst > 1e-4 or not (recorded_ok and winograd_ok):
         return 1
     return 0
 
 
+def _report_recorded(what, deviations, bounds):
+    """Print one oracle line of per-dtype deviations; True iff each is within its bound."""
+    print(f"max deviation of {what} vs direct reference: "
+          + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in deviations.items())
+          + " (of max |reference|)")
+    return all(deviations[dtype] <= bound for dtype, bound in bounds.items())
+
+
 def _winograd_deviation(rng):
-    """Worst float32 |no-grad Winograd - recorded im2col| / max |im2col| over a sweep."""
+    """Worst float32 |no-grad Winograd - direct reference| / max |reference| over a sweep."""
     worst = 0.0
     for in_c, out_c in ((_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS),
                         (_WINOGRAD_MIN_CHANNELS + 8, 16)):
         for h, w in ((1, 1), (2, 33), (5, 7), (13, 17)):
             conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng)
             conv.bias.data = rng.standard_normal(out_c).astype(np.float32)
-            x = Tensor(rng.standard_normal((2, in_c, h, w)).astype(np.float32))
+            x = rng.standard_normal((2, in_c, h, w)).astype(np.float32)
             with no_grad():
-                fast = conv(x).data
-            slow = conv(x).data  # the weight needs a gradient: recorded, im2col
+                fast = conv(Tensor(x)).data
+            slow = gradcheck.conv_reference(x, conv.weight.data, conv.bias.data,
+                                            np.zeros(fast.shape), 1, 1, 1)[0]
             worst = max(worst, float(np.abs(fast - slow).max() / np.abs(slow).max()))
     return worst
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .tensor import FormatError, load_tensor_file, save_tensor_file
 
 IGNORE_INDEX = 255
@@ -29,8 +30,9 @@ class SceneSpec:
     seed: int = 0
 
     def validate(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        # class ids are PGM bytes, and the byte IGNORE_INDEX is not a class
+        if not 2 <= self.num_classes <= IGNORE_INDEX:
+            raise ConfigError(f"classes must be 2..{IGNORE_INDEX}, got {self.num_classes}")
 
 
 def class_palette(num_classes):
@@ -177,8 +179,14 @@ class Dataset:
 
     def __getitem__(self, i):
         image = load_tensor_file(os.path.join(self.path, "images", f"{i:04d}.frmt"))
-        labels = load_pgm(os.path.join(self.path, "labels", f"{i:04d}.pgm"))
+        label_path = os.path.join(self.path, "labels", f"{i:04d}.pgm")
+        labels = load_pgm(label_path)
         if image.shape[1:] != labels.shape:
             raise FormatError(f"sample {i}: image/label size mismatch")
+        if labels.size and labels.max() >= self.num_classes:
+            bad = labels[(labels >= self.num_classes) & (labels != IGNORE_INDEX)]
+            if bad.size:
+                raise FormatError(f"{label_path}: label {bad[0]} is neither a class "
+                                  f"(0..{self.num_classes - 1}) nor {IGNORE_INDEX}")
         return image, labels
 

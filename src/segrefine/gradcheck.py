@@ -1,5 +1,5 @@
 """Central finite-difference verification of every backward rule, and a
-direct float64 oracle for the recorded convolution.
+direct float64 oracle for the recorded convolutions (im2col and Winograd).
 
 Checks rebuild each component in float64 (single-precision finite
 differences are too noisy) and compare analytic gradients element by
@@ -14,7 +14,13 @@ import numpy as np
 from . import tensor as T
 from .config import LossConfig, ModelConfig
 from .datagen import IGNORE_INDEX
-from .layers import BatchNorm2d, Conv2d, adaptive_avg_pool, bilinear_upsample
+from .layers import (
+    _WINOGRAD_MIN_CHANNELS,
+    BatchNorm2d,
+    Conv2d,
+    adaptive_avg_pool,
+    bilinear_upsample,
+)
 from .losses import cross_entropy, hybrid_loss
 from .model import SegModel
 from .refine import DisentangledAttention, FeatureRefineHead, FeaturePyramid
@@ -277,6 +283,31 @@ CONV_ORACLE_EXTENTS = ((1, 1), (2, 33), (5, 7))
 CONV_ORACLE_BOUNDS = {np.float32: 1e-5, np.float64: 1e-12}
 
 
+def _recorded_deviation(conv, n, h, w, rng):
+    """Worst deviation of one recorded `conv` call and its gradients from `conv_reference`.
+
+    Draws a bias, an (n, in_c, h, w) input and an output gradient in the
+    conv's dtype; each of the output and the input, weight and bias gradients
+    is judged relative to the max |reference| of that array.
+    """
+    dtype = conv.weight.dtype
+    conv.bias.data = rng.standard_normal(conv.out_c).astype(dtype)
+    x = Tensor(rng.standard_normal((n, conv.in_c, h, w)).astype(dtype), requires_grad=True)
+    out = conv(x)
+    grad = rng.standard_normal(out.shape).astype(dtype)
+    T.tsum(out * Tensor(grad)).backward()
+    want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad,
+                          conv.stride, conv.pad, conv.groups)
+    got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
+    worst = 0.0
+    for a, ref in zip(got, want):
+        # an all-zero reference (taps that see only padding) counts absolutely;
+        # np.maximum keeps a NaN, so it fails the bound
+        dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
+        worst = float(np.maximum(worst, dev))
+    return worst
+
+
 def recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng):
     """Worst deviation of a recorded conv from `conv_reference`, relative to max |reference|.
 
@@ -290,20 +321,31 @@ def recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng):
             if min(h, w) + 2 * pad < kernel:
                 continue
             conv = Conv2d(4, out_c, kernel, stride=stride, pad=pad, groups=groups, rng=rng)
-            conv.cast(dtype)
-            conv.bias.data = rng.standard_normal(out_c).astype(dtype)
-            x = Tensor(rng.standard_normal((n, 4, h, w)).astype(dtype), requires_grad=True)
-            out = conv(x)
-            grad = rng.standard_normal(out.shape).astype(dtype)
-            T.tsum(out * Tensor(grad)).backward()
-            want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad,
-                                  stride, pad, groups)
-            got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
-            for a, ref in zip(got, want):
-                # an all-zero reference (taps that see only padding) counts absolutely;
-                # np.maximum keeps a NaN, so it fails the bound
-                dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
-                worst = float(np.maximum(worst, dev))
+            worst = max(worst, _recorded_deviation(conv.cast(dtype), n, h, w, rng))
+    return worst
+
+
+# (in, out) channels and extents of the recorded-Winograd oracle: 3x3
+# stride-1 pad-1 convs wide enough for Winograd, on maps of at least 4x4,
+# whole tiles and ragged ones
+WINOGRAD_ORACLE_CHANNELS = ((_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS),
+                            (_WINOGRAD_MIN_CHANNELS + 8, 16), (_WINOGRAD_MIN_CHANNELS, 48))
+WINOGRAD_ORACLE_EXTENTS = ((4, 4), (5, 7), (13, 17), (16, 16))
+WINOGRAD_ORACLE_BOUNDS = {np.float32: 1e-4, np.float64: 1e-12}
+
+
+def recorded_winograd_deviation(dtype, rng):
+    """Worst deviation of recorded Winograd convs from `conv_reference`, relative to max |reference|.
+
+    Covers the output and the input, weight and bias gradients, at batch 1
+    and 3 over WINOGRAD_ORACLE_CHANNELS x WINOGRAD_ORACLE_EXTENTS.
+    """
+    worst = 0.0
+    for in_c, out_c in WINOGRAD_ORACLE_CHANNELS:
+        for n in (1, 3):
+            for h, w in WINOGRAD_ORACLE_EXTENTS:
+                conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng)
+                worst = max(worst, _recorded_deviation(conv.cast(dtype), n, h, w, rng))
     return worst
 
 

@@ -10,8 +10,15 @@ A no-grad 3x3 stride-1 pad-1 convolution with at least
 per image and per band of 4-row tile rows, three GEMMs transform the 6x6
 input tiles, multiply the channels and transform back, with 4x fewer
 multiplies in the channel products than im2col.
-A recorded convolution builds its columns once and keeps them, since the
-weight gradient needs all of them; 1x1 stride-1 columns are a view of the
+A recorded 3x3 stride-1 pad-1 convolution with that many input channels and
+a map of at least 4x4 runs Winograd F(4x4, 3x3) on the whole batch at once
+(`_winograd_recorded`): it keeps the transformed input tiles, a quarter of the
+im2col columns, and takes both gradients in the Winograd domain from one
+transform of the output gradient, so the forward and both gradients each do
+4x fewer channel multiplies than im2col. Its tiles keep their channels last,
+so the gathers and the overlap-add copy runs of channels.
+Any other recorded convolution builds its columns once and keeps them, since
+the weight gradient needs all of them; 1x1 stride-1 columns are a view of the
 input, so those convolutions never copy and run one GEMM per image (their
 weight gradient folds copies of both operands only on maps so small that the
 per-image products would be larger). Other recorded columns are a copy
@@ -219,11 +226,13 @@ def _winograd_transforms(dtype):
     return mats
 
 
-# Fewest input channels for which no-grad 3x3 stride-1 convolutions take the
-# Winograd path: below it the transforms and tile copies cost more than the
-# multiplies they save. A c -> c convolution of 1 x c x 128 x 256 took, with
-# im2col and with Winograd, 4.8 / 5.5 ms at c = 16, 9.2 / 9.5 ms at 24,
-# 15.7 / 11.4 ms at 32 and 23.4 / 20.2 ms at 48 (2-core Xeon, one BLAS thread).
+# Fewest input channels for which 3x3 stride-1 convolutions take a Winograd
+# path: below it the no-grad path's transforms and tile copies cost more than
+# the multiplies they save. A no-grad c -> c convolution of 1 x c x 128 x 256
+# took, with im2col and with Winograd, 4.8 / 5.5 ms at c = 16, 9.2 / 9.5 ms at
+# 24, 15.7 / 11.4 ms at 32 and 23.4 / 20.2 ms at 48; a recorded one of
+# 8 x c x 16 x 16, forward plus backward, 2.1 / 1.0 ms at 16 and 5.4 / 2.5 ms
+# at 32 (2-core Xeon, one BLAS thread).
 _WINOGRAD_MIN_CHANNELS = 32
 
 
@@ -278,6 +287,91 @@ def _winograd_conv(x, weight, dtype, budget):
     return out
 
 
+# The two parts of a 6-wide Winograd tile along one axis, for the whole-batch
+# recorded path: (tile slice, block slice, slice within a block). With the
+# input zero-bordered by one and cut into blocks of 4, tile t spans block t
+# and the first two rows (or columns) of block t + 1.
+_TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
+               (slice(4, 6), slice(1, None), slice(0, 2)))
+
+
+def _winograd_recorded(x, w, b, dtype):
+    """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3), whole batch at once.
+
+    The forward gathers every 6x6 input tile of the batch and keeps only its
+    transform V = Bt d B, (36, n*th*tw, c), a quarter of the im2col columns.
+    The output is At (V Ut) A with U = G w Gt. The backward transforms the
+    output gradient once, dM = A dY At, and takes both gradients in the
+    Winograd domain: the weight gradient Gt (sum over tiles of dMt V) G, and
+    the input gradient B (dM U) Bt, overlap-added back from the 6x6 tiles.
+    Tiles keep their channels last, so every gather and scatter copies runs
+    of channels; the filter transform is recomputed by the backward, so it
+    reads the weights as they are then, like the im2col path.
+    """
+    n, c, h, wd = x.shape
+    oc = w.shape[0]
+    th, tw = -(-h // 4), -(-wd // 4)
+    tiles = n * th * tw
+    kb, kg, ka = _winograd_transforms(dtype)
+    blocks = np.zeros((n, th + 1, 4, tw + 1, 4, c), dtype)
+    blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1] = (
+        x.data.transpose(0, 2, 3, 1))
+    d = np.empty((6, 6, n, th, tw, c), dtype)
+    for ti, bi, ri in _TILE_PARTS:
+        for tj, bj, rj in _TILE_PARTS:
+            d[ti, tj] = blocks[:, bi, ri, bj, rj].transpose(2, 4, 0, 1, 3, 5)
+    del blocks
+    v = (kb @ d.reshape(36, tiles * c)).reshape(36, tiles, c)
+    del d
+    u = (kg @ w.data.reshape(oc * c, 9).T).reshape(36, oc, c)
+    m = np.matmul(v, u.swapaxes(1, 2))
+    del u
+    y = (ka @ m.reshape(36, tiles * oc)).reshape(4, 4, n, th, tw, oc)
+    del m
+    tiled = np.empty((n, th, 4, tw, 4, oc), dtype)
+    np.copyto(tiled, y.transpose(2, 3, 0, 4, 1, 5))
+    del y
+    out = np.empty((n, oc, h, wd), dtype)
+    np.copyto(out, tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd].transpose(0, 3, 1, 2))
+    del tiled
+    if b is not None:
+        out += b.data[None, :, None, None]
+    parents = (x, w) if b is None else (x, w, b)
+
+    def backward(grad):
+        tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)
+        tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd] = grad.transpose(0, 2, 3, 1)
+        dy = np.empty((4, 4, n, th, tw, oc), dtype)
+        np.copyto(dy, tiled.transpose(2, 4, 0, 1, 3, 5))
+        del tiled
+        dm = (ka.T @ dy.reshape(16, tiles * oc)).reshape(36, tiles, oc)
+        del dy
+        if w.requires_grad:
+            du = np.matmul(dm.swapaxes(1, 2), v)  # 36, oc, c
+            w._accumulate((du.reshape(36, oc * c).T @ kg).reshape(w.shape), owned=True)
+            del du
+        if b is not None and b.requires_grad:
+            b._accumulate(grad.sum(axis=(0, 2, 3)))
+        if not x.requires_grad:
+            return
+        u = (kg @ w.data.reshape(oc * c, 9).T).reshape(36, oc, c)
+        dv = np.matmul(dm, u)
+        del dm, u
+        dd = (kb.T @ dv.reshape(36, tiles * c)).reshape(6, 6, n, th, tw, c)
+        del dv
+        blocks = np.zeros((n, th + 1, 4, tw + 1, 4, c), dtype)
+        for ti, bi, ri in _TILE_PARTS:
+            for tj, bj, rj in _TILE_PARTS:
+                blocks[:, bi, ri, bj, rj] += dd[ti, tj].transpose(2, 3, 0, 4, 1, 5)
+        del dd
+        gx = np.empty((n, c, h, wd), dtype)
+        np.copyto(gx, blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1]
+                  .transpose(0, 3, 1, 2))
+        x._accumulate(gx, owned=True)
+
+    return _make(out, parents, backward)
+
+
 def _fold_batch(a):
     """(n, g, rows, p) -> (g, rows, n*p): a copy with the batch folded into the columns."""
     n, g, rows, p = a.shape
@@ -314,11 +408,14 @@ class Conv2d(Module):
         k, s, p, g = self.kernel, self.stride, self.pad, self.groups
         dtype = np.result_type(*(t.data.dtype for t in parents))
         recorded = records_graph(parents)
-        if not recorded and (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS:
-            out = _winograd_conv(x.data, w.data, dtype, _COL_BUDGET)
-            if b is not None:
-                out += b.data[None, :, None, None]
-            return Tensor(out)
+        if (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS:
+            if not recorded:
+                out = _winograd_conv(x.data, w.data, dtype, _COL_BUDGET)
+                if b is not None:
+                    out += b.data[None, :, None, None]
+                return Tensor(out)
+            if min(x.shape[2:]) >= 4:  # a smaller map is one tile of mostly padding
+                return _winograd_recorded(x, w, b, dtype)
         windows = _windows(x.data, k, s, p)
         n, _, _, _, oh, ow = windows.shape
         ocg, cg = self.out_c // g, self.in_c // g
@@ -362,7 +459,7 @@ class Conv2d(Module):
                 gx = np.empty(x_shape, dtype)
                 _conv_columns(_windows(gpad, k, 1, max(q, 0)), w_t.reshape(g, cg, ocg * k * k),
                               gx, _COL_BUDGET if k > 1 else None)
-                x._accumulate(gx)
+                x._accumulate(gx, owned=True)
             else:
                 gcols = np.matmul(w_mat.transpose(0, 2, 1), gmat)
                 x._accumulate(_col2im(gcols, x_shape, k, k, s, p, oh, ow))
@@ -418,7 +515,7 @@ class BatchNorm2d(Module):
                         - gsum[None, :, None, None]
                         - xhat * gxhat_sum[None, :, None, None]
                     )
-                    x._accumulate(gx)
+                    x._accumulate(gx, owned=True)
 
             return _make(out, (x, gamma, beta), backward)
 
@@ -435,7 +532,7 @@ class BatchNorm2d(Module):
             if beta.requires_grad:
                 beta._accumulate(g.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                x._accumulate(g * scale[None, :, None, None])
+                x._accumulate(g * scale[None, :, None, None], owned=True)
 
         return _make(out, (x, gamma, beta), backward)
 
@@ -488,7 +585,7 @@ def _resample_op(x, out_h, out_w, kind):
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(resample(g, rh.T, rw.T))
+            x._accumulate(resample(g, rh.T, rw.T), owned=True)
 
     return _make(resample(x.data, rh, rw), (x,), backward)
 

@@ -56,7 +56,7 @@ def cross_entropy(logits: Tensor, labels):
             softmax = np.exp(x - lse)
             grad = softmax * valid[:, None].astype(x.dtype)
             grad[ni, safe_labels[ni, hi, wi], hi, wi] -= 1.0  # the indices are unique
-            logits._accumulate(grad * (g / count))
+            logits._accumulate(grad * (g / count), owned=True)
 
     return _make(np.asarray(loss, dtype=x.dtype), (logits,), backward), count
 

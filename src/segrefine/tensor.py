@@ -73,14 +73,22 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            # the first gradient is written once, as a C-ordered copy in the
-            # tensor's dtype, so later ones can add into it in place
+    def _accumulate(self, g, owned=False):
+        """Add `g` into this tensor's gradient.
+
+        The first gradient is kept as a C-ordered array in the tensor's dtype,
+        so later ones add into it in place. It is a copy of `g` unless the
+        caller passes `owned`: `g` was built for this call alone and nothing
+        else holds it, so when its dtype, shape and order fit it is kept as is.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
+              and g.flags.c_contiguous):
+            self.grad = g
+        else:
             g = np.broadcast_to(g, self.data.shape)
             self.grad = np.array(g, dtype=self.data.dtype, order="C")
-        else:
-            self.grad += g
 
     def backward(self):
         """Reverse-mode sweep from a scalar loss; accumulates into leaf grads.
@@ -242,7 +250,7 @@ def relu(a):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
+            a._accumulate(g * (a.data > 0), owned=True)
 
     return _make(np.maximum(a.data, 0), (a,), backward)
 

@@ -15,7 +15,7 @@ from .datagen import IGNORE_INDEX
 from .layers import resample, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
-from .tensor import ContractError, Tensor, no_grad
+from .tensor import ContractError, FormatError, Tensor, no_grad
 
 
 class SGD:
@@ -140,8 +140,18 @@ def evaluate(model: SegModel, dataset, indices=None, batch=8):
     with no_grad():
         for lo in range(0, len(indices), batch):
             chunk = indices[lo : lo + batch]
-            images = np.stack([dataset[i][0] for i in chunk])
-            labels = np.stack([dataset[i][1] for i in chunk])
+            labels = []
+            for j, i in enumerate(chunk):  # one read per index
+                image, label = dataset[i]
+                if j == 0:
+                    images = np.empty((len(chunk), *image.shape), image.dtype)
+                elif image.shape != images.shape[1:]:  # assignment alone could broadcast
+                    raise FormatError(f"sample {i}: image {image.shape} differs from sample "
+                                      f"{chunk[0]}'s {images.shape[1:]}")
+                images[j] = image
+                labels.append(label)
+            del image, label
+            labels = np.stack(labels)
             logits = model(Tensor(images), train_mode=False)["logits"]
             cm.update(np.argmax(logits.data, axis=1), labels)
     model.train(was_training)

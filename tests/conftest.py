@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from segrefine.tensor import Tensor
+
 
 @pytest.fixture
 def rng():
@@ -19,3 +21,17 @@ def set_identity_1x1(conv):
 def zero_params(module):
     for p in module.parameters():
         p.data = np.zeros_like(p.data)
+
+
+@pytest.fixture
+def handed_gradients(monkeypatch):
+    """id(tensor) -> the last array an op handed to that tensor's `_accumulate`."""
+    handed = {}
+    accumulate = Tensor._accumulate
+
+    def spy(self, g, owned=False):
+        handed[id(self)] = g
+        accumulate(self, g, owned)
+
+    monkeypatch.setattr(Tensor, "_accumulate", spy)
+    return handed

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segrefine import layers
+from segrefine import gradcheck, layers
 from segrefine.cli import main
 from segrefine.config import ModelConfig
-from segrefine.datagen import load_pgm, read_manifest
+from segrefine.datagen import load_pgm, read_manifest, save_pgm
 from segrefine.model import SegModel, read_checkpoint_header, save_checkpoint
 from segrefine.tensor import save_tensor_file
 
@@ -68,6 +68,16 @@ class TestGen:
         assert main(argv) == 0
         assert load_pgm(out / "labels" / "0000.pgm").shape == shape
         assert f"size={shape[0]},{shape[1]}" in (out / "run.txt").read_text()
+
+    @pytest.mark.parametrize("classes, code", [(1, 2), (2, 0), (255, 0), (256, 2), (300, 2)])
+    def test_class_count_bounds(self, tmp_path, capsys, classes, code):
+        argv = ["gen", "--out", str(tmp_path / "d"), "--count", "1", "--size", "32x32",
+                "--classes", str(classes)]
+        assert main(argv) == code
+        if code:
+            assert "config error" in capsys.readouterr().err
+        else:
+            assert read_manifest(tmp_path / "d")["num_classes"] == classes
 
     def test_seed_flag_gives_identical_datasets(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -155,11 +165,27 @@ class TestChecksAndBench:
         out = capsys.readouterr().out
         assert "max deviation" in out
         assert "max deviation of recorded conv gradients vs direct reference" in out
+        assert "max deviation of recorded winograd conv gradients vs direct reference" in out
 
     def test_oracle_catches_a_broken_conv_backward(self, capsys, tmp_path, monkeypatch):
         col2im = layers._col2im
         monkeypatch.setattr(layers, "_col2im", lambda *args: col2im(*args) * 1.001)
         assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
+
+    def test_oracle_catches_a_broken_winograd_backward(self, capsys, tmp_path, monkeypatch):
+        winograd_recorded = layers._winograd_recorded
+
+        def broken(*args):
+            out = winograd_recorded(*args)
+            backward = out._backward
+            out._backward = lambda grad: backward(grad * 1.001)
+            return out
+
+        monkeypatch.setattr(layers, "_winograd_recorded", broken)
+        assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("max deviation of recorded winograd conv gradients")
+        assert float(last.split(": ")[1].split()[0]) > gradcheck.WINOGRAD_ORACLE_BOUNDS[np.float32]
 
     def test_bench_shares_backbone_and_decoder_across_heads(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -272,6 +298,26 @@ class TestProvenanceAndErrors:
         code = main(["train", "--data", data, "--out", str(tmp_path / "o")])
         assert code == 3
         assert "0000.pgm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_label_outside_the_classes_is_format_error(self, tmp_path, capsys, command):
+        data = make_dataset(tmp_path, count=1, classes=3)  # every run reads sample 0
+        out = tmp_path / "o"
+        argv = ["--data", data, "--out", str(out)]
+        if command == "eval":
+            ckpt = tmp_path / "model.srcp"
+            save_checkpoint(ckpt, SegModel(ModelConfig(channels=(4, 8, 8, 8), decoder_channels=8,
+                                                       num_classes=3, embed_dim=4)))
+            argv += ["--checkpoint", str(ckpt)]
+        else:
+            argv += ["--config", write_config(tmp_path, TINY_NET)]
+        path = Path(data) / "labels" / "0000.pgm"
+        labels = load_pgm(path)
+        labels[10, 20] = 7
+        save_pgm(path, labels)
+        assert main([command] + argv) == 3
+        err = capsys.readouterr().err
+        assert "0000.pgm" in err and "label 7" in err
 
     @pytest.mark.parametrize("extents", [(2**31, 2**31), (2**31, 2**31, 4)],
                              ids=["rank2-overflow", "rank3-wraps-to-zero"])

@@ -17,6 +17,7 @@ from segrefine.datagen import (
     render_scene,
     save_pgm,
 )
+from segrefine.config import ConfigError
 from segrefine.tensor import FormatError
 
 
@@ -54,6 +55,12 @@ class TestRenderScene:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             generate(SceneSpec(num_classes=1), 1, "/tmp/never-used")
+
+    @pytest.mark.parametrize("classes", [1, 256])
+    def test_class_count_outside_2_to_255_is_a_config_error(self, tmp_path, classes):
+        with pytest.raises(ConfigError, match="classes"):
+            generate(SceneSpec(num_classes=classes), 1, tmp_path)
+        assert not (tmp_path / "manifest.txt").exists()
 
 
 class TestPgm:
@@ -174,6 +181,18 @@ class TestGenerate:
         assert image.shape == (3, 64, 64)
         assert labels.shape == (64, 64)
         assert image.dtype == np.float32
+
+    def test_label_outside_the_classes_is_a_format_error(self, tmp_path):
+        generate(SceneSpec(height=8, width=8, num_classes=3, seed=1), 2, tmp_path)
+        path = tmp_path / "labels" / "0001.pgm"
+        labels = load_pgm(path)
+        labels[2, 5] = 255  # the ignore label is not a class, and is allowed
+        save_pgm(path, labels)
+        assert Dataset(tmp_path)[1][1][2, 5] == 255
+        labels[4, 4] = 3
+        save_pgm(path, labels)
+        with pytest.raises(FormatError, match=r"0001\.pgm: label 3 "):
+            Dataset(tmp_path)[1]
 
     def test_batch_assembly_preserves_index_order(self, tmp_path):
         generate(SceneSpec(seed=4), 4, tmp_path)

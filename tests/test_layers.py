@@ -269,6 +269,11 @@ class TestWinogradConv:
         assert fast.shape == recorded.shape and fast.data.flags.c_contiguous
         ref = recorded.data
         assert np.abs(fast.data - ref).max() <= bound * np.abs(ref).max()
+        # the recorded conv is itself Winograd on maps of 4x4 and up, so also
+        # compare with the direct float64 reference
+        direct = gradcheck.conv_reference(x.data, conv.weight.data, conv.bias.data,
+                                          np.zeros(ref.shape), 1, 1, 1)[0]
+        assert np.abs(fast.data - direct).max() <= bound * np.abs(direct).max()
 
     def test_follows_in_place_weight_updates(self, rng):
         conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng).cast(np.float64)
@@ -280,6 +285,98 @@ class TestWinogradConv:
         ref = conv(x).data
         np.testing.assert_allclose(after, -0.5 * before, rtol=0, atol=1e-12 * np.abs(ref).max())
         assert np.abs(after - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _spy_winograd_recorded(monkeypatch):
+    """Record the input shape of every recorded-Winograd convolution."""
+    calls = []
+    winograd_recorded = layers._winograd_recorded
+
+    def spy(x, w, b, dtype):
+        calls.append(x.shape)
+        return winograd_recorded(x, w, b, dtype)
+
+    monkeypatch.setattr(layers, "_winograd_recorded", spy)
+    return calls
+
+
+class TestRecordedWinograd:
+    """Recorded 3x3 stride-1 convolutions with enough channels and a map of at
+    least 4x4 run Winograd F(4x4, 3x3) in the forward and in both gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_direct_reference(self, rng, monkeypatch, dtype):
+        calls = _spy_winograd_recorded(monkeypatch)
+        dev = gradcheck.recorded_winograd_deviation(dtype, rng)
+        assert dev <= gradcheck.WINOGRAD_ORACLE_BOUNDS[dtype]
+        sweep = (len(gradcheck.WINOGRAD_ORACLE_CHANNELS) * 2
+                 * len(gradcheck.WINOGRAD_ORACLE_EXTENTS))
+        assert len(calls) == sweep  # every case of the sweep took the path
+
+    def test_finite_difference(self, rng, monkeypatch):
+        calls = _spy_winograd_recorded(monkeypatch)
+        conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng).cast(np.float64)
+        conv.bias.data = rng.standard_normal(WINO_C)
+        x = Tensor(rng.standard_normal((2, WINO_C, 5, 6)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, WINO_C, 5, 6)))
+        err = finite_difference(lambda: T.tsum(conv(x) * weights),
+                                [x, conv.weight, conv.bias], max_elements=150,
+                                rng=np.random.default_rng(1))
+        assert calls and err < TOLERANCE
+
+    @pytest.mark.parametrize("in_c, kwargs, hw, takes", [
+        (WINO_C, dict(pad=1), (4, 4), True),
+        (WINO_C, dict(pad=1), (5, 9), True),
+        (WINO_C, dict(pad=1, bias=False), (16, 16), True),
+        (WINO_C - 1, dict(pad=1), (8, 8), False),  # narrow
+        (WINO_C, dict(pad=1), (3, 8), False),  # a map below 4x4 is mostly padding
+        (WINO_C, dict(pad=1), (8, 2), False),
+        (WINO_C, dict(pad=1, stride=2), (8, 8), False),
+        (WINO_C, dict(pad=1, groups=2), (8, 8), False),
+        (WINO_C, dict(pad=0), (8, 8), False),
+    ], ids=["4x4", "ragged", "no-bias", "narrow", "3-rows", "2-columns", "stride2",
+            "grouped", "pad0"])
+    def test_which_convs_take_the_path(self, rng, monkeypatch, in_c, kwargs, hw, takes):
+        calls = _spy_winograd_recorded(monkeypatch)
+        conv = Conv2d(in_c, WINO_C, 3, rng=rng, **kwargs)
+        x = Tensor(rng.standard_normal((2, in_c, *hw)).astype(np.float32), requires_grad=True)
+        T.tsum(conv(x)).backward()
+        with no_grad():
+            conv(x)  # the no-grad path never takes the recorded one
+        assert len(calls) == takes
+
+    def test_which_model_convs_take_the_path(self, rng, monkeypatch):
+        from segrefine.config import ModelConfig
+        from segrefine.model import SegModel
+
+        calls = _spy_winograd_recorded(monkeypatch)
+        model = SegModel(ModelConfig(num_classes=5), rng=rng)
+        model(Tensor(rng.standard_normal((2, 3, 64, 64)).astype(np.float32)), train_mode=True)
+        # stage2, stage3, then the decoder's smooth3, smooth2 and smooth1; the
+        # stem and the downsampling convs are strided, stage4's map is 2x2
+        assert calls == [(2, 32, 8, 8), (2, 64, 4, 4), (2, 128, 4, 4), (2, 128, 8, 8),
+                         (2, 128, 16, 16)]
+
+    def test_keeps_a_quarter_of_the_columns(self, rng):
+        n, c, h, w = 2, WINO_C, 16, 16
+        conv = Conv2d(c, c, 3, pad=1, bias=False, rng=rng)
+        x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv(x)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = 9 * c * n * h * w * 4  # what im2col would keep, float32
+        # V holds 36 values per 4x4 output tile and channel: a quarter of that
+        assert kept - out.data.nbytes < 1.1 * columns / 4
+
+    def test_gradients_are_kept_without_a_copy(self, rng, handed_gradients):
+        conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng)
+        x = Tensor(rng.standard_normal((1, WINO_C, 8, 8)).astype(np.float32), requires_grad=True)
+        T.tsum(conv(x)).backward()
+        assert np.shares_memory(x.grad, handed_gradients[id(x)])
+        assert np.shares_memory(conv.weight.grad, handed_gradients[id(conv.weight)])
 
 
 class TestAdaptiveAvgPool:

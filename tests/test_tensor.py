@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segrefine import tensor as T
@@ -62,12 +62,14 @@ class TestSoftmax:
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12),
            st.floats(-100, 100))
+    # float32 rounding of these shifted logits alone moved the softmax by 1.28e-6
+    @example(values=[28.0, 28.611913925392443], shift=100.0)
     def test_sums_to_one_and_shift_invariant(self, values, shift):
-        x = np.array(values, dtype=np.float32)
+        x = np.array(values, dtype=np.float64)
         out = T.softmax(Tensor(x), axis=0).data
         assert abs(out.sum() - 1.0) < 1e-6
         assert (out >= 0).all()
-        shifted = T.softmax(Tensor(x + np.float32(shift)), axis=0).data
+        shifted = T.softmax(Tensor(x + shift), axis=0).data
         np.testing.assert_allclose(out, shifted, atol=1e-6)
 
 
@@ -130,6 +132,54 @@ class TestAccumulate:
         z._accumulate(g)
         g[0, 0] = 7.0  # the caller's array stays the caller's
         assert z.grad.flags.c_contiguous and z.grad[0, 0] != 7.0
+
+    def test_owned_first_gradient_is_kept_without_a_copy(self, rng):
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        g = rng.standard_normal((3, 4))
+        x._accumulate(g, owned=True)
+        assert x.grad is g
+        x._accumulate(np.ones((3, 4)), owned=True)  # later ones add in place
+        assert x.grad is g
+        # a first gradient that does not fit is still copied
+        for unfit in (rng.standard_normal((4, 3)).T, np.float32(2.0) * np.ones((3, 4), np.float32),
+                      np.ones(4)):
+            y = Tensor(np.zeros((3, 4)), requires_grad=True)
+            y._accumulate(unfit, owned=True)
+            assert not np.shares_memory(y.grad, unfit)
+            assert y.grad.flags.c_contiguous and y.grad.dtype == np.float64
+
+    def test_add_copies_the_gradient_it_hands_to_both_parents(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        out = T.add(a, b)
+        g = rng.standard_normal((2, 3))
+        out._backward(g)
+        assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0  # one parent's gradient moving leaves the other's alone
+        np.testing.assert_array_equal(b.grad, g)
+
+    @pytest.mark.parametrize("op", ["conv3x3", "batchnorm", "batchnorm-eval", "relu",
+                                    "bilinear", "cross_entropy"])
+    def test_fresh_gradients_are_kept_without_a_copy(self, rng, handed_gradients, op):
+        from segrefine.layers import BatchNorm2d, Conv2d, bilinear_upsample
+        from segrefine.losses import cross_entropy
+
+        x = Tensor(rng.standard_normal((2, 4, 6, 5)).astype(np.float32), requires_grad=True)
+        if op == "cross_entropy":
+            loss, _ = cross_entropy(x, rng.integers(0, 4, (2, 6, 5)))
+        else:
+            build = {
+                "conv3x3": lambda: Conv2d(4, 3, 3, pad=1, rng=rng),  # streamed input gradient
+                "batchnorm": lambda: BatchNorm2d(4),
+                "batchnorm-eval": lambda: BatchNorm2d(4).eval(),
+                "relu": lambda: T.relu,
+                "bilinear": lambda: lambda t: bilinear_upsample(t, 9, 7),
+            }[op]()
+            out = build(x)
+            loss = T.tsum(out * Tensor(rng.standard_normal(out.shape).astype(np.float32)))
+        loss.backward()
+        assert np.shares_memory(x.grad, handed_gradients[id(x)])
 
     def test_first_gradient_takes_the_tensor_dtype(self):
         x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrefine.layers import Parameter
-from segrefine.tensor import ContractError
-from segrefine.trainer import SGD, ConfusionMatrix, TrainSchedule, augment
+from segrefine.tensor import ContractError, FormatError
+from segrefine.config import ModelConfig
+from segrefine.datagen import Dataset, SceneSpec, generate
+from segrefine.model import SegModel
+from segrefine.trainer import SGD, ConfusionMatrix, TrainSchedule, augment, evaluate
 
 
 class TestSgd:
@@ -168,3 +171,31 @@ class TestMiou:
     def test_empty_matrix_is_undefined(self):
         miou, _ = ConfusionMatrix(3).miou()
         assert np.isnan(miou)
+
+
+class TestEvaluate:
+    def test_reads_each_sample_once(self, tmp_path, monkeypatch):
+        generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 5, tmp_path)
+        reads = []
+        getitem = Dataset.__getitem__
+
+        def spy(self, i):
+            reads.append(i)
+            return getitem(self, i)
+
+        monkeypatch.setattr(Dataset, "__getitem__", spy)
+        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
+                                     ffn_expansion=1, embed_dim=2))
+        miou, per_class = evaluate(model, Dataset(tmp_path), batch=2)
+        assert sorted(reads) == [0, 1, 2, 3, 4]
+        assert len(per_class) == 3
+
+    def test_samples_of_another_size_are_a_format_error(self, tmp_path):
+        generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 2, tmp_path / "a")
+        generate(SceneSpec(height=64, width=32, num_classes=3, seed=2), 1, tmp_path / "b")
+        for part in ("images/0000.frmt", "labels/0000.pgm"):
+            (tmp_path / "a" / part).write_bytes((tmp_path / "b" / part).read_bytes())
+        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
+                                     ffn_expansion=1, embed_dim=2))
+        with pytest.raises(FormatError, match="sample 1"):
+            evaluate(model, Dataset(tmp_path / "a"), indices=[0, 1])
