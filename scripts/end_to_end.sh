@@ -1,7 +1,8 @@
 #!/bin/sh
 # Minimal end-to-end demo: dataset -> training -> evaluation -> inference
-# -> cost comparison. Uses a small model so the whole flow finishes in
-# well under a minute. Pass a work directory as $1 (default: ./demo-run).
+# -> cost comparison -> fast-path oracle. Uses a small model so the whole
+# flow finishes in well under a minute. Pass a work directory as $1
+# (default: ./demo-run).
 # Runs from a plain checkout: the package is taken from ../src, as the
 # pytest configuration does, so no install is needed.
 set -eu
@@ -36,5 +37,9 @@ segrefine infer --checkpoint "$WORK/run/checkpoint.srcp" \
     --out "$WORK/run" "$WORK/val/images/0000.frmt" "$WORK/run/mask.pgm"
 
 segrefine bench --config "$WORK/small.cfg" --out "$WORK/run" --size 256x256
+
+# every convolution fast path the run trained and inferred with, against a
+# direct reference
+segrefine oracle --out "$WORK/run"
 
 echo "demo artifacts in $WORK/run"

@@ -1,7 +1,7 @@
 """Command-line entry point: gen, train, eval, gradcheck, oracle, bench, infer.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 I/O or
-format error.
+format error, 4 training stopped on a non-finite loss.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import datagen, gradcheck, profiler, trainer
 from .config import ConfigError, RunConfig, apply_settings, dump_settings, parse_config_file
-from .layers import _WINOGRAD_MIN_CHANNELS, Conv2d
 from .model import Backbone, SegModel, load_checkpoint
 from .refine import DisentangledAttention, attention_reference
 from .tensor import ContractError, FormatError, Tensor, load_tensor_file, no_grad
@@ -144,8 +143,9 @@ def cmd_gradcheck(cfg: RunConfig, args):
 
 
 def cmd_oracle(cfg: RunConfig, args):
-    """Vectorized attention vs the literal per-pair evaluation, and the no-grad
-    Winograd, recorded im2col and recorded Winograd convs vs a direct reference."""
+    """Vectorized attention vs the literal per-pair evaluation, then one line per
+    row of `gradcheck.ORACLE_ROWS`: each convolution fast path vs a direct
+    reference, in each dtype the row bounds."""
     rng = np.random.default_rng(cfg.train.seed)
     worst = 0.0
     for channels in (4, 8):
@@ -160,48 +160,15 @@ def cmd_oracle(cfg: RunConfig, args):
                 want = attention_reference(x.data, block)
                 worst = max(worst, float(np.abs(got - want).max()))
     print(f"max deviation vs literal oracle: {worst:.3e}")
-    conv_worst = _winograd_deviation(rng)
-    print(f"max deviation of winograd conv vs direct reference: {conv_worst:.3e} "
-          "(of max |reference|)")
-    recorded_ok = _report_recorded(
-        "recorded conv gradients",
-        {dtype: max(gradcheck.recorded_conv_deviation(*case, dtype, rng)
-                    for case in gradcheck.CONV_ORACLE_CASES)
-         for dtype in gradcheck.CONV_ORACLE_BOUNDS},
-        gradcheck.CONV_ORACLE_BOUNDS)
-    winograd_ok = _report_recorded(
-        "recorded winograd conv gradients",
-        {dtype: gradcheck.recorded_winograd_deviation(dtype, rng)
-         for dtype in gradcheck.WINOGRAD_ORACLE_BOUNDS},
-        gradcheck.WINOGRAD_ORACLE_BOUNDS)
-    if worst >= 1e-5 or conv_worst > 1e-4 or not (recorded_ok and winograd_ok):
-        return 1
-    return 0
-
-
-def _report_recorded(what, deviations, bounds):
-    """Print one oracle line of per-dtype deviations; True iff each is within its bound."""
-    print(f"max deviation of {what} vs direct reference: "
-          + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in deviations.items())
-          + " (of max |reference|)")
-    return all(deviations[dtype] <= bound for dtype, bound in bounds.items())
-
-
-def _winograd_deviation(rng):
-    """Worst float32 |no-grad Winograd - direct reference| / max |reference| over a sweep."""
-    worst = 0.0
-    for in_c, out_c in ((_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS),
-                        (_WINOGRAD_MIN_CHANNELS + 8, 16)):
-        for h, w in ((1, 1), (2, 33), (5, 7), (13, 17)):
-            conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng)
-            conv.bias.data = rng.standard_normal(out_c).astype(np.float32)
-            x = rng.standard_normal((2, in_c, h, w)).astype(np.float32)
-            with no_grad():
-                fast = conv(Tensor(x)).data
-            slow = gradcheck.conv_reference(x, conv.weight.data, conv.bias.data,
-                                            np.zeros(fast.shape), 1, 1, 1)[0]
-            worst = max(worst, float(np.abs(fast - slow).max() / np.abs(slow).max()))
-    return worst
+    ok = worst < 1e-5
+    for row in gradcheck.ORACLE_ROWS:
+        deviations = {dtype: gradcheck.oracle_deviation(row, dtype, rng) for dtype in row.bounds}
+        row_ok = all(deviations[dtype] <= bound for dtype, bound in row.bounds.items())
+        print(f"max deviation of {row.label} vs direct reference: "
+              + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in deviations.items())
+              + f" (of max |reference|)  {'ok' if row_ok else 'FAIL'}")
+        ok = ok and row_ok
+    return 0 if ok else 1
 
 
 def cmd_bench(cfg: RunConfig, args):
@@ -263,6 +230,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except trainer.NonFiniteLoss as exc:
+        print(f"non-finite loss: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
-"""Central finite-difference verification of every backward rule, and a
-direct float64 oracle for the recorded convolutions (im2col and Winograd).
+"""Central finite-difference verification of every backward rule, and the
+oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
+path `Conv2d.forward` can take (no-grad Winograd, no-grad im2col, recorded
+im2col, recorded Winograd), each checked against the direct float64
+`conv_reference`, and `segrefine oracle` prints one line per row.
 
 Checks rebuild each component in float64 (single-precision finite
 differences are too noisy) and compare analytic gradients element by
@@ -8,6 +11,9 @@ denominator so near-zero gradients are judged on an absolute scale.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,79 +279,82 @@ def conv_reference(x, w, b, grad, stride, pad, groups):
     return out, gx, gw.reshape(w.shape), grad.sum(axis=(0, 2, 3))
 
 
-# (kernel, stride, pad, groups) of the recorded-conv oracle; 4 input channels,
-# so groups 4 is depthwise. Each runs at batch 1 and 3 over CONV_ORACLE_EXTENTS.
-CONV_ORACLE_CASES = [
-    (k, s, p, g) for k in (1, 3) for s in (1, 2) for p in (0, 1) for g in (1, 2, 4)
-]
-CONV_ORACLE_EXTENTS = ((1, 1), (2, 33), (5, 7))
-# worst |recorded - direct| / max |direct| allowed per dtype
-CONV_ORACLE_BOUNDS = {np.float32: 1e-5, np.float64: 1e-12}
+class OracleRow(NamedTuple):
+    """One convolution fast path, swept against `conv_reference` by `oracle_deviation`.
 
-
-def _recorded_deviation(conv, n, h, w, rng):
-    """Worst deviation of one recorded `conv` call and its gradients from `conv_reference`.
-
-    Draws a bias, an (n, in_c, h, w) input and an output gradient in the
-    conv's dtype; each of the output and the input, weight and bias gradients
-    is judged relative to the max |reference| of that array.
+    Each conv of `convs`, (in_c, out_c, kernel, stride, pad, groups), runs at
+    each batch of `batches` over each (h, w) of `extents` its kernel fits. A
+    `recorded` row records a graph and also judges the input, weight and bias
+    gradients; `bounds` maps each dtype to the worst deviation allowed.
     """
-    dtype = conv.weight.dtype
-    conv.bias.data = rng.standard_normal(conv.out_c).astype(dtype)
-    x = Tensor(rng.standard_normal((n, conv.in_c, h, w)).astype(dtype), requires_grad=True)
-    out = conv(x)
-    grad = rng.standard_normal(out.shape).astype(dtype)
-    T.tsum(out * Tensor(grad)).backward()
-    want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad,
-                          conv.stride, conv.pad, conv.groups)
-    got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
-    worst = 0.0
-    for a, ref in zip(got, want):
-        # an all-zero reference (taps that see only padding) counts absolutely;
-        # np.maximum keeps a NaN, so it fails the bound
-        dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
-        worst = float(np.maximum(worst, dev))
-    return worst
+
+    label: str
+    convs: tuple
+    extents: tuple
+    batches: tuple
+    recorded: bool
+    bounds: dict
+
+    def cases(self):
+        """(conv, batch, h, w) for every case of the sweep."""
+        return [(conv, n, h, w)
+                for conv, n, (h, w) in itertools.product(self.convs, self.batches, self.extents)
+                if min(h, w) + 2 * conv[4] >= conv[2]]
 
 
-def recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng):
-    """Worst deviation of a recorded conv from `conv_reference`, relative to max |reference|.
+# the no-grad im2col row, whose sweep the recorded one shares: 4 input
+# channels, so groups 4 is depthwise, and too few for Winograd, so the 3x3
+# stride-1 pad-1 convs take im2col too
+_IM2COL = OracleRow(
+    "im2col conv",
+    tuple((4, 4 if g == 4 else 6, k, s, p, g)
+          for k in (1, 3) for s in (1, 2) for p in (0, 1) for g in (1, 2, 4)),
+    ((1, 1), (2, 33), (5, 7)), (1, 3), False, {np.float32: 1e-5, np.float64: 1e-12})
+# the Winograd rows: 3x3 stride-1 pad-1 convs wide enough for Winograd, on
+# whole tiles and ragged ones; the no-grad row leaves out the widest output,
+# the recorded row the maps below 4x4, which take im2col there
+_WINOGRAD_CONVS = tuple((i, o, 3, 1, 1, 1) for i, o in (
+    (_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS), (_WINOGRAD_MIN_CHANNELS + 8, 16),
+    (_WINOGRAD_MIN_CHANNELS, 48)))
+_WINOGRAD_BOUNDS = {np.float32: 1e-4, np.float64: 1e-12}
 
-    Covers the output and the input, weight and bias gradients, at batch 1
-    and 3 over every extent of CONV_ORACLE_EXTENTS the kernel fits.
-    """
-    worst = 0.0
-    out_c = 4 if groups == 4 else 6
-    for n in (1, 3):
-        for h, w in CONV_ORACLE_EXTENTS:
-            if min(h, w) + 2 * pad < kernel:
-                continue
-            conv = Conv2d(4, out_c, kernel, stride=stride, pad=pad, groups=groups, rng=rng)
-            worst = max(worst, _recorded_deviation(conv.cast(dtype), n, h, w, rng))
-    return worst
+# every path Conv2d.forward can take, one row each, in `segrefine oracle` order
+ORACLE_ROWS = (
+    OracleRow("winograd conv", _WINOGRAD_CONVS[:2], ((1, 1), (2, 33), (5, 7), (13, 17)), (2,),
+              False, _WINOGRAD_BOUNDS),
+    _IM2COL,
+    _IM2COL._replace(label="recorded conv gradients", recorded=True),
+    OracleRow("recorded winograd conv gradients", _WINOGRAD_CONVS,
+              ((4, 4), (5, 7), (13, 17), (16, 16)), (1, 3), True, _WINOGRAD_BOUNDS),
+)
 
 
-# (in, out) channels and extents of the recorded-Winograd oracle: 3x3
-# stride-1 pad-1 convs wide enough for Winograd, on maps of at least 4x4,
-# whole tiles and ragged ones
-WINOGRAD_ORACLE_CHANNELS = ((_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS),
-                            (_WINOGRAD_MIN_CHANNELS + 8, 16), (_WINOGRAD_MIN_CHANNELS, 48))
-WINOGRAD_ORACLE_EXTENTS = ((4, 4), (5, 7), (13, 17), (16, 16))
-WINOGRAD_ORACLE_BOUNDS = {np.float32: 1e-4, np.float64: 1e-12}
+def oracle_deviation(row, dtype, rng):
+    """Worst deviation of `row`'s cases in `dtype` from `conv_reference`.
 
-
-def recorded_winograd_deviation(dtype, rng):
-    """Worst deviation of recorded Winograd convs from `conv_reference`, relative to max |reference|.
-
-    Covers the output and the input, weight and bias gradients, at batch 1
-    and 3 over WINOGRAD_ORACLE_CHANNELS x WINOGRAD_ORACLE_EXTENTS.
+    Each case draws its conv, a bias, an input and, for a recorded row, an
+    output gradient; each array judged is relative to its max |reference|.
     """
     worst = 0.0
-    for in_c, out_c in WINOGRAD_ORACLE_CHANNELS:
-        for n in (1, 3):
-            for h, w in WINOGRAD_ORACLE_EXTENTS:
-                conv = Conv2d(in_c, out_c, 3, pad=1, rng=rng)
-                worst = max(worst, _recorded_deviation(conv.cast(dtype), n, h, w, rng))
+    for (in_c, out_c, k, s, p, g), n, h, w in row.cases():
+        conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, rng=rng).cast(dtype)
+        conv.bias.data = rng.standard_normal(out_c).astype(dtype)
+        x = Tensor(rng.standard_normal((n, in_c, h, w)).astype(dtype), requires_grad=row.recorded)
+        if row.recorded:
+            out = conv(x)
+            grad = rng.standard_normal(out.shape).astype(dtype)
+            T.tsum(out * Tensor(grad)).backward()
+            got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
+        else:
+            with T.no_grad():
+                got = (conv(x).data,)
+            grad = np.zeros(got[0].shape)
+        want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad, s, p, g)
+        for a, ref in zip(got, want):  # a no-grad row stops at the output
+            # an all-zero reference (taps that see only padding) counts absolutely;
+            # np.maximum keeps a NaN, so it fails the bound
+            dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
+            worst = float(np.maximum(worst, dev))
     return worst
 
 

@@ -5,6 +5,7 @@ training-only embedding head.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import fields
 
@@ -135,15 +136,22 @@ def save_checkpoint(path, model: SegModel, extra=None):
     header = {f.name: format_value(getattr(model.cfg, f.name)) for f in fields(ModelConfig)}
     header.update(extra or {})
     text = "".join(f"{k}={v}\n" for k, v in header.items()).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", len(text)))
-        f.write(text)
-        for name, (owner, attr) in model.named_state().items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            save_array(f, getattr(owner, attr))
+    # written beside `path`, then renamed over it: a failed write leaves the old file whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<I", len(text)))
+            f.write(text)
+            for name, (owner, attr) in model.named_state().items():
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<I", len(encoded)))
+                f.write(encoded)
+                save_array(f, getattr(owner, attr))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_text(f, path, what):

@@ -5,6 +5,7 @@ augmentation (flip / scale / crop), and confusion-matrix mIoU evaluation.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,6 +17,10 @@ from .layers import resample, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
 from .tensor import ContractError, FormatError, Tensor, no_grad
+
+
+class NonFiniteLoss(RuntimeError):
+    """A training step's loss was NaN or infinite."""
 
 
 class SGD:
@@ -193,20 +198,22 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
             total, report = hybrid_loss(
                 out["logits"], out["embeddings"], batch_labels, loss_cfg, rng
             )
-            opt.zero_grad()
-            total.backward()
-            opt.step(lr)
+            finite = math.isfinite(report.total)
+            if finite:
+                opt.zero_grad()
+                total.backward()
+                opt.step(lr)
             # drop this step's graph (activations and saved columns) before
             # the next batch is built, so two graphs are never alive at once
             del out, total
             running.append(report)
-            if (it + 1) % train_cfg.eval_interval == 0 or it + 1 == train_cfg.iters:
+            if not finite or (it + 1) % train_cfg.eval_interval == 0 or it + 1 == train_cfg.iters:
                 mean_loss = float(np.mean([r.total for r in running]))
                 mean_ce = float(np.mean([r.ce_term for r in running]))
                 mean_cl = float(np.mean([r.cl_term for r in running]))
                 running = []
                 val_miou = ""
-                if val_dataset is not None:
+                if finite and val_dataset is not None:
                     n_val = min(train_cfg.eval_count, len(val_dataset))
                     val_miou, _ = evaluate(model, val_dataset, range(n_val))
                 row = [it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou]
@@ -214,6 +221,9 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
                 if writer:
                     writer.writerow(row)
                     csv_file.flush()
+                if not finite:
+                    raise NonFiniteLoss(f"iteration {it + 1}: loss {report.total} (ce "
+                                        f"{report.ce_term}, cl {report.cl_term}) is not finite")
                 log(
                     f"iter {it + 1}/{train_cfg.iters} lr {lr:.5f} "
                     f"loss {mean_loss:.4f} (ce {mean_ce:.4f} cl {mean_cl:.4f})"

@@ -1,10 +1,12 @@
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segrefine import gradcheck, layers
+from segrefine import gradcheck, layers, trainer
+from segrefine import tensor as T
 from segrefine.cli import main
 from segrefine.config import ModelConfig
 from segrefine.datagen import load_pgm, read_manifest, save_pgm
@@ -113,6 +115,29 @@ class TestTrainEval:
         assert read_checkpoint_header(out2 / "checkpoint.srcp")["iteration"] == "4"
         assert "final_iteration=4" in (out2 / "summary.txt").read_text()
 
+    def test_non_finite_loss_stops_training(self, tmp_path, capsys, monkeypatch):
+        hybrid_loss, reports = trainer.hybrid_loss, []
+
+        def nan_at_step_3(*args, **kwargs):
+            total, report = hybrid_loss(*args, **kwargs)
+            reports.append(report)
+            if len(reports) == 3:
+                nan = float("nan")
+                total, report = total * nan, replace(report, total=nan, ce_term=nan)
+            return total, report
+
+        monkeypatch.setattr(trainer, "hybrid_loss", nan_at_step_3)
+        data = make_dataset(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, TINY_NET + ["iters=6"]),
+                     "--data", data, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "iteration 3" in err and "ce nan" in err and f"cl {reports[2].cl_term}" in err
+        assert len(reports) == 3 and not (out / "checkpoint.srcp").exists()
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        # the interval to step 2, then the partial one that step 3 ended
+        assert [row[0] for row in rows] == ["2", "3"] and rows[1][2] == "nan"
+
     def test_alternate_context_head(self, tmp_path):
         data = make_dataset(tmp_path)
         # ppm bins must not exceed the deepest stage extent (crop/32 = 2)
@@ -149,6 +174,40 @@ class TestTrainEval:
         assert runs[0] == runs[1]
 
 
+def _scaled_output(fn):
+    return lambda *args: fn(*args) * 1.001
+
+
+def _scaled_backward(fn):
+    def broken(*args):
+        out = fn(*args)
+        backward = out._backward
+        out._backward = lambda grad: backward(grad * 1.001)
+        return out
+
+    return broken
+
+
+def _scaled_no_grad_columns(fn):
+    def broken(windows, w_mat, out, *rest):
+        cols = fn(windows, w_mat, out, *rest)
+        if not T._GRAD_ENABLED:
+            out *= 1.001
+        return cols
+
+    return broken
+
+
+# a small fault in the path of each oracle row: (row label, the `layers`
+# function it breaks, the wrapper that breaks it)
+PATH_FAULTS = [
+    ("winograd conv", "_winograd_conv", _scaled_output),
+    ("im2col conv", "_conv_columns", _scaled_no_grad_columns),
+    ("recorded conv gradients", "_col2im", _scaled_output),
+    ("recorded winograd conv gradients", "_winograd_recorded", _scaled_backward),
+]
+
+
 class TestChecksAndBench:
     def test_gradcheck_passes_and_reports_components(self, capsys, tmp_path):
         assert main(["gradcheck", "--seed", "0", "--out", str(tmp_path / "gc")]) == 0
@@ -167,25 +226,18 @@ class TestChecksAndBench:
         assert "max deviation of recorded conv gradients vs direct reference" in out
         assert "max deviation of recorded winograd conv gradients vs direct reference" in out
 
-    def test_oracle_catches_a_broken_conv_backward(self, capsys, tmp_path, monkeypatch):
-        col2im = layers._col2im
-        monkeypatch.setattr(layers, "_col2im", lambda *args: col2im(*args) * 1.001)
+    @pytest.mark.parametrize("label, name, fault", PATH_FAULTS,
+                             ids=[label.replace(" ", "-") for label, _, _ in PATH_FAULTS])
+    def test_oracle_catches_a_broken_path(self, capsys, tmp_path, monkeypatch, label, name,
+                                          fault):
+        monkeypatch.setattr(layers, name, fault(getattr(layers, name)))
         assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
-
-    def test_oracle_catches_a_broken_winograd_backward(self, capsys, tmp_path, monkeypatch):
-        winograd_recorded = layers._winograd_recorded
-
-        def broken(*args):
-            out = winograd_recorded(*args)
-            backward = out._backward
-            out._backward = lambda grad: backward(grad * 1.001)
-            return out
-
-        monkeypatch.setattr(layers, "_winograd_recorded", broken)
-        assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last.startswith("max deviation of recorded winograd conv gradients")
-        assert float(last.split(": ")[1].split()[0]) > gradcheck.WINOGRAD_ORACLE_BOUNDS[np.float32]
+        lines = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            lines[line.removeprefix("max deviation of ").split(" vs ")[0]] = line
+        assert list(lines) == [row.label for row in gradcheck.ORACLE_ROWS]
+        for row_label, line in lines.items():  # the fault fails its own row only
+            assert line.endswith("FAIL" if row_label == label else "ok"), line
 
     def test_bench_shares_backbone_and_decoder_across_heads(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -164,15 +164,71 @@ class TestStreamedConv:
         assert peak < columns_bytes
 
 
+# the oracle row of each Conv2d path, told apart by the function that computes
+# its forward and by whether the forward records a graph
+_PATH_ROWS = {
+    ("_winograd_conv", False): "winograd conv",
+    ("_conv_columns", False): "im2col conv",
+    ("_conv_columns", True): "recorded conv gradients",
+    ("_winograd_recorded", True): "recorded winograd conv gradients",
+}
+ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
+
+
+def _spy_conv_paths(monkeypatch):
+    """The oracle row label of every `Conv2d.forward` call, None where none maps.
+
+    Spies on `records_graph` and on the functions that compute a forward, and
+    counts only their calls made inside `Conv2d.forward`: `_conv_columns`
+    also runs stride-1 input gradients, in the backward.
+    """
+    rows, inside = [], []
+    forward = Conv2d.forward
+
+    def spy_forward(self, x):
+        inside.append([])
+        try:
+            return forward(self, x)
+        finally:
+            calls = inside.pop()
+            recorded = [value for name, value in calls if name == "records_graph"]
+            paths = [name for name, _ in calls if name != "records_graph"]
+            one = len(recorded) == len(paths) == 1
+            rows.append(_PATH_ROWS.get((paths[0], recorded[0])) if one else None)
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if inside:
+                inside[-1].append((name, result if name == "records_graph" else None))
+            return result
+
+        monkeypatch.setattr(layers, name, wrapper)
+
+    for name in {"records_graph"} | {name for name, _ in _PATH_ROWS}:
+        spy(name, getattr(layers, name))
+    monkeypatch.setattr(Conv2d, "forward", spy_forward)
+    return rows
+
+
+def _check_oracle_row(row, dtype, rng, monkeypatch):
+    """`row` is within its bound in `dtype`, and every case of it took its path."""
+    paths = _spy_conv_paths(monkeypatch)
+    assert gradcheck.oracle_deviation(row, dtype, rng) <= row.bounds[dtype]
+    assert paths == [row.label] * len(row.cases())
+
+
 class TestRecordedConv:
     """Recorded convolutions against a direct float64 reference, tap by tap."""
 
-    @pytest.mark.parametrize("kernel, stride, pad, groups", gradcheck.CONV_ORACLE_CASES,
-                             ids=lambda v: str(v))
+    # the recorded im2col row of the oracle table, one conv at a time, so a
+    # failure names its (kernel, stride, pad, groups)
+    @pytest.mark.parametrize("conv", ORACLE_ROWS["recorded conv gradients"].convs,
+                             ids=lambda conv: "-".join(map(str, conv[2:])))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_direct_reference(self, rng, kernel, stride, pad, groups, dtype):
-        dev = gradcheck.recorded_conv_deviation(kernel, stride, pad, groups, dtype, rng)
-        assert dev <= gradcheck.CONV_ORACLE_BOUNDS[dtype]
+    def test_matches_direct_reference(self, rng, monkeypatch, conv, dtype):
+        row = ORACLE_ROWS["recorded conv gradients"]._replace(convs=(conv,))
+        _check_oracle_row(row, dtype, rng, monkeypatch)
 
     def test_reference_matches_sliding_window_loop(self, rng):
         x = rng.standard_normal((2, 4, 5, 7))
@@ -304,15 +360,6 @@ class TestRecordedWinograd:
     """Recorded 3x3 stride-1 convolutions with enough channels and a map of at
     least 4x4 run Winograd F(4x4, 3x3) in the forward and in both gradients."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_direct_reference(self, rng, monkeypatch, dtype):
-        calls = _spy_winograd_recorded(monkeypatch)
-        dev = gradcheck.recorded_winograd_deviation(dtype, rng)
-        assert dev <= gradcheck.WINOGRAD_ORACLE_BOUNDS[dtype]
-        sweep = (len(gradcheck.WINOGRAD_ORACLE_CHANNELS) * 2
-                 * len(gradcheck.WINOGRAD_ORACLE_EXTENTS))
-        assert len(calls) == sweep  # every case of the sweep took the path
-
     def test_finite_difference(self, rng, monkeypatch):
         calls = _spy_winograd_recorded(monkeypatch)
         conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng).cast(np.float64)
@@ -377,6 +424,41 @@ class TestRecordedWinograd:
         T.tsum(conv(x)).backward()
         assert np.shares_memory(x.grad, handed_gradients[id(x)])
         assert np.shares_memory(conv.weight.grad, handed_gradients[id(conv.weight)])
+
+
+class TestOracleTable:
+    """Every path `Conv2d.forward` can take has a row of `gradcheck.ORACLE_ROWS`."""
+
+    # TestRecordedConv checks the recorded im2col row case by case
+    @pytest.mark.parametrize("row", [row for row in gradcheck.ORACLE_ROWS
+                                     if row.label != "recorded conv gradients"],
+                             ids=lambda row: row.label.replace(" ", "-"))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_row_matches_direct_reference(self, rng, monkeypatch, row, dtype):
+        _check_oracle_row(row, dtype, rng, monkeypatch)
+
+    def test_every_model_conv_maps_to_one_row(self, rng, monkeypatch):
+        from segrefine.config import LossConfig, ModelConfig
+        from segrefine.losses import hybrid_loss
+        from segrefine.model import SegModel
+
+        paths = _spy_conv_paths(monkeypatch)
+        model = SegModel(ModelConfig(num_classes=5), rng=rng)
+        # a train-64 step: batch 8 of 64x64 crops, forward and backward
+        out = model(Tensor(rng.standard_normal((8, 3, 64, 64)).astype(np.float32)),
+                    train_mode=True)
+        labels = rng.integers(0, 5, size=(8, 64, 64))
+        hybrid_loss(out["logits"], out["embeddings"], labels, LossConfig(), rng)[0].backward()
+        trained = list(paths)
+        paths.clear()
+        model.eval()
+        with no_grad():
+            model(Tensor(rng.standard_normal((1, 3, 512, 1024)).astype(np.float32)),
+                  train_mode=False)
+        assert None not in trained and None not in paths
+        assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients"}
+        assert set(paths) == {"winograd conv", "im2col conv"}
+        assert set(_PATH_ROWS.values()) == set(ORACLE_ROWS)
 
 
 class TestAdaptiveAvgPool:

@@ -16,7 +16,7 @@ from segrefine.model import (
     save_checkpoint,
 )
 from segrefine.refine import FeaturePyramid
-from segrefine.tensor import ContractError, FormatError, ShapeError, Tensor
+from segrefine.tensor import ContractError, FormatError, ShapeError, Tensor, save_array
 
 TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=19, embed_dim=16)
 
@@ -189,6 +189,25 @@ class TestCheckpoint:
         loaded, header = load_checkpoint(path)
         save_checkpoint(path, loaded, extra={"iteration": header["iteration"]})
         assert path.read_bytes() == raw
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "model.srcp"
+        save_checkpoint(path, toy_model(rng))
+        before = path.read_bytes()
+        written = []
+
+        def failing(f, arr):
+            if len(written) == 5:
+                raise OSError("no space left on device")
+            written.append(arr)
+            save_array(f, arr)
+
+        monkeypatch.setattr(model_module, "save_array", failing)
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, toy_model(rng, context_head="ppm"), extra={"iteration": 9})
+        assert len(written) == 5  # the new checkpoint was partway written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.srcp"]
 
     def test_declared_buffers_are_cast_saved_and_loaded(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(model_module, "ConvBnRelu", StepCountingBlock)
