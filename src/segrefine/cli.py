@@ -145,7 +145,8 @@ def cmd_gradcheck(cfg: RunConfig, args):
 def cmd_oracle(cfg: RunConfig, args):
     """Vectorized attention vs the literal per-pair evaluation, then one line per
     row of `gradcheck.ORACLE_ROWS`: each convolution fast path vs a direct
-    reference, in each dtype the row bounds."""
+    reference, in each dtype the row bounds; then banded resampling vs the
+    dense product."""
     rng = np.random.default_rng(cfg.train.seed)
     worst = 0.0
     for channels in (4, 8):
@@ -163,12 +164,21 @@ def cmd_oracle(cfg: RunConfig, args):
     ok = worst < 1e-5
     for row in gradcheck.ORACLE_ROWS:
         deviations = {dtype: gradcheck.oracle_deviation(row, dtype, rng) for dtype in row.bounds}
-        row_ok = all(deviations[dtype] <= bound for dtype, bound in row.bounds.items())
-        print(f"max deviation of {row.label} vs direct reference: "
-              + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in deviations.items())
-              + f" (of max |reference|)  {'ok' if row_ok else 'FAIL'}")
-        ok = ok and row_ok
+        ok = _report_deviations(row.label, "direct reference", deviations, row.bounds) and ok
+    bounds = gradcheck.RESAMPLE_BOUNDS
+    deviations = {dtype: gradcheck.resample_deviation(dtype, rng) for dtype in bounds}
+    ok = _report_deviations("banded resampling", "dense product, forward and backward",
+                            deviations, bounds) and ok
     return 0 if ok else 1
+
+
+def _report_deviations(label, reference, deviations, bounds):
+    """Print one oracle line; True iff every dtype is within its bound."""
+    ok = all(deviations[dtype] <= bound for dtype, bound in bounds.items())
+    print(f"max deviation of {label} vs {reference}: "
+          + ", ".join(f"{dev:.3e} {dtype.__name__}" for dtype, dev in deviations.items())
+          + f" (of max |reference|)  {'ok' if ok else 'FAIL'}")
+    return ok
 
 
 def cmd_bench(cfg: RunConfig, args):

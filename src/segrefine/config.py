@@ -28,6 +28,11 @@ class ModelConfig:
             raise ConfigError(f"unknown context_head {self.context_head!r}")
         if len(self.channels) != 4:
             raise ConfigError("channel plan must list four stage widths")
+        for name in ("channels", "decoder_channels", "num_classes", "ffn_expansion",
+                     "ppm_bins", "embed_dim"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+                raise ConfigError(f"{name} must be positive, got {format_value(value)}")
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Central finite-difference verification of every backward rule, and the
 oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
-path `Conv2d.forward` can take (no-grad Winograd, no-grad im2col, recorded
-im2col, recorded Winograd), each checked against the direct float64
+path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
+plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue, recorded im2col,
+recorded Winograd), each checked against the direct float64
 `conv_reference`, and `segrefine oracle` prints one line per row.
+`resample_deviation` checks banded resampling against the dense float64
+product in the same way.
 
 Checks rebuild each component in float64 (single-precision finite
 differences are too noisy) and compare analytic gradients element by
@@ -24,8 +27,10 @@ from .layers import (
     _WINOGRAD_MIN_CHANNELS,
     BatchNorm2d,
     Conv2d,
+    ConvBnRelu,
     adaptive_avg_pool,
     bilinear_upsample,
+    resample_matrix,
 )
 from .losses import cross_entropy, hybrid_loss
 from .model import SegModel
@@ -285,7 +290,9 @@ class OracleRow(NamedTuple):
     Each conv of `convs`, (in_c, out_c, kernel, stride, pad, groups), runs at
     each batch of `batches` over each (h, w) of `extents` its kernel fits. A
     `recorded` row records a graph and also judges the input, weight and bias
-    gradients; `bounds` maps each dtype to the worst deviation allowed.
+    gradients; an `epilogue` row runs each conv as the bias-free conv of an
+    eval `ConvBnRelu` (so its convs are 3x3, pad 1, one group) and judges its
+    output; `bounds` maps each dtype to the worst deviation allowed.
     """
 
     label: str
@@ -294,6 +301,7 @@ class OracleRow(NamedTuple):
     batches: tuple
     recorded: bool
     bounds: dict
+    epilogue: bool = False
 
     def cases(self):
         """(conv, batch, h, w) for every case of the sweep."""
@@ -317,28 +325,61 @@ _WINOGRAD_CONVS = tuple((i, o, 3, 1, 1, 1) for i, o in (
     (_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS), (_WINOGRAD_MIN_CHANNELS + 8, 16),
     (_WINOGRAD_MIN_CHANNELS, 48)))
 _WINOGRAD_BOUNDS = {np.float32: 1e-4, np.float64: 1e-12}
+_WINOGRAD = OracleRow("winograd conv", _WINOGRAD_CONVS[:2],
+                      ((1, 1), (2, 33), (5, 7), (13, 17)), (2,), False, _WINOGRAD_BOUNDS)
 
 # every path Conv2d.forward can take, one row each, in `segrefine oracle` order
 ORACLE_ROWS = (
-    OracleRow("winograd conv", _WINOGRAD_CONVS[:2], ((1, 1), (2, 33), (5, 7), (13, 17)), (2,),
-              False, _WINOGRAD_BOUNDS),
+    _WINOGRAD,
+    _WINOGRAD._replace(label="winograd conv + bn relu epilogue", epilogue=True),
     _IM2COL,
+    # the ConvBnRelu convs narrow enough for im2col: stride 1 and stride 2
+    _IM2COL._replace(label="im2col conv + bn relu epilogue",
+                     convs=tuple((4, 6, 3, s, 1, 1) for s in (1, 2)), epilogue=True),
     _IM2COL._replace(label="recorded conv gradients", recorded=True),
     OracleRow("recorded winograd conv gradients", _WINOGRAD_CONVS,
               ((4, 4), (5, 7), (13, 17), (16, 16)), (1, 3), True, _WINOGRAD_BOUNDS),
 )
 
 
+def _deviation(got, want, worst):
+    """The larger of `worst` and each pair's max |got - want| relative to its max |want|."""
+    for a, ref in zip(got, want):
+        # an all-zero reference (taps that see only padding) counts absolutely;
+        # np.maximum keeps a NaN, so it fails the bound
+        dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
+        worst = float(np.maximum(worst, dev))
+    return worst
+
+
+def bn_relu_reference(out, bn):
+    """Eval batch norm of `out` in float64 from `bn`'s running statistics, then ReLU."""
+    mean, var, gamma, beta = (np.asarray(a, np.float64)[None, :, None, None] for a in (
+        bn.running_mean, bn.running_var, bn.scale.data, bn.shift.data))
+    return np.maximum((out - mean) / np.sqrt(var + bn.EPS) * gamma + beta, 0)
+
+
 def oracle_deviation(row, dtype, rng):
     """Worst deviation of `row`'s cases in `dtype` from `conv_reference`.
 
     Each case draws its conv, a bias, an input and, for a recorded row, an
-    output gradient; each array judged is relative to its max |reference|.
+    output gradient; an epilogue row draws batch norm parameters and running
+    statistics instead of a bias, and its reference is `conv_reference`
+    followed by `bn_relu_reference`. Each array judged is relative to its max
+    |reference|.
     """
     worst = 0.0
     for (in_c, out_c, k, s, p, g), n, h, w in row.cases():
-        conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, rng=rng).cast(dtype)
-        conv.bias.data = rng.standard_normal(out_c).astype(dtype)
+        if row.epilogue:
+            block = ConvBnRelu(in_c, out_c, stride=s, rng=rng).cast(dtype).eval()
+            conv, bn = block.conv, block.bn
+            bn.scale.data, bn.shift.data, bn.running_mean = (
+                rng.standard_normal(out_c).astype(dtype) for _ in range(3))
+            bn.running_var = rng.uniform(0.2, 3.0, out_c).astype(dtype)
+            bias = np.zeros(out_c)
+        else:
+            block = conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, rng=rng).cast(dtype)
+            conv.bias.data = bias = rng.standard_normal(out_c).astype(dtype)
         x = Tensor(rng.standard_normal((n, in_c, h, w)).astype(dtype), requires_grad=row.recorded)
         if row.recorded:
             out = conv(x)
@@ -347,14 +388,45 @@ def oracle_deviation(row, dtype, rng):
             got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
         else:
             with T.no_grad():
-                got = (conv(x).data,)
+                got = (block(x).data,)
             grad = np.zeros(got[0].shape)
-        want = conv_reference(x.data, conv.weight.data, conv.bias.data, grad, s, p, g)
-        for a, ref in zip(got, want):  # a no-grad row stops at the output
-            # an all-zero reference (taps that see only padding) counts absolutely;
-            # np.maximum keeps a NaN, so it fails the bound
-            dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
-            worst = float(np.maximum(worst, dev))
+        want = conv_reference(x.data, conv.weight.data, bias, grad, conv.stride, conv.pad,
+                              conv.groups)
+        if row.epilogue:
+            want = (bn_relu_reference(want[0], bn),)
+        worst = _deviation(got, want, worst)  # a no-grad row stops at the output
+    return worst
+
+
+# resampling sweep of `resample_deviation`, (in h, in w, out h, out w, kind):
+# several band blocks per axis up, down and at non-integer ratios, and pooling
+RESAMPLE_CASES = (
+    (16, 24, 64, 96, "bilinear"),
+    (32, 64, 128, 256, "bilinear"),
+    (64, 96, 16, 24, "bilinear"),
+    (45, 70, 97, 33, "bilinear"),
+    (96, 130, 6, 40, "pool"),
+)
+RESAMPLE_BOUNDS = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def resample_deviation(dtype, rng):
+    """Worst deviation of banded resampling in `dtype` from the dense float64 product.
+
+    Each case of `RESAMPLE_CASES` runs forward and backward through
+    `bilinear_upsample` or `adaptive_avg_pool`; the reference is Rh x Rw.T,
+    and Rh.T g Rw for the gradient, with the float64 matrices.
+    """
+    worst = 0.0
+    for h, w, oh, ow, kind in RESAMPLE_CASES:
+        x = Tensor(rng.standard_normal((2, 3, h, w)).astype(dtype), requires_grad=True)
+        out = (bilinear_upsample if kind == "bilinear" else adaptive_avg_pool)(x, oh, ow)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        T.tsum(out * Tensor(grad)).backward()
+        rh = resample_matrix(h, oh, kind, np.dtype(np.float64))
+        rw = resample_matrix(w, ow, kind, np.dtype(np.float64))
+        want = (rh @ x.data.astype(np.float64) @ rw.T, rh.T @ grad.astype(np.float64) @ rw)
+        worst = _deviation((out.data, x.grad), want, worst)
     return worst
 
 

@@ -9,7 +9,11 @@ A no-grad 3x3 stride-1 pad-1 convolution with at least
 `_WINOGRAD_MIN_CHANNELS` input channels runs Winograd F(4x4, 3x3) instead:
 per image and per band of 4-row tile rows, three GEMMs transform the 6x6
 input tiles, multiply the channels and transform back, with 4x fewer
-multiplies in the channel products than im2col.
+multiplies in the channel products than im2col. A conv's bias is an
+`_Epilogue` applied to each chunk or band of output while it is in cache; an
+eval `ConvBnRelu` that records no graph passes its batch norm (scale folded
+into the weights, shift) and ReLU as its conv's epilogue instead, so neither
+runs a pass of its own.
 A recorded 3x3 stride-1 pad-1 convolution with that many input channels and
 a map of at least 4x4 runs Winograd F(4x4, 3x3) on the whole batch at once
 (`_winograd_recorded`): it keeps the transformed input tiles, a quarter of the
@@ -29,19 +33,25 @@ output gradient padded by k - 1 - pad with the flipped kernel whose in/out
 channels swap, so it streams through the same buffered im2col (unbuffered
 for 1x1, whose columns are a view); only strided convolutions scatter their
 column gradient back with `_col2im`. Adaptive pooling and bilinear resizing
-are linear and separable, so both are one product Rh @ x @ Rw.T with cached
-dense per-axis matrices; the backward pass is the same product with the
-matrices transposed. Every layer registers its parameters on a light
-Module tree, and a layer with state besides its parameters (batch norm's
-running statistics) lists it in `_buffers`. `Module.named_state` names both,
-so checkpoints and `cast` walk one map of named arrays, and the cost
-profiler's parameter counts are sums over `Module.parameters`.
+are linear and separable, so both are Rh @ x @ Rw.T with cached per-axis
+matrices, and the backward pass is the same product with the matrices
+transposed. Each matrix (and its transpose) has a cached `band_plan`: blocks
+of `_BAND_ROWS` output rows, each multiplying only the input rows its
+nonzeros touch, so each axis is one GEMM per block into a preallocated
+result. A matrix whose blocks would skip less than half of the dense
+multiplies is one block, the dense product. Every layer registers its
+parameters on a light Module tree, and a layer with state besides its
+parameters (batch norm's running statistics) lists it in `_buffers`.
+`Module.named_state` names both, so checkpoints and `cast` walk one map of
+named arrays, and the cost profiler's parameter counts are sums over
+`Module.parameters`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,6 +163,28 @@ def _windows(x, k, stride, pad):
     return windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
 
 
+class _Epilogue(NamedTuple):
+    """What a conv does to its output besides the products: out * scale + shift, then ReLU.
+
+    `scale` (per output channel, or None) is folded into the weights before
+    the products; `shift` (per output channel, or None) and the ReLU are
+    applied to each chunk of output while it is still in cache. A plain conv's
+    epilogue is its bias; a no-grad `ConvBnRelu` passes its eval batch norm
+    and ReLU as one.
+    """
+
+    scale: np.ndarray | None
+    shift: np.ndarray | None
+    relu: bool
+
+    def apply(self, a):
+        """Shift and ReLU `a` (..., channels, positions) in place."""
+        if self.shift is not None:
+            a += self.shift[:, None]
+        if self.relu:
+            np.maximum(a, 0, out=a)
+
+
 def _chunk_shape(windows_shape, itemsize, budget):
     """(images, output rows) per chunk whose columns fit `budget` bytes.
 
@@ -168,12 +200,13 @@ def _chunk_shape(windows_shape, itemsize, budget):
     return 1, max(1, budget // row_bytes)
 
 
-def _conv_columns(windows, w_mat, out, budget=None, fold=False):
-    """out = w_mat @ im2col(windows), chunk by chunk; returns the last chunk's columns.
+def _conv_columns(windows, w_mat, out, budget=None, fold=False, epilogue=None):
+    """out = w_mat @ im2col(windows), then `epilogue`, chunk by chunk.
 
-    Each chunk's columns are copied into one reused buffer and its product is
-    written straight into the matching slice of `out` (n, out_c, oh, ow).
-    Without a budget there is one chunk, built without a buffer, so 1x1
+    Returns the last chunk's columns. Each chunk's columns are copied into one
+    reused buffer and its product is written straight into the matching slice
+    of `out` (n, out_c, oh, ow) and finished there by the epilogue, while it
+    is in cache. Without a budget there is one chunk, built without a buffer, so 1x1
     stride-1 columns stay a view of the input, (n, g, kg, oh*ow), with one
     GEMM per image. With `fold` (no budget only) the columns are copied once
     with the batch folded in, (g, kg, n*oh*ow), so the product is one GEMM
@@ -182,11 +215,15 @@ def _conv_columns(windows, w_mat, out, budget=None, fold=False):
     n, c, kh, kw, oh, ow = windows.shape
     g, ocg, kg = w_mat.shape
     images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
+    epilogue = epilogue or _Epilogue(None, None, False)
+    if epilogue.scale is not None:
+        w_mat = w_mat * epilogue.scale.reshape(g, ocg, 1)
     if fold:
         cols = windows.reshape(n, g, c // g, kh, kw, oh, ow).transpose(1, 2, 3, 4, 0, 5, 6)
         cols = np.ascontiguousarray(cols).reshape(g, kg, n * oh * ow)
         prod = np.matmul(w_mat, cols).reshape(g, ocg, n, oh * ow)
         np.copyto(out.reshape(n, g, ocg, oh * ow), prod.transpose(2, 0, 1, 3))
+        epilogue.apply(out.reshape(n, g * ocg, oh * ow))
         return cols
     buf = None if budget is None else np.empty(images * c * kh * kw * rows * ow, windows.dtype)
     for i in range(0, n, images):
@@ -201,6 +238,7 @@ def _conv_columns(windows, w_mat, out, budget=None, fold=False):
                 cols = cols.reshape(m, g, kg, h * ow)
             dst = out[i : i + m, :, r : r + h].reshape(m, g, ocg, h * ow, copy=False)
             np.matmul(w_mat, cols, out=dst)
+            epilogue.apply(dst.reshape(m, g * ocg, h * ow))
     return cols
 
 
@@ -226,6 +264,12 @@ def _winograd_transforms(dtype):
     return mats
 
 
+# The tile position (row 1, column 1 of the 6x6 tile) whose column of the
+# output transform is all ones: At has a column of ones, the point 0 of
+# F(4, 3), so a value added to that position's channel products adds to all
+# 16 outputs of the tile.
+_WINOGRAD_ONES = 1 * 6 + 1
+
 # Fewest input channels for which 3x3 stride-1 convolutions take a Winograd
 # path: below it the no-grad path's transforms and tile copies cost more than
 # the multiplies they save. A no-grad c -> c convolution of 1 x c x 128 x 256
@@ -235,15 +279,26 @@ def _winograd_transforms(dtype):
 # at 32 (2-core Xeon, one BLAS thread).
 _WINOGRAD_MIN_CHANNELS = 32
 
+# Bytes of transformed tiles per band of the no-grad Winograd path. Bands of
+# about 128 tiles or more keep the 36 channel GEMMs wide: against one tile row
+# per band, a no-grad 128 -> 128 convolution took 3 ms less at 1 x 128 x 128 x
+# 256 with two tile rows (128 tiles, 2.4 MB) and 35 ms less at 8 x 128 x 64 x
+# 64 with four to eight (2-core Xeon, 2 MiB L2 per core, one BLAS thread).
+_WINOGRAD_BUDGET = 3 << 20
 
-def _winograd_conv(x, weight, dtype, budget):
-    """3x3 stride-1 pad-1 correlation of `x` (n, c, h, w) by Winograd F(4x4, 3x3).
+
+def _winograd_conv(x, weight, dtype, budget, epilogue):
+    """3x3 stride-1 pad-1 correlation of `x` (n, c, h, w) by Winograd F(4x4, 3x3), then `epilogue`.
 
     One image and one band of 4-row tile rows at a time: the band's rows are
     copied into a zero-bordered buffer, its 6x6 tiles (stepping by 4) are
     gathered, and three GEMMs apply the input transform, the 36 channel
     products and the output transform. A band holds as many tile rows as keep
-    its transformed tiles within `budget` bytes (at least one). The filter
+    its transformed tiles within `budget` bytes (at least one). The epilogue
+    needs no pass over the output: its scale is folded into the transformed
+    filter, its shift is added to the channel products of the one tile
+    position whose output-transform column is all ones, and its ReLU clamps
+    each band's output tiles in place before they are scattered. The filter
     transform is recomputed on every call, so nothing goes stale when the
     weights change in place.
     """
@@ -253,6 +308,8 @@ def _winograd_conv(x, weight, dtype, budget):
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(out.dtype)
     u = (kg @ weight.reshape(oc * c, 9).T).reshape(36, oc, c)
+    if epilogue.scale is not None:
+        u *= epilogue.scale[:, None]
     band = max(1, min(th, budget // (36 * max(c, oc) * tw * out.itemsize)))
     padded = np.zeros((c, 4 * band + 2, 4 * tw + 2), dtype)
     # each GEMM reads one buffer and writes the other: tiles, then their
@@ -276,8 +333,12 @@ def _winograd_conv(x, weight, dtype, budget):
             np.matmul(kb, d.reshape(36, c * p), out=v)
             m = ping[: 36 * oc * p].reshape(36, oc, p)
             np.matmul(u, v.reshape(36, c, p), out=m)
+            if epilogue.shift is not None:
+                m[_WINOGRAD_ONES] += epilogue.shift[:, None]
             y = pong[: 16 * oc * p].reshape(16, oc * p)
             np.matmul(ka, m.reshape(36, oc * p), out=y)
+            if epilogue.relu:
+                np.maximum(y, 0, out=y)
             y = y.reshape(4, 4, oc, nb, tw).transpose(2, 3, 0, 4, 1)  # oc, nb, 4, tw, 4
             hb = min(4 * nb, h - r)
             if hb == 4 * nb and w == 4 * tw:
@@ -400,7 +461,9 @@ class Conv2d(Module):
         self.weight = Parameter(init_kaiming(rng, out_c, in_c // groups, kernel, kernel))
         self.bias = Parameter(np.zeros(out_c, dtype=np.float32)) if bias else None
 
-    def forward(self, x):
+    def forward(self, x, _epilogue=None):
+        """Convolve `x`. A no-grad caller may pass an `_Epilogue` that stands in
+        for the bias (`ConvBnRelu` passes its eval batch norm and ReLU)."""
         if x.shape[1] != self.in_c:
             raise ShapeError(f"conv expects {self.in_c} channels, got {x.shape[1]}")
         w, b = self.weight, self.bias
@@ -408,12 +471,15 @@ class Conv2d(Module):
         k, s, p, g = self.kernel, self.stride, self.pad, self.groups
         dtype = np.result_type(*(t.data.dtype for t in parents))
         recorded = records_graph(parents)
+        if _epilogue is None:
+            epilogue = _Epilogue(None, None if b is None else b.data, False)
+        elif recorded or b is not None:
+            raise ContractError("an epilogue stands in for the bias of a no-grad conv")
+        else:
+            epilogue = _epilogue
         if (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS:
             if not recorded:
-                out = _winograd_conv(x.data, w.data, dtype, _COL_BUDGET)
-                if b is not None:
-                    out += b.data[None, :, None, None]
-                return Tensor(out)
+                return Tensor(_winograd_conv(x.data, w.data, dtype, _WINOGRAD_BUDGET, epilogue))
             if min(x.shape[2:]) >= 4:  # a smaller map is one tile of mostly padding
                 return _winograd_recorded(x, w, b, dtype)
         windows = _windows(x.data, k, s, p)
@@ -426,9 +492,7 @@ class Conv2d(Module):
         copied = k > 1 or s > 1
         fold = copied and recorded
         budget = _COL_BUDGET if copied and not recorded else None
-        cols = _conv_columns(windows, w_mat, out, budget, fold)
-        if b is not None:
-            out += b.data[None, :, None, None]
+        cols = _conv_columns(windows, w_mat, out, budget, fold, epilogue)
         x_shape = x.data.shape
 
         def backward(grad):
@@ -519,11 +583,10 @@ class BatchNorm2d(Module):
 
             return _make(out, (x, gamma, beta), backward)
 
-        invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
-        scale = gamma.data * invstd
+        invstd, scale, shift = self.eval_affine()
         # one per-channel affine: a single full-size temporary, shifted in place
         out = x.data * scale[None, :, None, None]
-        out += (beta.data - self.running_mean * scale)[None, :, None, None]
+        out += shift[None, :, None, None]
 
         def backward(g):
             if gamma.requires_grad:
@@ -535,6 +598,16 @@ class BatchNorm2d(Module):
                 x._accumulate(g * scale[None, :, None, None], owned=True)
 
         return _make(out, (x, gamma, beta), backward)
+
+    def eval_affine(self):
+        """(1 / std, scale, shift) of eval mode: out = x * scale + shift.
+
+        Read from the current parameters and running statistics on every call,
+        so an eval forward and a fused `ConvBnRelu` never go stale.
+        """
+        invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
+        scale = self.scale.data * invstd
+        return invstd, scale, self.shift.data - self.running_mean * scale
 
     def flops(self, out_shape):
         return math.prod(out_shape)
@@ -570,24 +643,78 @@ def resample_matrix(in_size, out_size, kind, dtype):
     return m
 
 
-def resample(a, rh, rw):
-    """rh @ a @ rw.T over the last two axes of `a` (any leading axes)."""
+# Output rows per block of a banded resampling product. Each block multiplies
+# only the input rows its nonzeros touch: a 4x bilinear upsample touches about
+# 10 input rows per 32 output rows.
+_BAND_ROWS = 32
+
+
+class BandPlan(NamedTuple):
+    """One resampling axis as blocks: out[rows] = block @ x[cols] for each
+    (rows, cols, block) of `blocks`, together covering `size` output rows."""
+
+    size: int
+    blocks: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def band_plan(in_size, out_size, kind, dtype, transposed=False):
+    """`resample_matrix(in_size, out_size, kind, dtype)`, or its transpose, in blocks.
+
+    Blocks of `_BAND_ROWS` output rows, each with the slice of input rows its
+    nonzeros touch. When the blocks would not skip at least half of the dense
+    product's multiplies, the plan is one block, the whole matrix, so a small
+    or mostly dense matrix runs the dense product. Cached, so read-only.
+    """
+    m = resample_matrix(in_size, out_size, kind, dtype)
+    if transposed:
+        m = m.T
+    rows, cols = m.shape
+    spans = []
+    for lo in range(0, rows, _BAND_ROWS):
+        hi = min(lo + _BAND_ROWS, rows)
+        touched = np.flatnonzero(m[lo:hi].any(axis=0))
+        first, last = (int(touched[0]), int(touched[-1]) + 1) if touched.size else (0, 0)
+        spans.append((slice(lo, hi), slice(first, last)))
+    if 2 * sum((o.stop - o.start) * (i.stop - i.start) for o, i in spans) > rows * cols:
+        spans = [(slice(0, rows), slice(0, cols))]
+    blocks = []
+    for o, i in spans:
+        block = np.ascontiguousarray(m[o, i])
+        block.flags.writeable = False
+        blocks.append((o, i, block))
+    return BandPlan(rows, tuple(blocks))
+
+
+def resample(a, rows, cols):
+    """rows @ a @ cols.T over the last two axes of `a` (any leading axes).
+
+    `rows` and `cols` are `BandPlan`s; each axis runs one GEMM per block into
+    a preallocated result.
+    """
     *lead, h, w = a.shape
-    out = (a.reshape(-1, w) @ rw.T).reshape(-1, h, rw.shape[0])
-    return np.matmul(rh, out).reshape(*lead, rh.shape[0], rw.shape[0])
+    flat = a.reshape(-1, w)
+    mid = np.empty((flat.shape[0], cols.size), a.dtype)
+    for o, i, block in cols.blocks:
+        np.matmul(flat[:, i], block.T, out=mid[:, o])
+    mid = mid.reshape(-1, h, cols.size)
+    out = np.empty((mid.shape[0], rows.size, cols.size), a.dtype)
+    for o, i, block in rows.blocks:
+        np.matmul(block, mid[:, i], out=out[:, o])
+    return out.reshape(*lead, rows.size, cols.size)
 
 
 def _resample_op(x, out_h, out_w, kind):
     _, _, h, w = x.shape
     dt = x.data.dtype
-    rh = resample_matrix(h, out_h, kind, dt)
-    rw = resample_matrix(w, out_w, kind, dt)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(resample(g, rh.T, rw.T), owned=True)
+            x._accumulate(resample(g, band_plan(h, out_h, kind, dt, True),
+                                   band_plan(w, out_w, kind, dt, True)), owned=True)
 
-    return _make(resample(x.data, rh, rw), (x,), backward)
+    out = resample(x.data, band_plan(h, out_h, kind, dt), band_plan(w, out_w, kind, dt))
+    return _make(out, (x,), backward)
 
 
 def adaptive_avg_pool(x, out_h, out_w):
@@ -626,4 +753,9 @@ class ConvBnRelu(Module):
         self.act = ReLU()
 
     def forward(self, x):
-        return self.act(self.bn(self.conv(x)))
+        conv, bn = self.conv, self.bn
+        if bn.training or records_graph((x, conv.weight, bn.scale, bn.shift)):
+            return self.act(bn(conv(x)))
+        # eval with no graph: batch norm and ReLU run as the conv's epilogue
+        _, scale, shift = bn.eval_affine()
+        return conv(x, _epilogue=_Epilogue(scale, shift, True))

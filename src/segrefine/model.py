@@ -167,7 +167,8 @@ def _read_header(f, path):
     if f.read(4) != _CKPT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     header = {}
-    for line in _read_text(f, path, "header").splitlines():
+    # lines end in "\n" only: a byte flipped into another line break garbles a value
+    for line in _read_text(f, path, "header").split("\n"):
         if line:
             k, _, v = line.partition("=")
             header[k] = v

@@ -10,7 +10,9 @@ call's output shape, and `layers._resample_op`, which records each resample's
 output elements; a `finally` takes the wrappers off. A layer's row is its
 `flops(out_shape)` summed over its recorded calls; a module that never ran
 (the embedding head at inference) has no row. Each resample is charged to the
-innermost recorded call around it (see `_RESAMPLE_ROW`).
+innermost recorded call around it (see `_RESAMPLE_ROW`). A `ConvBnRelu` runs
+its batch norm and ReLU as its conv's epilogue in this forward, so their rows
+are charged at the conv's recorded output shapes.
 """
 
 from __future__ import annotations
@@ -125,6 +127,13 @@ def count_costs(model: SegModel, input_size, mode="inference"):
             delattr(child, method)
         model.train(was_training)
 
+    # a ConvBnRelu that records no graph runs its batch norm and ReLU as its
+    # conv's epilogue: charge both at the conv's output shapes
+    for path, child in model.named_children():
+        ran = shapes.get((f"{path}.conv", "forward"))
+        if isinstance(child, layers.ConvBnRelu) and ran:
+            for part in ("bn", "act"):
+                shapes.setdefault((f"{path}.{part}", "forward"), ran)
     rows = []
     for path, child in model.named_children():
         ran = shapes.get((path, "forward"))

@@ -378,6 +378,7 @@ def gather_pixels(x, batch_idx, row_idx, col_idx):
 
 FRMT_MAGIC = b"FRMT"
 FRMT_VERSION = 1
+_MAX_RANK = 64
 
 
 class FormatError(ValueError):
@@ -417,6 +418,8 @@ def load_array(f, name="<stream>"):
     version, rank = struct.unpack("<II", read_exact(f, 8, name, "header"))
     if version != FRMT_VERSION:
         raise FormatError(f"{name}: unsupported version {version}")
+    if rank > _MAX_RANK:  # numpy's limit; it also keeps the element count printable
+        raise FormatError(f"{name}: rank {rank} is above {_MAX_RANK}")
     shape = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, name, "extents"))
     count = math.prod(shape)  # a Python int: garbled extents cannot wrap
     payload = read_exact(f, 4 * count, name, "payload")
@@ -429,5 +432,9 @@ def save_tensor_file(path, arr):
 
 
 def load_tensor_file(path):
+    """The one array of an FRMT file; bytes past its payload are a FormatError."""
     with open(path, "rb") as f:
-        return load_array(f, name=str(path))
+        arr = load_array(f, name=str(path))
+        if f.read(1):
+            raise FormatError(f"{path}: bytes past the payload")
+        return arr

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import LossConfig, TrainConfig
 from .datagen import IGNORE_INDEX
-from .layers import resample, resample_matrix
+from .layers import band_plan, resample
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
 from .tensor import ContractError, FormatError, Tensor, no_grad
@@ -88,8 +88,7 @@ def augment(image, labels, rng, crop, scale_range=(0.5, 2.0)):
     nh, nw = max(int(round(h * scale)), 1), max(int(round(w * scale)), 1)
     if (nh, nw) != (h, w):
         dt = image.dtype
-        image = resample(image, resample_matrix(h, nh, "bilinear", dt),
-                         resample_matrix(w, nw, "bilinear", dt))
+        image = resample(image, band_plan(h, nh, "bilinear", dt), band_plan(w, nw, "bilinear", dt))
         labels = _resize_labels(labels, nh, nw)
     if nh < crop or nw < crop:
         pad_h, pad_w = max(crop - nh, 0), max(crop - nw, 0)

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import shutil
 import struct
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from segrefine import gradcheck, layers, trainer
 from segrefine import tensor as T
@@ -188,23 +194,42 @@ def _scaled_backward(fn):
     return broken
 
 
-def _scaled_no_grad_columns(fn):
-    def broken(windows, w_mat, out, *rest):
-        cols = fn(windows, w_mat, out, *rest)
-        if not T._GRAD_ENABLED:
-            out *= 1.001
-        return cols
+def _scaled_winograd(fused):
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue."""
+    def fault(fn):
+        def broken(*args):
+            out = fn(*args)
+            return out * 1.001 if args[-1].relu == fused else out
 
-    return broken
+        return broken
+
+    return fault
 
 
-# a small fault in the path of each oracle row: (row label, the `layers`
+def _scaled_no_grad_columns(fused):
+    """A fault in no-grad im2col convs with (or without) a ReLU epilogue."""
+    def fault(fn):
+        def broken(windows, w_mat, out, budget=None, fold=False, epilogue=None):
+            cols = fn(windows, w_mat, out, budget, fold, epilogue)
+            if not T._GRAD_ENABLED and bool(epilogue and epilogue.relu) == fused:
+                out *= 1.001
+            return cols
+
+        return broken
+
+    return fault
+
+
+# a small fault in the path of each oracle line: (line label, the `layers`
 # function it breaks, the wrapper that breaks it)
 PATH_FAULTS = [
-    ("winograd conv", "_winograd_conv", _scaled_output),
-    ("im2col conv", "_conv_columns", _scaled_no_grad_columns),
+    ("winograd conv", "_winograd_conv", _scaled_winograd(False)),
+    ("winograd conv + bn relu epilogue", "_winograd_conv", _scaled_winograd(True)),
+    ("im2col conv", "_conv_columns", _scaled_no_grad_columns(False)),
+    ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_no_grad_columns(True)),
     ("recorded conv gradients", "_col2im", _scaled_output),
     ("recorded winograd conv gradients", "_winograd_recorded", _scaled_backward),
+    ("banded resampling", "resample", _scaled_output),
 ]
 
 
@@ -225,6 +250,7 @@ class TestChecksAndBench:
         assert "max deviation" in out
         assert "max deviation of recorded conv gradients vs direct reference" in out
         assert "max deviation of recorded winograd conv gradients vs direct reference" in out
+        assert "max deviation of banded resampling vs dense product" in out
 
     @pytest.mark.parametrize("label, name, fault", PATH_FAULTS,
                              ids=[label.replace(" ", "-") for label, _, _ in PATH_FAULTS])
@@ -235,7 +261,7 @@ class TestChecksAndBench:
         lines = {}
         for line in capsys.readouterr().out.splitlines()[1:]:
             lines[line.removeprefix("max deviation of ").split(" vs ")[0]] = line
-        assert list(lines) == [row.label for row in gradcheck.ORACLE_ROWS]
+        assert list(lines) == [row.label for row in gradcheck.ORACLE_ROWS] + ["banded resampling"]
         for row_label, line in lines.items():  # the fault fails its own row only
             assert line.endswith("FAIL" if row_label == label else "ok"), line
 
@@ -450,3 +476,114 @@ class TestProvenanceAndErrors:
         mask = load_pgm(mask_path)
         assert mask.shape == (64, 64)
         assert mask.max() < 3
+
+
+# a small frm net for the corruption fuzz, so that each CLI run over it is short
+FUZZ_NET = ModelConfig(channels=(4, 4, 4, 4), decoder_channels=8, num_classes=3,
+                       ffn_expansion=1, embed_dim=4)
+FUZZ_TRAIN = ["channels=4,4,4,4", "decoder_channels=8", "embed_dim=4", "ffn_expansion=1",
+              "crop=32", "batch=1", "iters=1", "eval_interval=1", "eval_count=1"]
+# checkpoint header lines of an frm model that no tensor depends on (`eval` and
+# `infer` never read the iteration): a flip there may leave a file that loads
+SHAPELESS_KEYS = ("iteration", "ppm_bins", "dappm_scales")
+# (command, the file whose header a flip corrupts)
+FUZZ_TARGETS = [
+    ("eval", "model.srcp"), ("eval", "data/images/0000.frmt"), ("eval", "data/labels/0000.pgm"),
+    ("infer", "model.srcp"), ("infer", "data/images/0000.frmt"),
+    ("train", "val/images/0000.frmt"), ("train", "val/labels/0000.pgm"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A one-sample 32x32 dataset, a held-out copy, an frm checkpoint and a train config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in ("data", "val"):
+            assert main(["gen", "--out", str(root / name), "--count", "1", "--classes", "3",
+                         "--size", "32x32"]) == 0
+    save_checkpoint(root / "model.srcp", SegModel(FUZZ_NET), extra={"iteration": "2"})
+    (root / "train.cfg").write_text("\n".join(FUZZ_TRAIN) + "\n")
+    return root
+
+
+def _header_span(raw, suffix):
+    """Bytes of a file's header: FRMT magic, version, rank and extents; the PGM
+    fields and the whitespace after them; the checkpoint magic, length and text."""
+    if suffix == ".frmt":
+        return 12 + 4 * struct.unpack_from("<I", raw, 8)[0]
+    if suffix == ".pgm":
+        return raw.index(b"\n255\n") + 5
+    return 8 + struct.unpack_from("<I", raw, 4)[0]
+
+
+def _shapeless(raw, pos):
+    """Whether byte `pos` of a checkpoint lies on a `SHAPELESS_KEYS` header line."""
+    start = 8
+    for line in raw[8 : _header_span(raw, ".srcp")].split(b"\n"):
+        if start <= pos <= start + len(line):  # the line and its newline
+            return line.split(b"=")[0].decode() in SHAPELESS_KEYS
+        start += len(line) + 1
+    return False
+
+
+def _run_flipped(fuzz_inputs, command, name, pos, new):
+    """Exit code and stderr of `command` with byte `pos` of file `name` set to `new`."""
+    raw = (fuzz_inputs / name).read_bytes()
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        shutil.copytree(fuzz_inputs, root, dirs_exist_ok=True)
+        (root / name).write_bytes(raw[:pos] + bytes([new]) + raw[pos + 1 :])
+        argv = {
+            "eval": ["eval", "--checkpoint", str(root / "model.srcp"),
+                     "--data", str(root / "data")],
+            "infer": ["infer", "--checkpoint", str(root / "model.srcp"),
+                      str(root / "data/images/0000.frmt"), str(root / "mask.pgm")],
+            "train": ["train", "--config", str(root / "train.cfg"),
+                      "--data", str(root / "data"), "--val", str(root / "val")],
+        }[command] + ["--out", str(root / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
+
+
+class TestCorruptHeaders:
+    """A byte flipped in the header of any input file is a format error (exit 3),
+    never a traceback, on every CLI path that reads the file."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(FUZZ_TARGETS), st.data())
+    def test_flipped_header_byte_exits_3(self, fuzz_inputs, target, data):
+        command, name = target
+        raw = (fuzz_inputs / name).read_bytes()
+        suffix = Path(name).suffix
+        pos = data.draw(st.integers(0, _header_span(raw, suffix) - 1), label="byte")
+        new = raw[pos] ^ data.draw(st.integers(1, 255), label="xor mask")
+        if suffix == ".pgm":  # PGM fields may be separated by any whitespace
+            assume(not (bytes([raw[pos]]).isspace() and bytes([new]).isspace()))
+        code, err = _run_flipped(fuzz_inputs, command, name, pos, new)
+        allowed = {0, 3} if suffix == ".srcp" and _shapeless(raw, pos) else {3}
+        assert code in allowed, f"byte {pos} {raw[pos]:#04x} -> {new:#04x}: exit {code}"
+        assert code == 0 or "format error" in err
+
+    # flips the sweep above found, or is unlikely to draw: (command, file,
+    # the bytes around the flip, offset of the flip in them, the new byte)
+    @pytest.mark.parametrize("command, name, around, offset, new", [
+        # rank 3 -> 2051: the extents read from the payload multiply to an
+        # element count too long to print
+        ("infer", "data/images/0000.frmt", b"FRMT\x01\x00\x00\x00\x03\x00", 9, 0x08),
+        # extents 3x32x32 -> 2x32x32: the short read left a 2-channel image
+        # whose rows match the labels, and the backbone rejected it
+        ("eval", "data/images/0000.frmt", b"FRMT\x01\x00\x00\x00\x03\x00\x00\x00\x03", 12, 0x02),
+        # a line break that `str.splitlines` also splits on
+        ("eval", "model.srcp", b"channels=4,4,4,4\n", 16, ord("\r")),
+        ("infer", "model.srcp", b"channels=4,4,4,4\n", 16, 0x1C),
+        # a zero extent, whose conv init divided by zero
+        ("infer", "model.srcp", b"channels=4,4,4,4\n", 9, ord("0")),
+        ("eval", "model.srcp", b"ffn_expansion=1\n", 14, ord("0")),
+    ], ids=["frmt-rank", "frmt-channels", "srcp-carriage-return", "srcp-file-separator", "srcp-zero-channels",
+            "srcp-zero-expansion"])
+    def test_found_flips_exit_3(self, fuzz_inputs, command, name, around, offset, new):
+        raw = (fuzz_inputs / name).read_bytes()
+        code, err = _run_flipped(fuzz_inputs, command, name, raw.index(around) + offset, new)
+        assert code == 3 and "format error" in err

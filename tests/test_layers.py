@@ -13,6 +13,7 @@ from segrefine.layers import (
     Conv2d,
     ConvBnRelu,
     adaptive_avg_pool,
+    band_plan,
     bilinear_upsample,
     resample_matrix,
 )
@@ -165,12 +166,15 @@ class TestStreamedConv:
 
 
 # the oracle row of each Conv2d path, told apart by the function that computes
-# its forward and by whether the forward records a graph
+# its forward, by whether the forward records a graph and by whether it runs a
+# batch norm + ReLU epilogue
 _PATH_ROWS = {
-    ("_winograd_conv", False): "winograd conv",
-    ("_conv_columns", False): "im2col conv",
-    ("_conv_columns", True): "recorded conv gradients",
-    ("_winograd_recorded", True): "recorded winograd conv gradients",
+    ("_winograd_conv", False, False): "winograd conv",
+    ("_winograd_conv", False, True): "winograd conv + bn relu epilogue",
+    ("_conv_columns", False, False): "im2col conv",
+    ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
+    ("_conv_columns", True, False): "recorded conv gradients",
+    ("_winograd_recorded", True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 
@@ -180,21 +184,24 @@ def _spy_conv_paths(monkeypatch):
 
     Spies on `records_graph` and on the functions that compute a forward, and
     counts only their calls made inside `Conv2d.forward`: `_conv_columns`
-    also runs stride-1 input gradients, in the backward.
+    also runs stride-1 input gradients, in the backward. The epilogue a
+    `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside = [], []
     forward = Conv2d.forward
 
-    def spy_forward(self, x):
+    def spy_forward(self, x, *args, **kwargs):
         inside.append([])
         try:
-            return forward(self, x)
+            return forward(self, x, *args, **kwargs)
         finally:
             calls = inside.pop()
             recorded = [value for name, value in calls if name == "records_graph"]
             paths = [name for name, _ in calls if name != "records_graph"]
+            epilogue = kwargs.get("_epilogue", args[0] if args else None)
+            fused = epilogue is not None and epilogue.relu
             one = len(recorded) == len(paths) == 1
-            rows.append(_PATH_ROWS.get((paths[0], recorded[0])) if one else None)
+            rows.append(_PATH_ROWS.get((paths[0], recorded[0], fused)) if one else None)
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -205,7 +212,7 @@ def _spy_conv_paths(monkeypatch):
 
         monkeypatch.setattr(layers, name, wrapper)
 
-    for name in {"records_graph"} | {name for name, _ in _PATH_ROWS}:
+    for name in {"records_graph"} | {name for name, _, _ in _PATH_ROWS}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
     return rows
@@ -305,6 +312,7 @@ class TestWinogradConv:
         if bands == "three-tile-rows":
             budget = _three_tile_rows(in_c, out_c, hw[1], np.dtype(dtype).itemsize)
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
+            monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)
         plans = []
         chunk_shape = layers._chunk_shape
 
@@ -457,7 +465,9 @@ class TestOracleTable:
                   train_mode=False)
         assert None not in trained and None not in paths
         assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients"}
-        assert set(paths) == {"winograd conv", "im2col conv"}
+        # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue
+        assert set(paths) == {"winograd conv + bn relu epilogue", "im2col conv",
+                              "im2col conv + bn relu epilogue"}
         assert set(_PATH_ROWS.values()) == set(ORACLE_ROWS)
 
 
@@ -480,6 +490,7 @@ class TestAdaptiveAvgPool:
         ((6, 1), (4, 1)),
         ((9, 10), (1, 1)),
         ((4, 6), (4, 6)),  # identity
+        ((200, 260), (70, 80)),  # several band blocks per axis
     ], ids=lambda extents: "x".join(map(str, extents)))
     def test_against_brute_force_windows(self, rng, size, out):
         (h, w), (oh, ow) = size, out
@@ -531,6 +542,10 @@ class TestBilinearUpsample:
         ((4, 1), (6, 1)),
         ((1, 5), (1, 2)),
         ((5, 6), (5, 6)),  # identity
+        # several band blocks per axis (see `BANDED_CASES`)
+        ((16, 24), (64, 96)),
+        ((32, 16), (128, 64)),  # 4x up
+        ((300, 250), (130, 110)),  # non-integer down
     ], ids=lambda extents: "x".join(map(str, extents)))
     def test_2x2_to_4x4_closed_form(self, rng, size, out):
         (h, w), (oh, ow) = size, out
@@ -564,6 +579,65 @@ class TestBilinearUpsample:
         assert m is resample_matrix(5, 3, "bilinear", np.dtype(np.float32))
         assert m.dtype == np.float32 and not m.flags.writeable
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_banded_gradient(self, rng):
+        # 40 -> 120 rows is banded in the forward, 100 -> 30 columns in the backward
+        assert len(band_plan(40, 120, "bilinear", np.dtype(np.float64)).blocks) > 1
+        assert len(band_plan(100, 30, "bilinear", np.dtype(np.float64), True).blocks) > 1
+        x = Tensor(rng.standard_normal((1, 2, 40, 100)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((1, 2, 120, 30)))
+        err = finite_difference(lambda: T.tsum(bilinear_upsample(x, 120, 30) * weights), [x],
+                                max_elements=300, rng=np.random.default_rng(1))
+        assert err < TOLERANCE
+
+
+# (in, out, kind) of resampling axes that the closed-form and brute-force
+# tests above run in several band blocks
+BANDED_CASES = [(24, 96, "bilinear"), (32, 128, "bilinear"), (300, 130, "bilinear"),
+                (250, 110, "bilinear"), (200, 70, "pool"), (260, 80, "pool")]
+
+
+class TestBandPlan:
+    """Resampling runs one GEMM per block of output rows, over the input rows it touches."""
+
+    @pytest.mark.parametrize("in_size, out_size, kind", BANDED_CASES,
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("transposed", [False, True], ids=["forward", "backward"])
+    def test_blocks_hold_the_whole_matrix(self, in_size, out_size, kind, transposed):
+        dt = np.dtype(np.float64)
+        m = resample_matrix(in_size, out_size, kind, dt)
+        m = m.T if transposed else m
+        plan = band_plan(in_size, out_size, kind, dt, transposed)
+        assert plan.size == m.shape[0]
+        covered = np.zeros(m.shape[0], int)
+        rebuilt = np.zeros_like(m)
+        for rows, cols, block in plan.blocks:
+            covered[rows] += 1
+            rebuilt[rows, cols] = block
+        assert (covered == 1).all()  # the blocks tile the output rows once
+        np.testing.assert_array_equal(rebuilt, m)  # and hold every nonzero
+        if not transposed:
+            assert len(plan.blocks) > 1
+
+    @pytest.mark.parametrize("in_size, out_size", [
+        (16, 64),  # a train-64 logits upsample
+        (32, 64),  # 8x128x32x32 -> 64x64, where the blocks measured slower
+        (5, 3),
+    ])
+    def test_mostly_dense_matrices_run_one_block(self, in_size, out_size):
+        plan = band_plan(in_size, out_size, "bilinear", np.dtype(np.float32))
+        ((rows, cols, block),) = plan.blocks
+        assert (rows, cols) == (slice(0, out_size), slice(0, in_size))
+        np.testing.assert_array_equal(block, resample_matrix(in_size, out_size, "bilinear",
+                                                             np.dtype(np.float32)))
+
+    def test_plans_are_cached_read_only(self):
+        dt = np.dtype(np.float32)
+        plan = band_plan(24, 96, "bilinear", dt)
+        assert plan is band_plan(24, 96, "bilinear", dt)
+        assert band_plan(24, 96, "bilinear", dt, True) is band_plan(24, 96, "bilinear", dt, True)
+        for _, _, block in plan.blocks:
+            assert block.dtype == np.float32 and not block.flags.writeable
 
 
 class TestBatchNorm:
