@@ -1,6 +1,6 @@
 #!/bin/sh
 # Minimal end-to-end demo: dataset -> training -> evaluation -> inference
-# -> cost comparison -> fast-path oracle. Uses a small model so the whole
+# (and one refused image size) -> cost comparison -> fast-path oracle. Uses a small model so the whole
 # flow finishes in well under a minute. Pass a work directory as $1
 # (default: ./demo-run).
 # Runs from a plain checkout: the package is taken from ../src, as the
@@ -35,6 +35,18 @@ segrefine eval --checkpoint "$WORK/run/checkpoint.srcp" \
 
 segrefine infer --checkpoint "$WORK/run/checkpoint.srcp" \
     --out "$WORK/run" "$WORK/val/images/0000.frmt" "$WORK/run/mask.pgm"
+
+# an image size the model cannot take (ceil(48/4) = 12 stage-1 rows do not
+# halve three times) is refused with exit code 3, not a traceback
+segrefine gen --out "$WORK/small" --count 1 --classes 5 --size 48x48 --seed 2
+code=0
+segrefine infer --checkpoint "$WORK/run/checkpoint.srcp" --out "$WORK/run" \
+    "$WORK/small/images/0000.frmt" "$WORK/run/refused.pgm" 2> "$WORK/refused.err" || code=$?
+if [ "$code" -ne 3 ] || grep -q Traceback "$WORK/refused.err"; then
+    echo "infer of a 48x48 image exited $code, expected 3:" >&2
+    cat "$WORK/refused.err" >&2
+    exit 1
+fi
 
 segrefine bench --config "$WORK/small.cfg" --out "$WORK/run" --size 256x256
 

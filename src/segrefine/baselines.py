@@ -9,41 +9,40 @@ from __future__ import annotations
 
 from . import tensor as T
 from .layers import Conv2d, Module, adaptive_avg_pool, bilinear_upsample
-from .refine import FeaturePyramid, aggregate_stages
+from .refine import ContextHead
 from .tensor import ContractError, Tensor
 
 
-class PpmHead(Module):
+class PpmHead(ContextHead):
     """Per-bin adaptive pooling, 1x1 convs to in/4 channels, upsample,
     concat, fuse."""
 
     def __init__(self, stage_channels, out_channels, bins=(1, 2, 3, 6), rng=None):
         super().__init__()
         in_c = sum(stage_channels)
-        self.in_channels = in_c
-        self.out_channels = out_channels
         self.bins = tuple(bins)
         bc = max(in_c // 4, 1)
         for i in range(len(self.bins)):
             setattr(self, f"branch{i}", Conv2d(in_c, bc, 1, rng=rng))
         self.fuse = Conv2d(in_c + bc * len(self.bins), out_channels, 1, rng=rng)
 
-    def context(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
-        feats = [x]
-        for i, bin_size in enumerate(self.bins):
+    def check_extent(self, h, w):  # adaptive pooling cannot grow a map
+        for bin_size in self.bins:
             if bin_size > h or bin_size > w:
                 raise ContractError(f"ppm bin {bin_size} exceeds input extent {h}x{w}")
+
+    def context(self, x: Tensor) -> Tensor:
+        _, _, h, w = x.shape
+        self.check_extent(h, w)
+        feats = [x]
+        for i, bin_size in enumerate(self.bins):
             conv = getattr(self, f"branch{i}")
             pooled = conv(adaptive_avg_pool(x, bin_size, bin_size))
             feats.append(bilinear_upsample(pooled, h, w))
         return self.fuse(T.concat(feats, axis=1))
 
-    def forward(self, p: FeaturePyramid) -> Tensor:
-        return self.context(aggregate_stages(p))
 
-
-class DappmHead(Module):
+class DappmHead(ContextHead):
     """Hierarchical pyramid pooling: each branch adds the previous branch's
     output to its pooled input before a 3x3 fusion conv; branches (in/4
     channels each) are then concatenated and compressed."""
@@ -51,8 +50,6 @@ class DappmHead(Module):
     def __init__(self, stage_channels, out_channels, scales=(2, 4, 8, 0), rng=None):
         super().__init__()
         in_c = sum(stage_channels)
-        self.in_channels = in_c
-        self.out_channels = out_channels
         self.scales = tuple(scales)  # pooling downsample factors; 0 means global
         bc = max(in_c // 4, 1)
         self.branch0 = Conv2d(in_c, bc, 1, rng=rng)
@@ -75,6 +72,3 @@ class DappmHead(Module):
             fused = getattr(self, f"fuse{i + 1}")(pooled + outputs[-1])
             outputs.append(fused)
         return self.compress(T.concat(outputs, axis=1))
-
-    def forward(self, p: FeaturePyramid) -> Tensor:
-        return self.context(aggregate_stages(p))

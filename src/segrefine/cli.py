@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen, gradcheck, profiler, trainer
 from .config import ConfigError, RunConfig, apply_settings, dump_settings, parse_config_file
-from .model import Backbone, SegModel, load_checkpoint
+from .model import SegModel, load_checkpoint
 from .refine import DisentangledAttention, attention_reference
 from .tensor import ContractError, FormatError, Tensor, load_tensor_file, no_grad
 
@@ -43,8 +43,7 @@ def _build_parser():
 
     ev = common(sub.add_parser("eval", help="evaluate a checkpoint"))
 
-    gc = common(sub.add_parser("gradcheck", help="finite-difference gradient suite"))
-    gc.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
+    common(sub.add_parser("gradcheck", help="finite-difference gradient suite"))
 
     common(sub.add_parser("oracle", help="literal attention oracle comparison"))
     common(sub.add_parser("bench", help="cost comparison of the context heads"))
@@ -77,6 +76,14 @@ def _write_provenance(cfg: RunConfig):
         f.write(dump_settings(cfg))
 
 
+def _check_extents(model, size, error, source):
+    """Raise `error` naming `source` unless `model` can take a `size` (h, w) image."""
+    try:
+        model.check_extents(*size)
+    except ContractError as exc:
+        raise error(f"{source}: {exc}") from exc
+
+
 def cmd_gen(cfg: RunConfig, args):
     h, w = cfg.size
     spec = datagen.SceneSpec(height=h, width=w, num_classes=args.classes, seed=cfg.train.seed)
@@ -104,7 +111,10 @@ def cmd_train(cfg: RunConfig, args):
             ) from exc
     else:
         model = SegModel(cfg.model, rng=np.random.default_rng(cfg.train.seed))
+    _check_extents(model, (cfg.train.crop, cfg.train.crop), ConfigError, "train crop")
     val = datagen.Dataset(args.val) if args.val else None
+    if args.val:
+        _check_extents(model, val.size, FormatError, args.val)
     history = trainer.train(
         model, dataset, cfg.train, cfg.loss,
         out_dir=cfg.out, val_dataset=val, start_iter=start_iter,
@@ -112,9 +122,9 @@ def cmd_train(cfg: RunConfig, args):
     final = history[-1] if history else None
     with open(os.path.join(cfg.out, "summary.txt"), "w", encoding="utf-8") as f:
         if final:
-            f.write(f"final_iteration={final[0]}\nfinal_loss={final[2]}\n")
-            if final[5] != "":
-                f.write(f"final_val_miou={final[5]}\n")
+            f.write(f"final_iteration={final.iteration}\nfinal_loss={final.loss}\n")
+            if final.val_miou != "":
+                f.write(f"final_val_miou={final.val_miou}\n")
     print(f"checkpoint written to {os.path.join(cfg.out, 'checkpoint.srcp')}")
     return 0
 
@@ -126,6 +136,7 @@ def cmd_eval(cfg: RunConfig, args):
         raise ConfigError(
             f"dataset has {dataset.num_classes} classes, model {model.cfg.num_classes}"
         )
+    _check_extents(model, dataset.size, FormatError, cfg.data)
     miou, per_class = trainer.evaluate(model, dataset)
     for c, iou in enumerate(per_class):
         print(f"class {c}: IoU {iou:.4f}")
@@ -138,7 +149,7 @@ def cmd_eval(cfg: RunConfig, args):
 
 
 def cmd_gradcheck(cfg: RunConfig, args):
-    ok = gradcheck.run_suite(seed=cfg.train.seed, fault=args.inject_fault)
+    ok = gradcheck.run_suite(seed=cfg.train.seed)
     return 0 if ok else 1
 
 
@@ -182,11 +193,10 @@ def _report_deviations(label, reference, deviations, bounds):
 
 
 def cmd_bench(cfg: RunConfig, args):
-    try:
-        Backbone.check_extents(*cfg.size)
-    except ContractError as exc:
-        raise ConfigError(f"bench size: {exc}") from exc
-    reports = profiler.bench_heads(cfg.model, cfg.size, seed=cfg.train.seed)
+    models = profiler.head_models(cfg.model, seed=cfg.train.seed)
+    for model in models.values():
+        _check_extents(model, cfg.size, ConfigError, "bench size")
+    reports = {name: profiler.count_costs(model, cfg.size) for name, model in models.items()}
     print(profiler.bench_table(reports, cfg.size))
     for name, report in reports.items():
         print()
@@ -201,10 +211,7 @@ def cmd_infer(cfg: RunConfig, args):
     image = load_tensor_file(args.input)
     if image.ndim != 3 or image.shape[0] != 3:
         raise FormatError(f"{args.input}: expected a 3xHxW image tensor")
-    try:
-        Backbone.check_extents(*image.shape[1:])
-    except ContractError as exc:
-        raise FormatError(f"{args.input}: {exc}") from exc
+    _check_extents(model, image.shape[1:], FormatError, args.input)
     model.eval()
     with no_grad():
         logits = model(Tensor(image[None]), train_mode=False)["logits"]

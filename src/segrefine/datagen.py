@@ -158,6 +158,7 @@ def read_manifest(path):
                 out[key] = value
             out["count"] = int(out["count"])
             out["num_classes"] = int(out["num_classes"])
+            out["size"] = (int(out["height"]), int(out["width"]))
             out["histogram"] = [int(v) for v in out["histogram"].split(",")]
         except KeyError as exc:
             raise FormatError(f"{manifest}: no {exc.args[0]!r} key") from exc
@@ -173,6 +174,7 @@ class Dataset:
         self.path = path
         self.manifest = read_manifest(path)
         self.num_classes = self.manifest["num_classes"]
+        self.size = self.manifest["size"]  # (h, w) that `gen` wrote every sample at
 
     def __len__(self):
         return self.manifest["count"]

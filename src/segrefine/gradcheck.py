@@ -40,12 +40,11 @@ from .tensor import Tensor
 TOLERANCE = 1e-5
 
 
-def finite_difference(f, tensors, step=1e-4, max_elements=None, rng=None, grad_scale=1.0):
+def finite_difference(f, tensors, step=1e-4, max_elements=None, rng=None):
     """Worst relative error of analytic vs central-difference gradients.
 
     f is a deterministic closure returning a scalar Tensor built from
-    `tensors` (float64). `max_elements` subsamples large tensors (seeded);
-    `grad_scale` is a fault-injection hook used by tests and the CLI.
+    `tensors` (float64). `max_elements` subsamples large tensors (seeded).
     """
     for t in tensors:
         t.zero_grad()
@@ -59,7 +58,7 @@ def finite_difference(f, tensors, step=1e-4, max_elements=None, rng=None, grad_s
         if max_elements is not None and n_el > max_elements:
             r = rng if rng is not None else np.random.default_rng(0)
             idx = r.choice(n_el, max_elements, replace=False)
-        aflat = a.reshape(-1) * grad_scale
+        aflat = a.reshape(-1)
         for i in idx:
             orig = flat[i]
             flat[i] = orig + step
@@ -77,15 +76,10 @@ def _rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def _module_check(module, make_input, loss_of, step=1e-4, max_elements=None, rng=None, grad_scale=1.0):
+def _module_check(module, make_input, loss_of):
     module.cast(np.float64)
     x = make_input()
-    tensors = [x] + module.parameters()
-
-    def f():
-        return loss_of(module, x)
-
-    return finite_difference(f, tensors, step=step, max_elements=max_elements, rng=rng, grad_scale=grad_scale)
+    return finite_difference(lambda: loss_of(module, x), [x] + module.parameters())
 
 
 def _weighted_sum(out, rng):
@@ -94,23 +88,17 @@ def _weighted_sum(out, rng):
     return T.tsum(out * w)
 
 
-def component_checks(seed=0, fault=None):
-    """Run the finite-difference suite; yields (component, worst error).
-
-    `fault` names a component whose analytic gradient is deliberately
-    scaled, to prove the checker catches broken backward rules.
-    """
+def component_checks(seed=0):
+    """Run the finite-difference suite; returns [(component, worst error)]."""
     results = []
 
     def run(name, fn):
-        rng = np.random.default_rng(seed + len(results))
-        scale = 1.01 if fault == name else 1.0
-        results.append((name, fn(rng, scale)))
+        results.append((name, fn(np.random.default_rng(seed + len(results)))))
 
     def simple(build):
-        def fn(rng, scale):
+        def fn(rng):
             tensors, f = build(rng)
-            return finite_difference(f, tensors, grad_scale=scale)
+            return finite_difference(f, tensors)
 
         return fn
 
@@ -140,26 +128,24 @@ def component_checks(seed=0, fault=None):
         ),
     )))
 
-    def conv_check(rng, scale, **kwargs):
+    def conv_check(rng, **kwargs):
         conv = Conv2d(rng=rng, **kwargs)
         return _module_check(
             conv,
             lambda: _rand(rng, 2, kwargs["in_c"], 6, 6),
             lambda m, x: _weighted_sum(m(x), np.random.default_rng(5)),
-            grad_scale=scale,
         )
 
-    run("conv1x1", lambda rng, s: conv_check(rng, s, in_c=3, out_c=5, kernel=1))
-    run("conv3x3", lambda rng, s: conv_check(rng, s, in_c=3, out_c=4, kernel=3, stride=2, pad=1))
-    run("depthwise", lambda rng, s: conv_check(rng, s, in_c=4, out_c=4, kernel=3, pad=1, groups=4))
+    run("conv1x1", lambda rng: conv_check(rng, in_c=3, out_c=5, kernel=1))
+    run("conv3x3", lambda rng: conv_check(rng, in_c=3, out_c=4, kernel=3, stride=2, pad=1))
+    run("depthwise", lambda rng: conv_check(rng, in_c=4, out_c=4, kernel=3, pad=1, groups=4))
 
-    def bn_check(rng, scale):
+    def bn_check(rng):
         bn = BatchNorm2d(4)
         return _module_check(
             bn,
             lambda: _rand(rng, 3, 4, 5, 5),
             lambda m, x: _weighted_sum(m(x), np.random.default_rng(6)),
-            grad_scale=scale,
         )
 
     run("batchnorm", bn_check)
@@ -177,18 +163,17 @@ def component_checks(seed=0, fault=None):
         lambda: _weighted_sum(T.relu(x), np.random.default_rng(9)),
     )))
 
-    def attention_check(rng, scale):
+    def attention_check(rng):
         block = DisentangledAttention(8, rng=rng)
         return _module_check(
             block,
             lambda: _rand(rng, 1, 8, 3, 3),
             lambda m, x: _weighted_sum(m(x), np.random.default_rng(10)),
-            grad_scale=scale,
         )
 
     run("attention", attention_check)
 
-    def refine_check(rng, scale):
+    def refine_check(rng):
         head = FeatureRefineHead((2, 2, 2, 2), 4, ffn_expansion=2, rng=rng)
         head.cast(np.float64)
         pyr = FeaturePyramid(
@@ -197,23 +182,19 @@ def component_checks(seed=0, fault=None):
         )
         tensors = pyr.stages() + head.parameters()
         return finite_difference(
-            lambda: _weighted_sum(head(pyr), np.random.default_rng(11)),
-            tensors, grad_scale=scale,
-        )
+            lambda: _weighted_sum(head(pyr), np.random.default_rng(11)), tensors)
 
     run("refine_head", refine_check)
 
-    def ce_check(rng, scale):
+    def ce_check(rng):
         logits = _rand(rng, 1, 4, 3, 3)
         labels = rng.integers(0, 4, size=(1, 3, 3))
         labels[0, 0, 0] = IGNORE_INDEX
-        return finite_difference(
-            lambda: cross_entropy(logits, labels)[0], [logits], grad_scale=scale
-        )
+        return finite_difference(lambda: cross_entropy(logits, labels)[0], [logits])
 
     run("cross_entropy", ce_check)
 
-    def hybrid_check(rng, scale):
+    def hybrid_check(rng):
         logits = _rand(rng, 1, 3, 8, 8)
         emb = _rand(rng, 1, 4, 4, 4)
         labels = rng.integers(0, 3, size=(1, 8, 8))
@@ -222,11 +203,11 @@ def component_checks(seed=0, fault=None):
         def f():
             return hybrid_loss(logits, emb, labels, cfg, np.random.default_rng(12))[0]
 
-        return finite_difference(f, [logits, emb], grad_scale=scale)
+        return finite_difference(f, [logits, emb])
 
     run("hybrid_loss", hybrid_check)
 
-    def model_check(rng, scale):
+    def model_check(rng):
         cfg = ModelConfig(channels=(4, 4, 4, 4), decoder_channels=8, num_classes=3,
                           ffn_expansion=2, embed_dim=4)
         model = SegModel(cfg, rng=rng).cast(np.float64)
@@ -246,7 +227,7 @@ def component_checks(seed=0, fault=None):
         # sampled embedding's norm is small; 1e-4 is not in its linear regime
         return finite_difference(
             f, [image] + model.parameters(), step=1e-6,
-            max_elements=6, rng=np.random.default_rng(14), grad_scale=scale,
+            max_elements=6, rng=np.random.default_rng(14),
         )
 
     run("full_model", model_check)
@@ -430,9 +411,9 @@ def resample_deviation(dtype, rng):
     return worst
 
 
-def run_suite(seed=0, fault=None, log=print):
+def run_suite(seed=0, log=print):
     """Print one line per component; returns True iff all pass TOLERANCE."""
-    results = component_checks(seed=seed, fault=fault)
+    results = component_checks(seed=seed)
     ok = True
     for name, err in results:
         status = "ok" if err < TOLERANCE else "FAIL"

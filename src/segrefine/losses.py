@@ -77,21 +77,16 @@ def sample_anchors(labels, cfg: LossConfig, rng):
     Returns (batch_idx, row_idx, col_idx, class_ids) for the sampled pixels.
     """
     labels = np.asarray(labels)
-    bi, ri, ci, cls = [], [], [], []
     classes = np.unique(labels)
+    classes = classes[classes != IGNORE_INDEX]
+    picked = [np.empty((0, labels.ndim), np.intp)]
     for c in classes:
-        if c == IGNORE_INDEX:
-            continue
         locs = np.argwhere(labels == c)
         if len(locs) > cfg.anchors_per_class:
             locs = locs[rng.choice(len(locs), cfg.anchors_per_class, replace=False)]
-        for b, r, col in locs:
-            bi.append(b)
-            ri.append(r)
-            ci.append(col)
-            cls.append(c)
-    return (np.array(bi, dtype=np.intp), np.array(ri, dtype=np.intp),
-            np.array(ci, dtype=np.intp), np.array(cls))
+        picked.append(locs)
+    bi, ri, ci = np.ascontiguousarray(np.concatenate(picked).T)
+    return bi, ri, ci, np.repeat(classes, [len(locs) for locs in picked[1:]])
 
 
 def _cap_rows(mask, order, cap):

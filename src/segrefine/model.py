@@ -68,7 +68,6 @@ class FpnDecoder(Module):
     def __init__(self, channels, width, num_classes, rng=None):
         super().__init__()
         c1, c2, c3, _ = channels
-        self.width = width
         self.lateral3 = Conv2d(c3, width, 1, rng=rng)
         self.lateral2 = Conv2d(c2, width, 1, rng=rng)
         self.lateral1 = Conv2d(c1, width, 1, rng=rng)
@@ -109,6 +108,13 @@ class SegModel(Module):
         self.decoder = FpnDecoder(cfg.channels, cfg.decoder_channels, cfg.num_classes, rng=rng)
         self.embedding_head = Conv2d(cfg.decoder_channels, cfg.embed_dim, 1, rng=rng)
 
+    def check_extents(self, h, w):
+        """Raise ContractError unless the model can take an H x W image: the
+        backbone's rule, then the context head's at the deepest stage extent,
+        ceil(H / 4) / 8 x ceil(W / 4) / 8."""
+        self.backbone.check_extents(h, w)
+        self.context_head.check_extent(-(-h // 4) // 8, -(-w // 4) // 8)
+
     def forward(self, image: Tensor, train_mode=None):
         """Returns {"logits": ...} and, in training mode, {"embeddings": ...}.
 
@@ -116,6 +122,7 @@ class SegModel(Module):
         """
         if train_mode is None:
             train_mode = self.training
+        self.check_extents(*image.shape[2:])
         pyramid = self.backbone(image)
         context = self.context_head(pyramid)
         logits, feats = self.decoder(pyramid, context, image.shape[2], image.shape[3])

@@ -17,7 +17,7 @@ are charged at the conv's recorded output shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,17 +147,17 @@ def count_costs(model: SegModel, input_size, mode="inference"):
     return CostReport(rows=rows, input_size=(h, w), mode=mode)
 
 
-def bench_heads(base_cfg, input_size, seed=0):
-    """Inference CostReport per context head (frm, ppm, dappm); identical
-    backbone/decoder across heads."""
-    from dataclasses import replace
+def head_models(base_cfg, seed=0):
+    """One model per context head (frm, ppm, dappm), each seeded alike, so the
+    backbone and decoder are identical across heads."""
+    return {head: SegModel(replace(base_cfg, context_head=head), rng=np.random.default_rng(seed))
+            for head in ("frm", "ppm", "dappm")}
 
-    reports = {}
-    for head in ("frm", "ppm", "dappm"):
-        cfg = replace(base_cfg, context_head=head)
-        model = SegModel(cfg, rng=np.random.default_rng(seed))
-        reports[head] = count_costs(model, input_size)
-    return reports
+
+def bench_heads(base_cfg, input_size, seed=0):
+    """Inference CostReport per context head, over the models of `head_models`."""
+    return {head: count_costs(model, input_size)
+            for head, model in head_models(base_cfg, seed).items()}
 
 
 def bench_table(reports, input_size):

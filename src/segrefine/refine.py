@@ -51,6 +51,16 @@ def aggregate_stages(p: FeaturePyramid) -> Tensor:
     return T.concat(pooled + [p.f4], axis=1)
 
 
+class ContextHead(Module):
+    """`context` maps the aggregated stages, at the deepest stage's extent, to decoder width."""
+
+    def check_extent(self, h, w):
+        """Raise ContractError unless `context` can take an h x w deepest stage."""
+
+    def forward(self, p: FeaturePyramid) -> Tensor:
+        return self.context(aggregate_stages(p))
+
+
 class DisentangledAttention(Module):
     """Non-local block with whitened pairwise and unary softmax terms.
 
@@ -117,7 +127,6 @@ class FeedForwardBlock(Module):
     def __init__(self, channels, expansion=4, rng=None):
         super().__init__()
         hidden = channels * expansion
-        self.expansion = expansion
         self.expand = Conv2d(channels, hidden, 1, rng=rng)
         self.depthwise = Conv2d(hidden, hidden, 3, pad=1, groups=hidden, rng=rng)
         self.act = ReLU()
@@ -128,22 +137,18 @@ class FeedForwardBlock(Module):
         return x + y
 
 
-class FeatureRefineHead(Module):
+class FeatureRefineHead(ContextHead):
     """Aggregate the pyramid, attend, run the FFN, and cut channels."""
 
     def __init__(self, stage_channels, out_channels, ffn_expansion=4, rng=None):
         super().__init__()
-        self.in_channels = sum(stage_channels)
-        self.out_channels = out_channels
-        self.attention = DisentangledAttention(self.in_channels, rng=rng)
-        self.ffn = FeedForwardBlock(self.in_channels, expansion=ffn_expansion, rng=rng)
-        self.cut = Conv2d(self.in_channels, out_channels, 1, rng=rng)
+        in_c = sum(stage_channels)
+        self.attention = DisentangledAttention(in_c, rng=rng)
+        self.ffn = FeedForwardBlock(in_c, expansion=ffn_expansion, rng=rng)
+        self.cut = Conv2d(in_c, out_channels, 1, rng=rng)
 
     def context(self, x: Tensor) -> Tensor:
         return self.cut(self.ffn(self.attention(x)))
-
-    def forward(self, p: FeaturePyramid) -> Tensor:
-        return self.context(aggregate_stages(p))
 
 
 def attention_reference(x, block: DisentangledAttention):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ from .tensor import ContractError, FormatError, Tensor, no_grad
 
 class NonFiniteLoss(RuntimeError):
     """A training step's loss was NaN or infinite."""
+
+
+# one `metrics.csv` row, the means over an interval, whose fields are the file's
+# header; `val_miou` is "" when no held-out set was evaluated
+IntervalRow = namedtuple("IntervalRow", "iteration lr loss ce cl val_miou")
 
 
 class SGD:
@@ -164,7 +170,7 @@ def evaluate(model: SegModel, dataset, indices=None, batch=8):
 
 def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig,
           out_dir=None, val_dataset=None, start_iter=0, log=print):
-    """Run the optimization loop; returns the per-interval history rows."""
+    """Run the optimization loop; returns the `IntervalRow`s it wrote to `metrics.csv`."""
     rng = np.random.default_rng(train_cfg.seed)
     opt = SGD(model.parameters(), train_cfg.momentum, train_cfg.weight_decay)
     sched = TrainSchedule(train_cfg.lr0, train_cfg.iters, train_cfg.poly_power, start_iter)
@@ -177,7 +183,7 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
         os.makedirs(out_dir, exist_ok=True)
         csv_file = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
         writer = csv.writer(csv_file)
-        writer.writerow(["iteration", "lr", "loss", "ce", "cl", "val_miou"])
+        writer.writerow(IntervalRow._fields)
     try:
         for it in range(start_iter, train_cfg.iters):
             sched.iteration = it
@@ -215,7 +221,7 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
                 if finite and val_dataset is not None:
                     n_val = min(train_cfg.eval_count, len(val_dataset))
                     val_miou, _ = evaluate(model, val_dataset, range(n_val))
-                row = [it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou]
+                row = IntervalRow(it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou)
                 history.append(row)
                 if writer:
                     writer.writerow(row)

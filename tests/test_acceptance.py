@@ -191,7 +191,7 @@ class TestDeterminismCriterion:
                 model, Dataset(tmp_path / "data"), train_cfg, LossConfig(),
                 out_dir=tmp_path / f"run{run}", log=lambda *_: None,
             )
-            final_loss = history[-1][2]
+            final_loss = history[-1].loss
             state = b"".join(p.data.tobytes() for p in model.parameters())
             outcomes.append((final_loss, state))
         identical = outcomes[0] == outcomes[1]

@@ -239,10 +239,12 @@ class TestChecksAndBench:
         text = capsys.readouterr().out
         assert "matmul" in text and "full_model" in text
 
-    def test_gradcheck_detects_injected_fault(self, capsys, tmp_path):
-        assert main(["gradcheck", "--seed", "0", "--out", str(tmp_path / "gc"),
-                     "--inject-fault", "conv3x3"]) == 1
-        assert "conv3x3" in capsys.readouterr().out
+    def test_gradcheck_detects_injected_fault(self, capsys, tmp_path, monkeypatch):
+        # the strided conv3x3 component takes its input gradient through _col2im
+        monkeypatch.setattr(layers, "_col2im", _scaled_output(layers._col2im))
+        assert main(["gradcheck", "--seed", "0", "--out", str(tmp_path / "gc")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("conv3x3 ") and line.endswith("FAIL") for line in lines)
 
     def test_oracle_agrees(self, capsys, tmp_path):
         assert main(["oracle", "--out", str(tmp_path / "o")]) == 0
@@ -452,6 +454,43 @@ class TestProvenanceAndErrors:
                      str(image), str(tmp_path / "m.pgm")])
         assert code == 3
         assert f"{extents[0]}x{extents[1]}" in capsys.readouterr().err
+
+    # (command, its exit code, what the message names): each asks for an image
+    # size the model cannot take, and is refused before any model work
+    @pytest.mark.parametrize("command, code, rule", [
+        ("bench", 2, "ppm bin 3 exceeds input extent 2x2"),
+        ("train", 2, "ppm bin 3 exceeds input extent 2x2"),
+        ("train --val", 3, "backbone stage extents of a 48x48 image"),
+        ("eval", 3, "backbone stage extents of a 48x48 image"),
+        ("infer", 3, "ppm bin 2 exceeds input extent 1x1"),
+    ])
+    def test_size_the_model_cannot_take_is_refused(self, tmp_path, capsys, command, code, rule):
+        out = tmp_path / "o"
+        ckpt = tmp_path / "model.srcp"
+        small = tmp_path / "d48"
+        if command in ("train --val", "eval"):
+            assert main(["gen", "--out", str(small), "--count", "1", "--classes", "2",
+                         "--size", "48x48"]) == 0
+        if command == "bench":
+            argv = ["--size", "64x64"]  # default ppm bins, whose 3 and 6 exceed the 2x2 stage
+        elif command == "train":  # default bins at the default 64-pixel crop
+            argv = ["--context-head", "ppm", "--data", make_dataset(tmp_path)]
+        elif command == "train --val":
+            argv = ["--config", write_config(tmp_path, TINY_NET), "--val", str(small),
+                    "--data", make_dataset(tmp_path)]
+        elif command == "eval":
+            save_checkpoint(ckpt, SegModel(MINI_NET))
+            argv = ["--checkpoint", str(ckpt), "--data", str(small)]
+        else:
+            save_checkpoint(ckpt, SegModel(replace(MINI_NET, ppm_bins=(1, 2))))
+            image = tmp_path / "image.frmt"
+            save_tensor_file(image, np.zeros((3, 32, 32), dtype=np.float32))
+            argv = ["--checkpoint", str(ckpt), str(image), str(tmp_path / "m.pgm")]
+        capsys.readouterr()
+        assert main([command.split()[0], *argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert rule in err and "Traceback" not in err
+        assert not (out / "metrics.csv").exists() and not (tmp_path / "m.pgm").exists()
 
     def test_infer_rejects_non_image_tensor(self, tmp_path):
         data = make_dataset(tmp_path)

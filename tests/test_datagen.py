@@ -194,6 +194,10 @@ class TestGenerate:
         with pytest.raises(FormatError, match=r"0001\.pgm: label 3 "):
             Dataset(tmp_path)[1]
 
+    def test_manifest_records_the_sample_size(self, tmp_path):
+        generate(SceneSpec(height=8, width=16, num_classes=3, seed=1), 1, tmp_path)
+        assert Dataset(tmp_path).size == (8, 16) == Dataset(tmp_path)[0][1].shape
+
     def test_batch_assembly_preserves_index_order(self, tmp_path):
         generate(SceneSpec(seed=4), 4, tmp_path)
         ds = Dataset(tmp_path)

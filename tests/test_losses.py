@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from segrefine.config import ConfigError, LossConfig
 from segrefine import losses
+from segrefine.datagen import IGNORE_INDEX
 from segrefine.losses import (
     contrastive_from_embeddings,
     contrastive_loss,
@@ -86,7 +87,40 @@ def _cap_loop(mask, order, cap):
             mask[a, j] = False
 
 
+def _anchors_loop(labels, cap, rng):
+    """sample_anchors' reference: one append per sampled pixel, class by class."""
+    bi, ri, ci, cls = [], [], [], []
+    for c in np.unique(labels):
+        if c == IGNORE_INDEX:
+            continue
+        locs = np.argwhere(labels == c)
+        if len(locs) > cap:
+            locs = locs[rng.choice(len(locs), cap, replace=False)]
+        for b, r, col in locs:
+            bi.append(b)
+            ri.append(r)
+            ci.append(col)
+            cls.append(c)
+    return bi, ri, ci, cls
+
+
 class TestContrastive:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_anchors_match_the_per_pixel_loop(self, dtype):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            shape = tuple(int(e) for e in rng.integers(1, 12, 3))
+            labels = rng.integers(0, int(rng.integers(1, 8)), shape)
+            labels[rng.random(shape) < rng.random()] = IGNORE_INDEX
+            labels = labels.astype(dtype)
+            cap, seed = int(rng.integers(0, 20)), int(rng.integers(2**31))
+            got = losses.sample_anchors(labels, LossConfig(anchors_per_class=cap),
+                                        np.random.default_rng(seed))
+            want = _anchors_loop(labels, cap, np.random.default_rng(seed))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            assert [g.dtype for g in got] == [np.intp] * 3 + [dtype]
+
     @pytest.mark.parametrize("cap", [0, 1, 3, 40], ids=["zero", "one", "below", "above"])
     def test_caps_match_the_per_anchor_loop(self, cap):
         rng = np.random.default_rng(cap)

@@ -15,8 +15,9 @@ from segrefine.model import (
     read_checkpoint_header,
     save_checkpoint,
 )
-from segrefine.refine import FeaturePyramid
-from segrefine.tensor import ContractError, FormatError, ShapeError, Tensor, save_array
+from segrefine.baselines import PpmHead
+from segrefine.refine import ContextHead, FeaturePyramid
+from segrefine.tensor import ContractError, FormatError, ShapeError, Tensor, no_grad, save_array
 
 TOY = ModelConfig(channels=(8, 16, 32, 64), decoder_channels=32, num_classes=19, embed_dim=16)
 
@@ -87,6 +88,32 @@ class TestBackbone:
             except ContractError:
                 accepted = False
             assert accepted == halves, f"H={h}"
+
+    @pytest.mark.parametrize("bins", [(1,), (2,), (1, 2, 3, 6), (4, 5)])
+    def test_model_check_refuses_exactly_the_failing_forwards(self, rng, monkeypatch, bins):
+        model = SegModel(ModelConfig(channels=(1, 1, 1, 1), decoder_channels=1, num_classes=2,
+                                     context_head="ppm", ffn_expansion=1, ppm_bins=bins,
+                                     embed_dim=1), rng=rng).eval()
+        heights = range(32, 200)  # deepest stage extents 1 to 6; width 192 gives 6
+        accepted = {}
+        for h in heights:
+            try:
+                model.check_extents(h, 192)
+                accepted[h] = True
+            except ContractError:
+                accepted[h] = False
+        # the same forwards with both checks switched off fail in the layers instead
+        monkeypatch.setattr(Backbone, "check_extents", staticmethod(lambda h, w: None))
+        monkeypatch.setattr(PpmHead, "check_extent", ContextHead.check_extent)
+        for h in heights:
+            try:
+                with no_grad():
+                    model(Tensor(np.zeros((1, 3, h, 192), dtype=np.float32)))
+                ran = True
+            except (ContractError, ShapeError):
+                ran = False
+            assert accepted[h] == ran, f"H={h}, bins {bins}"
+        assert any(accepted.values()) and not all(accepted.values())
 
 class TestModelForward:
     def test_inference_mode_has_no_embeddings(self, rng):
