@@ -193,10 +193,10 @@ def _report_deviations(label, reference, deviations, bounds):
 
 
 def cmd_bench(cfg: RunConfig, args):
-    models = profiler.head_models(cfg.model, seed=cfg.train.seed)
-    for model in models.values():
-        _check_extents(model, cfg.size, ConfigError, "bench size")
-    reports = {name: profiler.count_costs(model, cfg.size) for name, model in models.items()}
+    try:
+        reports = profiler.bench_heads(cfg.model, cfg.size, seed=cfg.train.seed)
+    except ContractError as exc:
+        raise ConfigError(f"bench size: {exc}") from exc
     print(profiler.bench_table(reports, cfg.size))
     for name, report in reports.items():
         print()

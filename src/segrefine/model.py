@@ -122,7 +122,6 @@ class SegModel(Module):
         """
         if train_mode is None:
             train_mode = self.training
-        self.check_extents(*image.shape[2:])
         pyramid = self.backbone(image)
         context = self.context_head(pyramid)
         logits, feats = self.decoder(pyramid, context, image.shape[2], image.shape[3])

@@ -147,17 +147,16 @@ def count_costs(model: SegModel, input_size, mode="inference"):
     return CostReport(rows=rows, input_size=(h, w), mode=mode)
 
 
-def head_models(base_cfg, seed=0):
-    """One model per context head (frm, ppm, dappm), each seeded alike, so the
-    backbone and decoder are identical across heads."""
-    return {head: SegModel(replace(base_cfg, context_head=head), rng=np.random.default_rng(seed))
-            for head in ("frm", "ppm", "dappm")}
-
-
 def bench_heads(base_cfg, input_size, seed=0):
-    """Inference CostReport per context head, over the models of `head_models`."""
-    return {head: count_costs(model, input_size)
-            for head, model in head_models(base_cfg, seed).items()}
+    """Inference CostReport per context head (frm, ppm, dappm), each model
+    seeded alike so the backbone and decoder are identical across heads.
+    Raises ContractError before counting any costs unless every head's model
+    can take `input_size`."""
+    models = {head: SegModel(replace(base_cfg, context_head=head), rng=np.random.default_rng(seed))
+              for head in ("frm", "ppm", "dappm")}
+    for model in models.values():
+        model.check_extents(*input_size)
+    return {head: count_costs(model, input_size) for head, model in models.items()}
 
 
 def bench_table(reports, input_size):
