@@ -185,6 +185,9 @@ class Dataset:
         labels = load_pgm(label_path)
         if image.shape[1:] != labels.shape:
             raise FormatError(f"sample {i}: image/label size mismatch")
+        if labels.shape != self.size:
+            raise FormatError(f"sample {i}: size {labels.shape[0]}x{labels.shape[1]} is not the "
+                              f"dataset's {self.size[0]}x{self.size[1]}")
         if labels.size and labels.max() >= self.num_classes:
             bad = labels[(labels >= self.num_classes) & (labels != IGNORE_INDEX)]
             if bad.size:

@@ -1,9 +1,11 @@
 """Central finite-difference verification of every backward rule, and the
 oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
 path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
-plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue, recorded im2col,
+plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
+the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), each checked against the direct float64
-`conv_reference`, and `segrefine oracle` prints one line per row.
+`conv_reference` on NCHW-contiguous and on channels-last inputs, and
+`segrefine oracle` prints one line per row.
 `resample_deviation` checks banded resampling against the dense float64
 product in the same way.
 
@@ -285,23 +287,28 @@ class OracleRow(NamedTuple):
     epilogue: bool = False
 
     def cases(self):
-        """(conv, batch, h, w) for every case of the sweep."""
-        return [(conv, n, h, w)
-                for conv, n, (h, w) in itertools.product(self.convs, self.batches, self.extents)
+        """(conv, batch, h, w, channels_last) for every case of the sweep: each
+        input is drawn NCHW-contiguous and, again, laid out channels-last."""
+        return [(conv, n, h, w, last) for conv, n, (h, w), last
+                in itertools.product(self.convs, self.batches, self.extents, (False, True))
                 if min(h, w) + 2 * conv[4] >= conv[2]]
 
 
-# the no-grad im2col row, whose sweep the recorded one shares: 4 input
-# channels, so groups 4 is depthwise, and too few for Winograd, so the 3x3
-# stride-1 pad-1 convs take im2col too
-_IM2COL = OracleRow(
-    "im2col conv",
-    tuple((4, 4 if g == 4 else 6, k, s, p, g)
-          for k in (1, 3) for s in (1, 2) for p in (0, 1) for g in (1, 2, 4)),
-    ((1, 1), (2, 33), (5, 7)), (1, 3), False, {np.float32: 1e-5, np.float64: 1e-12})
+# the sweep of the no-grad and recorded rows of the 1x1, depthwise and im2col
+# paths: 4 input channels, so groups 4 is depthwise, and too few for Winograd,
+# so the 3x3 stride-1 pad-1 convs take im2col too
+_SWEEP = tuple((4, 4 if g == 4 else 6, k, s, p, g)
+               for k in (1, 3) for s in (1, 2) for p in (0, 1) for g in (1, 2, 4))
+_POINTWISE = OracleRow("1x1 conv", tuple(c for c in _SWEEP if c[2:] == (1, 1, 0, 1)),
+                       ((1, 1), (2, 33), (5, 7)), (1, 3), False,
+                       {np.float32: 1e-5, np.float64: 1e-12})
+_DEPTHWISE = _POINTWISE._replace(label="depthwise conv",
+                                 convs=tuple(c for c in _SWEEP if c[5] == 4))
+_IM2COL = _POINTWISE._replace(label="im2col conv", convs=tuple(
+    c for c in _SWEEP if c not in _POINTWISE.convs + _DEPTHWISE.convs))
 # the Winograd rows: 3x3 stride-1 pad-1 convs wide enough for Winograd, on
 # whole tiles and ragged ones; the no-grad row leaves out the widest output,
-# the recorded row the maps below 4x4, which take im2col there
+# the recorded row the maps below 4x4 and of one tile, which take im2col there
 _WINOGRAD_CONVS = tuple((i, o, 3, 1, 1, 1) for i, o in (
     (_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS), (_WINOGRAD_MIN_CHANNELS + 8, 16),
     (_WINOGRAD_MIN_CHANNELS, 48)))
@@ -313,13 +320,17 @@ _WINOGRAD = OracleRow("winograd conv", _WINOGRAD_CONVS[:2],
 ORACLE_ROWS = (
     _WINOGRAD,
     _WINOGRAD._replace(label="winograd conv + bn relu epilogue", epilogue=True),
+    _POINTWISE,
+    _POINTWISE._replace(label="recorded 1x1 conv gradients", recorded=True),
+    _DEPTHWISE,
+    _DEPTHWISE._replace(label="recorded depthwise conv gradients", recorded=True),
     _IM2COL,
     # the ConvBnRelu convs narrow enough for im2col: stride 1 and stride 2
     _IM2COL._replace(label="im2col conv + bn relu epilogue",
                      convs=tuple((4, 6, 3, s, 1, 1) for s in (1, 2)), epilogue=True),
     _IM2COL._replace(label="recorded conv gradients", recorded=True),
     OracleRow("recorded winograd conv gradients", _WINOGRAD_CONVS,
-              ((4, 4), (5, 7), (13, 17), (16, 16)), (1, 3), True, _WINOGRAD_BOUNDS),
+              ((4, 8), (5, 7), (13, 17), (16, 16)), (1, 3), True, _WINOGRAD_BOUNDS),
 )
 
 
@@ -343,14 +354,14 @@ def bn_relu_reference(out, bn):
 def oracle_deviation(row, dtype, rng):
     """Worst deviation of `row`'s cases in `dtype` from `conv_reference`.
 
-    Each case draws its conv, a bias, an input and, for a recorded row, an
-    output gradient; an epilogue row draws batch norm parameters and running
-    statistics instead of a bias, and its reference is `conv_reference`
-    followed by `bn_relu_reference`. Each array judged is relative to its max
-    |reference|.
+    Each case draws its conv, a bias, an input (NCHW-contiguous, or
+    channels-last) and, for a recorded row, an output gradient; an epilogue
+    row draws batch norm parameters and running statistics instead of a bias,
+    and its reference is `conv_reference` followed by `bn_relu_reference`.
+    Each array judged is relative to its max |reference|.
     """
     worst = 0.0
-    for (in_c, out_c, k, s, p, g), n, h, w in row.cases():
+    for (in_c, out_c, k, s, p, g), n, h, w, last in row.cases():
         if row.epilogue:
             block = ConvBnRelu(in_c, out_c, stride=s, rng=rng).cast(dtype).eval()
             conv, bn = block.conv, block.bn
@@ -361,7 +372,8 @@ def oracle_deviation(row, dtype, rng):
         else:
             block = conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, rng=rng).cast(dtype)
             conv.bias.data = bias = rng.standard_normal(out_c).astype(dtype)
-        x = Tensor(rng.standard_normal((n, in_c, h, w)).astype(dtype), requires_grad=row.recorded)
+        x = rng.standard_normal((n, h, w, in_c) if last else (n, in_c, h, w)).astype(dtype)
+        x = Tensor(x.transpose(0, 3, 1, 2) if last else x, requires_grad=row.recorded)
         if row.recorded:
             out = conv(x)
             grad = rng.standard_normal(out.shape).astype(dtype)

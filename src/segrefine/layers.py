@@ -1,50 +1,25 @@
 """Neural building blocks: convolutions, batch norm, pooling, upsampling.
 
-Convolutions run as im2col + matmul. When a convolution records no graph
-(under `no_grad`, or with no parent that needs a gradient) and its columns
-would be a copy (kernel or stride above 1), the columns stream through one
-reused buffer of about `_COL_BUDGET` bytes, whole images or bands of output
-rows at a time, and each chunk's product lands in its slice of the output.
-A no-grad 3x3 stride-1 pad-1 convolution with at least
-`_WINOGRAD_MIN_CHANNELS` input channels runs Winograd F(4x4, 3x3) instead:
-per image and per band of 4-row tile rows, three GEMMs transform the 6x6
-input tiles, multiply the channels and transform back, with 4x fewer
-multiplies in the channel products than im2col. A conv's bias is an
-`_Epilogue` applied to each chunk or band of output while it is in cache; an
-eval `ConvBnRelu` that records no graph passes its batch norm (scale folded
-into the weights, shift) and ReLU as its conv's epilogue instead, so neither
-runs a pass of its own.
-A recorded 3x3 stride-1 pad-1 convolution with that many input channels and
-a map of at least 4x4 runs Winograd F(4x4, 3x3) on the whole batch at once
-(`_winograd_recorded`): it keeps the transformed input tiles, a quarter of the
-im2col columns, and takes both gradients in the Winograd domain from one
-transform of the output gradient, so the forward and both gradients each do
-4x fewer channel multiplies than im2col. Its tiles keep their channels last,
-so the gathers and the overlap-add copy runs of channels.
-Any other recorded convolution builds its columns once and keeps them, since
-the weight gradient needs all of them; 1x1 stride-1 columns are a view of the
-input, so those convolutions never copy and run one GEMM per image (their
-weight gradient folds copies of both operands only on maps so small that the
-per-image products would be larger). Other recorded columns are a copy
-anyway, so they are built with the batch folded in, (groups, k_g, n*oh*ow):
-the forward, the weight gradient and the column gradient are each one GEMM
-per group. A stride-1 input gradient is itself a stride-1 convolution, of the
-output gradient padded by k - 1 - pad with the flipped kernel whose in/out
-channels swap, so it streams through the same buffered im2col (unbuffered
-for 1x1, whose columns are a view); only strided convolutions scatter their
-column gradient back with `_col2im`. Adaptive pooling and bilinear resizing
-are linear and separable, so both are Rh @ x @ Rw.T with cached per-axis
-matrices, and the backward pass is the same product with the matrices
-transposed. Each matrix (and its transpose) has a cached `band_plan`: blocks
-of `_BAND_ROWS` output rows, each multiplying only the input rows its
-nonzeros touch, so each axis is one GEMM per block into a preallocated
-result. A matrix whose blocks would skip less than half of the dense
-multiplies is one block, the dense product. Every layer registers its
-parameters on a light Module tree, and a layer with state besides its
-parameters (batch norm's running statistics) lists it in `_buffers`.
-`Module.named_state` names both, so checkpoints and `cast` walk one map of
-named arrays, and the cost profiler's parameter counts are sums over
-`Module.parameters`.
+Memory format: every activation is stored channels-last, (n, h, w, c), behind
+its logical (n, c, h, w) shape. Each kernel reads `_nhwc(x)`, free for a
+channels-last array and one copy for an NCHW one (im2col reads an NCHW image
+as it is), and returns the (n, c, h, w) view of an (n, h, w, c) array, so
+numpy's elementwise ops, `concat` along channels and the attention's
+(n, c, h*w) reshape keep the layout. Weights stay OIHW. A 1x1 stride-1 conv
+is one GEMM over the (n*h*w, c) matrix, forward and for both gradients; a
+depthwise conv is one multiply-add per kernel tap; batch norm reduces over
+the (n*h*w, c) matrix. Other convs run im2col with (positions, k*k*c/groups)
+columns, streamed through one buffer of `_COL_BUDGET` bytes when no graph is
+recorded, kept whole for the weight gradient when one is. Their stride-1
+input gradient is the same im2col conv of the output gradient with the
+flipped kernel; strided ones scatter with `_col2im`. A 3x3 stride-1 pad-1
+conv with at least `_WINOGRAD_MIN_CHANNELS` input channels runs Winograd
+F(4x4, 3x3): banded per image with no graph (`_winograd_conv`), whole batch
+with one (`_winograd_recorded`, on maps of more than one 4x4 tile), both
+gathering channels-last tiles. A conv's bias, or a no-grad `ConvBnRelu`'s
+eval batch norm and ReLU, is an `_Epilogue` applied in cache. Pooling and
+bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis matrices
+(`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
 
 from __future__ import annotations
@@ -69,8 +44,7 @@ class Parameter(Tensor):
 
 
 class Module:
-    # attributes holding arrays that are state but not parameters (running
-    # statistics, say); `named_state` names them next to the parameters
+    # attributes holding state that is not a parameter (running statistics, say)
     _buffers = ()
 
     def __init__(self):
@@ -115,13 +89,9 @@ class Module:
         return self.train(False)
 
     def named_state(self):
-        """Every array the module tree owns: name -> (owner, attribute).
-
-        Parameters come first, in `named_parameters` order, as (p, "data");
-        then each module's `_buffers`, this module first and then in
-        `named_children` order, named "path.attribute". Checkpoints and
-        `cast` read this one map, so a module with more state than its
-        parameters only has to list it in `_buffers`.
+        """Every array the module tree owns: name -> (owner, attribute). Parameters first, in
+        `named_parameters` order, as (p, "data"); then each module's `_buffers` (this module,
+        then `named_children` order) as "path.attribute". Checkpoints and `cast` read this map.
         """
         state = {name: (p, "data") for name, p in self.named_parameters()}
         for path, module in (("", self), *self.named_children()):
@@ -149,49 +119,56 @@ def init_kaiming(rng, out_c, in_c, kh, kw):
     return (rng.standard_normal((out_c, in_c, kh, kw)) * std).astype(np.float32, copy=False)
 
 
-# Bytes of im2col columns per streamed chunk. A 512x1024 forward timed the
-# same within noise for budgets from 128 KiB to 2 MiB (2-core Xeon, 2 MiB L2
-# per core, one BLAS thread); 1 MiB stays inside L2 with few chunks per call.
+# Bytes of im2col columns per streamed chunk: a 512x1024 forward timed the same for 128 KiB
+# to 2 MiB (2 MiB L2 per core); 1 MiB stays inside L2 with few chunks per call.
 _COL_BUDGET = 1 << 20
 
 
-def _windows(x, k, stride, pad):
-    """Zero-copy n, c, k, k, oh, ow sliding-window view of the padded input."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+def _nhwc(a, pad=0):
+    """(n, c, h, w) `a` as a C-ordered (n, h, w, c) array, zero-bordered by `pad`: free when
+    `a` is channels-last and unpadded."""
+    n, c, h, w = a.shape
+    view = a.transpose(0, 2, 3, 1)
+    if not pad and view.flags.c_contiguous:
+        return view
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), a.dtype)
+    out[:, pad : pad + h, pad : pad + w] = view
+    return out
+
+
+def _channel_sums(a):
+    """Column sums of `a` (positions, channels) as a GEMV: 10-20x an axis-0 sum on short rows."""
+    return np.ones(len(a), a.dtype) @ a
+
+
+def _windows(x, k, stride):
+    """Zero-copy n, oh, ow, k, k, c sliding-window view of `x` (n, h, w, c)."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
 class _Epilogue(NamedTuple):
-    """What a conv does to its output besides the products: out * scale + shift, then ReLU.
-
-    `scale` (per output channel, or None) is folded into the weights before
-    the products; `shift` (per output channel, or None) and the ReLU are
-    applied to each chunk of output while it is still in cache. A plain conv's
-    epilogue is its bias; a no-grad `ConvBnRelu` passes its eval batch norm
-    and ReLU as one.
-    """
+    """out * scale + shift, then ReLU: a plain conv's bias, or a no-grad `ConvBnRelu`'s eval
+    batch norm and ReLU. `Conv2d.forward` folds `scale` (per output channel, or None) into the
+    weights; the kernels apply `shift` and the ReLU to each chunk of output in cache."""
 
     scale: np.ndarray | None
     shift: np.ndarray | None
     relu: bool
 
     def apply(self, a):
-        """Shift and ReLU `a` (..., channels, positions) in place."""
+        """Shift and ReLU `a` (..., positions, channels), C-ordered, in place; the shift is tiled
+        along a row of positions, as a broadcast over channels alone loops per position."""
         if self.shift is not None:
-            a += self.shift[:, None]
+            a.reshape(-1, a.shape[-2] * a.shape[-1], copy=False)[...] += np.tile(self.shift, a.shape[-2])
         if self.relu:
             np.maximum(a, 0, out=a)
 
 
 def _chunk_shape(windows_shape, itemsize, budget):
-    """(images, output rows) per chunk whose columns fit `budget` bytes.
-
-    Several whole images when one image's columns fit, otherwise a band of
-    rows of one image (at least one row). No budget means one chunk.
-    """
-    n, c, kh, kw, oh, ow = windows_shape
+    """(images, output rows) per chunk whose columns fit `budget` bytes: whole images when
+    one image's fit, else a band of at least one row. No budget means one chunk."""
+    n, oh, ow, kh, kw, c = windows_shape
     if budget is None:
         return n, oh
     row_bytes = c * kh * kw * ow * itemsize
@@ -200,57 +177,107 @@ def _chunk_shape(windows_shape, itemsize, budget):
     return 1, max(1, budget // row_bytes)
 
 
-def _conv_columns(windows, w_mat, out, budget=None, fold=False, epilogue=None):
-    """out = w_mat @ im2col(windows), then `epilogue`, chunk by chunk.
+def _conv_columns(windows, w_mat, out, budget=None, epilogue=None):
+    """out (n, oh, ow, oc) = im2col(windows) @ w_mat.T per group, then `epilogue`.
 
-    Returns the last chunk's columns. Each chunk's columns are copied into one
-    reused buffer and its product is written straight into the matching slice
-    of `out` (n, out_c, oh, ow) and finished there by the epilogue, while it
-    is in cache. Without a budget there is one chunk, built without a buffer, so 1x1
-    stride-1 columns stay a view of the input, (n, g, kg, oh*ow), with one
-    GEMM per image. With `fold` (no budget only) the columns are copied once
-    with the batch folded in, (g, kg, n*oh*ow), so the product is one GEMM
-    per group and its result is transposed into `out`.
-    """
-    n, c, kh, kw, oh, ow = windows.shape
+    Per chunk (`_chunk_shape`), the columns (groups, positions, k*k*c/groups) of `windows`
+    (n, oh, ow, k, k, c) are copied into one buffer and multiplied by `w_mat` (groups,
+    oc/groups, k*k*c/groups) into their slice of `out`. The buffer follows the input's memory
+    order, so copies run along channels, or along positions for an NCHW image (1.7 against
+    4.3 ms for a 3x512x1024 stem). Returns the last chunk's columns (no budget: all)."""
+    n, oh, ow, kh, kw, c = windows.shape
     g, ocg, kg = w_mat.shape
     images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
     epilogue = epilogue or _Epilogue(None, None, False)
-    if epilogue.scale is not None:
-        w_mat = w_mat * epilogue.scale.reshape(g, ocg, 1)
-    if fold:
-        cols = windows.reshape(n, g, c // g, kh, kw, oh, ow).transpose(1, 2, 3, 4, 0, 5, 6)
-        cols = np.ascontiguousarray(cols).reshape(g, kg, n * oh * ow)
-        prod = np.matmul(w_mat, cols).reshape(g, ocg, n, oh * ow)
-        np.copyto(out.reshape(n, g, ocg, oh * ow), prod.transpose(2, 0, 1, 3))
-        epilogue.apply(out.reshape(n, g * ocg, oh * ow))
-        return cols
-    buf = None if budget is None else np.empty(images * c * kh * kw * rows * ow, windows.dtype)
+    buf = np.empty(min(images, n) * min(rows, oh) * ow * kh * kw * c, windows.dtype)
+    by_position = windows.strides[-1] != windows.itemsize
     for i in range(0, n, images):
         for r in range(0, oh, rows):
-            part = windows[i : i + images, :, :, :, r : r + rows]
-            m, h = part.shape[0], part.shape[4]
-            if buf is None:
-                cols = np.ascontiguousarray(part.reshape(m, g, kg, h * ow))
-            else:
-                cols = buf[: part.size].reshape(part.shape)
-                np.copyto(cols, part)
-                cols = cols.reshape(m, g, kg, h * ow)
-            dst = out[i : i + m, :, r : r + h].reshape(m, g, ocg, h * ow, copy=False)
-            np.matmul(w_mat, cols, out=dst)
-            epilogue.apply(dst.reshape(m, g * ocg, h * ow))
+            part = windows[i : i + images, r : r + rows]
+            m, h = part.shape[:2]
+            cols = (buf[: part.size].reshape(g, kh, kw, c // g, m, h, ow).transpose(0, 4, 5, 6, 1, 2, 3)
+                    if by_position else buf[: part.size].reshape(g, m, h, ow, kh, kw, c // g))
+            np.copyto(cols, part.reshape(m, h, ow, kh, kw, g, c // g).transpose(5, 0, 1, 2, 3, 4, 6))
+            cols = cols.reshape(g, m * h * ow, kg)
+            dst = out[i : i + m, r : r + h]
+            np.matmul(cols, w_mat.transpose(0, 2, 1),
+                      out=dst.reshape(m * h * ow, g, ocg, copy=False).transpose(1, 0, 2))
+            epilogue.apply(dst)
     return cols
+
+
+def _pointwise(x, w, b, epilogue):
+    """1x1 stride-1 convolution: one GEMM over the (n*h*w, c) matrix of `x`, as is each gradient."""
+    xd = _nhwc(x.data)
+    n, h, wd, c = xd.shape
+    x2, oc = xd.reshape(-1, c), w.shape[0]
+    out = x2 @ w.data.reshape(oc, c).T
+    epilogue.apply(out.reshape(n * h, wd, oc))
+
+    def backward(grad):
+        g2 = _nhwc(grad).reshape(-1, oc)
+        if w.requires_grad:
+            w._accumulate((g2.T @ x2).reshape(w.shape), owned=True)
+        if b is not None and b.requires_grad:
+            b._accumulate(_channel_sums(g2))
+        if x.requires_grad:
+            gx = g2 @ w.data.reshape(oc, c)
+            x._accumulate(gx.reshape(n, h, wd, c).transpose(0, 3, 1, 2), owned=True)
+
+    out = out.reshape(n, h, wd, oc).transpose(0, 3, 1, 2)
+    return _make(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def _depthwise(x, w, b, stride, pad, epilogue, budget):
+    """Depthwise convolution: one multiply-add per kernel tap over (n, oh, ow, c) maps, in
+    the chunks `_chunk_shape` plans for `budget`, so each chunk's taps add up in cache. The
+    backward scatter-adds each tap's input gradient into a zero-bordered map."""
+    c, k = w.shape[0], w.shape[2]
+    windows = _windows(_nhwc(x.data, pad), k, stride)
+    n, oh, ow = windows.shape[:3]
+    taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)
+    out = np.empty((n, oh, ow, c), np.result_type(windows, taps))
+    images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
+    buf = np.empty(min(images, n) * min(rows, oh) * ow * c, out.dtype)
+    for i in range(0, n, images):
+        for r in range(0, oh, rows):
+            part = windows[i : i + images, r : r + rows]
+            dst = out[i : i + images, r : r + rows]
+            tmp = buf[: dst.size].reshape(dst.shape)
+            np.multiply(part[:, :, :, 0, 0], taps[0], out=dst)
+            for t in range(1, k * k):
+                dst += np.multiply(part[:, :, :, t // k, t % k], taps[t], out=tmp)
+            epilogue.apply(dst)
+
+    def backward(grad):
+        g = _nhwc(grad)
+        if w.requires_grad:
+            gw = np.empty_like(taps)
+            for t in range(k * k):
+                gw[t] = np.einsum("nhwc,nhwc->c", g, windows[:, :, :, t // k, t % k])
+            w._accumulate(np.ascontiguousarray(gw.T).reshape(w.shape), owned=True)
+        if b is not None and b.requires_grad:
+            b._accumulate(_channel_sums(g.reshape(-1, c)))
+        if x.requires_grad:
+            h, wd = x.shape[2:]
+            gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), out.dtype)
+            for t in range(k * k):
+                i, j = divmod(t, k)
+                gx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += g * taps[t]
+            gx = np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + wd])
+            x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
+
+    return _make(out.transpose(0, 3, 1, 2), (x, w) if b is None else (x, w, b), backward)
 
 
 @functools.lru_cache(maxsize=8)
 def _winograd_transforms(dtype):
     """Input (36x36), filter (36x9) and output (16x36) transforms of F(4x4, 3x3).
 
-    Winograd F(4x4, 3x3) (Lavin & Gray, arXiv 1509.09308): a 4x4 output tile
-    of a 3x3 correlation is At [(G w Gt) * (Bt d B)] A over its 6x6 input tile
-    d. Row-major vec(M X Nt) = kron(M, N) vec(X), so each two-sided transform
-    is one GEMM with a Kronecker product. Built on first use, so a process
-    that never runs the path never allocates them; cached, so read-only.
+    Winograd F(4x4, 3x3) (Lavin & Gray, arXiv 1509.09308): a 4x4 output tile of a 3x3
+    correlation is At [(G w Gt) * (Bt d B)] A over its 6x6 input tile d. Row-major
+    vec(M X Nt) = kron(M, N) vec(X), so each two-sided transform is one GEMM with a
+    Kronecker product. Built on first use; cached, so read-only.
     """
     bt = np.array([[4, 0, -5, 0, 1, 0], [0, -4, -4, 1, 1, 0], [0, 4, -4, -1, 1, 0],
                    [0, -2, -1, 2, 1, 0], [0, 2, -1, -2, 1, 0], [0, 4, 0, -5, 0, 1]], float)
@@ -264,56 +291,65 @@ def _winograd_transforms(dtype):
     return mats
 
 
-# The tile position (row 1, column 1 of the 6x6 tile) whose column of the
-# output transform is all ones: At has a column of ones, the point 0 of
-# F(4, 3), so a value added to that position's channel products adds to all
+# The tile position (row 1, column 1 of the 6x6 tile) whose output-transform column is
+# all ones (the point 0 of F(4, 3)): a value added to its channel products adds to all
 # 16 outputs of the tile.
 _WINOGRAD_ONES = 1 * 6 + 1
 
-# Fewest input channels for which 3x3 stride-1 convolutions take a Winograd
-# path: below it the no-grad path's transforms and tile copies cost more than
-# the multiplies they save. A no-grad c -> c convolution of 1 x c x 128 x 256
-# took, with im2col and with Winograd, 4.8 / 5.5 ms at c = 16, 9.2 / 9.5 ms at
-# 24, 15.7 / 11.4 ms at 32 and 23.4 / 20.2 ms at 48; a recorded one of
-# 8 x c x 16 x 16, forward plus backward, 2.1 / 1.0 ms at 16 and 5.4 / 2.5 ms
-# at 32 (2-core Xeon, one BLAS thread).
+# Fewest input channels for which 3x3 stride-1 convs take a Winograd path: below it the
+# transforms and tile copies cost more than the multiplies they save. A no-grad c -> c
+# conv of 1 x c x 128 x 256 took 4.8 / 5.5 ms by im2col / Winograd at c = 16, 9.2 / 9.5
+# at 24, 15.7 / 11.4 at 32, 23.4 / 20.2 at 48; a recorded one of 8 x c x 16 x 16, forward
+# plus backward, 2.1 / 1.0 ms at 16, 5.4 / 2.5 at 32 (2-core Xeon, one BLAS thread).
 _WINOGRAD_MIN_CHANNELS = 32
 
-# Bytes of transformed tiles per band of the no-grad Winograd path. Bands of
-# about 128 tiles or more keep the 36 channel GEMMs wide: against one tile row
-# per band, a no-grad 128 -> 128 convolution took 3 ms less at 1 x 128 x 128 x
-# 256 with two tile rows (128 tiles, 2.4 MB) and 35 ms less at 8 x 128 x 64 x
-# 64 with four to eight (2-core Xeon, 2 MiB L2 per core, one BLAS thread).
+# Bytes of transformed tiles per band of the no-grad Winograd path: bands of 128 tiles or
+# more keep the 36 channel GEMMs wide (a 128 -> 128 conv took 3 ms less at 1x128x128x256
+# with two tile rows than with one, 35 ms less at 8x128x64x64 with four to eight).
 _WINOGRAD_BUDGET = 3 << 20
 
 
-def _winograd_conv(x, weight, dtype, budget, epilogue):
-    """3x3 stride-1 pad-1 correlation of `x` (n, c, h, w) by Winograd F(4x4, 3x3), then `epilogue`.
+def _filter_transform(weight, kg):
+    """U = G w Gt of each (out, in) channel pair of a 3x3 `weight`, as (36, out, in)."""
+    return (kg @ weight.reshape(-1, 9).T).reshape(36, *weight.shape[:2])
 
-    One image and one band of 4-row tile rows at a time: the band's rows are
-    copied into a zero-bordered buffer, its 6x6 tiles (stepping by 4) are
-    gathered, and three GEMMs apply the input transform, the 36 channel
-    products and the output transform. A band holds as many tile rows as keep
-    its transformed tiles within `budget` bytes (at least one). The epilogue
-    needs no pass over the output: its scale is folded into the transformed
-    filter, its shift is added to the channel products of the one tile
-    position whose output-transform column is all ones, and its ReLU clamps
-    each band's output tiles in place before they are scattered. The filter
-    transform is recomputed on every call, so nothing goes stale when the
-    weights change in place.
+
+def _gather_tiles(padded, d):
+    """d (6, 6, n, th, tw, c) <- the 6x6 tiles, 4 apart, of `padded` (n, 4*th + 2, 4*tw + 2, c)."""
+    win = np.lib.stride_tricks.sliding_window_view(padded, (6, 6), axis=(1, 2))
+    np.copyto(d, win[:, ::4, ::4].transpose(4, 5, 0, 1, 2, 3))
+
+
+def _scatter_tiles(y, out):
+    """out (n, h, w, oc) <- the 4x4 output tiles y (4, 4, n, th, tw, oc), cut to h x w."""
+    _, _, n, th, tw, oc = y.shape
+    h, w = out.shape[1:3]
+    tiles = y.transpose(2, 3, 0, 4, 1, 5)  # n, th, 4, tw, 4, oc
+    if (h, w) == (4 * th, 4 * tw):
+        np.copyto(out.reshape(n, th, 4, tw, 4, oc), tiles)
+    else:  # ragged edge tiles
+        out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
+
+
+def _winograd_conv(x, weight, dtype, budget, epilogue):
+    """3x3 stride-1 pad-1 correlation of `x` (n, h, w, c) by Winograd F(4x4, 3x3), then
+    `epilogue`; returns (n, h, w, oc).
+
+    Per image and band of tile rows (as many as keep the transformed tiles within `budget`
+    bytes): the rows are copied into a zero-bordered buffer, the 6x6 tiles gathered, and
+    three GEMMs run the input transform, the 36 channel products and the output transform.
+    The shift is added to the products at `_WINOGRAD_ONES` and the ReLU clamps each band
+    before its scatter. The filter transform is recomputed each call, so never stale.
     """
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     oc = weight.shape[0]
-    out = np.empty((n, oc, h, w), dtype)
+    out = np.empty((n, h, w, oc), dtype)
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(out.dtype)
-    u = (kg @ weight.reshape(oc * c, 9).T).reshape(36, oc, c)
-    if epilogue.scale is not None:
-        u *= epilogue.scale[:, None]
+    u = _filter_transform(weight, kg)
     band = max(1, min(th, budget // (36 * max(c, oc) * tw * out.itemsize)))
-    padded = np.zeros((c, 4 * band + 2, 4 * tw + 2), dtype)
-    # each GEMM reads one buffer and writes the other: tiles, then their
-    # transforms, then the channel products, then the output tiles
+    padded = np.zeros((1, 4 * band + 2, 4 * tw + 2, c), dtype)
+    # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
     ping = np.empty(36 * max(c, oc) * band * tw, dtype)
     pong = np.empty_like(ping)
     for i in range(n):
@@ -324,34 +360,27 @@ def _winograd_conv(x, weight, dtype, budget, epilogue):
             lo, hi = max(r - 1, 0), min(r + 4 * nb + 1, h)
             top, bottom = lo - r + 1, hi - r + 1
             padded[:, :top] = 0
-            padded[:, top:bottom, 1 : w + 1] = x[i, :, lo:hi]
+            padded[0, top:bottom, 1 : w + 1] = x[i, lo:hi]
             padded[:, bottom:rows] = 0
-            win = np.lib.stride_tricks.sliding_window_view(padded[:, :rows], (6, 6), axis=(1, 2))
-            d = ping[: 36 * c * p].reshape(6, 6, c, nb, tw)
-            np.copyto(d, win[:, ::4, ::4].transpose(3, 4, 0, 1, 2))
-            v = pong[: 36 * c * p].reshape(36, c * p)
-            np.matmul(kb, d.reshape(36, c * p), out=v)
-            m = ping[: 36 * oc * p].reshape(36, oc, p)
-            np.matmul(u, v.reshape(36, c, p), out=m)
+            d = ping[: 36 * p * c].reshape(6, 6, 1, nb, tw, c)
+            _gather_tiles(padded[:, :rows], d)
+            v = pong[: 36 * p * c].reshape(36, p, c)
+            np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c))
+            m = ping[: 36 * p * oc].reshape(36, p, oc)
+            np.matmul(v, u.transpose(0, 2, 1), out=m)
             if epilogue.shift is not None:
-                m[_WINOGRAD_ONES] += epilogue.shift[:, None]
-            y = pong[: 16 * oc * p].reshape(16, oc * p)
-            np.matmul(ka, m.reshape(36, oc * p), out=y)
+                m[_WINOGRAD_ONES] += epilogue.shift
+            y = pong[: 16 * p * oc].reshape(16, p * oc)
+            np.matmul(ka, m.reshape(36, p * oc), out=y)
             if epilogue.relu:
                 np.maximum(y, 0, out=y)
-            y = y.reshape(4, 4, oc, nb, tw).transpose(2, 3, 0, 4, 1)  # oc, nb, 4, tw, 4
-            hb = min(4 * nb, h - r)
-            if hb == 4 * nb and w == 4 * tw:
-                np.copyto(out[i, :, r : r + hb].reshape(oc, nb, 4, tw, 4), y)
-            else:  # ragged edge tiles: drop the rows and columns past the input
-                out[i, :, r : r + hb] = y.reshape(oc, 4 * nb, 4 * tw)[:, :hb, :w]
+            _scatter_tiles(y.reshape(4, 4, 1, nb, tw, oc), out[i : i + 1, r : r + 4 * nb])
     return out
 
 
-# The two parts of a 6-wide Winograd tile along one axis, for the whole-batch
-# recorded path: (tile slice, block slice, slice within a block). With the
-# input zero-bordered by one and cut into blocks of 4, tile t spans block t
-# and the first two rows (or columns) of block t + 1.
+# The two parts of a 6-wide tile along one axis, for the recorded path's overlap-add:
+# (tile slice, block slice, slice within a block). With the map zero-bordered by one and
+# cut into blocks of 4, tile t spans block t and the first two rows of block t + 1.
 _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
@@ -359,51 +388,36 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
 def _winograd_recorded(x, w, b, dtype):
     """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3), whole batch at once.
 
-    The forward gathers every 6x6 input tile of the batch and keeps only its
-    transform V = Bt d B, (36, n*th*tw, c), a quarter of the im2col columns.
-    The output is At (V Ut) A with U = G w Gt. The backward transforms the
-    output gradient once, dM = A dY At, and takes both gradients in the
-    Winograd domain: the weight gradient Gt (sum over tiles of dMt V) G, and
-    the input gradient B (dM U) Bt, overlap-added back from the 6x6 tiles.
-    Tiles keep their channels last, so every gather and scatter copies runs
-    of channels; the filter transform is recomputed by the backward, so it
-    reads the weights as they are then, like the im2col path.
+    The forward keeps only the transformed tiles V = Bt d B, (36, n*th*tw, c), a quarter of
+    the im2col columns; the output is At (V Ut) A with U = G w Gt. The backward transforms
+    the output gradient once, dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the
+    input gradient B (dM U) Bt overlap-added from the tiles, with U recomputed then.
     """
     n, c, h, wd = x.shape
     oc = w.shape[0]
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
     kb, kg, ka = _winograd_transforms(dtype)
-    blocks = np.zeros((n, th + 1, 4, tw + 1, 4, c), dtype)
-    blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1] = (
-        x.data.transpose(0, 2, 3, 1))
+    padded = np.zeros((n, 4 * th + 2, 4 * tw + 2, c), dtype)
+    padded[:, 1 : h + 1, 1 : wd + 1] = _nhwc(x.data)
     d = np.empty((6, 6, n, th, tw, c), dtype)
-    for ti, bi, ri in _TILE_PARTS:
-        for tj, bj, rj in _TILE_PARTS:
-            d[ti, tj] = blocks[:, bi, ri, bj, rj].transpose(2, 4, 0, 1, 3, 5)
-    del blocks
+    _gather_tiles(padded, d)
+    del padded
     v = (kb @ d.reshape(36, tiles * c)).reshape(36, tiles, c)
     del d
-    u = (kg @ w.data.reshape(oc * c, 9).T).reshape(36, oc, c)
-    m = np.matmul(v, u.swapaxes(1, 2))
-    del u
+    m = np.matmul(v, _filter_transform(w.data, kg).swapaxes(1, 2))
     y = (ka @ m.reshape(36, tiles * oc)).reshape(4, 4, n, th, tw, oc)
     del m
-    tiled = np.empty((n, th, 4, tw, 4, oc), dtype)
-    np.copyto(tiled, y.transpose(2, 3, 0, 4, 1, 5))
+    out = np.empty((n, h, wd, oc), dtype)
+    _scatter_tiles(y, out)
     del y
-    out = np.empty((n, oc, h, wd), dtype)
-    np.copyto(out, tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd].transpose(0, 3, 1, 2))
-    del tiled
     if b is not None:
-        out += b.data[None, :, None, None]
-    parents = (x, w) if b is None else (x, w, b)
+        out += b.data
 
     def backward(grad):
         tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)
         tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd] = grad.transpose(0, 2, 3, 1)
-        dy = np.empty((4, 4, n, th, tw, oc), dtype)
-        np.copyto(dy, tiled.transpose(2, 4, 0, 1, 3, 5))
+        dy = np.ascontiguousarray(tiled.transpose(2, 4, 0, 1, 3, 5))
         del tiled
         dm = (ka.T @ dy.reshape(16, tiles * oc)).reshape(36, tiles, oc)
         del dy
@@ -412,12 +426,11 @@ def _winograd_recorded(x, w, b, dtype):
             w._accumulate((du.reshape(36, oc * c).T @ kg).reshape(w.shape), owned=True)
             del du
         if b is not None and b.requires_grad:
-            b._accumulate(grad.sum(axis=(0, 2, 3)))
+            b._accumulate(_channel_sums(_nhwc(grad).reshape(-1, oc)))
         if not x.requires_grad:
             return
-        u = (kg @ w.data.reshape(oc * c, 9).T).reshape(36, oc, c)
-        dv = np.matmul(dm, u)
-        del dm, u
+        dv = np.matmul(dm, _filter_transform(w.data, kg))
+        del dm
         dd = (kb.T @ dv.reshape(36, tiles * c)).reshape(6, 6, n, th, tw, c)
         del dv
         blocks = np.zeros((n, th + 1, 4, tw + 1, 4, c), dtype)
@@ -425,29 +438,23 @@ def _winograd_recorded(x, w, b, dtype):
             for tj, bj, rj in _TILE_PARTS:
                 blocks[:, bi, ri, bj, rj] += dd[ti, tj].transpose(2, 3, 0, 4, 1, 5)
         del dd
-        gx = np.empty((n, c, h, wd), dtype)
-        np.copyto(gx, blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1]
-                  .transpose(0, 3, 1, 2))
-        x._accumulate(gx, owned=True)
+        gx = np.ascontiguousarray(blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1])
+        x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 
-    return _make(out, parents, backward)
-
-
-def _fold_batch(a):
-    """(n, g, rows, p) -> (g, rows, n*p): a copy with the batch folded into the columns."""
-    n, g, rows, p = a.shape
-    return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).reshape(g, rows, n * p)
+    return _make(out.transpose(0, 3, 1, 2), (x, w) if b is None else (x, w, b), backward)
 
 
 def _col2im(cols_grad, x_shape, kh, kw, stride, pad, oh, ow):
-    """Scatter-add batch-folded column gradients (c*kh*kw, n*oh*ow) back to (n, c, h, w)."""
-    n, c, h, w = x_shape
-    gx = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols_grad.dtype)
-    cg = cols_grad.reshape(c, kh, kw, n, oh, ow)
+    """Scatter-add column gradients (groups, n*oh*ow, kh*kw*c/groups) back to (n, h, w, c)."""
+    n, h, w, c = x_shape
+    g = cols_grad.shape[0]
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols_grad.dtype)
+    cg = cols_grad.reshape(g, n, oh, ow, kh, kw, c // g).transpose(1, 2, 3, 4, 5, 0, 6)
     for i in range(kh):
         for j in range(kw):
-            gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cg[:, i, j]
-    return gx[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+            gx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
+                cg[:, :, :, i, j].reshape(n, oh, ow, c))
+    return np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + w])
 
 
 class Conv2d(Module):
@@ -475,60 +482,59 @@ class Conv2d(Module):
             epilogue = _Epilogue(None, None if b is None else b.data, False)
         elif recorded or b is not None:
             raise ContractError("an epilogue stands in for the bias of a no-grad conv")
-        else:
-            epilogue = _epilogue
+        else:  # its scale is folded into the weights
+            epilogue, w = _epilogue, Tensor(w.data * _epilogue.scale[:, None, None, None])
         if (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS:
             if not recorded:
-                return Tensor(_winograd_conv(x.data, w.data, dtype, _WINOGRAD_BUDGET, epilogue))
-            if min(x.shape[2:]) >= 4:  # a smaller map is one tile of mostly padding
+                out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue)
+                return Tensor(out.transpose(0, 3, 1, 2))
+            # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
+            # transforms cost as much as the products they shrink: forward plus backward
+            # of 8x128x4x4 took 3.3 ms by im2col against 3.6 ms by Winograd, of 8x64x4x4
+            # 1.07 against 1.14 ms (medians of five runs, one BLAS thread)
+            h, wd = x.shape[2:]
+            if min(h, wd) >= 4 and max(h, wd) > 4:
                 return _winograd_recorded(x, w, b, dtype)
-        windows = _windows(x.data, k, s, p)
-        n, _, _, _, oh, ow = windows.shape
+        # recorded convs keep their whole columns for the weight gradient
+        budget = None if recorded else _COL_BUDGET
+        if g > 1 and g == self.in_c == self.out_c:
+            return _depthwise(x, w, b, s, p, epilogue, budget)
+        if (k, s, p, g) == (1, 1, 0, 1):
+            return _pointwise(x, w, b, epilogue)
+        # an NCHW input (an image) is bordered in its own order: see `_conv_columns`
+        last = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        xp = _nhwc(x.data, p) if last else np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = _windows(xp if last else xp.transpose(0, 2, 3, 1), k, s)
+        n, oh, ow = windows.shape[:3]
         ocg, cg = self.out_c // g, self.in_c // g
-        w_mat = w.data.reshape(g, ocg, cg * k * k)
-        out = np.empty((n, self.out_c, oh, ow), dtype)
-        # columns of kernels or strides above 1 are a copy: streamed when no
-        # graph is recorded, else kept whole, batch folded, for the weight gradient
-        copied = k > 1 or s > 1
-        fold = copied and recorded
-        budget = _COL_BUDGET if copied and not recorded else None
-        cols = _conv_columns(windows, w_mat, out, budget, fold, epilogue)
-        x_shape = x.data.shape
+        w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, ocg, k * k * cg)
+        out = np.empty((n, oh, ow, self.out_c), dtype)
+        cols = _conv_columns(windows, w_mat, out, budget, epilogue)
+        x_shape = (n, *x.shape[2:], self.in_c)
 
         def backward(grad):
-            gmat = grad.reshape(n, g, ocg, oh * ow)
-            if fold:
-                gmat = _fold_batch(gmat)  # the layout of the folded columns
+            gd = _nhwc(grad)
+            gmat = gd.reshape(n * oh * ow, g, ocg).transpose(1, 0, 2)
             if w.requires_grad:
-                if fold:
-                    gw = np.matmul(gmat, cols.swapaxes(-1, -2))
-                elif ocg * cg > (ocg + cg) * oh * ow:
-                    # on small maps the per-image products would outsize
-                    # folded copies of both operands: fold them instead
-                    gw = np.matmul(_fold_batch(gmat), _fold_batch(cols).swapaxes(-1, -2))
-                else:
-                    gw = np.matmul(gmat, cols.swapaxes(-1, -2)).sum(axis=0)
-                w._accumulate(gw.reshape(w.shape))
+                gw = np.matmul(gmat.transpose(0, 2, 1), cols).reshape(self.out_c, k, k, cg)
+                w._accumulate(np.ascontiguousarray(gw.transpose(0, 3, 1, 2)), owned=True)
             if b is not None and b.requires_grad:
-                b._accumulate(grad.sum(axis=(0, 2, 3)))
+                b._accumulate(_channel_sums(gd.reshape(-1, self.out_c)))
             if not x.requires_grad:
                 return
             if s == 1:
-                # a stride-1 input gradient is the correlation of the output
-                # gradient, padded by k - 1 - p, with the flipped kernel whose
-                # in/out channels swap within each group; 1x1 columns stay a view
+                # the correlation of the output gradient, padded by k - 1 - p, with the
+                # flipped kernel whose in/out channels swap within each group
                 q = k - 1 - p
-                gpad = grad if q >= 0 else grad[:, :, -q : oh + q, -q : ow + q]
-                w_t = w.data.reshape(g, ocg, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+                gpad = _nhwc(grad, q) if q >= 0 else gd[:, -q : oh + q, -q : ow + q]
+                w_t = w.data.reshape(g, ocg, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 3, 4, 1)
                 gx = np.empty(x_shape, dtype)
-                _conv_columns(_windows(gpad, k, 1, max(q, 0)), w_t.reshape(g, cg, ocg * k * k),
-                              gx, _COL_BUDGET if k > 1 else None)
-                x._accumulate(gx, owned=True)
+                _conv_columns(_windows(gpad, k, 1), w_t.reshape(g, cg, k * k * ocg), gx, _COL_BUDGET)
             else:
-                gcols = np.matmul(w_mat.transpose(0, 2, 1), gmat)
-                x._accumulate(_col2im(gcols, x_shape, k, k, s, p, oh, ow))
+                gx = _col2im(np.matmul(gmat, w_mat), x_shape, k, k, s, p, oh, ow)
+            x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 
-        return _make(out, parents, backward)
+        return _make(out.transpose(0, 3, 1, 2), parents, backward)
 
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape
@@ -552,59 +558,53 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
+        """Statistics, affine and backward over the (n*h*w, c) matrix of `x`."""
         gamma, beta = self.scale, self.shift
+        xd = _nhwc(x.data)
+        x2 = xd.reshape(-1, self.channels)
+        count = x2.shape[0]
         if self.training:
-            axes = (0, 2, 3)
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
+            mean = _channel_sums(x2) / count
+            xhat = x2 - mean
+            var = np.einsum("pc,pc->c", xhat, xhat) / count
             invstd = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (x.data - mean[None, :, None, None]) * invstd[None, :, None, None]
+            xhat *= invstd
             m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean.astype(self.running_mean.dtype)
             self.running_var = (1 - m) * self.running_var + m * var.astype(self.running_var.dtype)
-            out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-            count = x.data.size // self.channels
-
-            def backward(g):
-                gsum = g.sum(axis=axes)
-                gxhat_sum = (g * xhat).sum(axis=axes)
-                if gamma.requires_grad:
-                    gamma._accumulate(gxhat_sum)
-                if beta.requires_grad:
-                    beta._accumulate(gsum)
-                if x.requires_grad:
-                    coef = (gamma.data * invstd / count)[None, :, None, None]
-                    gx = coef * (
-                        count * g
-                        - gsum[None, :, None, None]
-                        - xhat * gxhat_sum[None, :, None, None]
-                    )
-                    x._accumulate(gx, owned=True)
-
-            return _make(out, (x, gamma, beta), backward)
-
-        invstd, scale, shift = self.eval_affine()
-        # one per-channel affine: a single full-size temporary, shifted in place
-        out = x.data * scale[None, :, None, None]
-        out += shift[None, :, None, None]
+            out = xhat * gamma.data
+            out += beta.data
+        else:
+            invstd, scale, shift = self.eval_affine()
+            mean, xhat = self.running_mean, None
+            out = x2 * scale  # a single full-size temporary, shifted in place
+            out += shift
 
         def backward(g):
+            g2 = _nhwc(g).reshape(-1, self.channels)
+            gsum = _channel_sums(g2)
+            gxhat_sum = np.einsum("pc,pc->c", g2, (x2 - mean) * invstd if xhat is None else xhat)
             if gamma.requires_grad:
-                xhat = (x.data - self.running_mean[None, :, None, None]) * invstd[None, :, None, None]
-                gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+                gamma._accumulate(gxhat_sum)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                x._accumulate(g * scale[None, :, None, None], owned=True)
+                beta._accumulate(gsum)
+            if not x.requires_grad:
+                return
+            coef = gamma.data * invstd
+            if xhat is None:  # eval: out = x * coef + shift
+                gx = g2 * coef
+            else:
+                gx = g2 * count
+                gx -= gsum
+                gx -= xhat * gxhat_sum
+                gx *= coef / count
+            x._accumulate(gx.reshape(xd.shape).transpose(0, 3, 1, 2), owned=True)
 
-        return _make(out, (x, gamma, beta), backward)
+        return _make(out.reshape(xd.shape).transpose(0, 3, 1, 2), (x, gamma, beta), backward)
 
     def eval_affine(self):
-        """(1 / std, scale, shift) of eval mode: out = x * scale + shift.
-
-        Read from the current parameters and running statistics on every call,
-        so an eval forward and a fused `ConvBnRelu` never go stale.
-        """
+        """(1 / std, scale, shift) of eval mode, out = x * scale + shift, read from the current
+        parameters and running statistics each call, so a fused `ConvBnRelu` never goes stale."""
         invstd = 1.0 / np.sqrt(self.running_var + self.EPS)
         scale = self.scale.data * invstd
         return invstd, scale, self.shift.data - self.running_mean * scale
@@ -615,12 +615,9 @@ class BatchNorm2d(Module):
 
 @functools.lru_cache(maxsize=256)
 def resample_matrix(in_size, out_size, kind, dtype):
-    """Dense out_size x in_size matrix of one separable resampling axis.
-
-    "bilinear": align_corners=False taps, with source coordinates clamped to
-    [0, in_size - 1]. "pool": each row averages a floor/ceil window, so the
-    windows tile the input exactly. Cached, so the result is read-only.
-    """
+    """Dense out_size x in_size matrix of one separable resampling axis. "bilinear":
+    align_corners=False taps, source coordinates clamped to [0, in_size - 1]; "pool": each row
+    averages a floor/ceil window, so the windows tile the input. Cached, so read-only."""
     rows = np.arange(out_size)
     if kind == "bilinear":
         src = np.clip((rows + 0.5) * (in_size / out_size) - 0.5, 0, in_size - 1)
@@ -643,10 +640,10 @@ def resample_matrix(in_size, out_size, kind, dtype):
     return m
 
 
-# Output rows per block of a banded resampling product. Each block multiplies
-# only the input rows its nonzeros touch: a 4x bilinear upsample touches about
-# 10 input rows per 32 output rows.
-_BAND_ROWS = 32
+# Output rows per block of a banded resampling product, which multiplies only the input rows
+# its nonzeros touch. Against 32-row blocks, 1x5x128x256 -> 512x1024 took 2.6 against 3.9 ms
+# and 8x128x32x32 -> 64x64 5.7 against 7.4 ms (channels-last, one BLAS thread).
+_BAND_ROWS = 16
 
 
 class BandPlan(NamedTuple):
@@ -659,13 +656,9 @@ class BandPlan(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def band_plan(in_size, out_size, kind, dtype, transposed=False):
-    """`resample_matrix(in_size, out_size, kind, dtype)`, or its transpose, in blocks.
-
-    Blocks of `_BAND_ROWS` output rows, each with the slice of input rows its
-    nonzeros touch. When the blocks would not skip at least half of the dense
-    product's multiplies, the plan is one block, the whole matrix, so a small
-    or mostly dense matrix runs the dense product. Cached, so read-only.
-    """
+    """`resample_matrix(in_size, out_size, kind, dtype)`, or its transpose, as blocks of
+    `_BAND_ROWS` output rows with the input rows their nonzeros touch; one block, the whole
+    matrix, when blocks would not skip half the dense multiplies. Cached, so read-only."""
     m = resample_matrix(in_size, out_size, kind, dtype)
     if transposed:
         m = m.T
@@ -686,25 +679,39 @@ def band_plan(in_size, out_size, kind, dtype, transposed=False):
     return BandPlan(rows, tuple(blocks))
 
 
-def resample(a, rows, cols):
-    """rows @ a @ cols.T over the last two axes of `a` (any leading axes).
+# Fewest channels for which a resample that grows the height runs the height axis first.
+# Each axis is one GEMM per block and slice: per image over (h, w*c), per image row over
+# (w, c). Few channels make the row GEMMs mostly call overhead, so they run before the
+# rows multiply: 1x5x128x256 -> 512x1024 took 2.6 ms width first, over 4.6 ms height first;
+# 1x128x64x128 -> 128x256 5.5 ms height first, 8.2 ms width first (one BLAS thread).
+_RESAMPLE_FEW_CHANNELS = 16
 
-    `rows` and `cols` are `BandPlan`s; each axis runs one GEMM per block into
-    a preallocated result.
-    """
-    *lead, h, w = a.shape
-    flat = a.reshape(-1, w)
-    mid = np.empty((flat.shape[0], cols.size), a.dtype)
-    for o, i, block in cols.blocks:
-        np.matmul(flat[:, i], block.T, out=mid[:, o])
-    mid = mid.reshape(-1, h, cols.size)
-    out = np.empty((mid.shape[0], rows.size, cols.size), a.dtype)
-    for o, i, block in rows.blocks:
-        np.matmul(block, mid[:, i], out=out[:, o])
-    return out.reshape(*lead, rows.size, cols.size)
+
+def _apply_plan(a, plan):
+    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block."""
+    out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
+    for o, i, block in plan.blocks:
+        np.matmul(block, a[:, i], out=out[:, o])
+    return out
+
+
+def resample(a, rows, cols):
+    """rows @ a @ cols.T over the spatial axes of `a` (n, c, h, w), for `BandPlan`s `rows` and
+    `cols`: the (n, c, oh, ow) view of an (n, oh, ow, c) array."""
+    x = _nhwc(a)
+    n, h, w, c = x.shape
+    if c < _RESAMPLE_FEW_CHANNELS and rows.size > h:
+        x = _apply_plan(x.reshape(n * h, w, c), cols).reshape(n, h, cols.size * c)
+        out = _apply_plan(x, rows)
+    else:
+        x = _apply_plan(x.reshape(n, h, w * c), rows).reshape(n * rows.size, w, c)
+        out = _apply_plan(x, cols)
+    return out.reshape(n, rows.size, cols.size, c).transpose(0, 3, 1, 2)
 
 
 def _resample_op(x, out_h, out_w, kind):
+    if out_h < 1 or out_w < 1:
+        raise ContractError(f"output extents must be positive, got {out_h}x{out_w}")
     _, _, h, w = x.shape
     dt = x.data.dtype
 
@@ -719,8 +726,6 @@ def _resample_op(x, out_h, out_w, kind):
 
 def adaptive_avg_pool(x, out_h, out_w):
     """Mean over floor/ceil-partitioned windows that tile the input exactly."""
-    if out_h < 1 or out_w < 1:
-        raise ContractError(f"output extents must be positive, got {out_h}x{out_w}")
     _, _, h, w = x.shape
     if out_h > h or out_w > w:
         raise ContractError(f"pool output {out_h}x{out_w} exceeds input {h}x{w}")
@@ -729,8 +734,6 @@ def adaptive_avg_pool(x, out_h, out_w):
 
 def bilinear_upsample(x, out_h, out_w):
     """Bilinear resize (align_corners=False) to out_h x out_w, up or down."""
-    if out_h < 1 or out_w < 1:
-        raise ContractError("output extents must be positive")
     return _resample_op(x, out_h, out_w, "bilinear")
 
 

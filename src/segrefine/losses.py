@@ -44,7 +44,9 @@ def cross_entropy(logits: Tensor, labels):
     safe_labels = np.where(valid, labels, 0)
     if safe_labels.min() < 0 or safe_labels.max() >= k:
         raise T.ContractError("labels out of range")
-    x = logits.data
+    # a C-ordered copy: the class axis of channels-last logits is too short
+    # for the reductions and gathers below to run along it
+    x = np.ascontiguousarray(logits.data)
     xmax = x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(x - xmax).sum(axis=1, keepdims=True)) + xmax  # n,1,h,w
     ni, hi, wi = np.nonzero(valid)

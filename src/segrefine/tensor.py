@@ -74,21 +74,20 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g, owned=False):
-        """Add `g` into this tensor's gradient.
+        """Add `g` into this tensor's gradient; later ones add into the first in place.
 
-        The first gradient is kept as a C-ordered array in the tensor's dtype,
-        so later ones add into it in place. It is a copy of `g` unless the
-        caller passes `owned`: `g` was built for this call alone and nothing
-        else holds it, so when its dtype, shape and order fit it is kept as is.
+        The first is a copy of `g` in the tensor's dtype and layout, unless the caller passes
+        `owned` (`g` was built for this call alone): then `g` itself is kept when its dtype
+        and shape fit and it is C-ordered or channels-last (an (n, h, w, c) array's view).
         """
         if self.grad is not None:
             self.grad += g
-        elif (owned and g.dtype == self.data.dtype and g.shape == self.data.shape
-              and g.flags.c_contiguous):
+        elif owned and g.dtype == self.data.dtype and g.shape == self.data.shape and (
+                g.flags.c_contiguous or g.ndim == 4 and g.transpose(0, 2, 3, 1).flags.c_contiguous):
             self.grad = g
         else:
-            g = np.broadcast_to(g, self.data.shape)
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
 
     def backward(self):
         """Reverse-mode sweep from a scalar loss; accumulates into leaf grads.
@@ -363,11 +362,9 @@ def gather_pixels(x, batch_idx, row_idx, col_idx):
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros(
-                (x.shape[0], x.shape[2], x.shape[3], x.shape[1]), dtype=x.data.dtype
-            )
+            gx = np.zeros((x.shape[0], *x.shape[2:], x.shape[1]), dtype=x.data.dtype)
             np.add.at(gx, (batch_idx, row_idx, col_idx), g)
-            x._accumulate(gx.transpose(0, 3, 1, 2))
+            x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 
     return _make(out_data, (x,), backward)
 

@@ -14,19 +14,21 @@ import numpy as np
 
 from .config import LossConfig, TrainConfig
 from .datagen import IGNORE_INDEX
-from .layers import band_plan, resample
+from .layers import resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
-from .tensor import ContractError, FormatError, Tensor, no_grad
+from .tensor import ContractError, Tensor, no_grad
 
 
 class NonFiniteLoss(RuntimeError):
     """A training step's loss was NaN or infinite."""
 
 
-# one `metrics.csv` row, the means over an interval, whose fields are the file's
-# header; `val_miou` is "" when no held-out set was evaluated
-IntervalRow = namedtuple("IntervalRow", "iteration lr loss ce cl val_miou")
+# one `metrics.csv` row, whose fields are the file's header: the means over an
+# interval of the losses and of the contrastive anchor count, and the number of
+# its steps whose cross-entropy and contrastive terms were empty; `val_miou` is
+# "" when no held-out set was evaluated
+IntervalRow = namedtuple("IntervalRow", "iteration lr loss ce cl val_miou anchors ce_empty cl_empty")
 
 
 class SGD:
@@ -93,8 +95,10 @@ def augment(image, labels, rng, crop, scale_range=(0.5, 2.0)):
     h, w = labels.shape
     nh, nw = max(int(round(h * scale)), 1), max(int(round(w * scale)), 1)
     if (nh, nw) != (h, w):
+        # the dense products: a crop's 3 channels are too few for banded resampling
         dt = image.dtype
-        image = resample(image, band_plan(h, nh, "bilinear", dt), band_plan(w, nw, "bilinear", dt))
+        rh, rw = resample_matrix(h, nh, "bilinear", dt), resample_matrix(w, nw, "bilinear", dt)
+        image = rh @ image @ rw.T
         labels = _resize_labels(labels, nh, nw)
     if nh < crop or nw < crop:
         pad_h, pad_w = max(crop - nh, 0), max(crop - nw, 0)
@@ -151,13 +155,10 @@ def evaluate(model: SegModel, dataset, indices=None, batch=8):
         for lo in range(0, len(indices), batch):
             chunk = indices[lo : lo + batch]
             labels = []
-            for j, i in enumerate(chunk):  # one read per index
+            for j, i in enumerate(chunk):  # one read per index; `Dataset` holds each to its size
                 image, label = dataset[i]
                 if j == 0:
                     images = np.empty((len(chunk), *image.shape), image.dtype)
-                elif image.shape != images.shape[1:]:  # assignment alone could broadcast
-                    raise FormatError(f"sample {i}: image {image.shape} differs from sample "
-                                      f"{chunk[0]}'s {images.shape[1:]}")
                 images[j] = image
                 labels.append(label)
             del image, label
@@ -213,15 +214,18 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
             del out, total
             running.append(report)
             if not finite or (it + 1) % train_cfg.eval_interval == 0 or it + 1 == train_cfg.iters:
-                mean_loss = float(np.mean([r.total for r in running]))
-                mean_ce = float(np.mean([r.ce_term for r in running]))
-                mean_cl = float(np.mean([r.cl_term for r in running]))
-                running = []
+                interval, running = running, []
+                mean_loss = float(np.mean([r.total for r in interval]))
+                mean_ce = float(np.mean([r.ce_term for r in interval]))
+                mean_cl = float(np.mean([r.cl_term for r in interval]))
                 val_miou = ""
                 if finite and val_dataset is not None:
                     n_val = min(train_cfg.eval_count, len(val_dataset))
                     val_miou, _ = evaluate(model, val_dataset, range(n_val))
-                row = IntervalRow(it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou)
+                row = IntervalRow(it + 1, lr, mean_loss, mean_ce, mean_cl, val_miou,
+                                  float(np.mean([r.anchor_count for r in interval])),
+                                  sum(r.ce_empty for r in interval),
+                                  sum(r.cl_empty for r in interval))
                 history.append(row)
                 if writer:
                     writer.writerow(row)

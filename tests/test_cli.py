@@ -105,7 +105,7 @@ class TestTrainEval:
         assert header["iteration"] == "2"
         assert header["num_classes"] == "3"  # adopted from the dataset
         lines = (out / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "iteration,lr,loss,ce,cl,val_miou"
+        assert lines[0] == "iteration,lr,loss,ce,cl,val_miou,anchors,ce_empty,cl_empty"
         assert len(lines) >= 2
         assert "final_iteration=2" in (out / "summary.txt").read_text()
 
@@ -194,6 +194,11 @@ def _scaled_backward(fn):
     return broken
 
 
+def _scaled_no_grad(fn):
+    """A fault in the calls of `fn` that record no graph."""
+    return lambda *args: fn(*args) * (1.0 if T._GRAD_ENABLED else 1.001)
+
+
 def _scaled_winograd(fused):
     """A fault in no-grad Winograd convs with (or without) a ReLU epilogue."""
     def fault(fn):
@@ -209,8 +214,8 @@ def _scaled_winograd(fused):
 def _scaled_no_grad_columns(fused):
     """A fault in no-grad im2col convs with (or without) a ReLU epilogue."""
     def fault(fn):
-        def broken(windows, w_mat, out, budget=None, fold=False, epilogue=None):
-            cols = fn(windows, w_mat, out, budget, fold, epilogue)
+        def broken(windows, w_mat, out, budget=None, epilogue=None):
+            cols = fn(windows, w_mat, out, budget, epilogue)
             if not T._GRAD_ENABLED and bool(epilogue and epilogue.relu) == fused:
                 out *= 1.001
             return cols
@@ -225,6 +230,10 @@ def _scaled_no_grad_columns(fused):
 PATH_FAULTS = [
     ("winograd conv", "_winograd_conv", _scaled_winograd(False)),
     ("winograd conv + bn relu epilogue", "_winograd_conv", _scaled_winograd(True)),
+    ("1x1 conv", "_pointwise", _scaled_no_grad),
+    ("recorded 1x1 conv gradients", "_pointwise", _scaled_backward),
+    ("depthwise conv", "_depthwise", _scaled_no_grad),
+    ("recorded depthwise conv gradients", "_depthwise", _scaled_backward),
     ("im2col conv", "_conv_columns", _scaled_no_grad_columns(False)),
     ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_no_grad_columns(True)),
     ("recorded conv gradients", "_col2im", _scaled_output),
@@ -443,6 +452,21 @@ class TestProvenanceAndErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "manifest.txt" in capsys.readouterr().err
+
+    def test_eval_rejects_a_sample_of_another_size(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET))
+        data = Path(make_dataset(tmp_path, classes=2))  # 64x64 samples
+        other = tmp_path / "other"
+        assert main(["gen", "--out", str(other), "--count", "1", "--classes", "2",
+                     "--size", "48x48"]) == 0
+        for part in ("images/0000.frmt", "labels/0000.pgm"):
+            (data / part).write_bytes((other / part).read_bytes())
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err
+        assert "sample 0" in err and "48x48" in err and "64x64" in err
 
     @pytest.mark.parametrize("extents", [(40, 72), (16, 16)], ids=["not-halving", "undersized"])
     def test_infer_rejects_extents_the_backbone_cannot_take(self, tmp_path, capsys, extents):

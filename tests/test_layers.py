@@ -135,13 +135,17 @@ class TestStreamedConv:
         assert plan(shape[0], streamed.shape[2], images, rows)
         np.testing.assert_allclose(streamed.data, recorded.data, rtol=rtol, atol=0)
 
-    def test_1x1_columns_are_a_view(self, rng):
-        x = rng.standard_normal((2, 5, 4, 3)).astype(np.float32)
-        w_mat = rng.standard_normal((1, 6, 5)).astype(np.float32)
-        out = np.empty((2, 6, 4, 3), np.float32)
-        cols = layers._conv_columns(layers._windows(x, 1, 1, 0), w_mat, out)
-        assert np.shares_memory(cols, x)
-        np.testing.assert_allclose(out, np.einsum("oc,nchw->nohw", w_mat[0], x), rtol=1e-5)
+    def test_1x1_reads_a_channels_last_input_in_place(self, rng, monkeypatch):
+        read = []
+        nhwc = layers._nhwc
+        monkeypatch.setattr(layers, "_nhwc", lambda a: read.append(nhwc(a)) or read[-1])
+        x = rng.standard_normal((2, 4, 3, 5)).astype(np.float32)  # n, h, w, c
+        conv = Conv2d(5, 6, 1, bias=False, rng=rng)
+        with no_grad():
+            out = conv(Tensor(x.transpose(0, 3, 1, 2)))
+        assert len(read) == 1 and np.shares_memory(read[0], x)
+        want = np.einsum("oc,nhwc->nohw", conv.weight.data[:, :, 0, 0], x)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
 
     def test_1x1_input_gradient_closed_form(self, rng):
         conv = Conv2d(5, 3, 1, bias=False, rng=rng).cast(np.float64)
@@ -171,12 +175,19 @@ class TestStreamedConv:
 _PATH_ROWS = {
     ("_winograd_conv", False, False): "winograd conv",
     ("_winograd_conv", False, True): "winograd conv + bn relu epilogue",
+    ("_pointwise", False, False): "1x1 conv",
+    ("_pointwise", True, False): "recorded 1x1 conv gradients",
+    ("_depthwise", False, False): "depthwise conv",
+    ("_depthwise", True, False): "recorded depthwise conv gradients",
     ("_conv_columns", False, False): "im2col conv",
     ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
     ("_conv_columns", True, False): "recorded conv gradients",
     ("_winograd_recorded", True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
+# the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
+RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
+                       "recorded conv gradients")
 
 
 def _spy_conv_paths(monkeypatch):
@@ -228,13 +239,14 @@ def _check_oracle_row(row, dtype, rng, monkeypatch):
 class TestRecordedConv:
     """Recorded convolutions against a direct float64 reference, tap by tap."""
 
-    # the recorded im2col row of the oracle table, one conv at a time, so a
-    # failure names its (kernel, stride, pad, groups)
-    @pytest.mark.parametrize("conv", ORACLE_ROWS["recorded conv gradients"].convs,
-                             ids=lambda conv: "-".join(map(str, conv[2:])))
+    # the recorded im2col, 1x1 and depthwise rows of the oracle table, one
+    # conv at a time, so a failure names its (kernel, stride, pad, groups)
+    @pytest.mark.parametrize("label, conv", [
+        pytest.param(label, conv, id="-".join(map(str, conv[2:])))
+        for label in RECORDED_SWEEP_ROWS for conv in ORACLE_ROWS[label].convs])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_direct_reference(self, rng, monkeypatch, conv, dtype):
-        row = ORACLE_ROWS["recorded conv gradients"]._replace(convs=(conv,))
+    def test_matches_direct_reference(self, rng, monkeypatch, label, conv, dtype):
+        row = ORACLE_ROWS[label]._replace(convs=(conv,))
         _check_oracle_row(row, dtype, rng, monkeypatch)
 
     def test_reference_matches_sliding_window_loop(self, rng):
@@ -274,13 +286,13 @@ class TestRecordedConv:
         assert bool(calls) == scatters
 
     def test_folded_columns_hold_the_whole_batch(self, rng):
-        x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        x = layers._nhwc(rng.standard_normal((3, 4, 5, 6)).astype(np.float32), 1)
         w_mat = rng.standard_normal((2, 3, 18)).astype(np.float32)
-        out = np.empty((3, 6, 5, 6), np.float32)
-        cols = layers._conv_columns(layers._windows(x, 3, 1, 1), w_mat, out, fold=True)
-        assert cols.shape == (2, 18, 3 * 5 * 6) and cols.flags.c_contiguous
-        want = np.empty_like(out)
-        layers._conv_columns(layers._windows(x, 3, 1, 1), w_mat, want)
+        out = np.empty((3, 5, 6, 6), np.float32)
+        cols = layers._conv_columns(layers._windows(x, 3, 1), w_mat, out)
+        assert cols.shape == (2, 3 * 5 * 6, 18) and cols.flags.c_contiguous
+        want = np.empty_like(out)  # streamed one output row at a time
+        layers._conv_columns(layers._windows(x, 3, 1), w_mat, want, budget=1)
         np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-6)
 
 
@@ -330,7 +342,7 @@ class TestWinogradConv:
         recorded = conv(x)
         assert recorded.requires_grad and not fast.requires_grad
         assert fast.dtype == recorded.dtype == dtype
-        assert fast.shape == recorded.shape and fast.data.flags.c_contiguous
+        assert fast.shape == recorded.shape and fast.data.transpose(0, 2, 3, 1).flags.c_contiguous
         ref = recorded.data
         assert np.abs(fast.data - ref).max() <= bound * np.abs(ref).max()
         # the recorded conv is itself Winograd on maps of 4x4 and up, so also
@@ -380,7 +392,8 @@ class TestRecordedWinograd:
         assert calls and err < TOLERANCE
 
     @pytest.mark.parametrize("in_c, kwargs, hw, takes", [
-        (WINO_C, dict(pad=1), (4, 4), True),
+        (WINO_C, dict(pad=1), (4, 4), False),  # one whole tile takes im2col
+        (WINO_C, dict(pad=1), (4, 8), True),
         (WINO_C, dict(pad=1), (5, 9), True),
         (WINO_C, dict(pad=1, bias=False), (16, 16), True),
         (WINO_C - 1, dict(pad=1), (8, 8), False),  # narrow
@@ -389,7 +402,7 @@ class TestRecordedWinograd:
         (WINO_C, dict(pad=1, stride=2), (8, 8), False),
         (WINO_C, dict(pad=1, groups=2), (8, 8), False),
         (WINO_C, dict(pad=0), (8, 8), False),
-    ], ids=["4x4", "ragged", "no-bias", "narrow", "3-rows", "2-columns", "stride2",
+    ], ids=["4x4", "two-tiles", "ragged", "no-bias", "narrow", "3-rows", "2-columns", "stride2",
             "grouped", "pad0"])
     def test_which_convs_take_the_path(self, rng, monkeypatch, in_c, kwargs, hw, takes):
         calls = _spy_winograd_recorded(monkeypatch)
@@ -407,10 +420,10 @@ class TestRecordedWinograd:
         calls = _spy_winograd_recorded(monkeypatch)
         model = SegModel(ModelConfig(num_classes=5), rng=rng)
         model(Tensor(rng.standard_normal((2, 3, 64, 64)).astype(np.float32)), train_mode=True)
-        # stage2, stage3, then the decoder's smooth3, smooth2 and smooth1; the
-        # stem and the downsampling convs are strided, stage4's map is 2x2
-        assert calls == [(2, 32, 8, 8), (2, 64, 4, 4), (2, 128, 4, 4), (2, 128, 8, 8),
-                         (2, 128, 16, 16)]
+        # stage2, then the decoder's smooth2 and smooth1; the stem and the
+        # downsampling convs are strided, stage3's and smooth3's 4x4 maps are
+        # one tile and stage4's map is 2x2
+        assert calls == [(2, 32, 8, 8), (2, 128, 8, 8), (2, 128, 16, 16)]
 
     def test_keeps_a_quarter_of_the_columns(self, rng):
         n, c, h, w = 2, WINO_C, 16, 16
@@ -437,9 +450,9 @@ class TestRecordedWinograd:
 class TestOracleTable:
     """Every path `Conv2d.forward` can take has a row of `gradcheck.ORACLE_ROWS`."""
 
-    # TestRecordedConv checks the recorded im2col row case by case
+    # TestRecordedConv checks the recorded sweep rows case by case
     @pytest.mark.parametrize("row", [row for row in gradcheck.ORACLE_ROWS
-                                     if row.label != "recorded conv gradients"],
+                                     if row.label not in RECORDED_SWEEP_ROWS],
                              ids=lambda row: row.label.replace(" ", "-"))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_row_matches_direct_reference(self, rng, monkeypatch, row, dtype):
@@ -464,11 +477,75 @@ class TestOracleTable:
             model(Tensor(rng.standard_normal((1, 3, 512, 1024)).astype(np.float32)),
                   train_mode=False)
         assert None not in trained and None not in paths
-        assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients"}
+        assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients",
+                                "recorded 1x1 conv gradients", "recorded depthwise conv gradients"}
         # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue
-        assert set(paths) == {"winograd conv + bn relu epilogue", "im2col conv",
+        assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
                               "im2col conv + bn relu epilogue"}
         assert set(_PATH_ROWS.values()) == set(ORACLE_ROWS)
+
+
+class TestChannelsLast:
+    """Every activation inside the model is laid out (n, h, w, c) behind its (n, c, h, w) shape."""
+
+    def test_model_outputs_and_input_gradients_stay_channels_last(self, rng, monkeypatch):
+        from segrefine.config import LossConfig, ModelConfig
+        from segrefine.losses import hybrid_loss
+        from segrefine.model import SegModel
+
+        outputs, input_grads, inside = [], [], []
+        conv_forward, bn_forward, resample_op = Conv2d.forward, BatchNorm2d.forward, layers._resample_op
+        accumulate = Tensor._accumulate
+
+        def conv_spy(self, x, *args, **kwargs):
+            out = conv_forward(self, x, *args, **kwargs)
+            outputs.append(("conv", out.data))
+            if out._backward is not None:
+                def backward(grad, backward=out._backward):
+                    inside.append(x)
+                    try:
+                        backward(grad)
+                    finally:
+                        inside.pop()
+
+                out._backward = backward
+            return out
+
+        def accumulate_spy(self, g, owned=False):
+            if inside and self is inside[-1]:  # a conv handing its input's gradient
+                input_grads.append(g)
+            accumulate(self, g, owned)
+
+        def bn_spy(self, x):
+            out = bn_forward(self, x)
+            outputs.append(("batch norm", out.data))
+            return out
+
+        def resample_spy(*args):
+            out = resample_op(*args)
+            outputs.append(("resample", out.data))
+            return out
+
+        monkeypatch.setattr(Conv2d, "forward", conv_spy)
+        monkeypatch.setattr(BatchNorm2d, "forward", bn_spy)
+        monkeypatch.setattr(layers, "_resample_op", resample_spy)
+        monkeypatch.setattr(Tensor, "_accumulate", accumulate_spy)
+        model = SegModel(ModelConfig(num_classes=5), rng=rng)
+        # a train-64 step: batch 8 of 64x64 crops, forward and backward
+        out = model(Tensor(rng.standard_normal((8, 3, 64, 64)).astype(np.float32)),
+                    train_mode=True)
+        labels = rng.integers(0, 5, size=(8, 64, 64))
+        hybrid_loss(out["logits"], out["embeddings"], labels, LossConfig(), rng)[0].backward()
+        model.eval()
+        with no_grad():
+            model(Tensor(rng.standard_normal((1, 3, 128, 256)).astype(np.float32)),
+                  train_mode=False)
+        kinds = {kind for kind, _ in outputs}
+        assert kinds == {"conv", "batch norm", "resample"} and input_grads
+        for kind, a in outputs:
+            assert a.transpose(0, 2, 3, 1).flags.c_contiguous, (kind, a.shape, a.strides)
+        for g in input_grads:
+            assert g.transpose(0, 2, 3, 1).flags.c_contiguous, (g.shape, g.strides)
 
 
 class TestAdaptiveAvgPool:
@@ -620,8 +697,8 @@ class TestBandPlan:
             assert len(plan.blocks) > 1
 
     @pytest.mark.parametrize("in_size, out_size", [
-        (16, 64),  # a train-64 logits upsample
-        (32, 64),  # 8x128x32x32 -> 64x64, where the blocks measured slower
+        (16, 32),  # a train-64 decoder upsample
+        (8, 32),  # a 4x upsample of an 8-wide map
         (5, 3),
     ])
     def test_mostly_dense_matrices_run_one_block(self, in_size, out_size):

@@ -197,5 +197,36 @@ class TestEvaluate:
             (tmp_path / "a" / part).write_bytes((tmp_path / "b" / part).read_bytes())
         model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
                                      ffn_expansion=1, embed_dim=2))
-        with pytest.raises(FormatError, match="sample 1"):
+        with pytest.raises(FormatError, match="sample 0"):
             evaluate(model, Dataset(tmp_path / "a"), indices=[0, 1])
+
+
+class TestTelemetry:
+    def test_interval_columns_follow_the_loss_reports(self, tmp_path, monkeypatch):
+        from segrefine import trainer
+        from segrefine.config import LossConfig, TrainConfig
+
+        generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 4, tmp_path / "data")
+        reports = []
+        hybrid_loss = trainer.hybrid_loss
+
+        def spy(*args, **kwargs):
+            total, report = hybrid_loss(*args, **kwargs)
+            reports.append(report)
+            return total, report
+
+        monkeypatch.setattr(trainer, "hybrid_loss", spy)
+        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
+                                     ffn_expansion=1, embed_dim=2))
+        cfg = TrainConfig(iters=6, batch=2, crop=32, eval_interval=4)
+        rows = trainer.train(model, Dataset(tmp_path / "data"), cfg, LossConfig(),
+                             out_dir=tmp_path / "run", log=lambda *args: None)
+        assert [row.iteration for row in rows] == [4, 6] and len(reports) == 6
+        for row, interval in zip(rows, (reports[:4], reports[4:])):
+            assert row.anchors == np.mean([r.anchor_count for r in interval]) > 0
+            assert row.ce_empty == sum(r.ce_empty for r in interval)
+            assert row.cl_empty == sum(r.cl_empty for r in interval)
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "iteration,lr,loss,ce,cl,val_miou,anchors,ce_empty,cl_empty"
+        assert [line.split(",")[6:] for line in lines[1:]] == [
+            [str(row.anchors), str(row.ce_empty), str(row.cl_empty)] for row in rows]
