@@ -17,7 +17,7 @@ class PpmHead(ContextHead):
     """Per-bin adaptive pooling, 1x1 convs to in/4 channels, upsample,
     concat, fuse."""
 
-    def __init__(self, stage_channels, out_channels, bins=(1, 2, 3, 6), rng=None):
+    def __init__(self, stage_channels, out_channels, bins, rng=None):
         super().__init__()
         in_c = sum(stage_channels)
         self.bins = tuple(bins)
@@ -47,7 +47,7 @@ class DappmHead(ContextHead):
     output to its pooled input before a 3x3 fusion conv; branches (in/4
     channels each) are then concatenated and compressed."""
 
-    def __init__(self, stage_channels, out_channels, scales=(2, 4, 8, 0), rng=None):
+    def __init__(self, stage_channels, out_channels, scales, rng=None):
         super().__init__()
         in_c = sum(stage_channels)
         self.scales = tuple(scales)  # pooling downsample factors; 0 means global

@@ -17,6 +17,7 @@ from .config import ConfigError
 from .tensor import FormatError, load_tensor_file, save_tensor_file
 
 IGNORE_INDEX = 255
+NOISE = 0.1  # half-width of the uniform pixel noise over each rendered scene
 
 
 @dataclass
@@ -26,7 +27,6 @@ class SceneSpec:
     num_classes: int = 5  # background + num_classes-1 shape classes
     min_shapes: int = 2
     max_shapes: int = 4
-    noise: float = 0.1
     seed: int = 0
 
     def validate(self):
@@ -79,7 +79,7 @@ def render_scene(spec: SceneSpec, rng):
                 labels[:, pos : pos + thick] = cls
     palette = class_palette(spec.num_classes)
     image = palette[labels].transpose(2, 0, 1).astype(np.float32)
-    image += rng.uniform(-spec.noise, spec.noise, size=image.shape).astype(np.float32)
+    image += rng.uniform(-NOISE, NOISE, size=image.shape).astype(np.float32)
     return np.clip(image, 0.0, 1.0), labels
 
 

@@ -14,12 +14,13 @@ recorded, kept whole for the weight gradient when one is. Their stride-1
 input gradient is the same im2col conv of the output gradient with the
 flipped kernel; strided ones scatter with `_col2im`. A 3x3 stride-1 pad-1
 conv with at least `_WINOGRAD_MIN_CHANNELS` input channels runs Winograd
-F(4x4, 3x3): banded per image with no graph (`_winograd_conv`), whole batch
-with one (`_winograd_recorded`, on maps of more than one 4x4 tile), both
-gathering channels-last tiles. A conv's bias, or a no-grad `ConvBnRelu`'s
-eval batch norm and ReLU, is an `_Epilogue` applied in cache. Pooling and
-bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis matrices
-(`band_plan`). `Module.named_state` names parameters and `_buffers`.
+F(4x4, 3x3) in `_winograd_conv`, in chunks of whole images or bands of tile
+rows; with a graph recorded (`_winograd_recorded`, on maps of more than one
+4x4 tile) the same kernel also keeps its transformed tiles for the backward.
+So each conv algorithm has one forward kernel. A conv's bias, or a no-grad
+`ConvBnRelu`'s eval batch norm and ReLU, is an `_Epilogue` applied in cache.
+Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
+matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
 
 from __future__ import annotations
@@ -166,8 +167,10 @@ class _Epilogue(NamedTuple):
 
 
 def _chunk_shape(windows_shape, itemsize, budget):
-    """(images, output rows) per chunk whose columns fit `budget` bytes: whole images when
-    one image's fit, else a band of at least one row. No budget means one chunk."""
+    """(images, rows) per chunk of `windows_shape` (n, rows, columns, kh, kw, c) that fits
+    `budget` bytes: whole images when one image's fit, else a band of at least one row. It
+    plans the chunks of im2col columns, of depthwise taps and of Winograd tiles (rows of
+    4x4 output tiles with 6x6 windows). No budget means one chunk."""
     n, oh, ow, kh, kw, c = windows_shape
     if budget is None:
         return n, oh
@@ -303,9 +306,9 @@ _WINOGRAD_ONES = 1 * 6 + 1
 # plus backward, 2.1 / 1.0 ms at 16, 5.4 / 2.5 at 32 (2-core Xeon, one BLAS thread).
 _WINOGRAD_MIN_CHANNELS = 32
 
-# Bytes of transformed tiles per band of the no-grad Winograd path: bands of 128 tiles or
-# more keep the 36 channel GEMMs wide (a 128 -> 128 conv took 3 ms less at 1x128x128x256
-# with two tile rows than with one, 35 ms less at 8x128x64x64 with four to eight).
+# Bytes of transformed tiles per chunk of a Winograd conv: chunks of 128 tiles or more keep
+# the 36 channel GEMMs wide (a no-grad 128 -> 128 conv took 3 ms less at 1x128x128x256 with
+# two tile rows than with one, 35 ms less at 8x128x64x64 with four to eight).
 _WINOGRAD_BUDGET = 3 << 20
 
 
@@ -331,15 +334,17 @@ def _scatter_tiles(y, out):
         out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
 
 
-def _winograd_conv(x, weight, dtype, budget, epilogue):
+def _winograd_conv(x, weight, dtype, budget, epilogue, tiles=None):
     """3x3 stride-1 pad-1 correlation of `x` (n, h, w, c) by Winograd F(4x4, 3x3), then
     `epilogue`; returns (n, h, w, oc).
 
-    Per image and band of tile rows (as many as keep the transformed tiles within `budget`
-    bytes): the rows are copied into a zero-bordered buffer, the 6x6 tiles gathered, and
-    three GEMMs run the input transform, the 36 channel products and the output transform.
-    The shift is added to the products at `_WINOGRAD_ONES` and the ReLU clamps each band
-    before its scatter. The filter transform is recomputed each call, so never stale.
+    Per chunk (`_chunk_shape` of the transformed tiles for `budget` bytes: whole images, or a
+    band of tile rows of one image): the rows are copied into a zero-bordered buffer, the 6x6
+    tiles gathered, and three GEMMs run the input transform, the 36 channel products and the
+    output transform. The shift is added to the products at `_WINOGRAD_ONES` and the ReLU
+    clamps each chunk before its scatter. The transformed tiles V = Bt d B are written to
+    `tiles` (36, n*th*tw, c) when given, in (n, th, tw) order. The filter transform is
+    recomputed each call, so never stale.
     """
     n, h, w, c = x.shape
     oc = weight.shape[0]
@@ -347,34 +352,36 @@ def _winograd_conv(x, weight, dtype, budget, epilogue):
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(out.dtype)
     u = _filter_transform(weight, kg)
-    band = max(1, min(th, budget // (36 * max(c, oc) * tw * out.itemsize)))
-    padded = np.zeros((1, 4 * band + 2, 4 * tw + 2, c), dtype)
+    images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), out.itemsize, budget)
+    images = min(images, n)
+    padded = np.zeros((images, 4 * band + 2, 4 * tw + 2, c), dtype)
     # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
-    ping = np.empty(36 * max(c, oc) * band * tw, dtype)
+    ping = np.empty(36 * max(c, oc) * images * band * tw, dtype)
     pong = np.empty_like(ping)
-    for i in range(n):
+    for i in range(0, n, images):
         for t in range(0, th, band):
-            nb = min(band, th - t)
-            r, rows, p = 4 * t, 4 * nb + 2, nb * tw
+            m, nb = min(images, n - i), min(band, th - t)
+            r, rows, p = 4 * t, 4 * nb + 2, m * nb * tw
             # padded row j holds input row r - 1 + j; rows outside the input are zero
             lo, hi = max(r - 1, 0), min(r + 4 * nb + 1, h)
             top, bottom = lo - r + 1, hi - r + 1
             padded[:, :top] = 0
-            padded[0, top:bottom, 1 : w + 1] = x[i, lo:hi]
+            padded[:m, top:bottom, 1 : w + 1] = x[i : i + m, lo:hi]
             padded[:, bottom:rows] = 0
-            d = ping[: 36 * p * c].reshape(6, 6, 1, nb, tw, c)
-            _gather_tiles(padded[:, :rows], d)
-            v = pong[: 36 * p * c].reshape(36, p, c)
-            np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c))
-            m = ping[: 36 * p * oc].reshape(36, p, oc)
-            np.matmul(v, u.transpose(0, 2, 1), out=m)
+            d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
+            _gather_tiles(padded[:m, :rows], d)
+            start = (i * th + t) * tw
+            v = pong[: 36 * p * c].reshape(36, p, c) if tiles is None else tiles[:, start : start + p]
+            np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c, copy=False))
+            prod = ping[: 36 * p * oc].reshape(36, p, oc)
+            np.matmul(v, u.transpose(0, 2, 1), out=prod)
             if epilogue.shift is not None:
-                m[_WINOGRAD_ONES] += epilogue.shift
+                prod[_WINOGRAD_ONES] += epilogue.shift
             y = pong[: 16 * p * oc].reshape(16, p * oc)
-            np.matmul(ka, m.reshape(36, p * oc), out=y)
+            np.matmul(ka, prod.reshape(36, p * oc), out=y)
             if epilogue.relu:
                 np.maximum(y, 0, out=y)
-            _scatter_tiles(y.reshape(4, 4, 1, nb, tw, oc), out[i : i + 1, r : r + 4 * nb])
+            _scatter_tiles(y.reshape(4, 4, m, nb, tw, oc), out[i : i + m, r : r + 4 * nb])
     return out
 
 
@@ -386,33 +393,22 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
 
 
 def _winograd_recorded(x, w, b, dtype):
-    """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3), whole batch at once.
+    """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3).
 
-    The forward keeps only the transformed tiles V = Bt d B, (36, n*th*tw, c), a quarter of
-    the im2col columns; the output is At (V Ut) A with U = G w Gt. The backward transforms
-    the output gradient once, dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the
-    input gradient B (dM U) Bt overlap-added from the tiles, with U recomputed then.
+    The forward is `_winograd_conv`, with the bias as its epilogue, keeping the transformed
+    tiles V = Bt d B, (36, n*th*tw, c), a quarter of the im2col columns. The backward
+    transforms the output gradient once, dM = A dY At: the weight gradient is Gt (sum of
+    dMt V) G, the input gradient B (dM U) Bt overlap-added from the tiles, with U = G w Gt
+    recomputed then.
     """
     n, c, h, wd = x.shape
     oc = w.shape[0]
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
     kb, kg, ka = _winograd_transforms(dtype)
-    padded = np.zeros((n, 4 * th + 2, 4 * tw + 2, c), dtype)
-    padded[:, 1 : h + 1, 1 : wd + 1] = _nhwc(x.data)
-    d = np.empty((6, 6, n, th, tw, c), dtype)
-    _gather_tiles(padded, d)
-    del padded
-    v = (kb @ d.reshape(36, tiles * c)).reshape(36, tiles, c)
-    del d
-    m = np.matmul(v, _filter_transform(w.data, kg).swapaxes(1, 2))
-    y = (ka @ m.reshape(36, tiles * oc)).reshape(4, 4, n, th, tw, oc)
-    del m
-    out = np.empty((n, h, wd, oc), dtype)
-    _scatter_tiles(y, out)
-    del y
-    if b is not None:
-        out += b.data
+    v = np.empty((36, tiles, c), dtype)
+    epilogue = _Epilogue(None, None if b is None else b.data, False)
+    out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue, v)
 
     def backward(grad):
         tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)

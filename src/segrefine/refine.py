@@ -124,7 +124,7 @@ class DisentangledAttention(Module):
 class FeedForwardBlock(Module):
     """1x1 expand, 3x3 depthwise, ReLU, 1x1 reduce, with a residual add."""
 
-    def __init__(self, channels, expansion=4, rng=None):
+    def __init__(self, channels, expansion, rng=None):
         super().__init__()
         hidden = channels * expansion
         self.expand = Conv2d(channels, hidden, 1, rng=rng)
@@ -140,7 +140,7 @@ class FeedForwardBlock(Module):
 class FeatureRefineHead(ContextHead):
     """Aggregate the pyramid, attend, run the FFN, and cut channels."""
 
-    def __init__(self, stage_channels, out_channels, ffn_expansion=4, rng=None):
+    def __init__(self, stage_channels, out_channels, ffn_expansion, rng=None):
         super().__init__()
         in_c = sum(stage_channels)
         self.attention = DisentangledAttention(in_c, rng=rng)

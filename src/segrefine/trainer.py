@@ -39,7 +39,7 @@ class SGD:
     are 1-D and exempt.
     """
 
-    def __init__(self, params, momentum=0.9, weight_decay=1e-4):
+    def __init__(self, params, momentum, weight_decay):
         self.params = list(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -65,7 +65,7 @@ class SGD:
 class TrainSchedule:
     lr0: float
     total_iters: int
-    power: float = 0.9
+    power: float
     iteration: int = 0
 
     def lr(self):
@@ -86,7 +86,7 @@ def _resize_labels(labels, out_h, out_w):
     return labels[rows[:, None], cols[None, :]]
 
 
-def augment(image, labels, rng, crop, scale_range=(0.5, 2.0)):
+def augment(image, labels, rng, crop, scale_range):
     """Random horizontal flip, random resize, random crop (padded with IGNORE_INDEX)."""
     if rng.random() < 0.5:
         image = image[:, :, ::-1]

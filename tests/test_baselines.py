@@ -17,14 +17,14 @@ def make_input(rng, size=8, channels=120):
 
 class TestPpmHead:
     def test_constant_preserved(self, rng):
-        head = PpmHead(PLAN, 16, rng=rng)
+        head = PpmHead(PLAN, 16, bins=(1, 2, 3, 6), rng=rng)
         x = Tensor(np.full((1, 120, 8, 8), 0.75, dtype=np.float32))
         out = head.context(x).data
         # 1x1 convs keep a spatially constant input spatially constant
         np.testing.assert_allclose(out, np.broadcast_to(out[:, :, :1, :1], out.shape), atol=1e-5)
 
     def test_output_shape(self, rng):
-        head = PpmHead(PLAN, 32, rng=rng)
+        head = PpmHead(PLAN, 32, bins=(1, 2, 3, 6), rng=rng)
         assert head.context(make_input(rng)).shape == (1, 32, 8, 8)
 
     def test_bin1_branch_is_global_mean(self, rng):
@@ -46,7 +46,7 @@ class TestPpmHead:
 
 class TestDappmHead:
     def test_constant_preserved_with_zeroed_fusion(self, rng):
-        head = DappmHead(PLAN, 16, rng=rng)
+        head = DappmHead(PLAN, 16, scales=(2, 4, 8, 0), rng=rng)
         for i in range(1, len(head.scales) + 1):
             zero_params(getattr(head, f"fuse{i}"))
         x = Tensor(np.full((1, 120, 8, 8), -0.5, dtype=np.float32))
@@ -54,7 +54,7 @@ class TestDappmHead:
         np.testing.assert_allclose(out, np.broadcast_to(out[:, :, :1, :1], out.shape), atol=1e-5)
 
     def test_output_shape(self, rng):
-        head = DappmHead(PLAN, 24, rng=rng)
+        head = DappmHead(PLAN, 24, scales=(2, 4, 8, 0), rng=rng)
         assert head.context(make_input(rng)).shape == (1, 24, 8, 8)
 
     def test_single_branch_reduces_to_1x1_conv(self, rng):
@@ -84,7 +84,8 @@ class TestInterchangeability:
     def test_same_contract(self, rng, cls):
         from test_refine import make_pyramid
 
-        kwargs = {"bins": (1, 2)} if cls is PpmHead else {}
+        kwargs = {FeatureRefineHead: {"ffn_expansion": 4}, PpmHead: {"bins": (1, 2)},
+                  DappmHead: {"scales": (2, 4, 8, 0)}}[cls]
         head = cls(PLAN, 48, rng=rng, **kwargs)
         out = head(make_pyramid(rng, plan=PLAN, base=32))
         assert out.shape == (1, 48, 4, 4)

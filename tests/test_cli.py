@@ -200,11 +200,12 @@ def _scaled_no_grad(fn):
 
 
 def _scaled_winograd(fused):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue."""
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue: the
+    recorded path's forward also runs `_winograd_conv`, with a graph recorded."""
     def fault(fn):
-        def broken(*args):
-            out = fn(*args)
-            return out * 1.001 if args[-1].relu == fused else out
+        def broken(x, weight, dtype, budget, epilogue, *args):
+            out = fn(x, weight, dtype, budget, epilogue, *args)
+            return out * 1.001 if not T._GRAD_ENABLED and epilogue.relu == fused else out
 
         return broken
 

@@ -194,11 +194,12 @@ def _spy_conv_paths(monkeypatch):
     """The oracle row label of every `Conv2d.forward` call, None where none maps.
 
     Spies on `records_graph` and on the functions that compute a forward, and
-    counts only their calls made inside `Conv2d.forward`: `_conv_columns`
-    also runs stride-1 input gradients, in the backward. The epilogue a
+    counts only their outermost calls made inside `Conv2d.forward`:
+    `_conv_columns` also runs stride-1 input gradients, in the backward, and
+    `_winograd_recorded` runs its forward in `_winograd_conv`. The epilogue a
     `ConvBnRelu` passes goes through to the forward.
     """
-    rows, inside = [], []
+    rows, inside, depth = [], [], [0]
     forward = Conv2d.forward
 
     def spy_forward(self, x, *args, **kwargs):
@@ -216,8 +217,12 @@ def _spy_conv_paths(monkeypatch):
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            if inside:
+            depth[0] += 1
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if inside and (name == "records_graph" or not depth[0]):
                 inside[-1].append((name, result if name == "records_graph" else None))
             return result
 
@@ -338,7 +343,8 @@ class TestWinogradConv:
         x = Tensor(rng.standard_normal((n, in_c, *hw)).astype(dtype))
         with no_grad():
             fast = conv(x)
-        assert bool(plans) == (in_c < WINO_C)  # im2col plans its chunks, Winograd does not
+        # im2col plans its chunks of 3x3 windows, Winograd its chunks of 6x6 tiles
+        assert [args[0][3:5] for args in plans] == [(6, 6) if in_c >= WINO_C else (3, 3)]
         recorded = conv(x)
         assert recorded.requires_grad and not fast.requires_grad
         assert fast.dtype == recorded.dtype == dtype
@@ -424,6 +430,33 @@ class TestRecordedWinograd:
         # downsampling convs are strided, stage3's and smooth3's 4x4 maps are
         # one tile and stage4's map is 2x2
         assert calls == [(2, 32, 8, 8), (2, 128, 8, 8), (2, 128, 16, 16)]
+
+    @pytest.mark.parametrize("chunks", ["one-tile-row", "two-images"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_chunked_tiles_match_direct_reference(self, rng, monkeypatch, chunks, dtype):
+        """The forward writes the kept tiles chunk by chunk: bands of one tile row
+        of one image, or groups of two images with a ragged last one (batch 3)."""
+        row = ORACLE_ROWS["recorded winograd conv gradients"]
+        itemsize = np.dtype(dtype).itemsize
+        if chunks == "one-tile-row":
+            budget = 1  # below one tile row, a chunk is one tile row
+        else:
+            h, w = 13, 17
+            row = row._replace(extents=((h, w),), batches=(3,), convs=row.convs[2:])
+            (in_c, out_c, *_), = row.convs
+            budget = 2 * 36 * max(in_c, out_c) * -(-h // 4) * -(-w // 4) * itemsize
+        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)
+        gathered = []
+        gather_tiles = layers._gather_tiles
+        monkeypatch.setattr(layers, "_gather_tiles",
+                            lambda padded, d: gathered.append(d.shape) or gather_tiles(padded, d))
+        _check_oracle_row(row, dtype, rng, monkeypatch)
+        cases = row.cases()
+        if chunks == "one-tile-row":
+            assert {shape[2:4] for shape in gathered} == {(1, 1)}
+            assert len(gathered) == sum(n * -(-h // 4) for _, n, h, _, _ in cases) > len(cases)
+        else:
+            assert [shape[2:4] for shape in gathered] == [(2, 4), (1, 4)] * len(cases)
 
     def test_keeps_a_quarter_of_the_columns(self, rng):
         n, c, h, w = 2, WINO_C, 16, 16

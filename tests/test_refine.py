@@ -160,13 +160,13 @@ class TestFeatureRefineHead:
         from segrefine.model import Backbone
 
         backbone = Backbone((8, 16, 32, 64), rng=rng)
-        head = FeatureRefineHead((8, 16, 32, 64), 64, rng=rng)
+        head = FeatureRefineHead((8, 16, 32, 64), 64, ffn_expansion=4, rng=rng)
         p = backbone(Tensor(rng.random((1, 3, 64, 64)).astype(np.float32)))
         assert head(p).shape == (1, 64, 2, 2)
 
     def test_zeroed_blocks_reduce_to_closed_form(self, rng):
         plan = (2, 2, 2, 2)
-        head = FeatureRefineHead(plan, 4, rng=rng)
+        head = FeatureRefineHead(plan, 4, ffn_expansion=4, rng=rng)
         zero_params(head.attention)
         set_identity_1x1(head.attention.value)
         set_identity_1x1(head.attention.proj)

@@ -47,7 +47,7 @@ class TestSgd:
     def test_missing_grad_rejected(self):
         p = Parameter(np.zeros(1, dtype=np.float32))
         with pytest.raises(ContractError):
-            SGD([p]).step(lr=0.1)
+            SGD([p], momentum=0.9, weight_decay=1e-4).step(lr=0.1)
 
 
 class TestPolySchedule:
