@@ -84,6 +84,13 @@ def _check_extents(model, size, error, source):
         raise error(f"{source}: {exc}") from exc
 
 
+def _check_classes(model, dataset):
+    """Raise a config error unless `dataset` has `model`'s class count."""
+    if dataset.num_classes != model.cfg.num_classes:
+        raise ConfigError(
+            f"dataset has {dataset.num_classes} classes, model {model.cfg.num_classes}")
+
+
 def cmd_gen(cfg: RunConfig, args):
     h, w = cfg.size
     spec = datagen.SceneSpec(height=h, width=w, num_classes=args.classes, seed=cfg.train.seed)
@@ -109,6 +116,7 @@ def cmd_train(cfg: RunConfig, args):
                 f"{cfg.checkpoint}: checkpoint header iteration={header['iteration']!r} "
                 "is not an integer"
             ) from exc
+        _check_classes(model, dataset)
     else:
         model = SegModel(cfg.model, rng=np.random.default_rng(cfg.train.seed))
     _check_extents(model, (cfg.train.crop, cfg.train.crop), ConfigError, "train crop")
@@ -132,10 +140,7 @@ def cmd_train(cfg: RunConfig, args):
 def cmd_eval(cfg: RunConfig, args):
     model, _ = load_checkpoint(cfg.checkpoint)
     dataset = datagen.Dataset(cfg.data)
-    if dataset.num_classes != model.cfg.num_classes:
-        raise ConfigError(
-            f"dataset has {dataset.num_classes} classes, model {model.cfg.num_classes}"
-        )
+    _check_classes(model, dataset)
     _check_extents(model, dataset.size, FormatError, cfg.data)
     miou, per_class = trainer.evaluate(model, dataset)
     for c, iou in enumerate(per_class):

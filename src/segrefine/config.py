@@ -68,6 +68,11 @@ class TrainConfig:
     eval_interval: int = 100
     eval_count: int = 16
 
+    def validate(self):
+        for name in ("batch", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 @dataclass
 class RunConfig:
@@ -82,6 +87,7 @@ class RunConfig:
     def validate(self):
         self.model.validate()
         self.loss.validate()
+        self.train.validate()
         if len(self.size) != 2 or min(self.size) < 1:
             raise ConfigError(f"size must be two positive extents, got {format_value(self.size)}")
 

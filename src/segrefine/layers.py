@@ -1,24 +1,26 @@
 """Neural building blocks: convolutions, batch norm, pooling, upsampling.
 
 Memory format: every activation is stored channels-last, (n, h, w, c), behind
-its logical (n, c, h, w) shape. Each kernel reads `_nhwc(x)`, free for a
+its logical (n, c, h, w) shape. Each op reads `_nhwc(x)`, free for a
 channels-last array and one copy for an NCHW one (im2col reads an NCHW image
 as it is), and returns the (n, c, h, w) view of an (n, h, w, c) array, so
 numpy's elementwise ops, `concat` along channels and the attention's
-(n, c, h*w) reshape keep the layout. Weights stay OIHW. A 1x1 stride-1 conv
-is one GEMM over the (n*h*w, c) matrix, forward and for both gradients; a
-depthwise conv is one multiply-add per kernel tap; batch norm reduces over
-the (n*h*w, c) matrix. Other convs run im2col with (positions, k*k*c/groups)
-columns, streamed through one buffer of `_COL_BUDGET` bytes when no graph is
-recorded, kept whole for the weight gradient when one is. Their stride-1
-input gradient is the same im2col conv of the output gradient with the
-flipped kernel; strided ones scatter with `_col2im`. A 3x3 stride-1 pad-1
-conv with at least `_WINOGRAD_MIN_CHANNELS` input channels runs Winograd
-F(4x4, 3x3) in `_winograd_conv`, in chunks of whole images or bands of tile
-rows; with a graph recorded (`_winograd_recorded`, on maps of more than one
-4x4 tile) the same kernel also keeps its transformed tiles for the backward.
-So each conv algorithm has one forward kernel. A conv's bias, or a no-grad
-`ConvBnRelu`'s eval batch norm and ReLU, is an `_Epilogue` applied in cache.
+(n, c, h*w) reshape keep the layout. Weights stay OIHW. `Conv2d.forward` picks
+each conv's kernel, which returns its (n, oh, ow, oc) output and a backward for
+the input and weight gradients; `Conv2d.forward` makes the one graph node and
+adds the bias gradient. A 1x1 stride-1 conv is one GEMM over the (n*h*w, c)
+matrix, forward and for both gradients; a depthwise conv is one multiply-add
+per kernel tap; batch norm reduces over the (n*h*w, c) matrix. Other convs run
+im2col with (positions, k*k*c/groups) columns, streamed through one buffer of
+`_COL_BUDGET` bytes when no graph is recorded, kept whole for the weight
+gradient when one is. `_scatter_taps` adds up each tap's input gradient for
+every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
+`_WINOGRAD_MIN_CHANNELS` input channels runs Winograd F(4x4, 3x3) in
+`_winograd_conv`, in chunks of whole images or bands of tile rows; with a
+graph recorded (`_winograd_recorded`, on maps of more than one 4x4 tile) the
+same kernel also keeps its transformed tiles for the backward. So each conv
+algorithm has one forward kernel. A conv's bias, or a no-grad `ConvBnRelu`'s
+eval batch norm and ReLU, is an `_Epilogue` applied in cache.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
 matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
@@ -209,7 +211,7 @@ def _conv_columns(windows, w_mat, out, budget=None, epilogue=None):
     return cols
 
 
-def _pointwise(x, w, b, epilogue):
+def _pointwise(x, w, epilogue):
     """1x1 stride-1 convolution: one GEMM over the (n*h*w, c) matrix of `x`, as is each gradient."""
     xd = _nhwc(x.data)
     n, h, wd, c = xd.shape
@@ -218,29 +220,26 @@ def _pointwise(x, w, b, epilogue):
     epilogue.apply(out.reshape(n * h, wd, oc))
 
     def backward(grad):
-        g2 = _nhwc(grad).reshape(-1, oc)
+        g2 = grad.reshape(-1, oc)
         if w.requires_grad:
             w._accumulate((g2.T @ x2).reshape(w.shape), owned=True)
-        if b is not None and b.requires_grad:
-            b._accumulate(_channel_sums(g2))
         if x.requires_grad:
             gx = g2 @ w.data.reshape(oc, c)
             x._accumulate(gx.reshape(n, h, wd, c).transpose(0, 3, 1, 2), owned=True)
 
-    out = out.reshape(n, h, wd, oc).transpose(0, 3, 1, 2)
-    return _make(out, (x, w) if b is None else (x, w, b), backward)
+    return out.reshape(n, h, wd, oc), backward
 
 
-def _depthwise(x, w, b, stride, pad, epilogue, budget):
+def _depthwise(x, w, stride, pad, epilogue):
     """Depthwise convolution: one multiply-add per kernel tap over (n, oh, ow, c) maps, in
-    the chunks `_chunk_shape` plans for `budget`, so each chunk's taps add up in cache. The
-    backward scatter-adds each tap's input gradient into a zero-bordered map."""
+    the chunks `_chunk_shape` plans for `_COL_BUDGET`, so each chunk's taps add up in cache.
+    It keeps no columns, so it streams with a graph recorded too."""
     c, k = w.shape[0], w.shape[2]
     windows = _windows(_nhwc(x.data, pad), k, stride)
     n, oh, ow = windows.shape[:3]
     taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)
     out = np.empty((n, oh, ow, c), np.result_type(windows, taps))
-    images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
+    images, rows = _chunk_shape(windows.shape, windows.itemsize, _COL_BUDGET)
     buf = np.empty(min(images, n) * min(rows, oh) * ow * c, out.dtype)
     for i in range(0, n, images):
         for r in range(0, oh, rows):
@@ -253,24 +252,16 @@ def _depthwise(x, w, b, stride, pad, epilogue, budget):
             epilogue.apply(dst)
 
     def backward(grad):
-        g = _nhwc(grad)
         if w.requires_grad:
             gw = np.empty_like(taps)
             for t in range(k * k):
-                gw[t] = np.einsum("nhwc,nhwc->c", g, windows[:, :, :, t // k, t % k])
+                gw[t] = np.einsum("nhwc,nhwc->c", grad, windows[:, :, :, t // k, t % k])
             w._accumulate(np.ascontiguousarray(gw.T).reshape(w.shape), owned=True)
-        if b is not None and b.requires_grad:
-            b._accumulate(_channel_sums(g.reshape(-1, c)))
         if x.requires_grad:
-            h, wd = x.shape[2:]
-            gx = np.zeros((n, h + 2 * pad, wd + 2 * pad, c), out.dtype)
-            for t in range(k * k):
-                i, j = divmod(t, k)
-                gx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += g * taps[t]
-            gx = np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + wd])
-            x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
+            x._accumulate(_scatter_taps((grad * tap for tap in taps), x.shape, k, stride, pad,
+                                        out.dtype), owned=True)
 
-    return _make(out.transpose(0, 3, 1, 2), (x, w) if b is None else (x, w, b), backward)
+    return out, backward
 
 
 @functools.lru_cache(maxsize=8)
@@ -392,14 +383,13 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
 
-def _winograd_recorded(x, w, b, dtype):
+def _winograd_recorded(x, w, dtype, epilogue):
     """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3).
 
-    The forward is `_winograd_conv`, with the bias as its epilogue, keeping the transformed
-    tiles V = Bt d B, (36, n*th*tw, c), a quarter of the im2col columns. The backward
-    transforms the output gradient once, dM = A dY At: the weight gradient is Gt (sum of
-    dMt V) G, the input gradient B (dM U) Bt overlap-added from the tiles, with U = G w Gt
-    recomputed then.
+    The forward is `_winograd_conv`, keeping the transformed tiles V = Bt d B, (36, n*th*tw,
+    c), a quarter of the im2col columns. The backward transforms the output gradient once,
+    dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the input gradient B (dM U) Bt
+    overlap-added from the tiles, with U = G w Gt recomputed then.
     """
     n, c, h, wd = x.shape
     oc = w.shape[0]
@@ -407,12 +397,11 @@ def _winograd_recorded(x, w, b, dtype):
     tiles = n * th * tw
     kb, kg, ka = _winograd_transforms(dtype)
     v = np.empty((36, tiles, c), dtype)
-    epilogue = _Epilogue(None, None if b is None else b.data, False)
     out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue, v)
 
     def backward(grad):
         tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)
-        tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd] = grad.transpose(0, 2, 3, 1)
+        tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd] = grad
         dy = np.ascontiguousarray(tiled.transpose(2, 4, 0, 1, 3, 5))
         del tiled
         dm = (ka.T @ dy.reshape(16, tiles * oc)).reshape(36, tiles, oc)
@@ -421,8 +410,6 @@ def _winograd_recorded(x, w, b, dtype):
             du = np.matmul(dm.swapaxes(1, 2), v)  # 36, oc, c
             w._accumulate((du.reshape(36, oc * c).T @ kg).reshape(w.shape), owned=True)
             del du
-        if b is not None and b.requires_grad:
-            b._accumulate(_channel_sums(_nhwc(grad).reshape(-1, oc)))
         if not x.requires_grad:
             return
         dv = np.matmul(dm, _filter_transform(w.data, kg))
@@ -437,20 +424,46 @@ def _winograd_recorded(x, w, b, dtype):
         gx = np.ascontiguousarray(blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1])
         x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 
-    return _make(out.transpose(0, 3, 1, 2), (x, w) if b is None else (x, w, b), backward)
+    return out, backward
 
 
-def _col2im(cols_grad, x_shape, kh, kw, stride, pad, oh, ow):
-    """Scatter-add column gradients (groups, n*oh*ow, kh*kw*c/groups) back to (n, h, w, c)."""
-    n, h, w, c = x_shape
-    g = cols_grad.shape[0]
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols_grad.dtype)
-    cg = cols_grad.reshape(g, n, oh, ow, kh, kw, c // g).transpose(1, 2, 3, 4, 5, 0, 6)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += (
-                cg[:, :, :, i, j].reshape(n, oh, ow, c))
-    return np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + w])
+def _scatter_taps(tap_grads, x_shape, k, stride, pad, dtype):
+    """Input gradient of a k x k conv on an `x_shape` (n, c, h, w) input, as the (n, c, h, w)
+    view of an (n, h, w, c) array: the t-th of `tap_grads` (row-major taps), (n, oh, ow, ...)
+    with c values per position, adds into the inputs tap t reads. Every im2col and depthwise
+    conv takes its input gradient here."""
+    n, c, h, w = x_shape
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype)
+    for t, grad in enumerate(tap_grads):
+        (i, j), (oh, ow) = divmod(t, k), grad.shape[1:3]
+        gx[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += grad.reshape(n, oh, ow, c)
+    return np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + w]).transpose(0, 3, 1, 2)
+
+
+def _im2col(x, w, stride, pad, groups, epilogue, budget):
+    """Any other convolution: `_conv_columns` over the k x k windows of `x`, streamed for a
+    `budget` or kept whole for the weight gradient; the input gradient is `_scatter_taps`."""
+    oc, cg, k = w.shape[:3]
+    # an NCHW input (an image) is bordered in its own order: see `_conv_columns`
+    last = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    xp = _nhwc(x.data, pad) if last else np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = _windows(xp if last else xp.transpose(0, 2, 3, 1), k, stride)
+    n, oh, ow = windows.shape[:3]
+    w_mat = w.data.transpose(0, 2, 3, 1).reshape(groups, oc // groups, k * k * cg)
+    out = np.empty((n, oh, ow, oc), np.result_type(windows, w_mat))
+    cols = _conv_columns(windows, w_mat, out, budget, epilogue)
+
+    def backward(grad):
+        gmat = grad.reshape(n * oh * ow, groups, oc // groups).transpose(1, 0, 2)
+        if w.requires_grad:
+            gw = np.matmul(gmat.transpose(0, 2, 1), cols).reshape(oc, k, k, cg)
+            w._accumulate(np.ascontiguousarray(gw.transpose(0, 3, 1, 2)), owned=True)
+        if x.requires_grad:
+            taps = np.matmul(gmat, w_mat).reshape(groups, n, oh, ow, k * k, cg)
+            x._accumulate(_scatter_taps(taps.transpose(4, 1, 2, 3, 0, 5), x.shape, k, stride, pad,
+                                        out.dtype), owned=True)
+
+    return out, backward
 
 
 class Conv2d(Module):
@@ -480,57 +493,31 @@ class Conv2d(Module):
             raise ContractError("an epilogue stands in for the bias of a no-grad conv")
         else:  # its scale is folded into the weights
             epilogue, w = _epilogue, Tensor(w.data * _epilogue.scale[:, None, None, None])
-        if (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS:
-            if not recorded:
-                out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue)
-                return Tensor(out.transpose(0, 3, 1, 2))
-            # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
-            # transforms cost as much as the products they shrink: forward plus backward
-            # of 8x128x4x4 took 3.3 ms by im2col against 3.6 ms by Winograd, of 8x64x4x4
-            # 1.07 against 1.14 ms (medians of five runs, one BLAS thread)
-            h, wd = x.shape[2:]
-            if min(h, wd) >= 4 and max(h, wd) > 4:
-                return _winograd_recorded(x, w, b, dtype)
-        # recorded convs keep their whole columns for the weight gradient
-        budget = None if recorded else _COL_BUDGET
-        if g > 1 and g == self.in_c == self.out_c:
-            return _depthwise(x, w, b, s, p, epilogue, budget)
-        if (k, s, p, g) == (1, 1, 0, 1):
-            return _pointwise(x, w, b, epilogue)
-        # an NCHW input (an image) is bordered in its own order: see `_conv_columns`
-        last = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
-        xp = _nhwc(x.data, p) if last else np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-        windows = _windows(xp if last else xp.transpose(0, 2, 3, 1), k, s)
-        n, oh, ow = windows.shape[:3]
-        ocg, cg = self.out_c // g, self.in_c // g
-        w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, ocg, k * k * cg)
-        out = np.empty((n, oh, ow, self.out_c), dtype)
-        cols = _conv_columns(windows, w_mat, out, budget, epilogue)
-        x_shape = (n, *x.shape[2:], self.in_c)
+        winograd = (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
+        if winograd and not recorded:
+            out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue)
+            backward = None
+        # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
+        # transforms cost as much as the products they shrink: forward plus backward
+        # of 8x128x4x4 took 3.3 ms by im2col against 5.9 by Winograd, of 8x64x4x4 1.06-1.09
+        # against 1.06-1.16 ms (medians of 80 interleaved runs, three times; 2-core Xeon,
+        # one BLAS thread)
+        elif winograd and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4:
+            out, backward = _winograd_recorded(x, w, dtype, epilogue)
+        elif g > 1 and g == self.in_c == self.out_c:
+            out, backward = _depthwise(x, w, s, p, epilogue)
+        elif (k, s, p, g) == (1, 1, 0, 1):
+            out, backward = _pointwise(x, w, epilogue)
+        else:  # recorded convs keep their whole columns for the weight gradient
+            out, backward = _im2col(x, w, s, p, g, epilogue, None if recorded else _COL_BUDGET)
 
-        def backward(grad):
+        def node_backward(grad):  # the kernel's backward takes x and w
             gd = _nhwc(grad)
-            gmat = gd.reshape(n * oh * ow, g, ocg).transpose(1, 0, 2)
-            if w.requires_grad:
-                gw = np.matmul(gmat.transpose(0, 2, 1), cols).reshape(self.out_c, k, k, cg)
-                w._accumulate(np.ascontiguousarray(gw.transpose(0, 3, 1, 2)), owned=True)
             if b is not None and b.requires_grad:
                 b._accumulate(_channel_sums(gd.reshape(-1, self.out_c)))
-            if not x.requires_grad:
-                return
-            if s == 1:
-                # the correlation of the output gradient, padded by k - 1 - p, with the
-                # flipped kernel whose in/out channels swap within each group
-                q = k - 1 - p
-                gpad = _nhwc(grad, q) if q >= 0 else gd[:, -q : oh + q, -q : ow + q]
-                w_t = w.data.reshape(g, ocg, cg, k, k)[:, :, :, ::-1, ::-1].transpose(0, 2, 3, 4, 1)
-                gx = np.empty(x_shape, dtype)
-                _conv_columns(_windows(gpad, k, 1), w_t.reshape(g, cg, k * k * ocg), gx, _COL_BUDGET)
-            else:
-                gx = _col2im(np.matmul(gmat, w_mat), x_shape, k, k, s, p, oh, ow)
-            x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
+            backward(gd)
 
-        return _make(out.transpose(0, 3, 1, 2), parents, backward)
+        return _make(out.transpose(0, 3, 1, 2), parents, node_backward)
 
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape

@@ -185,18 +185,21 @@ def _scaled_output(fn):
 
 
 def _scaled_backward(fn):
+    """A fault in the backward that the kernel `fn` returns with its output."""
     def broken(*args):
-        out = fn(*args)
-        backward = out._backward
-        out._backward = lambda grad: backward(grad * 1.001)
-        return out
+        out, backward = fn(*args)
+        return out, lambda grad: backward(grad * 1.001)
 
     return broken
 
 
 def _scaled_no_grad(fn):
-    """A fault in the calls of `fn` that record no graph."""
-    return lambda *args: fn(*args) * (1.0 if T._GRAD_ENABLED else 1.001)
+    """A fault in the outputs of the kernel `fn` in calls that record no graph."""
+    def broken(*args):
+        out, backward = fn(*args)
+        return out * (1.0 if T._GRAD_ENABLED else 1.001), backward
+
+    return broken
 
 
 def _scaled_winograd(fused):
@@ -212,12 +215,13 @@ def _scaled_winograd(fused):
     return fault
 
 
-def _scaled_no_grad_columns(fused):
-    """A fault in no-grad im2col convs with (or without) a ReLU epilogue."""
+def _scaled_columns(recorded, fused):
+    """A fault in im2col convs that record a graph (or not), with (or without) a ReLU
+    epilogue."""
     def fault(fn):
         def broken(windows, w_mat, out, budget=None, epilogue=None):
             cols = fn(windows, w_mat, out, budget, epilogue)
-            if not T._GRAD_ENABLED and bool(epilogue and epilogue.relu) == fused:
+            if T._GRAD_ENABLED == recorded and bool(epilogue and epilogue.relu) == fused:
                 out *= 1.001
             return cols
 
@@ -235,9 +239,9 @@ PATH_FAULTS = [
     ("recorded 1x1 conv gradients", "_pointwise", _scaled_backward),
     ("depthwise conv", "_depthwise", _scaled_no_grad),
     ("recorded depthwise conv gradients", "_depthwise", _scaled_backward),
-    ("im2col conv", "_conv_columns", _scaled_no_grad_columns(False)),
-    ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_no_grad_columns(True)),
-    ("recorded conv gradients", "_col2im", _scaled_output),
+    ("im2col conv", "_conv_columns", _scaled_columns(False, False)),
+    ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_columns(False, True)),
+    ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
     ("recorded winograd conv gradients", "_winograd_recorded", _scaled_backward),
     ("banded resampling", "resample", _scaled_output),
 ]
@@ -250,8 +254,8 @@ class TestChecksAndBench:
         assert "matmul" in text and "full_model" in text
 
     def test_gradcheck_detects_injected_fault(self, capsys, tmp_path, monkeypatch):
-        # the strided conv3x3 component takes its input gradient through _col2im
-        monkeypatch.setattr(layers, "_col2im", _scaled_output(layers._col2im))
+        # the strided conv3x3 component takes its input gradient through _scatter_taps
+        monkeypatch.setattr(layers, "_scatter_taps", _scaled_output(layers._scatter_taps))
         assert main(["gradcheck", "--seed", "0", "--out", str(tmp_path / "gc")]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("conv3x3 ") and line.endswith("FAIL") for line in lines)
@@ -355,6 +359,27 @@ class TestProvenanceAndErrors:
     def test_bad_size_flag_is_usage_error(self, tmp_path, capsys, command, size):
         assert main([command, "--size", size, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["batch", "eval_interval"])
+    def test_non_positive_train_setting_is_usage_error(self, tmp_path, capsys, key):
+        data = make_dataset(tmp_path, count=1)
+        cfg = write_config(tmp_path, TINY_NET + [f"{key}=0"])
+        assert main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be positive, got 0" in err
+
+    def test_resume_on_other_classes_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(ModelConfig(channels=(4, 8, 8, 8), decoder_channels=8,
+                                                   num_classes=3, embed_dim=4)))
+        data = make_dataset(tmp_path, count=1, classes=5)
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        assert main(["train", "--config", write_config(tmp_path, TINY_NET), "--data", data,
+                     "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dataset has 5 classes, model 3" in err
+        assert not runs  # refused before any step
 
     def test_bad_checkpoint_is_format_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.srcp"

@@ -96,7 +96,8 @@ def _one_row(n, oh, images, rows):
 
 
 class TestStreamedConv:
-    """No-grad convolutions stream their columns; recorded ones build them whole."""
+    """No-grad convolutions stream their columns; recorded ones build them whole. A
+    depthwise conv keeps no columns, so it streams when recorded too."""
 
     @pytest.mark.parametrize("kwargs, shape, plan", [
         (dict(in_c=1, out_c=3, kernel=3), (7, 1, 4, 4), _multi_image),
@@ -131,7 +132,7 @@ class TestStreamedConv:
         assert recorded.requires_grad and not streamed.requires_grad
         assert streamed.dtype == recorded.dtype == dtype
         (limit, (images, rows)), (whole, _) = plans
-        assert limit == budget and whole is None
+        assert limit == budget and whole == (budget if conv.groups == conv.in_c > 1 else None)
         assert plan(shape[0], streamed.shape[2], images, rows)
         np.testing.assert_allclose(streamed.data, recorded.data, rtol=rtol, atol=0)
 
@@ -195,9 +196,9 @@ def _spy_conv_paths(monkeypatch):
 
     Spies on `records_graph` and on the functions that compute a forward, and
     counts only their outermost calls made inside `Conv2d.forward`:
-    `_conv_columns` also runs stride-1 input gradients, in the backward, and
-    `_winograd_recorded` runs its forward in `_winograd_conv`. The epilogue a
-    `ConvBnRelu` passes goes through to the forward.
+    `_winograd_recorded` runs its forward in `_winograd_conv`. No backward
+    runs any of them (see `test_one_scatter_takes_every_input_gradient`). The
+    epilogue a `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
     forward = Conv2d.forward
@@ -276,19 +277,29 @@ class TestRecordedConv:
         np.testing.assert_allclose(gw, want_gw, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel, stride, pad, scatters", [
-        (3, 1, 1, False), (3, 1, 0, False), (1, 1, 1, False), (1, 1, 0, False),
-        (3, 2, 1, True), (1, 2, 0, True),
+    @pytest.mark.parametrize("kernel, stride, pad, groups", [
+        (3, 1, 1, 1), (3, 1, 0, 1), (1, 1, 1, 1), (1, 1, 0, 1), (3, 2, 1, 1), (1, 2, 0, 1),
+        (3, 1, 1, 2), (3, 1, 1, 4), (3, 2, 1, 4),
     ])
-    def test_col2im_runs_only_for_strided_convs(self, rng, monkeypatch, kernel, stride, pad,
-                                                scatters):
+    def test_one_scatter_takes_every_input_gradient(self, rng, monkeypatch, kernel, stride, pad,
+                                                    groups):
         calls = []
-        col2im = layers._col2im
-        monkeypatch.setattr(layers, "_col2im", lambda *a: calls.append(a) or col2im(*a))
-        conv = Conv2d(4, 6, kernel, stride=stride, pad=pad, rng=rng)
+        scatter_taps, conv_columns = layers._scatter_taps, layers._conv_columns
+        monkeypatch.setattr(layers, "_scatter_taps",
+                            lambda *a: calls.append(("scatter", a[1:5])) or scatter_taps(*a))
+        monkeypatch.setattr(layers, "_conv_columns",
+                            lambda *a: calls.append(("columns",)) or conv_columns(*a))
+        conv = Conv2d(4, 4 if groups == 4 else 6, kernel, stride=stride, pad=pad, groups=groups,
+                      rng=rng)
         x = Tensor(rng.standard_normal((2, 4, 6, 5)).astype(np.float32), requires_grad=True)
-        T.tsum(conv(x)).backward()
-        assert bool(calls) == scatters
+        pointwise = (kernel, stride, pad, groups) == (1, 1, 0, 1)
+        loss = T.tsum(conv(x))
+        # im2col runs its columns in the forward alone; 1x1 and depthwise convs run none
+        assert calls == ([] if pointwise or groups == 4 else [("columns",)])
+        calls.clear()
+        loss.backward()
+        # at every stride, the one scatter takes the taps' gradients; a 1x1 conv is a GEMM
+        assert calls == ([] if pointwise else [("scatter", ((2, 4, 6, 5), kernel, stride, pad))])
 
     def test_folded_columns_hold_the_whole_batch(self, rng):
         x = layers._nhwc(rng.standard_normal((3, 4, 5, 6)).astype(np.float32), 1)
@@ -374,9 +385,9 @@ def _spy_winograd_recorded(monkeypatch):
     calls = []
     winograd_recorded = layers._winograd_recorded
 
-    def spy(x, w, b, dtype):
+    def spy(x, *args):
         calls.append(x.shape)
-        return winograd_recorded(x, w, b, dtype)
+        return winograd_recorded(x, *args)
 
     monkeypatch.setattr(layers, "_winograd_recorded", spy)
     return calls
