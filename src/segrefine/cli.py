@@ -104,6 +104,8 @@ def cmd_train(cfg: RunConfig, args):
         print(f"dataset not found: {cfg.data}", file=sys.stderr)
         return 2
     dataset = datagen.Dataset(cfg.data)
+    if not len(dataset):
+        raise ConfigError(f"{cfg.data}: dataset has no samples to train on")
     if dataset.num_classes != cfg.model.num_classes:
         cfg.model = replace(cfg.model, num_classes=dataset.num_classes)
     start_iter = 0
@@ -122,6 +124,7 @@ def cmd_train(cfg: RunConfig, args):
     _check_extents(model, (cfg.train.crop, cfg.train.crop), ConfigError, "train crop")
     val = datagen.Dataset(args.val) if args.val else None
     if args.val:
+        _check_classes(model, val)
         _check_extents(model, val.size, FormatError, args.val)
     history = trainer.train(
         model, dataset, cfg.train, cfg.loss,

@@ -129,6 +129,8 @@ def load_pgm(path):
 def generate(spec: SceneSpec, count, out_dir):
     """Write `count` deterministic samples plus a manifest; returns histogram."""
     spec.validate()
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
     histogram = np.zeros(spec.num_classes, dtype=np.int64)

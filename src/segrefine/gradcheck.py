@@ -307,14 +307,13 @@ _DEPTHWISE = _POINTWISE._replace(label="depthwise conv",
 _IM2COL = _POINTWISE._replace(label="im2col conv", convs=tuple(
     c for c in _SWEEP if c not in _POINTWISE.convs + _DEPTHWISE.convs))
 # the Winograd rows: 3x3 stride-1 pad-1 convs wide enough for Winograd, on
-# whole tiles and ragged ones; the no-grad row leaves out the widest output,
-# the recorded row the maps below 4x4 and of one tile, which take im2col there
+# whole tiles and ragged ones; the no-grad rows leave out the widest output
 _WINOGRAD_CONVS = tuple((i, o, 3, 1, 1, 1) for i, o in (
     (_WINOGRAD_MIN_CHANNELS, _WINOGRAD_MIN_CHANNELS), (_WINOGRAD_MIN_CHANNELS + 8, 16),
     (_WINOGRAD_MIN_CHANNELS, 48)))
-_WINOGRAD_BOUNDS = {np.float32: 1e-4, np.float64: 1e-12}
 _WINOGRAD = OracleRow("winograd conv", _WINOGRAD_CONVS[:2],
-                      ((1, 1), (2, 33), (5, 7), (13, 17)), (2,), False, _WINOGRAD_BOUNDS)
+                      ((4, 8), (5, 7), (13, 17), (16, 16)), (2,), False,
+                      {np.float32: 1e-4, np.float64: 1e-12})
 
 # every path Conv2d.forward can take, one row each, in `segrefine oracle` order
 ORACLE_ROWS = (
@@ -329,8 +328,8 @@ ORACLE_ROWS = (
     _IM2COL._replace(label="im2col conv + bn relu epilogue",
                      convs=tuple((4, 6, 3, s, 1, 1) for s in (1, 2)), epilogue=True),
     _IM2COL._replace(label="recorded conv gradients", recorded=True),
-    OracleRow("recorded winograd conv gradients", _WINOGRAD_CONVS,
-              ((4, 8), (5, 7), (13, 17), (16, 16)), (1, 3), True, _WINOGRAD_BOUNDS),
+    _WINOGRAD._replace(label="recorded winograd conv gradients", convs=_WINOGRAD_CONVS,
+                       batches=(1, 3), recorded=True),
 )
 
 

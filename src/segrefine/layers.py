@@ -15,12 +15,13 @@ im2col with (positions, k*k*c/groups) columns, streamed through one buffer of
 `_COL_BUDGET` bytes when no graph is recorded, kept whole for the weight
 gradient when one is. `_scatter_taps` adds up each tap's input gradient for
 every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
-`_WINOGRAD_MIN_CHANNELS` input channels runs Winograd F(4x4, 3x3) in
-`_winograd_conv`, in chunks of whole images or bands of tile rows; with a
-graph recorded (`_winograd_recorded`, on maps of more than one 4x4 tile) the
-same kernel also keeps its transformed tiles for the backward. So each conv
-algorithm has one forward kernel. A conv's bias, or a no-grad `ConvBnRelu`'s
-eval batch norm and ReLU, is an `_Epilogue` applied in cache.
+`_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger than
+one 4x4 tile, runs Winograd F(4x4, 3x3) in `_winograd`, recorded or not: its
+forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
+bands of tile rows, and keeps the transformed tiles for the backward when a
+graph is recorded. So the kernel follows the conv's geometry and map alone. A
+conv's bias, or a no-grad `ConvBnRelu`'s eval batch norm and ReLU, is an
+`_Epilogue` applied in cache.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
 matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
@@ -308,12 +309,6 @@ def _filter_transform(weight, kg):
     return (kg @ weight.reshape(-1, 9).T).reshape(36, *weight.shape[:2])
 
 
-def _gather_tiles(padded, d):
-    """d (6, 6, n, th, tw, c) <- the 6x6 tiles, 4 apart, of `padded` (n, 4*th + 2, 4*tw + 2, c)."""
-    win = np.lib.stride_tricks.sliding_window_view(padded, (6, 6), axis=(1, 2))
-    np.copyto(d, win[:, ::4, ::4].transpose(4, 5, 0, 1, 2, 3))
-
-
 def _scatter_tiles(y, out):
     """out (n, h, w, oc) <- the 4x4 output tiles y (4, 4, n, th, tw, oc), cut to h x w."""
     _, _, n, th, tw, oc = y.shape
@@ -325,17 +320,17 @@ def _scatter_tiles(y, out):
         out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
 
 
-def _winograd_conv(x, weight, dtype, budget, epilogue, tiles=None):
+def _winograd_conv(x, weight, dtype, epilogue, tiles=None):
     """3x3 stride-1 pad-1 correlation of `x` (n, h, w, c) by Winograd F(4x4, 3x3), then
     `epilogue`; returns (n, h, w, oc).
 
-    Per chunk (`_chunk_shape` of the transformed tiles for `budget` bytes: whole images, or a
-    band of tile rows of one image): the rows are copied into a zero-bordered buffer, the 6x6
-    tiles gathered, and three GEMMs run the input transform, the 36 channel products and the
-    output transform. The shift is added to the products at `_WINOGRAD_ONES` and the ReLU
-    clamps each chunk before its scatter. The transformed tiles V = Bt d B are written to
-    `tiles` (36, n*th*tw, c) when given, in (n, th, tw) order. The filter transform is
-    recomputed each call, so never stale.
+    Per chunk (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
+    images, or a band of tile rows of one image): the rows are copied into a zero-bordered
+    buffer, its 6x6 `_windows` 4 apart copied out as tiles, and three GEMMs run the input
+    transform, the 36 channel products and the output transform. The shift is added to the
+    products at `_WINOGRAD_ONES` and the ReLU clamps each chunk before its scatter. The
+    transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw, c) when given, in
+    (n, th, tw) order. The filter transform is recomputed each call, so never stale.
     """
     n, h, w, c = x.shape
     oc = weight.shape[0]
@@ -343,7 +338,7 @@ def _winograd_conv(x, weight, dtype, budget, epilogue, tiles=None):
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(out.dtype)
     u = _filter_transform(weight, kg)
-    images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), out.itemsize, budget)
+    images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), out.itemsize, _WINOGRAD_BUDGET)
     images = min(images, n)
     padded = np.zeros((images, 4 * band + 2, 4 * tw + 2, c), dtype)
     # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
@@ -360,7 +355,7 @@ def _winograd_conv(x, weight, dtype, budget, epilogue, tiles=None):
             padded[:m, top:bottom, 1 : w + 1] = x[i : i + m, lo:hi]
             padded[:, bottom:rows] = 0
             d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
-            _gather_tiles(padded[:m, :rows], d)
+            np.copyto(d, _windows(padded[:m, :rows], 6, 4).transpose(3, 4, 0, 1, 2, 5))
             start = (i * th + t) * tw
             v = pong[: 36 * p * c].reshape(36, p, c) if tiles is None else tiles[:, start : start + p]
             np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c, copy=False))
@@ -383,21 +378,23 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
 
-def _winograd_recorded(x, w, dtype, epilogue):
-    """Recorded 3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3).
+def _winograd(x, w, dtype, epilogue, recorded):
+    """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3): the forward is `_winograd_conv`.
 
-    The forward is `_winograd_conv`, keeping the transformed tiles V = Bt d B, (36, n*th*tw,
-    c), a quarter of the im2col columns. The backward transforms the output gradient once,
-    dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the input gradient B (dM U) Bt
-    overlap-added from the tiles, with U = G w Gt recomputed then.
+    With a graph `recorded`, it keeps the transformed tiles V = Bt d B, (36, n*th*tw, c), a
+    quarter of the im2col columns, and returns a backward (else None). The backward transforms
+    the output gradient once, dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the
+    input gradient B (dM U) Bt overlap-added from the tiles, with U = G w Gt recomputed then.
     """
     n, c, h, wd = x.shape
     oc = w.shape[0]
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
+    v = np.empty((36, tiles, c), dtype) if recorded else None
+    out = _winograd_conv(_nhwc(x.data), w.data, dtype, epilogue, v)
+    if not recorded:
+        return out, None
     kb, kg, ka = _winograd_transforms(dtype)
-    v = np.empty((36, tiles, c), dtype)
-    out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue, v)
 
     def backward(grad):
         tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)
@@ -493,17 +490,14 @@ class Conv2d(Module):
             raise ContractError("an epilogue stands in for the bias of a no-grad conv")
         else:  # its scale is folded into the weights
             epilogue, w = _epilogue, Tensor(w.data * _epilogue.scale[:, None, None, None])
-        winograd = (k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
-        if winograd and not recorded:
-            out = _winograd_conv(_nhwc(x.data), w.data, dtype, _WINOGRAD_BUDGET, epilogue)
-            backward = None
         # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
-        # transforms cost as much as the products they shrink: forward plus backward
-        # of 8x128x4x4 took 3.3 ms by im2col against 5.9 by Winograd, of 8x64x4x4 1.06-1.09
-        # against 1.06-1.16 ms (medians of 80 interleaved runs, three times; 2-core Xeon,
-        # one BLAS thread)
-        elif winograd and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4:
-            out, backward = _winograd_recorded(x, w, dtype, epilogue)
+        # transform costs as much as the products it shrinks. By im2col against Winograd,
+        # forward plus backward of 8x128x4x4 took 3.3 against 5.9 ms; no-grad, 1x128x4x4
+        # 0.34 against 0.72, 8x128x4x4 0.67 against 0.92, 8x128x2x2 0.41 against 0.82 ms
+        # (medians of 80 to 200 interleaved runs; 2-core Xeon, one BLAS thread)
+        if ((k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
+                and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4):
+            out, backward = _winograd(x, w, dtype, epilogue, recorded)
         elif g > 1 and g == self.in_c == self.out_c:
             out, backward = _depthwise(x, w, s, p, epilogue)
         elif (k, s, p, g) == (1, 1, 0, 1):

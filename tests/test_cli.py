@@ -87,6 +87,14 @@ class TestGen:
         else:
             assert read_manifest(tmp_path / "d")["num_classes"] == classes
 
+    @pytest.mark.parametrize("count", [-3, 0])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), "--count", str(count)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"count must be at least 1, got {count}" in err
+        assert not (out / "manifest.txt").exists()
+
     def test_seed_flag_gives_identical_datasets(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -203,11 +211,11 @@ def _scaled_no_grad(fn):
 
 
 def _scaled_winograd(fused):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue: the
-    recorded path's forward also runs `_winograd_conv`, with a graph recorded."""
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue: a
+    recorded Winograd conv's forward also runs `_winograd_conv`, with a graph recorded."""
     def fault(fn):
-        def broken(x, weight, dtype, budget, epilogue, *args):
-            out = fn(x, weight, dtype, budget, epilogue, *args)
+        def broken(x, weight, dtype, epilogue, *args):
+            out = fn(x, weight, dtype, epilogue, *args)
             return out * 1.001 if not T._GRAD_ENABLED and epilogue.relu == fused else out
 
         return broken
@@ -242,7 +250,7 @@ PATH_FAULTS = [
     ("im2col conv", "_conv_columns", _scaled_columns(False, False)),
     ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_columns(False, True)),
     ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
-    ("recorded winograd conv gradients", "_winograd_recorded", _scaled_backward),
+    ("recorded winograd conv gradients", "_winograd", _scaled_backward),
     ("banded resampling", "resample", _scaled_output),
 ]
 
@@ -381,6 +389,29 @@ class TestProvenanceAndErrors:
         assert "config error" in err and "dataset has 5 classes, model 3" in err
         assert not runs  # refused before any step
 
+    def test_val_of_other_classes_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path, count=1, classes=3)
+        val = make_dataset(tmp_path, name="val", count=1, classes=5)
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        assert main(["train", "--config", write_config(tmp_path, TINY_NET), "--data", data,
+                     "--val", val, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dataset has 5 classes, model 3" in err
+        assert not runs  # refused before any step
+
+    def test_empty_dataset_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path, count=1)
+        manifest = Path(data) / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("count=1\n", "count=0\n", 1))
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        assert main(["train", "--config", write_config(tmp_path, TINY_NET), "--data", data,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "no samples" in err
+        assert not runs
+
     def test_bad_checkpoint_is_format_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.srcp"
         bogus.write_bytes(b"not a checkpoint")
@@ -518,8 +549,9 @@ class TestProvenanceAndErrors:
         out = tmp_path / "o"
         ckpt = tmp_path / "model.srcp"
         small = tmp_path / "d48"
-        if command in ("train --val", "eval"):
-            assert main(["gen", "--out", str(small), "--count", "1", "--classes", "2",
+        if command in ("train --val", "eval"):  # the classes of the train set, or of MINI_NET
+            classes = "3" if command == "train --val" else "2"
+            assert main(["gen", "--out", str(small), "--count", "1", "--classes", classes,
                          "--size", "48x48"]) == 0
         if command == "bench":
             argv = ["--size", "64x64"]  # default ppm bins, whose 3 and 6 exceed the 2x2 stage

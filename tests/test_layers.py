@@ -174,8 +174,8 @@ class TestStreamedConv:
 # its forward, by whether the forward records a graph and by whether it runs a
 # batch norm + ReLU epilogue
 _PATH_ROWS = {
-    ("_winograd_conv", False, False): "winograd conv",
-    ("_winograd_conv", False, True): "winograd conv + bn relu epilogue",
+    ("_winograd", False, False): "winograd conv",
+    ("_winograd", False, True): "winograd conv + bn relu epilogue",
     ("_pointwise", False, False): "1x1 conv",
     ("_pointwise", True, False): "recorded 1x1 conv gradients",
     ("_depthwise", False, False): "depthwise conv",
@@ -183,7 +183,7 @@ _PATH_ROWS = {
     ("_conv_columns", False, False): "im2col conv",
     ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
     ("_conv_columns", True, False): "recorded conv gradients",
-    ("_winograd_recorded", True, False): "recorded winograd conv gradients",
+    ("_winograd", True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
@@ -195,10 +195,10 @@ def _spy_conv_paths(monkeypatch):
     """The oracle row label of every `Conv2d.forward` call, None where none maps.
 
     Spies on `records_graph` and on the functions that compute a forward, and
-    counts only their outermost calls made inside `Conv2d.forward`:
-    `_winograd_recorded` runs its forward in `_winograd_conv`. No backward
-    runs any of them (see `test_one_scatter_takes_every_input_gradient`). The
-    epilogue a `ConvBnRelu` passes goes through to the forward.
+    counts only their outermost calls made inside `Conv2d.forward`. A
+    `_winograd` call maps by the `records_graph` value, as the others do. No
+    backward runs any of them (see `test_one_scatter_takes_every_input_gradient`).
+    The epilogue a `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
     forward = Conv2d.forward
@@ -322,21 +322,22 @@ def _three_tile_rows(in_c, out_c, w, itemsize):
 
 
 class TestWinogradConv:
-    """No-grad 3x3 stride-1 convolutions with enough channels run Winograd F(4x4, 3x3)."""
+    """No-grad 3x3 stride-1 convolutions with enough channels, on maps of more than
+    one tile, run Winograd F(4x4, 3x3), as recorded ones do."""
 
-    @pytest.mark.parametrize("n, in_c, out_c, hw", [
-        (2, WINO_C, WINO_C, (1, 1)),
-        (1, WINO_C, WINO_C + 8, (2, 33)),
-        (3, WINO_C + 1, 16, (5, 7)),
-        (2, WINO_C, WINO_C, (13, 17)),
-        (1, WINO_C, WINO_C, (16, 16)),
-        (2, WINO_C - 1, WINO_C, (13, 17)),
+    @pytest.mark.parametrize("n, in_c, out_c, hw, winograd", [
+        (2, WINO_C, WINO_C, (1, 1), False),  # one tile of mostly padding
+        (1, WINO_C, WINO_C + 8, (2, 33), False),
+        (3, WINO_C + 1, 16, (5, 7), True),
+        (2, WINO_C, WINO_C, (13, 17), True),
+        (1, WINO_C, WINO_C, (16, 16), True),
+        (2, WINO_C - 1, WINO_C, (13, 17), False),
     ], ids=["1x1", "2x33-wider", "5x7-narrower", "13x17", "16x16", "below-threshold"])
     @pytest.mark.parametrize("bands", ["one-band", "three-tile-rows"])
     @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-4), (np.float64, 1e-12)],
                              ids=["float32", "float64"])
-    def test_matches_recorded_path(self, rng, monkeypatch, n, in_c, out_c, hw, bands,
-                                   dtype, bound):
+    def test_matches_recorded_path(self, rng, monkeypatch, n, in_c, out_c, hw, winograd,
+                                   bands, dtype, bound):
         if bands == "three-tile-rows":
             budget = _three_tile_rows(in_c, out_c, hw[1], np.dtype(dtype).itemsize)
             monkeypatch.setattr(layers, "_COL_BUDGET", budget)
@@ -355,15 +356,15 @@ class TestWinogradConv:
         with no_grad():
             fast = conv(x)
         # im2col plans its chunks of 3x3 windows, Winograd its chunks of 6x6 tiles
-        assert [args[0][3:5] for args in plans] == [(6, 6) if in_c >= WINO_C else (3, 3)]
+        assert [args[0][3:5] for args in plans] == [(6, 6) if winograd else (3, 3)]
         recorded = conv(x)
         assert recorded.requires_grad and not fast.requires_grad
         assert fast.dtype == recorded.dtype == dtype
         assert fast.shape == recorded.shape and fast.data.transpose(0, 2, 3, 1).flags.c_contiguous
         ref = recorded.data
         assert np.abs(fast.data - ref).max() <= bound * np.abs(ref).max()
-        # the recorded conv is itself Winograd on maps of 4x4 and up, so also
-        # compare with the direct float64 reference
+        # the recorded conv takes the same kernel, so also compare with the
+        # direct float64 reference
         direct = gradcheck.conv_reference(x.data, conv.weight.data, conv.bias.data,
                                           np.zeros(ref.shape), 1, 1, 1)[0]
         assert np.abs(fast.data - direct).max() <= bound * np.abs(direct).max()
@@ -380,25 +381,26 @@ class TestWinogradConv:
         assert np.abs(after - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _spy_winograd_recorded(monkeypatch):
-    """Record the input shape of every recorded-Winograd convolution."""
+def _spy_winograd(monkeypatch):
+    """Record the input shape and `recorded` flag of every Winograd convolution."""
     calls = []
-    winograd_recorded = layers._winograd_recorded
+    winograd = layers._winograd
 
-    def spy(x, *args):
-        calls.append(x.shape)
-        return winograd_recorded(x, *args)
+    def spy(x, w, dtype, epilogue, recorded):
+        calls.append((x.shape, recorded))
+        return winograd(x, w, dtype, epilogue, recorded)
 
-    monkeypatch.setattr(layers, "_winograd_recorded", spy)
+    monkeypatch.setattr(layers, "_winograd", spy)
     return calls
 
 
 class TestRecordedWinograd:
-    """Recorded 3x3 stride-1 convolutions with enough channels and a map of at
-    least 4x4 run Winograd F(4x4, 3x3) in the forward and in both gradients."""
+    """Recorded 3x3 stride-1 convolutions with enough channels, on a map at least
+    4x4 and larger than one tile, run Winograd F(4x4, 3x3) in the forward and in
+    both gradients."""
 
     def test_finite_difference(self, rng, monkeypatch):
-        calls = _spy_winograd_recorded(monkeypatch)
+        calls = _spy_winograd(monkeypatch)
         conv = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng).cast(np.float64)
         conv.bias.data = rng.standard_normal(WINO_C)
         x = Tensor(rng.standard_normal((2, WINO_C, 5, 6)), requires_grad=True)
@@ -422,25 +424,29 @@ class TestRecordedWinograd:
     ], ids=["4x4", "two-tiles", "ragged", "no-bias", "narrow", "3-rows", "2-columns", "stride2",
             "grouped", "pad0"])
     def test_which_convs_take_the_path(self, rng, monkeypatch, in_c, kwargs, hw, takes):
-        calls = _spy_winograd_recorded(monkeypatch)
+        calls = _spy_winograd(monkeypatch)
         conv = Conv2d(in_c, WINO_C, 3, rng=rng, **kwargs)
         x = Tensor(rng.standard_normal((2, in_c, *hw)).astype(np.float32), requires_grad=True)
         T.tsum(conv(x)).backward()
+        recorded = list(calls)
+        calls.clear()
         with no_grad():
-            conv(x)  # the no-grad path never takes the recorded one
-        assert len(calls) == takes
+            conv(x)  # the no-grad call takes Winograd exactly when the recorded one does
+        assert len(recorded) == takes and all(flag for _, flag in recorded)
+        assert len(calls) == takes and not any(flag for _, flag in calls)
 
     def test_which_model_convs_take_the_path(self, rng, monkeypatch):
         from segrefine.config import ModelConfig
         from segrefine.model import SegModel
 
-        calls = _spy_winograd_recorded(monkeypatch)
+        calls = _spy_winograd(monkeypatch)
         model = SegModel(ModelConfig(num_classes=5), rng=rng)
         model(Tensor(rng.standard_normal((2, 3, 64, 64)).astype(np.float32)), train_mode=True)
         # stage2, then the decoder's smooth2 and smooth1; the stem and the
         # downsampling convs are strided, stage3's and smooth3's 4x4 maps are
         # one tile and stage4's map is 2x2
-        assert calls == [(2, 32, 8, 8), (2, 128, 8, 8), (2, 128, 16, 16)]
+        assert calls == [(shape, True) for shape in ((2, 32, 8, 8), (2, 128, 8, 8),
+                                                     (2, 128, 16, 16))]
 
     @pytest.mark.parametrize("chunks", ["one-tile-row", "two-images"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -457,17 +463,23 @@ class TestRecordedWinograd:
             (in_c, out_c, *_), = row.convs
             budget = 2 * 36 * max(in_c, out_c) * -(-h // 4) * -(-w // 4) * itemsize
         monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)
-        gathered = []
-        gather_tiles = layers._gather_tiles
-        monkeypatch.setattr(layers, "_gather_tiles",
-                            lambda padded, d: gathered.append(d.shape) or gather_tiles(padded, d))
+        gathered = []  # (images, tile rows) of each chunk's 6x6 windows
+        windows = layers._windows
+
+        def spy(x, k, stride):
+            view = windows(x, k, stride)
+            if k == 6:
+                gathered.append(view.shape[:2])
+            return view
+
+        monkeypatch.setattr(layers, "_windows", spy)
         _check_oracle_row(row, dtype, rng, monkeypatch)
         cases = row.cases()
         if chunks == "one-tile-row":
-            assert {shape[2:4] for shape in gathered} == {(1, 1)}
+            assert set(gathered) == {(1, 1)}
             assert len(gathered) == sum(n * -(-h // 4) for _, n, h, _, _ in cases) > len(cases)
         else:
-            assert [shape[2:4] for shape in gathered] == [(2, 4), (1, 4)] * len(cases)
+            assert gathered == [(2, 4), (1, 4)] * len(cases)
 
     def test_keeps_a_quarter_of_the_columns(self, rng):
         n, c, h, w = 2, WINO_C, 16, 16
