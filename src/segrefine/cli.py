@@ -84,6 +84,12 @@ def _check_extents(model, size, error, source):
         raise error(f"{source}: {exc}") from exc
 
 
+def _check_samples(dataset, path, use):
+    """Raise a config error if `dataset` (read from `path`) has no samples to `use`."""
+    if not len(dataset):
+        raise ConfigError(f"{path}: dataset has no samples to {use}")
+
+
 def _check_classes(model, dataset):
     """Raise a config error unless `dataset` has `model`'s class count."""
     if dataset.num_classes != model.cfg.num_classes:
@@ -104,8 +110,7 @@ def cmd_train(cfg: RunConfig, args):
         print(f"dataset not found: {cfg.data}", file=sys.stderr)
         return 2
     dataset = datagen.Dataset(cfg.data)
-    if not len(dataset):
-        raise ConfigError(f"{cfg.data}: dataset has no samples to train on")
+    _check_samples(dataset, cfg.data, "train on")
     if dataset.num_classes != cfg.model.num_classes:
         cfg.model = replace(cfg.model, num_classes=dataset.num_classes)
     start_iter = 0
@@ -124,6 +129,7 @@ def cmd_train(cfg: RunConfig, args):
     _check_extents(model, (cfg.train.crop, cfg.train.crop), ConfigError, "train crop")
     val = datagen.Dataset(args.val) if args.val else None
     if args.val:
+        _check_samples(val, args.val, "hold out")
         _check_classes(model, val)
         _check_extents(model, val.size, FormatError, args.val)
     history = trainer.train(
@@ -143,6 +149,7 @@ def cmd_train(cfg: RunConfig, args):
 def cmd_eval(cfg: RunConfig, args):
     model, _ = load_checkpoint(cfg.checkpoint)
     dataset = datagen.Dataset(cfg.data)
+    _check_samples(dataset, cfg.data, "evaluate")
     _check_classes(model, dataset)
     _check_extents(model, dataset.size, FormatError, cfg.data)
     miou, per_class = trainer.evaluate(model, dataset)

@@ -69,7 +69,7 @@ class TrainConfig:
     eval_count: int = 16
 
     def validate(self):
-        for name in ("batch", "eval_interval"):
+        for name in ("batch", "eval_interval", "eval_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 

@@ -3,9 +3,10 @@ oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
 path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
 plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
 the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
-recorded Winograd), each checked against the direct float64
-`conv_reference` on NCHW-contiguous and on channels-last inputs, and
-`segrefine oracle` prints one line per row.
+recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
+ReLU are one recorded op after a recorded Winograd or im2col conv. Each is
+checked against the direct float64 `conv_reference` on NCHW-contiguous and on
+channels-last inputs, and `segrefine oracle` prints one line per row.
 `resample_deviation` checks banded resampling against the dense float64
 product in the same way.
 
@@ -273,9 +274,12 @@ class OracleRow(NamedTuple):
     Each conv of `convs`, (in_c, out_c, kernel, stride, pad, groups), runs at
     each batch of `batches` over each (h, w) of `extents` its kernel fits. A
     `recorded` row records a graph and also judges the input, weight and bias
-    gradients; an `epilogue` row runs each conv as the bias-free conv of an
-    eval `ConvBnRelu` (so its convs are 3x3, pad 1, one group) and judges its
-    output; `bounds` maps each dtype to the worst deviation allowed.
+    gradients. A `block` row runs each conv as the bias-free conv of a
+    `ConvBnRelu` (so its convs are 3x3, pad 1, one group): an eval one with no
+    graph, judged on its output, or, when `recorded`, a training one, judged
+    on its output, its input, weight, scale and shift gradients and its
+    updated running statistics. `bounds` maps each dtype to the worst
+    deviation allowed.
     """
 
     label: str
@@ -284,7 +288,7 @@ class OracleRow(NamedTuple):
     batches: tuple
     recorded: bool
     bounds: dict
-    epilogue: bool = False
+    block: bool = False
 
     def cases(self):
         """(conv, batch, h, w, channels_last) for every case of the sweep: each
@@ -315,21 +319,25 @@ _WINOGRAD = OracleRow("winograd conv", _WINOGRAD_CONVS[:2],
                       ((4, 8), (5, 7), (13, 17), (16, 16)), (2,), False,
                       {np.float32: 1e-4, np.float64: 1e-12})
 
+# the ConvBnRelu convs narrow enough for im2col: stride 1 and stride 2
+_BLOCK_IM2COL = tuple((4, 6, 3, s, 1, 1) for s in (1, 2))
+
 # every path Conv2d.forward can take, one row each, in `segrefine oracle` order
 ORACLE_ROWS = (
     _WINOGRAD,
-    _WINOGRAD._replace(label="winograd conv + bn relu epilogue", epilogue=True),
+    _WINOGRAD._replace(label="winograd conv + bn relu epilogue", block=True),
     _POINTWISE,
     _POINTWISE._replace(label="recorded 1x1 conv gradients", recorded=True),
     _DEPTHWISE,
     _DEPTHWISE._replace(label="recorded depthwise conv gradients", recorded=True),
     _IM2COL,
-    # the ConvBnRelu convs narrow enough for im2col: stride 1 and stride 2
-    _IM2COL._replace(label="im2col conv + bn relu epilogue",
-                     convs=tuple((4, 6, 3, s, 1, 1) for s in (1, 2)), epilogue=True),
+    _IM2COL._replace(label="im2col conv + bn relu epilogue", convs=_BLOCK_IM2COL, block=True),
     _IM2COL._replace(label="recorded conv gradients", recorded=True),
     _WINOGRAD._replace(label="recorded winograd conv gradients", convs=_WINOGRAD_CONVS,
                        batches=(1, 3), recorded=True),
+    # a training ConvBnRelu on Winograd and im2col convs
+    _WINOGRAD._replace(label="recorded conv + bn relu", convs=_WINOGRAD.convs + _BLOCK_IM2COL,
+                       recorded=True, block=True),
 )
 
 
@@ -350,23 +358,48 @@ def bn_relu_reference(out, bn):
     return np.maximum((out - mean) / np.sqrt(var + bn.EPS) * gamma + beta, 0)
 
 
+def train_bn_relu_reference(y, grad, gamma, beta, running_mean, running_var):
+    """Training batch norm of `y` (n, c, h, w) in float64 by its batch statistics, then ReLU.
+
+    Returns the output, the gradients of `y`, the scale and the shift for the output
+    gradient `grad`, and the running mean and (biased) variance moved by `BatchNorm2d`'s
+    momentum from `running_mean` and `running_var`.
+    """
+    gamma, beta = (np.asarray(a, np.float64)[None, :, None, None] for a in (gamma, beta))
+    axes, count = (0, 2, 3), y.size // y.shape[1]
+    mean, var = y.mean(axis=axes), y.var(axis=axes)
+    xhat = (y - mean[None, :, None, None]) / np.sqrt(var + BatchNorm2d.EPS)[None, :, None, None]
+    out = np.maximum(xhat * gamma + beta, 0)
+    g = np.where(out > 0, grad, 0.0)
+    gbeta, ggamma = g.sum(axis=axes), (g * xhat).sum(axis=axes)
+    gy = gamma / np.sqrt(var + BatchNorm2d.EPS)[None, :, None, None] / count * (
+        count * g - gbeta[None, :, None, None] - xhat * ggamma[None, :, None, None])
+    m = BatchNorm2d.MOMENTUM
+    moved = ((1 - m) * np.asarray(old, np.float64) + m * new
+             for old, new in ((running_mean, mean), (running_var, var)))
+    return (out, gy, ggamma, gbeta, *moved)
+
+
 def oracle_deviation(row, dtype, rng):
     """Worst deviation of `row`'s cases in `dtype` from `conv_reference`.
 
     Each case draws its conv, a bias, an input (NCHW-contiguous, or
-    channels-last) and, for a recorded row, an output gradient; an epilogue
-    row draws batch norm parameters and running statistics instead of a bias,
-    and its reference is `conv_reference` followed by `bn_relu_reference`.
-    Each array judged is relative to its max |reference|.
+    channels-last) and, for a recorded row, an output gradient; a block row
+    draws batch norm parameters and running statistics instead of a bias, and
+    its reference is `conv_reference` followed by `bn_relu_reference` (eval) or
+    `train_bn_relu_reference` (training), whose input gradient `conv_reference`
+    takes back through the conv. Each array judged is relative to its max
+    |reference|.
     """
     worst = 0.0
     for (in_c, out_c, k, s, p, g), n, h, w, last in row.cases():
-        if row.epilogue:
-            block = ConvBnRelu(in_c, out_c, stride=s, rng=rng).cast(dtype).eval()
+        if row.block:
+            block = ConvBnRelu(in_c, out_c, stride=s, rng=rng).cast(dtype).train(row.recorded)
             conv, bn = block.conv, block.bn
             bn.scale.data, bn.shift.data, bn.running_mean = (
                 rng.standard_normal(out_c).astype(dtype) for _ in range(3))
             bn.running_var = rng.uniform(0.2, 3.0, out_c).astype(dtype)
+            stats = (bn.scale.data, bn.shift.data, bn.running_mean, bn.running_var)
             bias = np.zeros(out_c)
         else:
             block = conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, rng=rng).cast(dtype)
@@ -374,17 +407,23 @@ def oracle_deviation(row, dtype, rng):
         x = rng.standard_normal((n, h, w, in_c) if last else (n, in_c, h, w)).astype(dtype)
         x = Tensor(x.transpose(0, 3, 1, 2) if last else x, requires_grad=row.recorded)
         if row.recorded:
-            out = conv(x)
+            out = block(x)
             grad = rng.standard_normal(out.shape).astype(dtype)
             T.tsum(out * Tensor(grad)).backward()
-            got = (out.data, x.grad, conv.weight.grad, conv.bias.grad)
+            got = (out.data, x.grad, conv.weight.grad) + (
+                (bn.scale.grad, bn.shift.grad, bn.running_mean, bn.running_var) if row.block
+                else (conv.bias.grad,))
         else:
             with T.no_grad():
                 got = (block(x).data,)
             grad = np.zeros(got[0].shape)
-        want = conv_reference(x.data, conv.weight.data, bias, grad, conv.stride, conv.pad,
-                              conv.groups)
-        if row.epilogue:
+        geometry = (conv.stride, conv.pad, conv.groups)
+        want = conv_reference(x.data, conv.weight.data, bias, grad, *geometry)
+        if row.block and row.recorded:  # batch norm hands the conv its output gradient
+            out, gy, *bn_want = train_bn_relu_reference(want[0], grad, *stats)
+            _, gx, gw, _ = conv_reference(x.data, conv.weight.data, bias, gy, *geometry)
+            want = (out, gx, gw, *bn_want)
+        elif row.block:
             want = (bn_relu_reference(want[0], bn),)
         worst = _deviation(got, want, worst)  # a no-grad row stops at the output
     return worst

@@ -21,7 +21,10 @@ forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
 bands of tile rows, and keeps the transformed tiles for the backward when a
 graph is recorded. So the kernel follows the conv's geometry and map alone. A
 conv's bias, or a no-grad `ConvBnRelu`'s eval batch norm and ReLU, is an
-`_Epilogue` applied in cache.
+`_Epilogue` applied in cache. A recorded `ConvBnRelu` runs its batch norm and
+ReLU as one op, `_batch_norm(..., relu=True)`, which in training writes x̂ into
+the conv output, since no conv backward reads it; `BatchNorm2d` runs the same
+op without the ReLU.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
 matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
@@ -535,49 +538,7 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x):
-        """Statistics, affine and backward over the (n*h*w, c) matrix of `x`."""
-        gamma, beta = self.scale, self.shift
-        xd = _nhwc(x.data)
-        x2 = xd.reshape(-1, self.channels)
-        count = x2.shape[0]
-        if self.training:
-            mean = _channel_sums(x2) / count
-            xhat = x2 - mean
-            var = np.einsum("pc,pc->c", xhat, xhat) / count
-            invstd = 1.0 / np.sqrt(var + self.EPS)
-            xhat *= invstd
-            m = self.MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mean.astype(self.running_mean.dtype)
-            self.running_var = (1 - m) * self.running_var + m * var.astype(self.running_var.dtype)
-            out = xhat * gamma.data
-            out += beta.data
-        else:
-            invstd, scale, shift = self.eval_affine()
-            mean, xhat = self.running_mean, None
-            out = x2 * scale  # a single full-size temporary, shifted in place
-            out += shift
-
-        def backward(g):
-            g2 = _nhwc(g).reshape(-1, self.channels)
-            gsum = _channel_sums(g2)
-            gxhat_sum = np.einsum("pc,pc->c", g2, (x2 - mean) * invstd if xhat is None else xhat)
-            if gamma.requires_grad:
-                gamma._accumulate(gxhat_sum)
-            if beta.requires_grad:
-                beta._accumulate(gsum)
-            if not x.requires_grad:
-                return
-            coef = gamma.data * invstd
-            if xhat is None:  # eval: out = x * coef + shift
-                gx = g2 * coef
-            else:
-                gx = g2 * count
-                gx -= gsum
-                gx -= xhat * gxhat_sum
-                gx *= coef / count
-            x._accumulate(gx.reshape(xd.shape).transpose(0, 3, 1, 2), owned=True)
-
-        return _make(out.reshape(xd.shape).transpose(0, 3, 1, 2), (x, gamma, beta), backward)
+        return _batch_norm(self, x)
 
     def eval_affine(self):
         """(1 / std, scale, shift) of eval mode, out = x * scale + shift, read from the current
@@ -588,6 +549,62 @@ class BatchNorm2d(Module):
 
     def flops(self, out_shape):
         return math.prod(out_shape)
+
+
+def _batch_norm(bn, x, relu=False):
+    """`bn` over the (n*h*w, c) matrix of `x`, then a ReLU if `relu`, as one recorded op.
+
+    Training normalizes by the batch statistics and moves the running ones; eval applies
+    `bn.eval_affine()`. A recorded `ConvBnRelu` passes its conv output with `relu`. In
+    training x̂ then overwrites that output, which no conv backward reads (Winograd keeps
+    its tiles, im2col its columns), so the graph keeps x̂ and the op's output alone. The
+    backward takes the ReLU's mask from `out > 0`."""
+    gamma, beta = bn.scale, bn.shift
+    xd = _nhwc(x.data)
+    x2 = xd.reshape(-1, bn.channels)
+    count = x2.shape[0]
+    if bn.training:
+        mean = _channel_sums(x2) / count
+        xhat = np.subtract(x2, mean, out=x2 if relu else None)
+        var = np.einsum("pc,pc->c", xhat, xhat) / count
+        invstd = 1.0 / np.sqrt(var + bn.EPS)
+        xhat *= invstd
+        m = bn.MOMENTUM
+        bn.running_mean = (1 - m) * bn.running_mean + m * mean.astype(bn.running_mean.dtype)
+        bn.running_var = (1 - m) * bn.running_var + m * var.astype(bn.running_var.dtype)
+        out = xhat * gamma.data
+        out += beta.data
+    else:
+        invstd, scale, shift = bn.eval_affine()
+        mean, xhat = bn.running_mean, None
+        out = x2 * scale  # a single full-size temporary, shifted in place
+        out += shift
+    if relu:
+        np.maximum(out, 0, out=out)
+
+    def backward(g):
+        g2 = _nhwc(g).reshape(-1, bn.channels)
+        if relu:
+            g2 = g2 * (out > 0)
+        gsum = _channel_sums(g2)
+        gxhat_sum = np.einsum("pc,pc->c", g2, (x2 - mean) * invstd if xhat is None else xhat)
+        if gamma.requires_grad:
+            gamma._accumulate(gxhat_sum)
+        if beta.requires_grad:
+            beta._accumulate(gsum)
+        if not x.requires_grad:
+            return
+        coef = gamma.data * invstd
+        if xhat is None:  # eval: out = x * coef + shift
+            gx = g2 * coef
+        else:
+            gx = g2 * count
+            gx -= gsum
+            gx -= xhat * gxhat_sum
+            gx *= coef / count
+        x._accumulate(gx.reshape(xd.shape).transpose(0, 3, 1, 2), owned=True)
+
+    return _make(out.reshape(xd.shape).transpose(0, 3, 1, 2), (x, gamma, beta), backward)
 
 
 @functools.lru_cache(maxsize=256)
@@ -724,7 +741,13 @@ class ReLU(Module):
 
 class ConvBnRelu(Module):
     """Bias-free 3x3 conv (pad 1) + batch norm + ReLU: the backbone's stage
-    block and the decoder's smoothing block."""
+    block and the decoder's smoothing block.
+
+    In training, or in eval with a graph, the batch norm and ReLU are one
+    recorded op after the conv; in training x̂ overwrites the conv output, so
+    the graph keeps two output-sized arrays, x̂ and the block's output. In eval
+    with no graph they are the conv's `_Epilogue`. `act` names the ReLU's cost
+    row and runs no code of its own."""
 
     def __init__(self, in_c, out_c, stride=1, rng=None):
         super().__init__()
@@ -735,7 +758,7 @@ class ConvBnRelu(Module):
     def forward(self, x):
         conv, bn = self.conv, self.bn
         if bn.training or records_graph((x, conv.weight, bn.scale, bn.shift)):
-            return self.act(bn(conv(x)))
+            return _batch_norm(bn, conv(x), relu=True)
         # eval with no graph: batch norm and ReLU run as the conv's epilogue
         _, scale, shift = bn.eval_affine()
         return conv(x, _epilogue=_Epilogue(scale, shift, True))

@@ -238,6 +238,17 @@ def _scaled_columns(recorded, fused):
     return fault
 
 
+def _scaled_bn_relu(fn):
+    """A fault in the batch norm + ReLU op of a training `ConvBnRelu`."""
+    def broken(bn, x, relu=False):
+        out = fn(bn, x, relu)
+        if relu:
+            out.data *= 1.001
+        return out
+
+    return broken
+
+
 # a small fault in the path of each oracle line: (line label, the `layers`
 # function it breaks, the wrapper that breaks it)
 PATH_FAULTS = [
@@ -251,8 +262,13 @@ PATH_FAULTS = [
     ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_columns(False, True)),
     ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
     ("recorded winograd conv gradients", "_winograd", _scaled_backward),
+    ("recorded conv + bn relu", "_batch_norm", _scaled_bn_relu),
     ("banded resampling", "resample", _scaled_output),
 ]
+# the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults
+# fail it too
+ALSO_FAILS = dict.fromkeys(["recorded conv gradients", "recorded winograd conv gradients"],
+                           "recorded conv + bn relu")
 
 
 class TestChecksAndBench:
@@ -286,8 +302,9 @@ class TestChecksAndBench:
         for line in capsys.readouterr().out.splitlines()[1:]:
             lines[line.removeprefix("max deviation of ").split(" vs ")[0]] = line
         assert list(lines) == [row.label for row in gradcheck.ORACLE_ROWS] + ["banded resampling"]
-        for row_label, line in lines.items():  # the fault fails its own row only
-            assert line.endswith("FAIL" if row_label == label else "ok"), line
+        failing = {label, ALSO_FAILS.get(label)}
+        for row_label, line in lines.items():  # the fault fails the rows that run its path only
+            assert line.endswith("FAIL" if row_label in failing else "ok"), line
 
     def test_bench_shares_backbone_and_decoder_across_heads(self, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -368,7 +385,7 @@ class TestProvenanceAndErrors:
         assert main([command, "--size", size, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["batch", "eval_interval"])
+    @pytest.mark.parametrize("key", ["batch", "eval_interval", "eval_count"])
     def test_non_positive_train_setting_is_usage_error(self, tmp_path, capsys, key):
         data = make_dataset(tmp_path, count=1)
         cfg = write_config(tmp_path, TINY_NET + [f"{key}=0"])
@@ -411,6 +428,28 @@ class TestProvenanceAndErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "no samples" in err
         assert not runs
+
+    @pytest.mark.parametrize("command", ["eval", "train --val"])
+    def test_empty_held_out_set_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        data = make_dataset(tmp_path, count=1)
+        empty = make_dataset(tmp_path, name="empty", count=1)
+        manifest = Path(empty) / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("count=1\n", "count=0\n", 1))
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(trainer, "evaluate", lambda *args, **kwargs: runs.append(args))
+        if command == "eval":
+            ckpt = tmp_path / "model.srcp"
+            save_checkpoint(ckpt, SegModel(ModelConfig(channels=(4, 8, 8, 8), decoder_channels=8,
+                                                       num_classes=3, embed_dim=4)))
+            argv = ["eval", "--checkpoint", str(ckpt), "--data", empty]
+        else:
+            argv = ["train", "--config", write_config(tmp_path, TINY_NET), "--data", data,
+                    "--val", empty]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{empty}: dataset has no samples" in err
+        assert not runs  # refused before any step or score
 
     def test_bad_checkpoint_is_format_error(self, tmp_path, capsys):
         bogus = tmp_path / "bad.srcp"

@@ -186,13 +186,17 @@ _PATH_ROWS = {
     ("_winograd", True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
+# the oracle row of a training ConvBnRelu: a recorded conv, then its batch norm and ReLU
+# as one recorded op
+BLOCK_ROW = "recorded conv + bn relu"
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
 RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                        "recorded conv gradients")
 
 
 def _spy_conv_paths(monkeypatch):
-    """The oracle row label of every `Conv2d.forward` call, None where none maps.
+    """The oracle row label of every `Conv2d.forward` call, None where none maps, and
+    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`.
 
     Spies on `records_graph` and on the functions that compute a forward, and
     counts only their outermost calls made inside `Conv2d.forward`. A
@@ -229,17 +233,31 @@ def _spy_conv_paths(monkeypatch):
 
         monkeypatch.setattr(layers, name, wrapper)
 
+    batch_norm = layers._batch_norm
+
+    def spy_batch_norm(bn, x, relu=False):
+        if relu and bn.training:
+            rows.append(BLOCK_ROW)
+        return batch_norm(bn, x, relu)
+
     for name in {"records_graph"} | {name for name, _, _ in _PATH_ROWS}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
+    monkeypatch.setattr(layers, "_batch_norm", spy_batch_norm)
     return rows
 
 
 def _check_oracle_row(row, dtype, rng, monkeypatch):
-    """`row` is within its bound in `dtype`, and every case of it took its path."""
+    """`row` is within its bound in `dtype`, and every case of it took its path: for
+    `BLOCK_ROW`, a recorded Winograd or im2col conv and then the batch norm + ReLU op."""
     paths = _spy_conv_paths(monkeypatch)
     assert gradcheck.oracle_deviation(row, dtype, rng) <= row.bounds[dtype]
-    assert paths == [row.label] * len(row.cases())
+    cases = len(row.cases())
+    if row.label == BLOCK_ROW:
+        assert len(paths) == 2 * cases and paths[1::2] == [BLOCK_ROW] * cases
+        assert set(paths[::2]) == {"recorded winograd conv gradients", "recorded conv gradients"}
+    else:
+        assert paths == [row.label] * cases
 
 
 class TestRecordedConv:
@@ -534,11 +552,12 @@ class TestOracleTable:
                   train_mode=False)
         assert None not in trained and None not in paths
         assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients",
-                                "recorded 1x1 conv gradients", "recorded depthwise conv gradients"}
+                                "recorded 1x1 conv gradients", "recorded depthwise conv gradients",
+                                BLOCK_ROW}
         # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue
         assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
                               "im2col conv + bn relu epilogue"}
-        assert set(_PATH_ROWS.values()) == set(ORACLE_ROWS)
+        assert set(_PATH_ROWS.values()) | {BLOCK_ROW} == set(ORACLE_ROWS)
 
 
 class TestChannelsLast:
@@ -550,7 +569,7 @@ class TestChannelsLast:
         from segrefine.model import SegModel
 
         outputs, input_grads, inside = [], [], []
-        conv_forward, bn_forward, resample_op = Conv2d.forward, BatchNorm2d.forward, layers._resample_op
+        conv_forward, bn_op, resample_op = Conv2d.forward, layers._batch_norm, layers._resample_op
         accumulate = Tensor._accumulate
 
         def conv_spy(self, x, *args, **kwargs):
@@ -572,8 +591,8 @@ class TestChannelsLast:
                 input_grads.append(g)
             accumulate(self, g, owned)
 
-        def bn_spy(self, x):
-            out = bn_forward(self, x)
+        def bn_spy(bn, x, relu=False):  # a training ConvBnRelu's batch norm + ReLU op
+            out = bn_op(bn, x, relu)
             outputs.append(("batch norm", out.data))
             return out
 
@@ -583,7 +602,7 @@ class TestChannelsLast:
             return out
 
         monkeypatch.setattr(Conv2d, "forward", conv_spy)
-        monkeypatch.setattr(BatchNorm2d, "forward", bn_spy)
+        monkeypatch.setattr(layers, "_batch_norm", bn_spy)
         monkeypatch.setattr(layers, "_resample_op", resample_spy)
         monkeypatch.setattr(Tensor, "_accumulate", accumulate_spy)
         model = SegModel(ModelConfig(num_classes=5), rng=rng)
@@ -812,6 +831,98 @@ class TestBatchNorm:
         weights = Tensor(rng.standard_normal(x.shape))
         err = finite_difference(lambda: T.tsum(bn(x) * weights), [x, bn.scale, bn.shift])
         assert err < TOLERANCE
+
+
+def _graph_arrays(out):
+    """Every array the graph behind `out` holds: each node's data and the arrays its
+    backward closure, and the closures that one calls, keep."""
+    arrays, seen, todo = [], set(), [out]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            arrays.append(obj.data)
+            todo.extend((*obj._parents, obj._backward))
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return arrays
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+# a training ConvBnRelu on each conv kernel it takes: (in_c, out_c, stride, input shape)
+TRAINING_BLOCKS = {
+    "winograd": (WINO_C, 48, 1, (2, WINO_C, 16, 16)),
+    "im2col": (4, 6, 2, (2, 4, 10, 10)),
+}
+
+
+class TestRecordedConvBnRelu:
+    """A recorded `ConvBnRelu` is a conv, then one recorded batch norm + ReLU op."""
+
+    def test_eval_gradient(self, rng):
+        block = ConvBnRelu(3, 4, rng=rng).cast(np.float64).eval()
+        bn = block.bn
+        bn.scale.data = rng.uniform(0.5, 2.0, 4)
+        bn.shift.data = rng.standard_normal(4)
+        bn.running_mean = rng.standard_normal(4)
+        bn.running_var = rng.uniform(0.2, 3.0, 4)
+        x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, 4, 5, 6)))
+        err = finite_difference(lambda: T.tsum(block(x) * weights), [x] + block.parameters())
+        assert err < TOLERANCE
+
+    @pytest.mark.parametrize("kernel", TRAINING_BLOCKS)
+    def test_graph_keeps_two_output_sized_arrays(self, rng, kernel):
+        in_c, out_c, stride, shape = TRAINING_BLOCKS[kernel]
+        block = ConvBnRelu(in_c, out_c, stride=stride, rng=rng)
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        out = block(x)
+        bases = {id(b): b for b in map(_base, _graph_arrays(out))}.values()
+        # x̂ in the conv output's memory, and the block's output
+        assert sum(b.size == out.size for b in bases) == 2
+        conv_node, = (p for p in out._parents if p.shape == out.shape)
+        closure = out._backward.__closure__
+        kept = dict(zip(out._backward.__code__.co_freevars, (c.cell_contents for c in closure)))
+        assert np.shares_memory(kept["xhat"], conv_node.data)
+
+    @pytest.mark.parametrize("kernel", TRAINING_BLOCKS)
+    def test_two_graphs_of_one_block_match_fresh_blocks(self, kernel):
+        in_c, out_c, stride, shape = TRAINING_BLOCKS[kernel]
+
+        def build():
+            return ConvBnRelu(in_c, out_c, stride=stride, rng=np.random.default_rng(3)).cast(
+                np.float64)
+
+        draws = np.random.default_rng(4)
+        inputs = [draws.standard_normal(shape) for _ in range(2)]
+        weights = [draws.standard_normal((shape[0], out_c, *(-(-e // stride) for e in shape[2:])))
+                   for _ in range(2)]
+        block = build()
+        xs = [Tensor(a, requires_grad=True) for a in inputs]
+        outs = [block(x) for x in xs]  # both graphs are alive before either backward
+        for out, w in zip(outs, weights):
+            T.tsum(out * Tensor(w)).backward()
+        params = [np.zeros_like(p.data) for p in block.parameters()]
+        for x, out, a, w in zip(xs, outs, inputs, weights):
+            fresh = build()
+            fresh_x = Tensor(a, requires_grad=True)
+            fresh_out = fresh(fresh_x)
+            T.tsum(fresh_out * Tensor(w)).backward()
+            np.testing.assert_allclose(out.data, fresh_out.data, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(x.grad, fresh_x.grad, rtol=1e-12, atol=1e-12)
+            for total, p in zip(params, fresh.parameters()):
+                total += p.grad
+        for total, p in zip(params, block.parameters()):
+            np.testing.assert_allclose(p.grad, total, rtol=1e-12, atol=1e-12)
 
 
 class TestModuleState:
