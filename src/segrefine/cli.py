@@ -116,13 +116,11 @@ def cmd_train(cfg: RunConfig, args):
     start_iter = 0
     if cfg.checkpoint:
         model, header = load_checkpoint(cfg.checkpoint)
-        try:
-            start_iter = int(header.get("iteration", 0))
-        except ValueError as exc:
-            raise FormatError(
-                f"{cfg.checkpoint}: checkpoint header iteration={header['iteration']!r} "
-                "is not an integer"
-            ) from exc
+        iteration = header.get("iteration", "0")
+        if not (iteration.isascii() and iteration.isdigit()):
+            raise FormatError(f"{cfg.checkpoint}: checkpoint header iteration={iteration!r} "
+                              "is not a non-negative integer")
+        start_iter = int(iteration)
         _check_classes(model, dataset)
     else:
         model = SegModel(cfg.model, rng=np.random.default_rng(cfg.train.seed))

@@ -69,9 +69,14 @@ class TrainConfig:
     eval_count: int = 16
 
     def validate(self):
-        for name in ("batch", "eval_interval", "eval_count"):
+        for name in ("iters", "batch", "eval_interval", "eval_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("lr0", "scale_min"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.scale_min > self.scale_max:
+            raise ConfigError(f"scale_min {self.scale_min} exceeds scale_max {self.scale_max}")
 
 
 @dataclass

@@ -20,11 +20,22 @@ one 4x4 tile, runs Winograd F(4x4, 3x3) in `_winograd`, recorded or not: its
 forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
 bands of tile rows, and keeps the transformed tiles for the backward when a
 graph is recorded. So the kernel follows the conv's geometry and map alone. A
-conv's bias, or a no-grad `ConvBnRelu`'s eval batch norm and ReLU, is an
-`_Epilogue` applied in cache. A recorded `ConvBnRelu` runs its batch norm and
-ReLU as one op, `_batch_norm(..., relu=True)`, which in training writes x̂ into
-the conv output, since no conv backward reads it; `BatchNorm2d` runs the same
-op without the ReLU.
+recorded Winograd conv takes every temporary from `_scratch`, one grow-only
+buffer per role and dtype kept for the process: its zero-bordered input copy
+(`padded`) and the two buffers its GEMMs alternate between (`ping`, `pong`),
+forward and backward. What outlives a call (the output, the kept tiles, the
+gradients) is never carved from it. Fresh, those temporaries were handed back
+to the OS and mapped again on every call: a train-64-shaped step took a median
+of about 2400 minor page faults, and about 1 with the scratch. The no-grad
+forward still allocates per call: putting it on the scratch too raised peak RSS
+by 7-8% on 512x1024 inference and batch-8 256x256 evaluation for about 3% less
+latency (2 benchmark pairs each, 2-vCPU Xeon), as the heap's free holes already
+take those buffers. A conv's bias, or a no-grad
+`ConvBnRelu`'s eval batch norm and ReLU, is an `_Epilogue` applied in cache. A
+recorded `ConvBnRelu` runs its batch norm and ReLU as one op,
+`_batch_norm(..., relu=True)`, which in training writes x̂ into the conv
+output, since no conv backward reads it; `BatchNorm2d` runs the same op without
+the ReLU.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
 matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
@@ -152,6 +163,22 @@ def _windows(x, k, stride):
     """Zero-copy n, oh, ow, k, k, c sliding-window view of `x` (n, h, w, c)."""
     windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
     return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+
+
+# (role, dtype) -> the grow-only 1-D buffer behind `_scratch`
+_SCRATCH = {}
+
+
+def _scratch(role, size, dtype):
+    """The first `size` elements of the grow-only 1-D `dtype` buffer of `role`, kept for the
+    life of the process, so a recorded kernel's temporaries stop mapping fresh pages. What it
+    returns dies before the next call for `role`: nothing that escapes a call is carved from
+    it. No lock: the grad flag is process-wide too."""
+    key = (role, np.dtype(dtype))
+    buf = _SCRATCH.get(key)
+    if buf is None or len(buf) < size:
+        buf = _SCRATCH[key] = np.empty(size, dtype)
+    return buf[:size]
 
 
 class _Epilogue(NamedTuple):
@@ -343,10 +370,14 @@ def _winograd_conv(x, weight, dtype, epilogue, tiles=None):
     u = _filter_transform(weight, kg)
     images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), out.itemsize, _WINOGRAD_BUDGET)
     images = min(images, n)
-    padded = np.zeros((images, 4 * band + 2, 4 * tw + 2, c), dtype)
+    take = _scratch if tiles is not None else lambda role, size, dtype: np.empty(size, dtype)
+    padded = take("padded", images * (4 * band + 2) * (4 * tw + 2) * c, dtype).reshape(
+        images, 4 * band + 2, 4 * tw + 2, c)
+    padded[:, :, 0] = 0
+    padded[:, :, w + 1 :] = 0
     # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
-    ping = np.empty(36 * max(c, oc) * images * band * tw, dtype)
-    pong = np.empty_like(ping)
+    ping = take("ping", 36 * max(c, oc) * images * band * tw, dtype)
+    pong = take("pong", len(ping), dtype)
     for i in range(0, n, images):
         for t in range(0, th, band):
             m, nb = min(images, n - i), min(band, th - t)
@@ -388,6 +419,11 @@ def _winograd(x, w, dtype, epilogue, recorded):
     quarter of the im2col columns, and returns a backward (else None). The backward transforms
     the output gradient once, dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the
     input gradient B (dM U) Bt overlap-added from the tiles, with U = G w Gt recomputed then.
+
+    The recorded forward and the backward carve their temporaries from `_scratch`; each
+    step reads one of `ping` and `pong` and writes the other, and each buffer is sized for
+    the backward's largest temporary. V, the output and both gradients are allocated per call,
+    since they outlive it. The no-grad forward allocates per call (see the module notes).
     """
     n, c, h, wd = x.shape
     oc = w.shape[0]
@@ -400,27 +436,32 @@ def _winograd(x, w, dtype, epilogue, recorded):
     kb, kg, ka = _winograd_transforms(dtype)
 
     def backward(grad):
-        tiled = np.zeros((n, th, 4, tw, 4, oc), dtype)
+        # each step reads one scratch buffer and writes the other; what escapes is fresh
+        size = max(36 * max(tiles, oc) * max(c, oc), 16 * n * (th + 1) * (tw + 1) * c)
+        ping, pong = _scratch("ping", size, dtype), _scratch("pong", size, dtype)
+        tiled = ping[: 16 * tiles * oc].reshape(n, th, 4, tw, 4, oc)
+        if (h, wd) != (4 * th, 4 * tw):  # ragged edge tiles
+            tiled.fill(0)
         tiled.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :wd] = grad
-        dy = np.ascontiguousarray(tiled.transpose(2, 4, 0, 1, 3, 5))
-        del tiled
-        dm = (ka.T @ dy.reshape(16, tiles * oc)).reshape(36, tiles, oc)
-        del dy
+        dy = pong[: 16 * tiles * oc].reshape(4, 4, n, th, tw, oc)
+        np.copyto(dy, tiled.transpose(2, 4, 0, 1, 3, 5))
+        dm = ping[: 36 * tiles * oc].reshape(36, tiles, oc)
+        np.matmul(ka.T, dy.reshape(16, tiles * oc), out=dm.reshape(36, tiles * oc))
         if w.requires_grad:
-            du = np.matmul(dm.swapaxes(1, 2), v)  # 36, oc, c
+            du = pong[: 36 * oc * c].reshape(36, oc, c)
+            np.matmul(dm.swapaxes(1, 2), v, out=du)
             w._accumulate((du.reshape(36, oc * c).T @ kg).reshape(w.shape), owned=True)
-            del du
         if not x.requires_grad:
             return
-        dv = np.matmul(dm, _filter_transform(w.data, kg))
-        del dm
-        dd = (kb.T @ dv.reshape(36, tiles * c)).reshape(6, 6, n, th, tw, c)
-        del dv
-        blocks = np.zeros((n, th + 1, 4, tw + 1, 4, c), dtype)
+        dv = pong[: 36 * tiles * c].reshape(36, tiles, c)
+        np.matmul(dm, _filter_transform(w.data, kg), out=dv)
+        dd = ping[: 36 * tiles * c].reshape(6, 6, n, th, tw, c)
+        np.matmul(kb.T, dv.reshape(36, tiles * c), out=dd.reshape(36, tiles * c))
+        blocks = pong[: 16 * n * (th + 1) * (tw + 1) * c].reshape(n, th + 1, 4, tw + 1, 4, c)
+        blocks.fill(0)
         for ti, bi, ri in _TILE_PARTS:
             for tj, bj, rj in _TILE_PARTS:
                 blocks[:, bi, ri, bj, rj] += dd[ti, tj].transpose(2, 3, 0, 4, 1, 5)
-        del dd
         gx = np.ascontiguousarray(blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1])
         x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 

@@ -385,13 +385,33 @@ class TestProvenanceAndErrors:
         assert main([command, "--size", size, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["batch", "eval_interval", "eval_count"])
+    @pytest.mark.parametrize("key", ["batch", "eval_interval", "eval_count", "iters", "lr0",
+                                     "scale_min"])
     def test_non_positive_train_setting_is_usage_error(self, tmp_path, capsys, key):
         data = make_dataset(tmp_path, count=1)
         cfg = write_config(tmp_path, TINY_NET + [f"{key}=0"])
         assert main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{key} must be positive, got 0" in err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("iters=-2", "iters must be positive, got -2"),
+        ("lr0=-1", "lr0 must be positive, got -1.0"),
+        ("lr0=nan", "lr0 must be positive, got nan"),
+        ("scale_min=-1", "scale_min must be positive, got -1.0"),
+        ("scale_min=3", "scale_min 3.0 exceeds scale_max 2.0"),
+    ], ids=["negative-iters", "negative-lr0", "nan-lr0", "negative-scale_min",
+            "scale_min-above-scale_max"])
+    def test_out_of_range_train_setting_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       setting, message):
+        data = make_dataset(tmp_path, count=1)
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        cfg = write_config(tmp_path, TINY_NET + [setting])
+        assert main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not runs  # refused before any step
 
     def test_resume_on_other_classes_is_usage_error(self, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "model.srcp"
@@ -535,6 +555,18 @@ class TestProvenanceAndErrors:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "iteration='1x'" in capsys.readouterr().err
+
+    def test_negative_checkpoint_iteration_is_format_error(self, tmp_path, capsys, monkeypatch):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET), extra={"iteration": "-3"})
+        runs = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: runs.append(args))
+        code = main(["train", "--config", write_config(tmp_path, TINY_NET),
+                     "--checkpoint", str(ckpt), "--data", make_dataset(tmp_path, classes=2),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "iteration='-3'" in capsys.readouterr().err
+        assert not runs  # a negative start would run past `iters` steps from above `lr0`
 
     @pytest.mark.parametrize("old, new", [(b"count=4\n", b""), (b"count=4", b"count=1x")],
                              ids=["missing-key", "garbled-integer"])

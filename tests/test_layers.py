@@ -503,6 +503,7 @@ class TestRecordedWinograd:
         n, c, h, w = 2, WINO_C, 16, 16
         conv = Conv2d(c, c, 3, pad=1, bias=False, rng=rng)
         x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32), requires_grad=True)
+        conv(x)  # sizes the process's scratch buffers, which no graph keeps
         tracemalloc.start()
         try:
             out = conv(x)
@@ -519,6 +520,90 @@ class TestRecordedWinograd:
         T.tsum(conv(x)).backward()
         assert np.shares_memory(x.grad, handed_gradients[id(x)])
         assert np.shares_memory(conv.weight.grad, handed_gradients[id(conv.weight)])
+
+
+# recorded Winograd convs in the order they run, (in_c, out_c, input shape) each; "forwards
+# first" runs every forward before the backwards, else each conv runs forward and backward
+# before the next one starts
+SCRATCH_RUNS = {
+    "two-of-one-shape": ([(WINO_C, WINO_C, (2, WINO_C, 8, 8))] * 2, True),
+    "ragged-after-unragged": ([(WINO_C, WINO_C, (2, WINO_C, 16, 32)),
+                               (WINO_C, WINO_C, (2, WINO_C, 13, 17))], False),
+    "narrower-after-wider": ([(WINO_C, WINO_C, (1, WINO_C, 8, 24)),
+                              (WINO_C, WINO_C, (1, WINO_C, 8, 8))], False),
+    "small-then-growing": ([(WINO_C, WINO_C, (1, WINO_C, 8, 8)),
+                            (WINO_C, 48, (2, WINO_C, 16, 16))], True),
+}
+
+
+def _seeded_winograd(in_c, out_c, shape, dtype, seed):
+    """A recorded Winograd conv with a bias, its input and a weighting of its output."""
+    draws = np.random.default_rng(seed)
+    conv = Conv2d(in_c, out_c, 3, pad=1, rng=draws).cast(dtype)
+    conv.bias.data = draws.standard_normal(out_c).astype(dtype)
+    x = Tensor(draws.standard_normal(shape).astype(dtype), requires_grad=True)
+    weights = Tensor(draws.standard_normal((shape[0], out_c, *shape[2:])).astype(dtype))
+    return conv, x, weights
+
+
+def _results(conv, x, out):
+    return out.data, x.grad, conv.weight.grad, conv.bias.grad
+
+
+class TestWinogradScratch:
+    """Recorded Winograd convs carve their temporaries from `layers._scratch`: no call sees
+    another's values, and nothing that outlives a call lives in a scratch buffer."""
+
+    @pytest.mark.parametrize("run", SCRATCH_RUNS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_fresh_buffers(self, monkeypatch, run, dtype):
+        specs, forwards_first = SCRATCH_RUNS[run]
+        monkeypatch.setattr(layers, "_SCRATCH", {})
+        cases = [_seeded_winograd(*spec, dtype, seed) for seed, spec in enumerate(specs)]
+        calls = _spy_winograd(monkeypatch)
+        outs, grown = [], []
+
+        def forward(conv, x):
+            if run == "narrower-after-wider" and outs:  # stale values in the border columns
+                _, _, h, w = x.shape
+                c, rows, cols = x.shape[1], 4 * -(-h // 4) + 2, 4 * -(-w // 4) + 2
+                padded = layers._SCRATCH["padded", np.dtype(dtype)][: rows * cols * c]
+                assert padded.reshape(rows, cols, c)[:, [0, w + 1]].any()
+            outs.append(conv(x))
+            grown.append(len(layers._SCRATCH["ping", np.dtype(dtype)]))
+
+        def backward(i):
+            T.tsum(outs[i] * cases[i][2]).backward()
+            if run == "ragged-after-unragged" and i == 0:  # the buffers hold non-zero values
+                assert all(buf.any() for buf in layers._SCRATCH.values())
+            scratch = list(layers._SCRATCH.values())
+            kept = [a for out in outs for a in _graph_arrays(out)]
+            kept += [t.grad for conv, x, _ in cases[: i + 1] for t in (x, conv.weight, conv.bias)]
+            assert not any(np.shares_memory(a, buf) for a in kept for buf in scratch)
+
+        for i, (conv, x, _) in enumerate(cases):
+            forward(conv, x)
+            if not forwards_first:
+                backward(i)
+        if forwards_first:
+            for i in range(len(cases)):
+                backward(i)
+        assert [flag for _, flag in calls] == [True] * len(cases)
+        if run == "small-then-growing":
+            assert grown[1] > grown[0]
+
+        # each conv alone, on buffers that serve one call only and start as NaN, so that
+        # a value read before the call writes it shows
+        with monkeypatch.context() as fresh:
+            fresh.setattr(layers, "_scratch",
+                          lambda role, size, dtype: np.full(size, np.nan, dtype))
+            for seed, (spec, (conv, x, _), out) in enumerate(zip(specs, cases, outs)):
+                ref_conv, ref_x, weights = _seeded_winograd(*spec, dtype, seed)
+                ref_out = ref_conv(ref_x)
+                T.tsum(ref_out * weights).backward()
+                for got, want in zip(_results(conv, x, out), _results(ref_conv, ref_x, ref_out)):
+                    assert np.isfinite(want).all()
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestOracleTable:
