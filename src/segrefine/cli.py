@@ -7,6 +7,7 @@ format error, 4 training stopped on a non-finite loss.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -14,12 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import datagen, gradcheck, profiler, trainer
-from .config import ConfigError, RunConfig, apply_settings, dump_settings, parse_config_file
+from .config import (CONTEXT_HEADS, ConfigError, RunConfig, apply_settings, dump_settings,
+                     parse_config_file)
 from .model import SegModel, load_checkpoint
 from .refine import DisentangledAttention, attention_reference
 from .tensor import ContractError, FormatError, Tensor, load_tensor_file, no_grad
 
 
+@functools.cache  # one parser per process: building it costs more than most refused runs
 def _build_parser():
     parser = argparse.ArgumentParser(prog="segrefine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -29,7 +32,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--data", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--context-head", choices=["frm", "ppm", "dappm"], default=None)
+        p.add_argument("--context-head", choices=CONTEXT_HEADS, default=None)
         p.add_argument("--size", default=None, help="HxW input size")
         p.add_argument("--checkpoint", default=None)
         return p
@@ -121,6 +124,9 @@ def cmd_train(cfg: RunConfig, args):
             raise FormatError(f"{cfg.checkpoint}: checkpoint header iteration={iteration!r} "
                               "is not a non-negative integer")
         start_iter = int(iteration)
+        if start_iter >= cfg.train.iters:
+            raise ConfigError(f"{cfg.checkpoint}: checkpoint iteration {start_iter} leaves no "
+                              f"step below iters={cfg.train.iters}")
         _check_classes(model, dataset)
     else:
         model = SegModel(cfg.model, rng=np.random.default_rng(cfg.train.seed))

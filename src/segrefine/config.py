@@ -1,100 +1,108 @@
 """Dataclass configs and the key=value config-file format.
 
 Precedence when resolving a run: built-in defaults < config file < CLI flags.
+Each field declares its domain once, as field metadata, and one `validate`
+reads every domain; only the rules across fields are written out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+
+CONTEXT_HEADS = ("frm", "ppm", "dappm")
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ModelConfig:
-    channels: tuple = (16, 32, 64, 128)  # backbone stage channel plan
-    decoder_channels: int = 128
-    num_classes: int = 19
-    context_head: str = "frm"  # frm | ppm | dappm
-    ffn_expansion: int = 4
-    ppm_bins: tuple = (1, 2, 3, 6)
-    dappm_scales: tuple = (2, 4, 8, 0)  # 0 = global pooling branch
-    embed_dim: int = 64
+def _bound(default, low, above=False):
+    """A field whose value, or each entry of its tuple, is finite and >= low (> low if `above`)."""
+    return field(default=default, metadata={"low": low, "above": above})
 
+
+class _Config:
     def validate(self):
-        if self.context_head not in ("frm", "ppm", "dappm"):
-            raise ConfigError(f"unknown context_head {self.context_head!r}")
-        if len(self.channels) != 4:
-            raise ConfigError("channel plan must list four stage widths")
-        for name in ("channels", "decoder_channels", "num_classes", "ffn_expansion",
-                     "ppm_bins", "embed_dim"):
-            value = getattr(self, name)
-            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
-                raise ConfigError(f"{name} must be positive, got {format_value(value)}")
+        """Raise ConfigError unless each field, nested too, is in its domain and each rule holds."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Config):
+                value.validate()
+            elif "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ConfigError(f"unknown {f.name} {value!r}")
+            elif "low" in f.metadata:
+                low, above = f.metadata["low"], f.metadata["above"]
+                if not all(low < v < math.inf if above else low <= v < math.inf
+                           for v in (value if isinstance(value, tuple) else (value,))):
+                    # "positive" is > 0 for a real and >= 1 for a count
+                    bound = ("positive" if (low, above) in ((0, True), (1, False))
+                             else f"{'>' if above else '>='} {low}")
+                    raise ConfigError(f"{f.name} must be {bound}, got {format_value(value)}")
+        for holds, message in self._rules():
+            if not holds:
+                raise ConfigError(message)
+
+    def _rules(self):  # (holds, message) per rule across fields or a tuple's length
+        return ()
 
 
 @dataclass
-class LossConfig:
-    lam: float = 1.0  # weight of the contrastive term
-    tau: float = 0.1  # contrastive temperature
-    anchors_per_class: int = 16
-    max_positives: int = 16
-    max_negatives: int = 64
+class ModelConfig(_Config):
+    channels: tuple = _bound((16, 32, 64, 128), 1)  # backbone stage channel plan
+    decoder_channels: int = _bound(128, 1)
+    num_classes: int = _bound(19, 1)
+    context_head: str = field(default="frm", metadata={"choices": CONTEXT_HEADS})
+    ffn_expansion: int = _bound(4, 1)
+    ppm_bins: tuple = _bound((1, 2, 3, 6), 1)
+    dappm_scales: tuple = _bound((2, 4, 8, 0), 0)  # 0 = global pooling branch
+    embed_dim: int = _bound(64, 1)
 
-    def validate(self):
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if self.lam < 0:
-            raise ConfigError(f"contrastive weight must be >= 0, got {self.lam}")
-        for name in ("anchors_per_class", "max_positives", "max_negatives"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+    def _rules(self):
+        yield len(self.channels) == 4, "channel plan must list four stage widths"
 
 
 @dataclass
-class TrainConfig:
-    lr0: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    iters: int = 1000
-    poly_power: float = 0.9
-    crop: int = 64
-    batch: int = 8
-    seed: int = 0
-    scale_min: float = 0.5
-    scale_max: float = 2.0
-    eval_interval: int = 100
-    eval_count: int = 16
-
-    def validate(self):
-        for name in ("iters", "batch", "eval_interval", "eval_count"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("lr0", "scale_min"):
-            if not getattr(self, name) > 0:  # NaN too
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.scale_min > self.scale_max:
-            raise ConfigError(f"scale_min {self.scale_min} exceeds scale_max {self.scale_max}")
+class LossConfig(_Config):
+    lam: float = _bound(1.0, 0)  # weight of the contrastive term
+    tau: float = _bound(0.1, 0, above=True)  # contrastive temperature
+    anchors_per_class: int = _bound(16, 0)
+    max_positives: int = _bound(16, 0)
+    max_negatives: int = _bound(64, 0)
 
 
 @dataclass
-class RunConfig:
+class TrainConfig(_Config):
+    lr0: float = _bound(0.01, 0, above=True)
+    momentum: float = _bound(0.9, 0)
+    weight_decay: float = _bound(1e-4, 0)
+    iters: int = _bound(1000, 1)
+    poly_power: float = _bound(0.9, 0)
+    crop: int = _bound(64, 1)
+    batch: int = _bound(8, 1)
+    seed: int = _bound(0, 0)
+    scale_min: float = _bound(0.5, 0, above=True)
+    scale_max: float = _bound(2.0, 0, above=True)
+    eval_interval: int = _bound(100, 1)
+    eval_count: int = _bound(16, 1)
+
+    def _rules(self):
+        yield (self.scale_min <= self.scale_max,
+               f"scale_min {self.scale_min} exceeds scale_max {self.scale_max}")
+
+
+@dataclass
+class RunConfig(_Config):
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     data: str = "data"
     out: str = "runs/out"
-    size: tuple = (256, 256)  # input size for cost profiling
+    size: tuple = _bound((256, 256), 1)  # input size for cost profiling
     checkpoint: str = ""
 
-    def validate(self):
-        self.model.validate()
-        self.loss.validate()
-        self.train.validate()
-        if len(self.size) != 2 or min(self.size) < 1:
-            raise ConfigError(f"size must be two positive extents, got {format_value(self.size)}")
+    def _rules(self):
+        yield len(self.size) == 2, f"size must be two extents, got {format_value(self.size)}"
 
 
 # config-file key -> (section attr, field name); "lambda" is the file/flag
@@ -122,13 +130,10 @@ def format_value(value):
 
 def _field_map(cfg: RunConfig):
     out = {}
-    for section in ("model", "loss", "train"):
-        obj = getattr(cfg, section)
+    for obj in (cfg.model, cfg.loss, cfg.train, cfg):
         for f in fields(obj):
-            out[f.name] = (obj, f.name)
-    for f in fields(cfg):
-        if f.name not in ("model", "loss", "train"):
-            out[f.name] = (cfg, f.name)
+            if not isinstance(getattr(obj, f.name), _Config):
+                out[f.name] = (obj, f.name)
     for alias, (section, name) in _ALIASES.items():
         out[alias] = (getattr(cfg, section), name)
     return out

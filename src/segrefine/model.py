@@ -86,15 +86,14 @@ class FpnDecoder(Module):
 
 
 def build_context_head(cfg: ModelConfig, rng=None):
+    """The head `cfg.context_head` names, one of `config.CONTEXT_HEADS` once `cfg` validates."""
     if cfg.context_head == "frm":
         return FeatureRefineHead(
             cfg.channels, cfg.decoder_channels, ffn_expansion=cfg.ffn_expansion, rng=rng
         )
     if cfg.context_head == "ppm":
         return PpmHead(cfg.channels, cfg.decoder_channels, bins=cfg.ppm_bins, rng=rng)
-    if cfg.context_head == "dappm":
-        return DappmHead(cfg.channels, cfg.decoder_channels, scales=cfg.dappm_scales, rng=rng)
-    raise ConfigError(f"unknown context head {cfg.context_head!r}")
+    return DappmHead(cfg.channels, cfg.decoder_channels, scales=cfg.dappm_scales, rng=rng)
 
 
 class SegModel(Module):

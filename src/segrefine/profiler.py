@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import layers
+from .config import CONTEXT_HEADS
 from .model import SegModel
 from .tensor import Tensor, no_grad
 
@@ -148,12 +149,12 @@ def count_costs(model: SegModel, input_size, mode="inference"):
 
 
 def bench_heads(base_cfg, input_size, seed=0):
-    """Inference CostReport per context head (frm, ppm, dappm), each model
+    """Inference CostReport per context head (`config.CONTEXT_HEADS`), each model
     seeded alike so the backbone and decoder are identical across heads.
     Raises ContractError before counting any costs unless every head's model
     can take `input_size`."""
     models = {head: SegModel(replace(base_cfg, context_head=head), rng=np.random.default_rng(seed))
-              for head in ("frm", "ppm", "dappm")}
+              for head in CONTEXT_HEADS}
     for model in models.values():
         model.check_extents(*input_size)
     return {head: count_costs(model, input_size) for head, model in models.items()}

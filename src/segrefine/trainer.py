@@ -36,7 +36,8 @@ class SGD:
 
     Weight decay applies only to parameters with more than one axis, which in
     this model are exactly the conv weights; batch-norm scale/shift and biases
-    are 1-D and exempt.
+    are 1-D and exempt. A parameter with no gradient is skipped, decay and
+    velocity alike, as `torch.optim.SGD` does.
     """
 
     def __init__(self, params, momentum, weight_decay):
@@ -48,7 +49,7 @@ class SGD:
     def step(self, lr):
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
-                raise ContractError("sgd_step: parameter has no gradient")
+                continue
             g = p.grad
             if self.weight_decay and p.data.ndim > 1:
                 g = g + self.weight_decay * p.data

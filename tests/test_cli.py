@@ -3,7 +3,7 @@ import io
 import shutil
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from segrefine import gradcheck, layers, trainer
 from segrefine import tensor as T
 from segrefine.cli import main
-from segrefine.config import ModelConfig
+from segrefine.config import ModelConfig, RunConfig, _field_map
 from segrefine.datagen import load_pgm, read_manifest, save_pgm
 from segrefine.model import SegModel, read_checkpoint_header, save_checkpoint
 from segrefine.tensor import save_tensor_file
@@ -400,8 +400,23 @@ class TestProvenanceAndErrors:
         ("lr0=nan", "lr0 must be positive, got nan"),
         ("scale_min=-1", "scale_min must be positive, got -1.0"),
         ("scale_min=3", "scale_min 3.0 exceeds scale_max 2.0"),
+        # these ended in a traceback, trained silently or stopped on a non-finite loss
+        ("seed=-1", "seed must be >= 0, got -1"),
+        ("scale_max=inf", "scale_max must be positive, got inf"),
+        ("scale_max=nan", "scale_max must be positive, got nan"),
+        ("momentum=-3", "momentum must be >= 0, got -3.0"),
+        ("poly_power=nan", "poly_power must be >= 0, got nan"),
+        ("poly_power=-2", "poly_power must be >= 0, got -2.0"),
+        ("weight_decay=-1", "weight_decay must be >= 0, got -1.0"),
+        ("tau=inf", "tau must be positive, got inf"),
+        ("dappm_scales=-2", "dappm_scales must be >= 0, got -2"),
+        ("tau=nan", "tau must be positive, got nan"),
+        ("lambda=nan", "lam must be >= 0, got nan"),
+        ("lr0=inf", "lr0 must be positive, got inf"),
     ], ids=["negative-iters", "negative-lr0", "nan-lr0", "negative-scale_min",
-            "scale_min-above-scale_max"])
+            "scale_min-above-scale_max", "seed=-1", "scale_max=inf", "scale_max=nan",
+            "momentum=-3", "poly_power=nan", "poly_power=-2", "weight_decay=-1", "tau=inf",
+            "dappm_scales=-2", "tau=nan", "lambda=nan", "lr0=inf"])
     def test_out_of_range_train_setting_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                        setting, message):
         data = make_dataset(tmp_path, count=1)
@@ -412,6 +427,27 @@ class TestProvenanceAndErrors:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not runs  # refused before any step
+
+    @pytest.mark.parametrize("settings, all_ignored, ce_empty, cl_empty", [
+        (["anchors_per_class=0"], False, 0, 2),
+        (["max_positives=0"], False, 0, 2),
+        # a 64-pixel side scaled by 0.01 rounds to 1 pixel, padded with the ignore label
+        (["scale_min=0.01", "scale_max=0.01"], False, 0, 2),
+        ([], True, 2, 2),
+    ], ids=["anchors_per_class=0", "max_positives=0", "scale-0.01", "all-labels-ignored"])
+    def test_empty_loss_terms_train(self, tmp_path, settings, all_ignored, ce_empty, cl_empty):
+        # a parameter no gradient reaches is not updated: these once raised in the SGD step
+        data = make_dataset(tmp_path)
+        if all_ignored:
+            for label in Path(data, "labels").iterdir():
+                save_pgm(label, np.full_like(load_pgm(label), 255))
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, TINY_NET + settings),
+                     "--data", data, "--out", str(out)]) == 0
+        header, row = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+        assert row[header.index("ce_empty")] == str(ce_empty)
+        assert row[header.index("cl_empty")] == str(cl_empty)
+        assert (out / "checkpoint.srcp").exists()
 
     def test_resume_on_other_classes_is_usage_error(self, tmp_path, capsys, monkeypatch):
         ckpt = tmp_path / "model.srcp"
@@ -567,6 +603,36 @@ class TestProvenanceAndErrors:
         assert code == 3
         assert "iteration='-3'" in capsys.readouterr().err
         assert not runs  # a negative start would run past `iters` steps from above `lr0`
+
+    @pytest.mark.parametrize("iteration", ["2", "5"])
+    def test_resume_at_or_past_iters_is_usage_error(self, tmp_path, capsys, iteration):
+        # it once ran no step, wrote an empty summary and a checkpoint whose
+        # iteration went back to `iters`
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET), extra={"iteration": iteration})
+        out = tmp_path / "o"
+        code = main(["train", "--config", write_config(tmp_path, TINY_NET),
+                     "--checkpoint", str(ckpt), "--data", make_dataset(tmp_path, classes=2),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"checkpoint iteration {iteration} leaves no step below iters=2" in (
+            capsys.readouterr().err)
+        assert [path.name for path in out.iterdir()] == ["run.txt"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("dappm_scales", "2,-2"), ("ppm_bins", "1,0"), ("num_classes", "-1"), ("embed_dim", "0"),
+    ])
+    def test_checkpoint_header_outside_its_domain_is_format_error(self, tmp_path, capsys,
+                                                                   key, value):
+        ckpt = tmp_path / "model.srcp"
+        save_checkpoint(ckpt, SegModel(MINI_NET), extra={key: value})  # replaces the key's line
+        image = tmp_path / "image.frmt"
+        save_tensor_file(image, np.zeros((3, 32, 32), dtype=np.float32))
+        code = main(["infer", "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                     str(image), str(tmp_path / "m.pgm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "format error" in err and key in err
 
     @pytest.mark.parametrize("old, new", [(b"count=4\n", b""), (b"count=4", b"count=1x")],
                              ids=["missing-key", "garbled-integer"])
@@ -779,3 +845,69 @@ class TestCorruptHeaders:
         raw = (fuzz_inputs / name).read_bytes()
         code, err = _run_flipped(fuzz_inputs, command, name, raw.index(around) + offset, new)
         assert code == 3 and "format error" in err
+
+
+# every setting in the sweep gets these values and the two at its domain's edge
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "abc")
+SWEPT_FLAGS = ("--seed", "--size", "--context-head")
+# the head whose model reads a setting, and a bin plan that fits its 1x1 deepest stage
+SWEPT_HEADS = {"ppm_bins": ["context_head=ppm", "ppm_bins=1"],
+               "dappm_scales": ["context_head=dappm"]}
+
+
+def _domain_edge(obj, name):
+    """The first admitted and the last refused value of a field's domain, in the
+    file spelling, or None for a path. Extents stay small: the sweep holds no huge
+    value, which nothing caps."""
+    f = next(f for f in fields(obj) if f.name == name)
+    if "choices" in f.metadata:
+        return f.metadata["choices"][-1], f.metadata["choices"][-1].upper()
+    if "low" not in f.metadata:
+        return None
+    low, above, default = f.metadata["low"], f.metadata["above"], getattr(obj, name)
+    step = 1 if isinstance(default, (int, tuple)) else 1e-6
+    edge = (low + step, low) if above else (low, low - step)
+    if isinstance(default, tuple):
+        return tuple(",".join([str(v)] * len(default)) for v in edge)
+    return tuple(str(v) for v in edge)
+
+
+def _exit_code(argv):
+    """`main(argv)`'s exit code, argparse's refusals included; any other exception escapes.
+    A tiny `tau` overflows the loss, which the non-finite stop (exit 4) reports."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            np.errstate(all="ignore"):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def sweep_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(out), "--count", "4", "--classes", "3"]) == 0
+    return out
+
+
+class TestSettingsSweep:
+    """Every setting, in the config file and in each flag that sets it, either
+    trains or is refused: exit 0, 2, 3 or 4 and never a traceback. The value
+    just outside a domain is always a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("key", sorted(_field_map(RunConfig())) + list(SWEPT_FLAGS))
+    def test_every_value_trains_or_is_refused(self, sweep_data, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)  # `out` and the swept paths are relative
+        obj, name = _field_map(RunConfig())[key.lstrip("-").replace("-", "_")]
+        base = FUZZ_TRAIN + [f"data={sweep_data}"] + SWEPT_HEADS.get(name, [])
+        edge = _domain_edge(obj, name)
+        for value in dict.fromkeys(SWEEP_VALUES + (edge or ())):
+            if key in SWEPT_FLAGS:
+                lines, flags = base, [f"{key}={value}"]
+            else:
+                lines, flags = base + [f"{key}={value}"], []
+            (tmp_path / "sweep.cfg").write_text("\n".join(lines) + "\n")
+            code = _exit_code(["train", "--config", "sweep.cfg", *flags])
+            assert code in (0, 2, 3, 4), f"{key}={value}: exit {code}"
+            assert code == 2 or not edge or value != edge[1], f"{key}={value}: exit {code}"

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segrefine.layers import Parameter
-from segrefine.tensor import ContractError, FormatError
-from segrefine.config import ModelConfig
-from segrefine.datagen import Dataset, SceneSpec, generate
+from segrefine.losses import hybrid_loss
+from segrefine.tensor import FormatError, Tensor
+from segrefine.config import LossConfig, ModelConfig
+from segrefine.datagen import IGNORE_INDEX, Dataset, SceneSpec, generate
 from segrefine.model import SegModel
 from segrefine.trainer import SGD, ConfusionMatrix, TrainSchedule, augment, evaluate
+
+TINY = ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3, ffn_expansion=1,
+                   embed_dim=2)
 
 
 class TestSgd:
@@ -44,10 +48,59 @@ class TestSgd:
         np.testing.assert_allclose(decayed.data, [[[[0.95]]]])
         np.testing.assert_allclose(plain.data, [1.0])
 
-    def test_missing_grad_rejected(self):
-        p = Parameter(np.zeros(1, dtype=np.float32))
-        with pytest.raises(ContractError):
-            SGD([p], momentum=0.9, weight_decay=1e-4).step(lr=0.1)
+    def test_missing_grad_skips_the_parameter(self):
+        # no decay and no velocity change for `skipped`, as in torch.optim.SGD
+        skipped = Parameter(np.ones((1, 1, 1, 1), dtype=np.float32))
+        stepped = Parameter(np.ones((1, 1, 1, 1), dtype=np.float32))
+        opt = SGD([skipped, stepped], momentum=0.9, weight_decay=0.5)
+        opt.velocity[0][...] = 2.0
+        stepped.grad = np.ones_like(stepped.data)
+        opt.step(lr=0.1)
+        assert skipped.data.item() == 1.0 and opt.velocity[0].item() == 2.0
+        np.testing.assert_allclose(stepped.data, [[[[0.85]]]])
+
+    @staticmethod
+    def _loss_step(model, opt, labels, loss_cfg, rng):
+        """One training step on random images; returns the LossReport."""
+        images = Tensor(rng.random((len(labels), 3, 32, 32), dtype=np.float32))
+        out = model(images, train_mode=True)
+        total, report = hybrid_loss(out["logits"], out["embeddings"], labels, loss_cfg, rng)
+        opt.zero_grad()
+        total.backward()
+        opt.step(lr=0.1)
+        return report
+
+    def test_all_ignore_step_changes_no_parameter(self, rng):
+        model = SegModel(TINY, rng=rng)
+        opt = SGD(model.parameters(), momentum=0.9, weight_decay=1e-4)
+        labels = rng.integers(0, 3, size=(2, 32, 32))
+        self._loss_step(model, opt, labels, LossConfig(), rng)  # a non-zero velocity
+        params = [p.data.copy() for p in opt.params]
+        velocity = [v.copy() for v in opt.velocity]
+        report = self._loss_step(model, opt, np.full_like(labels, IGNORE_INDEX), LossConfig(), rng)
+        assert report.ce_empty and report.cl_empty
+        for p, before in zip(opt.params, params):
+            np.testing.assert_array_equal(p.data, before)
+        for v, before in zip(opt.velocity, velocity):
+            np.testing.assert_array_equal(v, before)
+
+    def test_empty_contrastive_step_skips_only_the_embedding_head(self, rng):
+        model = SegModel(TINY, rng=rng)
+        named = dict(model.named_parameters())
+        before = {name: p.data.copy() for name, p in named.items()}
+        opt = SGD(named.values(), momentum=0.9, weight_decay=0.0)
+        labels = rng.integers(0, 3, size=(2, 32, 32))
+        report = self._loss_step(model, opt, labels, LossConfig(anchors_per_class=0), rng)
+        assert report.cl_empty and not report.ce_empty
+        head = {name for name in named if name.startswith("embedding_head.")}
+        assert head and {name for name, p in named.items() if p.grad is None} == head
+        for (name, p), v in zip(named.items(), opt.velocity):
+            if name in head:
+                np.testing.assert_array_equal(p.data, before[name])
+                assert not v.any()
+            else:  # the first step from zero velocity, without decay
+                np.testing.assert_array_equal(v, p.grad)
+                np.testing.assert_array_equal(p.data, before[name] - 0.1 * v)
 
 
 class TestPolySchedule:
@@ -184,8 +237,7 @@ class TestEvaluate:
             return getitem(self, i)
 
         monkeypatch.setattr(Dataset, "__getitem__", spy)
-        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
-                                     ffn_expansion=1, embed_dim=2))
+        model = SegModel(TINY)
         miou, per_class = evaluate(model, Dataset(tmp_path), batch=2)
         assert sorted(reads) == [0, 1, 2, 3, 4]
         assert len(per_class) == 3
@@ -195,8 +247,7 @@ class TestEvaluate:
         generate(SceneSpec(height=64, width=32, num_classes=3, seed=2), 1, tmp_path / "b")
         for part in ("images/0000.frmt", "labels/0000.pgm"):
             (tmp_path / "a" / part).write_bytes((tmp_path / "b" / part).read_bytes())
-        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
-                                     ffn_expansion=1, embed_dim=2))
+        model = SegModel(TINY)
         with pytest.raises(FormatError, match="sample 0"):
             evaluate(model, Dataset(tmp_path / "a"), indices=[0, 1])
 
@@ -216,8 +267,7 @@ class TestTelemetry:
             return total, report
 
         monkeypatch.setattr(trainer, "hybrid_loss", spy)
-        model = SegModel(ModelConfig(channels=(4, 4, 4, 4), decoder_channels=4, num_classes=3,
-                                     ffn_expansion=1, embed_dim=2))
+        model = SegModel(TINY)
         cfg = TrainConfig(iters=6, batch=2, crop=32, eval_interval=4)
         rows = trainer.train(model, Dataset(tmp_path / "data"), cfg, LossConfig(),
                              out_dir=tmp_path / "run", log=lambda *args: None)
