@@ -86,9 +86,15 @@ class TrainConfig(_Config):
     eval_interval: int = _bound(100, 1)
     eval_count: int = _bound(16, 1)
 
+    # largest scale_max: augment resizes a whole sample by up to this factor before the crop,
+    # so its memory grows with the square of the scale
+    SCALE_CAP = 4.0
+
     def _rules(self):
         yield (self.scale_min <= self.scale_max,
                f"scale_min {self.scale_min} exceeds scale_max {self.scale_max}")
+        yield (self.scale_max <= self.SCALE_CAP,
+               f"scale_max must be <= {self.SCALE_CAP}, got {self.scale_max}")
 
 
 @dataclass

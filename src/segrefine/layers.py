@@ -21,7 +21,8 @@ forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
 bands of tile rows, and keeps the transformed tiles for the backward when a
 graph is recorded. So the kernel follows the conv's geometry and map alone. A
 recorded Winograd conv takes every temporary from `_scratch`, one grow-only
-buffer per role and dtype kept for the process: its zero-bordered input copy
+buffer per role and dtype, kept until `trainer.train` returns (for the process
+when recorded convs run outside it): its zero-bordered input copy
 (`padded`) and the two buffers its GEMMs alternate between (`ping`, `pong`),
 forward and backward. What outlives a call (the output, the kept tiles, the
 gradients) is never carved from it. Fresh, those temporaries were handed back
@@ -165,15 +166,16 @@ def _windows(x, k, stride):
     return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
-# (role, dtype) -> the grow-only 1-D buffer behind `_scratch`
+# (role, dtype) -> the grow-only 1-D buffer behind `_scratch`; `trainer.train` empties it
+# when it returns or raises
 _SCRATCH = {}
 
 
 def _scratch(role, size, dtype):
-    """The first `size` elements of the grow-only 1-D `dtype` buffer of `role`, kept for the
-    life of the process, so a recorded kernel's temporaries stop mapping fresh pages. What it
-    returns dies before the next call for `role`: nothing that escapes a call is carved from
-    it. No lock: the grad flag is process-wide too."""
+    """The first `size` elements of the grow-only 1-D `dtype` buffer of `role`, kept across
+    calls, so a recorded kernel's temporaries stop mapping fresh pages. What it returns dies
+    before the next call for `role`: nothing that escapes a call is carved from it. No lock:
+    the grad flag is process-wide too."""
     key = (role, np.dtype(dtype))
     buf = _SCRATCH.get(key)
     if buf is None or len(buf) < size:

@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import tensor as T
 from .baselines import DappmHead, PpmHead
 from .config import ConfigError, ModelConfig, _coerce, format_value
 from .layers import Conv2d, ConvBnRelu, Module, bilinear_upsample
@@ -78,9 +79,15 @@ class FpnDecoder(Module):
 
     def forward(self, p: FeaturePyramid, context: Tensor, out_h, out_w):
         """Returns (full-resolution logits, stride-4 decoder features)."""
-        p3 = self.smooth3(self.lateral3(p.f3) + bilinear_upsample(context, *p.f3.shape[2:]))
-        p2 = self.smooth2(self.lateral2(p.f2) + bilinear_upsample(p3, *p.f2.shape[2:]))
-        p1 = self.smooth1(self.lateral1(p.f1) + bilinear_upsample(p2, *p.f1.shape[2:]))
+        def merge(lateral, f, top):
+            """lateral(f) + the upsampled top, added into the lateral map: it was made for
+            this merge alone. No name outlives the call, so the sum dies with its smoothing."""
+            lat = lateral(f)
+            return T.add(lat, bilinear_upsample(top, *f.shape[2:]), into=lat)
+
+        p3 = self.smooth3(merge(self.lateral3, p.f3, context))
+        p2 = self.smooth2(merge(self.lateral2, p.f2, p3))
+        p1 = self.smooth1(merge(self.lateral1, p.f1, p2))
         logits = bilinear_upsample(self.classifier(p1), out_h, out_w)
         return logits, p1
 

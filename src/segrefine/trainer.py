@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import LossConfig, TrainConfig
 from .datagen import IGNORE_INDEX
-from .layers import resample_matrix
+from .layers import _SCRATCH, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
 from .tensor import ContractError, Tensor, no_grad
@@ -247,4 +247,5 @@ def train(model: SegModel, dataset, train_cfg: TrainConfig, loss_cfg: LossConfig
     finally:
         if csv_file:
             csv_file.close()
+        _SCRATCH.clear()  # the recorded convs' scratch is needed only while training runs
     return history

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segrefine import tensor as T
 from segrefine.tensor import Tensor
 
 
@@ -35,3 +36,17 @@ def handed_gradients(monkeypatch):
 
     monkeypatch.setattr(Tensor, "_accumulate", spy)
     return handed
+
+
+@pytest.fixture
+def fresh_sums(monkeypatch):
+    """`run(fn)` calls `fn()` with `tensor.add` ignoring `into`, so every sum is a fresh
+    array: the reference for the merges that add into an operand."""
+    add = T.add
+
+    def run(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "add", lambda a, b, into=None: add(a, b))
+            return fn()
+
+    return run

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from segrefine import gradcheck, layers, trainer
 from segrefine import tensor as T
 from segrefine.cli import main
-from segrefine.config import ModelConfig, RunConfig, _field_map
+from segrefine.config import ModelConfig, RunConfig, TrainConfig, _field_map
 from segrefine.datagen import load_pgm, read_manifest, save_pgm
 from segrefine.model import SegModel, read_checkpoint_header, save_checkpoint
 from segrefine.tensor import save_tensor_file
@@ -413,10 +413,14 @@ class TestProvenanceAndErrors:
         ("tau=nan", "tau must be positive, got nan"),
         ("lambda=nan", "lam must be >= 0, got nan"),
         ("lr0=inf", "lr0 must be positive, got inf"),
+        # an OverflowError traceback in augment, and a resize that asks for gigabytes
+        ("scale_max=1e308", "scale_max must be <= 4.0, got 1e+308"),
+        ("scale_max=1e4", "scale_max must be <= 4.0, got 10000.0"),
     ], ids=["negative-iters", "negative-lr0", "nan-lr0", "negative-scale_min",
             "scale_min-above-scale_max", "seed=-1", "scale_max=inf", "scale_max=nan",
             "momentum=-3", "poly_power=nan", "poly_power=-2", "weight_decay=-1", "tau=inf",
-            "dappm_scales=-2", "tau=nan", "lambda=nan", "lr0=inf"])
+            "dappm_scales=-2", "tau=nan", "lambda=nan", "lr0=inf", "scale_max=1e308",
+            "scale_max=1e4"])
     def test_out_of_range_train_setting_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                        setting, message):
         data = make_dataset(tmp_path, count=1)
@@ -853,12 +857,14 @@ SWEPT_FLAGS = ("--seed", "--size", "--context-head")
 # the head whose model reads a setting, and a bin plan that fits its 1x1 deepest stage
 SWEPT_HEADS = {"ppm_bins": ["context_head=ppm", "ppm_bins=1"],
                "dappm_scales": ["context_head=dappm"]}
+# upper edges, which rules across fields hold rather than field metadata
+UPPER_EDGES = {"scale_max": (str(TrainConfig.SCALE_CAP), str(TrainConfig.SCALE_CAP + 1e-6))}
 
 
 def _domain_edge(obj, name):
     """The first admitted and the last refused value of a field's domain, in the
     file spelling, or None for a path. Extents stay small: the sweep holds no huge
-    value, which nothing caps."""
+    extent, which nothing caps."""
     f = next(f for f in fields(obj) if f.name == name)
     if "choices" in f.metadata:
         return f.metadata["choices"][-1], f.metadata["choices"][-1].upper()
@@ -901,8 +907,9 @@ class TestSettingsSweep:
         monkeypatch.chdir(tmp_path)  # `out` and the swept paths are relative
         obj, name = _field_map(RunConfig())[key.lstrip("-").replace("-", "_")]
         base = FUZZ_TRAIN + [f"data={sweep_data}"] + SWEPT_HEADS.get(name, [])
-        edge = _domain_edge(obj, name)
-        for value in dict.fromkeys(SWEEP_VALUES + (edge or ())):
+        edges = [e for e in (_domain_edge(obj, name), UPPER_EDGES.get(name)) if e]
+        refused = {edge[1] for edge in edges}
+        for value in dict.fromkeys(SWEEP_VALUES + sum(edges, ())):
             if key in SWEPT_FLAGS:
                 lines, flags = base, [f"{key}={value}"]
             else:
@@ -910,4 +917,4 @@ class TestSettingsSweep:
             (tmp_path / "sweep.cfg").write_text("\n".join(lines) + "\n")
             code = _exit_code(["train", "--config", "sweep.cfg", *flags])
             assert code in (0, 2, 3, 4), f"{key}={value}: exit {code}"
-            assert code == 2 or not edge or value != edge[1], f"{key}={value}: exit {code}"
+            assert code == 2 or value not in refused, f"{key}={value}: exit {code}"

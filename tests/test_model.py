@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from segrefine.config import ModelConfig, format_value
 from segrefine.layers import ConvBnRelu
 from segrefine.model import (
     Backbone,
+    FpnDecoder,
     SegModel,
     load_checkpoint,
     model_config_from_header,
@@ -143,6 +145,49 @@ class TestModelForward:
         out = model(Tensor(rng.random((1, 3, 64, 64)).astype(np.float32)), train_mode=True)
         assert out["logits"].shape == (1, 19, 64, 64)
         assert out["embeddings"].shape == (1, 16, 16, 16)
+
+
+def decoder_inputs(rng, channels, width, h, w):
+    """A pyramid with an (h, w) stride-4 stage and a `width`-channel context at its deepest extent."""
+    stages = [Tensor(rng.standard_normal((1, c, h >> i, w >> i)).astype(np.float32))
+              for i, c in enumerate(channels)]
+    context = Tensor(rng.standard_normal((1, width, h >> 3, w >> 3)).astype(np.float32))
+    return FeaturePyramid(*stages), context
+
+
+class TestFpnDecoder:
+    def test_no_grad_merges_leave_the_pyramid_and_context(self, rng, fresh_sums):
+        decoder = FpnDecoder(TOY.channels, 32, 5, rng=rng).eval()
+        pyramid, context = decoder_inputs(rng, TOY.channels, 32, 16, 32)
+        inputs = [*pyramid.stages(), context]
+        before = [t.data.copy() for t in inputs]
+        with no_grad():
+            logits, p1 = decoder(pyramid, context, 64, 128)
+            want, want_p1 = fresh_sums(lambda: decoder(pyramid, context, 64, 128))
+        for t, data in zip(inputs, before):
+            np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(logits.data, want.data)  # bit for bit
+        np.testing.assert_array_equal(p1.data, want_p1.data)
+
+    def test_no_grad_p1_merge_holds_two_maps_not_three(self, rng):
+        # a 512x1024 image's stride-4 maps: here the p1 merge sets the forward's peak unless
+        # it adds in place (the lateral map, the upsampled p2 and their sum: three p1 maps).
+        # On smaller maps the smoothing conv's Winograd buffers set it either way.
+        channels, width, h, w = (16, 32, 64, 128), 128, 128, 256
+        decoder = FpnDecoder(channels, width, 5, rng=rng).eval()
+        pyramid, context = decoder_inputs(rng, channels, width, h, w)
+        with no_grad():
+            decoder(pyramid, context, 4 * h, 4 * w)  # builds the cached resample plans
+            tracemalloc.start()
+            try:
+                decoder(pyramid, context, 4 * h, 4 * w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        p1 = width * h * w * 4
+        # measured 2.85 p1 (the smooth1 conv on its input), and 3.31 with a fresh sum;
+        # the bound leaves 5% over the measured peak
+        assert peak < 3.0 * p1
 
 
 class TestCheckpoint:

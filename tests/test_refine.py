@@ -155,6 +155,21 @@ class TestFeedForwardBlock:
         np.testing.assert_allclose(got, x.data + step.data, atol=1e-6)
 
 
+@pytest.mark.parametrize("make", [lambda rng: DisentangledAttention(8, rng=rng),
+                                  lambda rng: FeedForwardBlock(8, expansion=2, rng=rng)],
+                         ids=["attention", "ffn"])
+def test_no_grad_residual_adds_into_its_branch_not_the_input(rng, fresh_sums, make):
+    block = make(rng)
+    x = Tensor(rng.standard_normal((2, 8, 3, 4)).astype(np.float32))
+    x0 = x.data.copy()
+    with T.no_grad():
+        out = block(x)
+        want = fresh_sums(lambda: block(x))
+    np.testing.assert_array_equal(x.data, x0)
+    assert not np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(out.data, want.data)  # bit for bit
+
+
 class TestFeatureRefineHead:
     def test_output_shape(self, rng):
         from segrefine.model import Backbone

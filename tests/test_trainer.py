@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segrefine import layers
 from segrefine.layers import Parameter
 from segrefine.losses import hybrid_loss
 from segrefine.tensor import FormatError, Tensor
@@ -280,3 +283,58 @@ class TestTelemetry:
         assert lines[0] == "iteration,lr,loss,ce,cl,val_miou,anchors,ce_empty,cl_empty"
         assert [line.split(",")[6:] for line in lines[1:]] == [
             [str(row.anchors), str(row.ce_empty), str(row.cl_empty)] for row in rows]
+
+
+class TestTrainReleasesScratch:
+    """`train` empties the recorded Winograd convs' scratch when it returns or raises."""
+
+    # a 32-channel decoder: its stride-4 smoothing conv on 32x32 crops runs recorded Winograd
+    WINOGRAD_NET = replace(TINY, decoder_channels=layers._WINOGRAD_MIN_CHANNELS)
+
+    def _train(self, tmp_path, monkeypatch, nan_at=None):
+        """Train a seeded model two steps, recording the scratch sizes the steps asked for; a
+        step `nan_at` reports a NaN loss. Returns the model and those sizes."""
+        from segrefine import trainer
+        from segrefine.config import TrainConfig
+
+        data = tmp_path / "data"
+        if not data.exists():
+            generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 4, data)
+        sizes, calls = [], []
+        scratch, loss = layers._scratch, trainer.hybrid_loss
+
+        def spy_scratch(role, size, dtype):
+            sizes.append(size)
+            return scratch(role, size, dtype)
+
+        def spy_loss(*args, **kwargs):
+            total, report = loss(*args, **kwargs)
+            calls.append(report)
+            if len(calls) == nan_at:
+                report.total = float("nan")
+            return total, report
+
+        monkeypatch.setattr(layers, "_scratch", spy_scratch)
+        monkeypatch.setattr(trainer, "hybrid_loss", spy_loss)
+        model = SegModel(self.WINOGRAD_NET, rng=np.random.default_rng(4))
+        cfg = TrainConfig(iters=2, batch=2, crop=32, eval_interval=2)
+        trainer.train(model, Dataset(data), cfg, LossConfig(), log=lambda *args: None)
+        return model, sizes
+
+    def test_empty_after_train_returns(self, tmp_path, monkeypatch):
+        _, sizes = self._train(tmp_path, monkeypatch)
+        assert sizes and not layers._SCRATCH
+
+    def test_empty_after_train_raises(self, tmp_path, monkeypatch):
+        from segrefine.trainer import NonFiniteLoss
+
+        with pytest.raises(NonFiniteLoss):
+            self._train(tmp_path, monkeypatch, nan_at=2)
+        assert not layers._SCRATCH
+
+    def test_second_train_gives_the_same_parameters(self, tmp_path, monkeypatch):
+        first, _ = self._train(tmp_path, monkeypatch)
+        second, sizes = self._train(tmp_path, monkeypatch)
+        assert sizes
+        for a, b in zip(first.parameters(), second.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
