@@ -1,7 +1,8 @@
 """Central finite-difference verification of every backward rule, and the
 oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
 path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
-plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
+plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue, and Winograd with
+that epilogue in place over its input; the 1x1 GEMM and
 the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
 ReLU are one recorded op after a recorded Winograd or im2col conv. Each is
@@ -278,8 +279,9 @@ class OracleRow(NamedTuple):
     `ConvBnRelu` (so its convs are 3x3, pad 1, one group): an eval one with no
     graph, judged on its output, or, when `recorded`, a training one, judged
     on its output, its input, weight, scale and shift gradients and its
-    updated running statistics. `bounds` maps each dtype to the worst
-    deviation allowed.
+    updated running statistics. An `in_place` block row passes each
+    channels-last input as `into`, so the conv writes its output over it.
+    `bounds` maps each dtype to the worst deviation allowed.
     """
 
     label: str
@@ -289,12 +291,15 @@ class OracleRow(NamedTuple):
     recorded: bool
     bounds: dict
     block: bool = False
+    in_place: bool = False
 
     def cases(self):
         """(conv, batch, h, w, channels_last) for every case of the sweep: each
-        input is drawn NCHW-contiguous and, again, laid out channels-last."""
+        input is drawn NCHW-contiguous and, again, laid out channels-last; an
+        `in_place` row's only channels-last."""
+        layouts = (True,) if self.in_place else (False, True)
         return [(conv, n, h, w, last) for conv, n, (h, w), last
-                in itertools.product(self.convs, self.batches, self.extents, (False, True))
+                in itertools.product(self.convs, self.batches, self.extents, layouts)
                 if min(h, w) + 2 * conv[4] >= conv[2]]
 
 
@@ -338,6 +343,12 @@ ORACLE_ROWS = (
     # a training ConvBnRelu on Winograd and im2col convs
     _WINOGRAD._replace(label="recorded conv + bn relu", convs=_WINOGRAD.convs + _BLOCK_IM2COL,
                        recorded=True, block=True),
+    # an eval ConvBnRelu writing over its input: c -> c only; at 13x1024 a chunk is a band
+    # of one or two tile rows, so bands take their top halo row from the band above. Last,
+    # so that the rows above draw the cases they drew before it was added
+    _WINOGRAD._replace(label="winograd conv + bn relu epilogue, in place", block=True,
+                       in_place=True, convs=_WINOGRAD_CONVS[:1],
+                       extents=_WINOGRAD.extents + ((13, 1024),)),
 )
 
 
@@ -415,7 +426,11 @@ def oracle_deviation(row, dtype, rng):
                 else (conv.bias.grad,))
         else:
             with T.no_grad():
-                got = (block(x).data,)
+                if row.in_place:  # the block writes over its input: hand it a copy
+                    mine = Tensor(x.data.copy(order="K"))
+                    got = (block(mine, into=mine).data,)
+                else:
+                    got = (block(x).data,)
             grad = np.zeros(got[0].shape)
         geometry = (conv.stride, conv.pad, conv.groups)
         want = conv_reference(x.data, conv.weight.data, bias, grad, *geometry)

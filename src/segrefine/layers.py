@@ -19,7 +19,9 @@ every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
 one 4x4 tile, runs Winograd F(4x4, 3x3) in `_winograd`, recorded or not: its
 forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
 bands of tile rows, and keeps the transformed tiles for the backward when a
-graph is recorded. So the kernel follows the conv's geometry and map alone. A
+graph is recorded. So the kernel follows the conv's geometry and map alone.
+With no graph, a c -> c Winograd conv whose caller made its channels-last input
+for it alone (`ConvBnRelu(x, into=x)`) writes its output over that input. A
 recorded Winograd conv takes every temporary from `_scratch`, one grow-only
 buffer per role and dtype, kept until `trainer.train` returns (for the process
 when recorded convs run outside it): its zero-bordered input copy
@@ -38,7 +40,10 @@ recorded `ConvBnRelu` runs its batch norm and ReLU as one op,
 output, since no conv backward reads it; `BatchNorm2d` runs the same op without
 the ReLU.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
-matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
+matrices (`band_plan`); with no graph, `bilinear_upsample(..., into=lat)` adds
+the resize into `lat` one block of the second axis at a time, so no
+output-sized resize is made. `Module.named_state` names parameters and
+`_buffers`.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, _make, records_graph, relu
+from .tensor import ContractError, ShapeError, Tensor, _make, add, records_graph, relu
 
 
 class Parameter(Tensor):
@@ -352,9 +357,10 @@ def _scatter_tiles(y, out):
         out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
 
 
-def _winograd_conv(x, weight, dtype, epilogue, tiles=None):
+def _winograd_conv(x, weight, dtype, epilogue, tiles=None, out=None):
     """3x3 stride-1 pad-1 correlation of `x` (n, h, w, c) by Winograd F(4x4, 3x3), then
-    `epilogue`; returns (n, h, w, oc).
+    `epilogue`; returns (n, h, w, oc), written into `out` when given. `out` may be `x` itself
+    (c == oc): the conv then runs in place.
 
     Per chunk (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
     images, or a band of tile rows of one image): the rows are copied into a zero-bordered
@@ -363,10 +369,17 @@ def _winograd_conv(x, weight, dtype, epilogue, tiles=None):
     products at `_WINOGRAD_ONES` and the ReLU clamps each chunk before its scatter. The
     transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw, c) when given, in
     (n, th, tw) order. The filter transform is recomputed each call, so never stale.
+
+    In place, a chunk reads all its input rows before its scatter writes over them, so only a
+    band's top halo row, input row r - 1, is gone when it runs: the band above wrote it. That
+    band's own zero-bordered copy still holds it, as its row 4 * band, and the next band
+    takes it from there. Whole-image chunks have no halo.
     """
     n, h, w, c = x.shape
     oc = weight.shape[0]
-    out = np.empty((n, h, w, oc), dtype)
+    in_place = out is x
+    if out is None:
+        out = np.empty((n, h, w, oc), dtype)
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(out.dtype)
     u = _filter_transform(weight, kg)
@@ -388,6 +401,9 @@ def _winograd_conv(x, weight, dtype, epilogue, tiles=None):
             lo, hi = max(r - 1, 0), min(r + 4 * nb + 1, h)
             top, bottom = lo - r + 1, hi - r + 1
             padded[:, :top] = 0
+            if in_place and t:  # the band above wrote over input row r - 1
+                padded[:m, 0] = padded[:m, 4 * band]
+                lo, top = lo + 1, top + 1
             padded[:m, top:bottom, 1 : w + 1] = x[i : i + m, lo:hi]
             padded[:, bottom:rows] = 0
             d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
@@ -520,9 +536,12 @@ class Conv2d(Module):
         self.weight = Parameter(init_kaiming(rng, out_c, in_c // groups, kernel, kernel))
         self.bias = Parameter(np.zeros(out_c, dtype=np.float32)) if bias else None
 
-    def forward(self, x, _epilogue=None):
+    def forward(self, x, _epilogue=None, _in_place=False):
         """Convolve `x`. A no-grad caller may pass an `_Epilogue` that stands in
-        for the bias (`ConvBnRelu` passes its eval batch norm and ReLU)."""
+        for the bias (`ConvBnRelu` passes its eval batch norm and ReLU), and
+        `_in_place` when it made `x` for this conv alone: a Winograd c -> c conv
+        that records no graph then writes its output over a channels-last `x` of
+        the output's dtype. Otherwise the output is a fresh array."""
         if x.shape[1] != self.in_c:
             raise ShapeError(f"conv expects {self.in_c} channels, got {x.shape[1]}")
         w, b = self.weight, self.bias
@@ -541,8 +560,13 @@ class Conv2d(Module):
         # forward plus backward of 8x128x4x4 took 3.3 against 5.9 ms; no-grad, 1x128x4x4
         # 0.34 against 0.72, 8x128x4x4 0.67 against 0.92, 8x128x2x2 0.41 against 0.82 ms
         # (medians of 80 to 200 interleaved runs; 2-core Xeon, one BLAS thread)
-        if ((k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
-                and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4):
+        winograd = ((k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
+                    and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4)
+        if (winograd and _in_place and not recorded and self.out_c == self.in_c
+                and x.dtype == dtype and x.data.transpose(0, 2, 3, 1).flags.c_contiguous):
+            xd = _nhwc(x.data)
+            out, backward = _winograd_conv(xd, w.data, dtype, epilogue, out=xd), None
+        elif winograd:
             out, backward = _winograd(x, w, dtype, epilogue, recorded)
         elif g > 1 and g == self.in_c == self.out_c:
             out, backward = _depthwise(x, w, s, p, epilogue)
@@ -724,41 +748,58 @@ def band_plan(in_size, out_size, kind, dtype, transposed=False):
 _RESAMPLE_FEW_CHANNELS = 16
 
 
-def _apply_plan(a, plan):
-    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block."""
-    out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
+def _apply_plan(a, plan, into=None):
+    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block:
+    a fresh array, or added into `into` (slices, plan.size, rest) one block's product at a time."""
+    if into is None:
+        out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
+        for o, i, block in plan.blocks:
+            np.matmul(block, a[:, i], out=out[:, o])
+        return out
     for o, i, block in plan.blocks:
-        np.matmul(block, a[:, i], out=out[:, o])
-    return out
+        into[:, o] += block @ a[:, i]
+    return into
 
 
-def resample(a, rows, cols):
+def resample(a, rows, cols, into=None):
     """rows @ a @ cols.T over the spatial axes of `a` (n, c, h, w), for `BandPlan`s `rows` and
-    `cols`: the (n, c, oh, ow) view of an (n, oh, ow, c) array."""
+    `cols`: the (n, c, oh, ow) view of an (n, oh, ow, c) array, fresh or `into` (C-ordered
+    (n, oh, ow, c)) with the product added to it by the second axis's blocks."""
     x = _nhwc(a)
     n, h, w, c = x.shape
-    if c < _RESAMPLE_FEW_CHANNELS and rows.size > h:
-        x = _apply_plan(x.reshape(n * h, w, c), cols).reshape(n, h, cols.size * c)
-        out = _apply_plan(x, rows)
+    oh, ow = rows.size, cols.size
+    if c < _RESAMPLE_FEW_CHANNELS and oh > h:
+        x = _apply_plan(x.reshape(n * h, w, c), cols).reshape(n, h, ow * c)
+        out = _apply_plan(x, rows, None if into is None else into.reshape(n, oh, ow * c))
     else:
-        x = _apply_plan(x.reshape(n, h, w * c), rows).reshape(n * rows.size, w, c)
-        out = _apply_plan(x, cols)
-    return out.reshape(n, rows.size, cols.size, c).transpose(0, 3, 1, 2)
+        x = _apply_plan(x.reshape(n, h, w * c), rows).reshape(n * oh, w, c)
+        out = _apply_plan(x, cols, None if into is None else into.reshape(n * oh, ow, c))
+    return out.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
 
-def _resample_op(x, out_h, out_w, kind):
+def _resample_op(x, out_h, out_w, kind, into=None):
+    """`x` resampled to out_h x out_w, or `into` + that resample when `into` is given: `into`
+    is then an array the calling code has just made for this sum alone, as in `tensor.add`.
+    With no graph and an `into` of the output's shape and dtype laid out channels-last, the
+    resample is added into it block by block and `into` returned, so no output-sized resample
+    is made; otherwise the sum is `add(into, resample)`. IEEE addition gives the same bits."""
     if out_h < 1 or out_w < 1:
         raise ContractError(f"output extents must be positive, got {out_h}x{out_w}")
-    _, _, h, w = x.shape
+    n, c, h, w = x.shape
     dt = x.data.dtype
+    rows, cols = band_plan(h, out_h, kind, dt), band_plan(w, out_w, kind, dt)
+    if (into is not None and not records_graph((x, into)) and into.shape == (n, c, out_h, out_w)
+            and into.dtype == dt and into.data.transpose(0, 2, 3, 1).flags.c_contiguous):
+        resample(x.data, rows, cols, into=_nhwc(into.data))
+        return into
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(resample(g, band_plan(h, out_h, kind, dt, True),
                                    band_plan(w, out_w, kind, dt, True)), owned=True)
 
-    out = resample(x.data, band_plan(h, out_h, kind, dt), band_plan(w, out_w, kind, dt))
-    return _make(out, (x,), backward)
+    out = _make(resample(x.data, rows, cols), (x,), backward)
+    return out if into is None else add(into, out)
 
 
 def adaptive_avg_pool(x, out_h, out_w):
@@ -769,9 +810,10 @@ def adaptive_avg_pool(x, out_h, out_w):
     return _resample_op(x, out_h, out_w, "pool")
 
 
-def bilinear_upsample(x, out_h, out_w):
-    """Bilinear resize (align_corners=False) to out_h x out_w, up or down."""
-    return _resample_op(x, out_h, out_w, "bilinear")
+def bilinear_upsample(x, out_h, out_w, into=None):
+    """Bilinear resize (align_corners=False) to out_h x out_w, up or down; with `into`, the
+    sum `into` + resize, written into `into` when no graph is recorded (`_resample_op`)."""
+    return _resample_op(x, out_h, out_w, "bilinear", into)
 
 
 class ReLU(Module):
@@ -789,8 +831,9 @@ class ConvBnRelu(Module):
     In training, or in eval with a graph, the batch norm and ReLU are one
     recorded op after the conv; in training x̂ overwrites the conv output, so
     the graph keeps two output-sized arrays, x̂ and the block's output. In eval
-    with no graph they are the conv's `_Epilogue`. `act` names the ReLU's cost
-    row and runs no code of its own."""
+    with no graph they are the conv's `_Epilogue`, and a c -> c Winograd conv
+    writes the block's output over its input when `forward` is handed
+    `into=x`. `act` names the ReLU's cost row and runs no code of its own."""
 
     def __init__(self, in_c, out_c, stride=1, rng=None):
         super().__init__()
@@ -798,10 +841,15 @@ class ConvBnRelu(Module):
         self.bn = BatchNorm2d(out_c)
         self.act = ReLU()
 
-    def forward(self, x):
+    def forward(self, x, into=None):
+        """The block on `x`. `into` may name `x` when the calling code has just made it for
+        this block alone, as in `tensor.add`: with no graph, a Winograd c -> c conv then
+        writes the output over it (`Conv2d.forward`). Otherwise `into` is ignored."""
+        if into is not None and into is not x:
+            raise ContractError("a ConvBnRelu writes into its input or into nothing")
         conv, bn = self.conv, self.bn
         if bn.training or records_graph((x, conv.weight, bn.scale, bn.shift)):
             return _batch_norm(bn, conv(x), relu=True)
         # eval with no graph: batch norm and ReLU run as the conv's epilogue
         _, scale, shift = bn.eval_affine()
-        return conv(x, _epilogue=_Epilogue(scale, shift, True))
+        return conv(x, _epilogue=_Epilogue(scale, shift, True), _in_place=into is not None)

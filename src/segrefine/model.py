@@ -11,7 +11,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import tensor as T
 from .baselines import DappmHead, PpmHead
 from .config import ConfigError, ModelConfig, _coerce, format_value
 from .layers import Conv2d, ConvBnRelu, Module, bilinear_upsample
@@ -64,7 +63,13 @@ class Backbone(Module):
 
 
 class FpnDecoder(Module):
-    """Lateral 1x1 convs, top-down addition, 3x3 smoothing, classifier."""
+    """Lateral 1x1 convs, top-down addition, 3x3 smoothing, classifier.
+
+    With no graph recorded, each level holds one map of its extent: the upsampled level above
+    is added into the lateral map one resample block at a time (`bilinear_upsample(...,
+    into=)`), the smoothing conv writes over that sum (`ConvBnRelu(..., into=)`), and the
+    level above dies once upsampled. The stride-4 features die after the classifier unless
+    the caller keeps them."""
 
     def __init__(self, channels, width, num_classes, rng=None):
         super().__init__()
@@ -77,19 +82,19 @@ class FpnDecoder(Module):
         self.smooth1 = ConvBnRelu(width, width, rng=rng)
         self.classifier = Conv2d(width, num_classes, 1, rng=rng)
 
-    def forward(self, p: FeaturePyramid, context: Tensor, out_h, out_w):
-        """Returns (full-resolution logits, stride-4 decoder features)."""
-        def merge(lateral, f, top):
-            """lateral(f) + the upsampled top, added into the lateral map: it was made for
-            this merge alone. No name outlives the call, so the sum dies with its smoothing."""
-            lat = lateral(f)
-            return T.add(lat, bilinear_upsample(top, *f.shape[2:]), into=lat)
-
-        p3 = self.smooth3(merge(self.lateral3, p.f3, context))
-        p2 = self.smooth2(merge(self.lateral2, p.f2, p3))
-        p1 = self.smooth1(merge(self.lateral1, p.f1, p2))
-        logits = bilinear_upsample(self.classifier(p1), out_h, out_w)
-        return logits, p1
+    def forward(self, p: FeaturePyramid, context: Tensor, out_h, out_w, features):
+        """Returns (full-resolution logits, stride-4 decoder features if `features`, else None)."""
+        x = context
+        for lateral, f, smooth in ((self.lateral3, p.f3, self.smooth3),
+                                   (self.lateral2, p.f2, self.smooth2),
+                                   (self.lateral1, p.f1, self.smooth1)):
+            # the lateral map is made for this sum alone, and the sum for its smoothing;
+            # rebinding `x` drops the level above once it is upsampled
+            x = bilinear_upsample(x, *f.shape[2:], into=lateral(f))
+            x = smooth(x, into=x)
+        # the features outlive the classifier only when the caller reads them
+        x, feats = self.classifier(x), (x if features else None)
+        return bilinear_upsample(x, out_h, out_w), feats
 
 
 def build_context_head(cfg: ModelConfig, rng=None):
@@ -130,7 +135,7 @@ class SegModel(Module):
             train_mode = self.training
         pyramid = self.backbone(image)
         context = self.context_head(pyramid)
-        logits, feats = self.decoder(pyramid, context, image.shape[2], image.shape[3])
+        logits, feats = self.decoder(pyramid, context, image.shape[2], image.shape[3], train_mode)
         out = {"logits": logits}
         if train_mode:
             out["embeddings"] = self.embedding_head(feats)

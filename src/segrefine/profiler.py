@@ -103,8 +103,8 @@ def count_costs(model: SegModel, input_size, mode="inference"):
 
     resample_op = layers._resample_op
 
-    def recorded_resample(x, out_h, out_w, kind):
-        out = resample_op(x, out_h, out_w, kind)
+    def recorded_resample(x, out_h, out_w, kind, into=None):
+        out = resample_op(x, out_h, out_w, kind, into)  # a sum into `into` has the resample's size
         path, method = frames[-1]
         row = f"{path}.{_RESAMPLE_ROW[kind if method == 'forward' else method]}"
         resampled[row] = resampled.get(row, 0) + out.size

@@ -210,13 +210,15 @@ def _scaled_no_grad(fn):
     return broken
 
 
-def _scaled_winograd(fused):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue: a
-    recorded Winograd conv's forward also runs `_winograd_conv`, with a graph recorded."""
+def _scaled_winograd(fused, in_place=False):
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run in place
+    over their input (or not): a recorded Winograd conv's forward also runs
+    `_winograd_conv`, with a graph recorded."""
     def fault(fn):
-        def broken(x, weight, dtype, epilogue, *args):
-            out = fn(x, weight, dtype, epilogue, *args)
-            return out * 1.001 if not T._GRAD_ENABLED and epilogue.relu == fused else out
+        def broken(x, weight, dtype, epilogue, tiles=None, out=None):
+            y = fn(x, weight, dtype, epilogue, tiles, out)
+            hit = not T._GRAD_ENABLED and epilogue.relu == fused and (out is x) == in_place
+            return y * 1.001 if hit else y
 
         return broken
 
@@ -263,6 +265,7 @@ PATH_FAULTS = [
     ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
     ("recorded winograd conv gradients", "_winograd", _scaled_backward),
     ("recorded conv + bn relu", "_batch_norm", _scaled_bn_relu),
+    ("winograd conv + bn relu epilogue, in place", "_winograd_conv", _scaled_winograd(True, True)),
     ("banded resampling", "resample", _scaled_output),
 ]
 # the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults

@@ -171,11 +171,13 @@ class TestStreamedConv:
 
 
 # the oracle row of each Conv2d path, told apart by the function that computes
-# its forward, by whether the forward records a graph and by whether it runs a
-# batch norm + ReLU epilogue
+# its forward (an in-place Winograd conv calls `_winograd_conv` itself), by
+# whether the forward records a graph and by whether it runs a batch norm +
+# ReLU epilogue
 _PATH_ROWS = {
     ("_winograd", False, False): "winograd conv",
     ("_winograd", False, True): "winograd conv + bn relu epilogue",
+    ("_winograd_conv", False, True): "winograd conv + bn relu epilogue, in place",
     ("_pointwise", False, False): "1x1 conv",
     ("_pointwise", True, False): "recorded 1x1 conv gradients",
     ("_depthwise", False, False): "depthwise conv",
@@ -397,6 +399,107 @@ class TestWinogradConv:
         ref = conv(x).data
         np.testing.assert_allclose(after, -0.5 * before, rtol=0, atol=1e-12 * np.abs(ref).max())
         assert np.abs(after - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _eval_block(in_c, out_c, dtype, rng):
+    """An eval `ConvBnRelu` with drawn batch norm parameters and running statistics."""
+    block = ConvBnRelu(in_c, out_c, rng=rng).cast(dtype).eval()
+    bn = block.bn
+    bn.scale.data, bn.shift.data, bn.running_mean = (
+        rng.standard_normal(out_c).astype(dtype) for _ in range(3))
+    bn.running_var = rng.uniform(0.2, 3.0, out_c).astype(dtype)
+    return block
+
+
+def _channels_last(rng, shape, dtype, requires_grad=False):
+    """A drawn (n, c, h, w) tensor laid out (n, h, w, c), as every activation in the model."""
+    n, c, h, w = shape
+    data = rng.standard_normal((n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    return Tensor(data, requires_grad=requires_grad)
+
+
+class TestInPlaceConvBnRelu:
+    """A no-grad c -> c `ConvBnRelu` on a Winograd kernel writes its output over the input
+    its caller names as `into`; elsewhere `into` is ignored."""
+
+    @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17))], ids=["whole-tiles", "ragged"])
+    @pytest.mark.parametrize("chunks", ["whole-images", "two-images", "one-tile-row",
+                                        "three-tile-rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_fresh_output(self, rng, monkeypatch, n, hw, chunks, dtype):
+        tile_row = _three_tile_rows(WINO_C, WINO_C, hw[1], np.dtype(dtype).itemsize) // 3
+        budget = {"whole-images": layers._WINOGRAD_BUDGET, "two-images": 2 * tile_row * 4,
+                  "one-tile-row": tile_row, "three-tile-rows": 3 * tile_row}[chunks]
+        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)  # both maps are 4 tile rows
+        block = _eval_block(WINO_C, WINO_C, dtype, rng)
+        x = _channels_last(rng, (n, WINO_C, *hw), dtype)
+        with no_grad():
+            want = block(x).data
+            out = block(x, into=x)
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, want)  # bit for bit
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+    def test_ignored_with_a_graph(self, rng, training):
+        data = _channels_last(rng, (2, WINO_C, 8, 12), np.float64).data
+        weights = Tensor(rng.standard_normal(data.shape))
+
+        def run(into):
+            block = _eval_block(WINO_C, WINO_C, np.float64, np.random.default_rng(5))
+            x = Tensor(data.copy(order="K"), requires_grad=True)
+            out = block.train(training)(x, into=x if into else None)
+            T.tsum(out * weights).backward()
+            return x, out, block
+
+        x, out, block = run(True)
+        want_x, want, want_block = run(False)
+        assert not np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(x.data, data)
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(x.grad, want_x.grad)
+        for p, q in zip(block.parameters(), want_block.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad)
+
+    @pytest.mark.parametrize("in_c, out_c, hw, last, dtype", [
+        (WINO_C - 1, WINO_C - 1, (8, 8), True, np.float32),  # im2col
+        (WINO_C, WINO_C, (4, 4), True, np.float32),  # one tile: im2col
+        (WINO_C, WINO_C + 8, (8, 8), True, np.float32),  # the output is wider
+        (WINO_C, WINO_C, (8, 8), False, np.float32),  # NCHW-ordered
+        (WINO_C, WINO_C, (8, 8), True, np.float64),  # the input is float32
+    ], ids=["im2col", "one-tile", "wider", "nchw", "narrower-dtype"])
+    def test_ignored_off_the_in_place_kernel(self, rng, in_c, out_c, hw, last, dtype):
+        block = _eval_block(in_c, out_c, dtype, rng)
+        x = (_channels_last(rng, (2, in_c, *hw), np.float32) if last
+             else Tensor(rng.standard_normal((2, in_c, *hw)).astype(np.float32)))
+        before = x.data.copy()
+        with no_grad():
+            out = block(x, into=x)
+            want = block(x)
+        assert not np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(x.data, before)
+        np.testing.assert_array_equal(out.data, want.data)
+
+    def test_into_must_be_the_input(self, rng):
+        block = _eval_block(WINO_C, WINO_C, np.float32, rng)
+        x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
+        with no_grad(), pytest.raises(ContractError):
+            block(x, into=Tensor(x.data.copy(order="K")))
+
+
+def test_fresh_sums_switches_off_every_into_path(rng, fresh_sums):
+    block = _eval_block(WINO_C, WINO_C, np.float32, rng)
+    x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
+    top = _channels_last(rng, (1, WINO_C, 4, 4), np.float32)
+    before = x.data.copy()
+
+    def run():
+        with no_grad():
+            return [T.add(x, top.data.repeat(2, 2).repeat(2, 3), into=x), block(x, into=x),
+                    bilinear_upsample(top, 8, 8, into=x)]
+
+    for out in fresh_sums(run):
+        assert not np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(x.data, before)
 
 
 def _spy_winograd(monkeypatch):
@@ -639,9 +742,11 @@ class TestOracleTable:
         assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients",
                                 "recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                                 BLOCK_ROW}
-        # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue
+        # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue, and the
+        # decoder's smoothing convs run in place over their merge sums
         assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
-                              "im2col conv + bn relu epilogue"}
+                              "im2col conv + bn relu epilogue",
+                              "winograd conv + bn relu epilogue, in place"}
         assert set(_PATH_ROWS.values()) | {BLOCK_ROW} == set(ORACLE_ROWS)
 
 
@@ -826,6 +931,54 @@ class TestBilinearUpsample:
         err = finite_difference(lambda: T.tsum(bilinear_upsample(x, 120, 30) * weights), [x],
                                 max_elements=300, rng=np.random.default_rng(1))
         assert err < TOLERANCE
+
+
+class TestUpsampleInto:
+    """`bilinear_upsample(x, h, w, into=lat)` is `add(lat, bilinear_upsample(x, h, w))`, added
+    into `lat` block by block when no graph is recorded."""
+
+    @pytest.mark.parametrize("c", [layers._RESAMPLE_FEW_CHANNELS - 1, layers._RESAMPLE_FEW_CHANNELS],
+                             ids=["width-first", "height-first"])
+    @pytest.mark.parametrize("size, out", [((8, 16), (16, 32)), ((13, 9), (40, 29)),
+                                           ((16, 24), (64, 96)), ((3, 3), (6, 6))],
+                             ids=lambda extents: "x".join(map(str, extents)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_add_of_upsample(self, rng, c, size, out, dtype):
+        top = _channels_last(rng, (2, c, *size), dtype)
+        lat = _channels_last(rng, (2, c, *out), dtype)
+        want = T.add(lat, bilinear_upsample(top, *out)).data
+        assert bilinear_upsample(top, *out, into=lat) is lat
+        np.testing.assert_array_equal(lat.data, want)  # bit for bit
+
+    @pytest.mark.parametrize("top_dtype, last", [(np.float32, False), (np.float64, True)],
+                             ids=["nchw", "narrower-dtype"])
+    def test_into_that_cannot_hold_the_sum_gets_a_fresh_array(self, rng, top_dtype, last):
+        top = _channels_last(rng, (2, 4, 8, 8), top_dtype)
+        lat = (_channels_last(rng, (2, 4, 16, 16), np.float32) if last
+               else Tensor(rng.standard_normal((2, 4, 16, 16)).astype(np.float32)))
+        before = lat.data.copy()
+        out = bilinear_upsample(top, 16, 16, into=lat)
+        assert not np.shares_memory(out.data, lat.data)
+        np.testing.assert_array_equal(lat.data, before)
+        np.testing.assert_array_equal(out.data, T.add(lat, bilinear_upsample(top, 16, 16)).data)
+
+    def test_ignored_with_a_graph(self, rng):
+        top = _channels_last(rng, (2, 3, 8, 8), np.float64, requires_grad=True)
+        lat = _channels_last(rng, (2, 3, 16, 16), np.float64, requires_grad=True)
+        weights = Tensor(rng.standard_normal(lat.shape))
+        before = lat.data.copy()
+        out = bilinear_upsample(top, 16, 16, into=lat)
+        assert out is not lat and not np.shares_memory(out.data, lat.data)
+        np.testing.assert_array_equal(lat.data, before)
+        T.tsum(out * weights).backward()
+        grads = top.grad.copy(), lat.grad.copy()
+        top.zero_grad()
+        lat.zero_grad()
+        want = T.add(lat, bilinear_upsample(top, 16, 16))
+        T.tsum(want * weights).backward()
+        np.testing.assert_array_equal(out.data, want.data)
+        np.testing.assert_array_equal(grads[0], top.grad)
+        np.testing.assert_array_equal(grads[1], lat.grad)
 
 
 # (in, out, kind) of resampling axes that the closed-form and brute-force

@@ -1,10 +1,12 @@
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from segrefine import layers
 from segrefine import model as model_module
 from segrefine.config import ModelConfig, format_value
 from segrefine.layers import ConvBnRelu
@@ -162,32 +164,67 @@ class TestFpnDecoder:
         inputs = [*pyramid.stages(), context]
         before = [t.data.copy() for t in inputs]
         with no_grad():
-            logits, p1 = decoder(pyramid, context, 64, 128)
-            want, want_p1 = fresh_sums(lambda: decoder(pyramid, context, 64, 128))
+            logits, p1 = decoder(pyramid, context, 64, 128, True)
+            want, want_p1 = fresh_sums(lambda: decoder(pyramid, context, 64, 128, True))
         for t, data in zip(inputs, before):
             np.testing.assert_array_equal(t.data, data)
         np.testing.assert_array_equal(logits.data, want.data)  # bit for bit
         np.testing.assert_array_equal(p1.data, want_p1.data)
 
-    def test_no_grad_p1_merge_holds_two_maps_not_three(self, rng):
-        # a 512x1024 image's stride-4 maps: here the p1 merge sets the forward's peak unless
-        # it adds in place (the lateral map, the upsampled p2 and their sum: three p1 maps).
-        # On smaller maps the smoothing conv's Winograd buffers set it either way.
+    @pytest.mark.parametrize("features", [False, True])
+    def test_no_grad_levels_die_once_read(self, rng, monkeypatch, features):
+        decoder = FpnDecoder(TOY.channels, 32, 5, rng=rng).eval()
+        pyramid, context = decoder_inputs(rng, TOY.channels, 32, 16, 32)
+        smoothed = {}  # smoothing block -> weak reference to the buffer behind its output
+
+        def buffer(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        for name in ("smooth3", "smooth2", "smooth1"):
+            def spy(x, into=None, forward=getattr(decoder, name).forward, name=name):
+                out = forward(x, into=into)
+                smoothed[name] = weakref.ref(buffer(out.data))
+                return out
+
+            monkeypatch.setattr(getattr(decoder, name), "forward", spy)
+        alive = []  # at each resample: which smoothed outputs are still alive
+        resample_op = layers._resample_op
+
+        def spy_resample(*args):
+            alive.append({name: ref() is not None for name, ref in smoothed.items()})
+            return resample_op(*args)
+
+        monkeypatch.setattr(layers, "_resample_op", spy_resample)
+        with no_grad():
+            _, p1 = decoder(pyramid, context, 64, 128, features)
+        assert (p1 is not None) == features
+        # each level lives until the level below has upsampled it; the stride-4 features
+        # outlive the classifier only when the caller asks for them
+        assert alive == [{}, {"smooth3": True}, {"smooth3": False, "smooth2": True},
+                         {"smooth3": False, "smooth2": False, "smooth1": features}]
+
+    def test_no_grad_decoder_holds_under_two_p1_maps(self, rng):
+        # a 512x1024 image's stride-4 maps: the p1 merge and smooth1 set the peak. Adding
+        # into the lateral map, smoothing in place and dropping each level once upsampled
+        # keep one full p1 map live, with half a map of the upsample's height pass.
         channels, width, h, w = (16, 32, 64, 128), 128, 128, 256
         decoder = FpnDecoder(channels, width, 5, rng=rng).eval()
         pyramid, context = decoder_inputs(rng, channels, width, h, w)
         with no_grad():
-            decoder(pyramid, context, 4 * h, 4 * w)  # builds the cached resample plans
+            decoder(pyramid, context, 4 * h, 4 * w, False)  # builds the cached resample plans
             tracemalloc.start()
             try:
-                decoder(pyramid, context, 4 * h, 4 * w)
+                decoder(pyramid, context, 4 * h, 4 * w, False)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         p1 = width * h * w * 4
-        # measured 2.85 p1 (the smooth1 conv on its input), and 3.31 with a fresh sum;
-        # the bound leaves 5% over the measured peak
-        assert peak < 3.0 * p1
+        # measured 1.82 p1; 2.85 with a fresh upsample and smoothing output per level and
+        # every level kept to the end, 3.31 with fresh sums as well. The bound leaves 4% over
+        # the measured peak
+        assert peak < 1.9 * p1
 
 
 class TestCheckpoint:
