@@ -20,8 +20,8 @@ one 4x4 tile, runs Winograd F(4x4, 3x3) in `_winograd`, recorded or not: its
 forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
 bands of tile rows, and keeps the transformed tiles for the backward when a
 graph is recorded. So the kernel follows the conv's geometry and map alone.
-With no graph, a c -> c Winograd conv whose caller made its channels-last input
-for it alone (`ConvBnRelu(x, into=x)`) writes its output over that input. A
+With no graph, `_winograd` writes a c -> c conv's output over its channels-last
+input when the caller made that input for it alone (`ConvBnRelu(x, into=x)`). A
 recorded Winograd conv takes every temporary from `_scratch`, one grow-only
 buffer per role and dtype, kept until `trainer.train` returns (for the process
 when recorded convs run outside it): its zero-bordered input copy
@@ -98,10 +98,6 @@ class Module:
             path = prefix + name if prefix else name
             yield path, child
             yield from child.named_children(path + ".")
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def train(self, mode=True):
         object.__setattr__(self, "training", mode)
@@ -430,8 +426,11 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
 
-def _winograd(x, w, dtype, epilogue, recorded):
+def _winograd(x, w, dtype, epilogue, recorded, in_place):
     """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3): the forward is `_winograd_conv`.
+
+    `in_place` when the caller made `x` for this conv alone: a c -> c conv that records no
+    graph then writes its output over `x` if `x` is channels-last in the output's dtype.
 
     With a graph `recorded`, it keeps the transformed tiles V = Bt d B, (36, n*th*tw, c), a
     quarter of the im2col columns, and returns a backward (else None). The backward transforms
@@ -448,7 +447,10 @@ def _winograd(x, w, dtype, epilogue, recorded):
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
     v = np.empty((36, tiles, c), dtype) if recorded else None
-    out = _winograd_conv(_nhwc(x.data), w.data, dtype, epilogue, v)
+    xd = _nhwc(x.data)
+    over = (in_place and not recorded and oc == c and x.dtype == dtype
+            and x.data.transpose(0, 2, 3, 1).flags.c_contiguous)
+    out = _winograd_conv(xd, w.data, dtype, epilogue, v, xd if over else None)
     if not recorded:
         return out, None
     kb, kg, ka = _winograd_transforms(dtype)
@@ -539,9 +541,9 @@ class Conv2d(Module):
     def forward(self, x, _epilogue=None, _in_place=False):
         """Convolve `x`. A no-grad caller may pass an `_Epilogue` that stands in
         for the bias (`ConvBnRelu` passes its eval batch norm and ReLU), and
-        `_in_place` when it made `x` for this conv alone: a Winograd c -> c conv
-        that records no graph then writes its output over a channels-last `x` of
-        the output's dtype. Otherwise the output is a fresh array."""
+        `_in_place` when it made `x` for this conv alone, which a Winograd conv
+        may write its output over (`_winograd`). Otherwise the output is a fresh
+        array."""
         if x.shape[1] != self.in_c:
             raise ShapeError(f"conv expects {self.in_c} channels, got {x.shape[1]}")
         w, b = self.weight, self.bias
@@ -562,12 +564,8 @@ class Conv2d(Module):
         # (medians of 80 to 200 interleaved runs; 2-core Xeon, one BLAS thread)
         winograd = ((k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
                     and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4)
-        if (winograd and _in_place and not recorded and self.out_c == self.in_c
-                and x.dtype == dtype and x.data.transpose(0, 2, 3, 1).flags.c_contiguous):
-            xd = _nhwc(x.data)
-            out, backward = _winograd_conv(xd, w.data, dtype, epilogue, out=xd), None
-        elif winograd:
-            out, backward = _winograd(x, w, dtype, epilogue, recorded)
+        if winograd:
+            out, backward = _winograd(x, w, dtype, epilogue, recorded, _in_place)
         elif g > 1 and g == self.in_c == self.out_c:
             out, backward = _depthwise(x, w, s, p, epilogue)
         elif (k, s, p, g) == (1, 1, 0, 1):
@@ -779,7 +777,7 @@ def resample(a, rows, cols, into=None):
 
 def _resample_op(x, out_h, out_w, kind, into=None):
     """`x` resampled to out_h x out_w, or `into` + that resample when `into` is given: `into`
-    is then an array the calling code has just made for this sum alone, as in `tensor.add`.
+    is then an array the calling code has just made for this sum alone, never its own input.
     With no graph and an `into` of the output's shape and dtype laid out channels-last, the
     resample is added into it block by block and `into` returned, so no output-sized resample
     is made; otherwise the sum is `add(into, resample)`. IEEE addition gives the same bits."""
@@ -843,8 +841,8 @@ class ConvBnRelu(Module):
 
     def forward(self, x, into=None):
         """The block on `x`. `into` may name `x` when the calling code has just made it for
-        this block alone, as in `tensor.add`: with no graph, a Winograd c -> c conv then
-        writes the output over it (`Conv2d.forward`). Otherwise `into` is ignored."""
+        this block alone, never its own input: with no graph, a Winograd c -> c conv then
+        writes the output over it (`_winograd`). Otherwise `into` is ignored."""
         if into is not None and into is not x:
             raise ContractError("a ConvBnRelu writes into its input or into nothing")
         conv, bn = self.conv, self.bn

@@ -153,14 +153,11 @@ def contrastive_loss(embeddings: Tensor, labels, cfg: LossConfig, rng):
     return contrastive_from_embeddings(gathered, cls, cfg, rng)
 
 
-def hybrid_loss(logits: Tensor, embeddings, labels, cfg: LossConfig, rng):
+def hybrid_loss(logits: Tensor, embeddings: Tensor, labels, cfg: LossConfig, rng):
     """total = ce + lam * contrastive; returns (total tensor, LossReport)."""
     cfg.validate()
     ce, n_pix = cross_entropy(logits, labels)
-    if embeddings is not None:
-        cl, n_anchor = contrastive_loss(embeddings, labels, cfg, rng)
-    else:
-        cl, n_anchor = Tensor(np.zeros((), dtype=logits.dtype)), 0
+    cl, n_anchor = contrastive_loss(embeddings, labels, cfg, rng)
     total = ce + T.mul(cl, cfg.lam)
     report = LossReport(
         total=total.item(),

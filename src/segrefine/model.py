@@ -126,13 +126,11 @@ class SegModel(Module):
         self.backbone.check_extents(h, w)
         self.context_head.check_extent(-(-h // 4) // 8, -(-w // 4) // 8)
 
-    def forward(self, image: Tensor, train_mode=None):
+    def forward(self, image: Tensor, train_mode):
         """Returns {"logits": ...} and, in training mode, {"embeddings": ...}.
 
         The embedding head never executes at inference time.
         """
-        if train_mode is None:
-            train_mode = self.training
         pyramid = self.backbone(image)
         context = self.context_head(pyramid)
         logits, feats = self.decoder(pyramid, context, image.shape[2], image.shape[3], train_mode)

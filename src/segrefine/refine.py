@@ -109,7 +109,7 @@ class DisentangledAttention(Module):
             raise ShapeError(f"attention expects {self.channels} channels, got {x.shape[1]}")
         y = self.attend(x, self.query(x), self.key(x), self.unary(x), self.value(x))
         y = self.proj(y)  # rebinding frees the attention output before the add
-        return T.add(x, y, into=y)  # never into x: the caller's input
+        return x + y
 
     def attention_flops(self, x_shape):
         """Matmul and softmax cost of the pairwise/unary terms for an n,c,h,w input."""
@@ -134,7 +134,7 @@ class FeedForwardBlock(Module):
 
     def forward(self, x):
         y = self.reduce(self.act(self.depthwise(self.expand(x))))
-        return T.add(x, y, into=y)
+        return x + y
 
 
 class FeatureRefineHead(ContextHead):

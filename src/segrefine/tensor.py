@@ -172,21 +172,9 @@ def _unbroadcast(g, shape):
     return g
 
 
-def add(a, b, into=None):
-    """a + b. `into` names `a` or `b` as an array the calling code has just made for this sum
-    alone; no other code holds it. Never pass an array the caller was handed, such as its own
-    input. When no graph is recorded and `into` has the sum's shape and dtype, the sum is
-    written into it and `into` is returned; otherwise the sum is a fresh array, as without
-    `into`. IEEE addition gives the same bits either way."""
+def add(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    if into is not None:
-        if into is not a and into is not b:
-            raise ContractError("add writes into one of its operands or into nothing")
-        if (not records_graph((a, b)) and into.shape == np.broadcast_shapes(a.shape, b.shape)
-                and into.dtype == np.result_type(a.data, b.data)):
-            np.add(a.data, b.data, out=into.data)
-            return into
 
     def backward(g):
         if a.requires_grad:

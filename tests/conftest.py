@@ -41,18 +41,17 @@ def handed_gradients(monkeypatch):
 
 @pytest.fixture
 def fresh_sums(monkeypatch):
-    """`run(fn)` calls `fn()` with every `into` ignored, so `tensor.add`, a resample added
-    into an array and a `ConvBnRelu` each make a fresh array: the reference for the ops that
-    write into an operand."""
-    add, resample_op, block = T.add, layers._resample_op, layers.ConvBnRelu.forward
+    """`run(fn)` calls `fn()` with every `into` ignored, so a resample added into an array
+    and a `ConvBnRelu` each make a fresh array: the reference for the ops that write into an
+    operand."""
+    resample_op, block = layers._resample_op, layers.ConvBnRelu.forward
 
     def resample(x, out_h, out_w, kind, into=None):
         out = resample_op(x, out_h, out_w, kind)
-        return out if into is None else add(into, out)
+        return out if into is None else T.add(into, out)
 
     def run(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(T, "add", lambda a, b, into=None: add(a, b))
             patch.setattr(layers, "_resample_op", resample)
             patch.setattr(layers.ConvBnRelu, "forward", lambda self, x, into=None: block(self, x))
             return fn()

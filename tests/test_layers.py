@@ -171,21 +171,20 @@ class TestStreamedConv:
 
 
 # the oracle row of each Conv2d path, told apart by the function that computes
-# its forward (an in-place Winograd conv calls `_winograd_conv` itself), by
-# whether the forward records a graph and by whether it runs a batch norm +
-# ReLU epilogue
+# its forward, by whether the forward records a graph, by whether it runs a
+# batch norm + ReLU epilogue and by `_winograd`'s `in_place` argument
 _PATH_ROWS = {
-    ("_winograd", False, False): "winograd conv",
-    ("_winograd", False, True): "winograd conv + bn relu epilogue",
-    ("_winograd_conv", False, True): "winograd conv + bn relu epilogue, in place",
-    ("_pointwise", False, False): "1x1 conv",
-    ("_pointwise", True, False): "recorded 1x1 conv gradients",
-    ("_depthwise", False, False): "depthwise conv",
-    ("_depthwise", True, False): "recorded depthwise conv gradients",
-    ("_conv_columns", False, False): "im2col conv",
-    ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
-    ("_conv_columns", True, False): "recorded conv gradients",
-    ("_winograd", True, False): "recorded winograd conv gradients",
+    ("_winograd", False, False, False): "winograd conv",
+    ("_winograd", False, True, False): "winograd conv + bn relu epilogue",
+    ("_winograd", False, True, True): "winograd conv + bn relu epilogue, in place",
+    ("_pointwise", False, False, False): "1x1 conv",
+    ("_pointwise", True, False, False): "recorded 1x1 conv gradients",
+    ("_depthwise", False, False, False): "depthwise conv",
+    ("_depthwise", True, False, False): "recorded depthwise conv gradients",
+    ("_conv_columns", False, False, False): "im2col conv",
+    ("_conv_columns", False, True, False): "im2col conv + bn relu epilogue",
+    ("_conv_columns", True, False, False): "recorded conv gradients",
+    ("_winograd", True, False, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 # the oracle row of a training ConvBnRelu: a recorded conv, then its batch norm and ReLU
@@ -202,8 +201,9 @@ def _spy_conv_paths(monkeypatch):
 
     Spies on `records_graph` and on the functions that compute a forward, and
     counts only their outermost calls made inside `Conv2d.forward`. A
-    `_winograd` call maps by the `records_graph` value, as the others do. No
-    backward runs any of them (see `test_one_scatter_takes_every_input_gradient`).
+    `_winograd` call maps by the `records_graph` value, as the others do, and by
+    its `in_place` argument. No backward runs any of them (see
+    `test_one_scatter_takes_every_input_gradient`).
     The epilogue a `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
@@ -216,11 +216,12 @@ def _spy_conv_paths(monkeypatch):
         finally:
             calls = inside.pop()
             recorded = [value for name, value in calls if name == "records_graph"]
-            paths = [name for name, _ in calls if name != "records_graph"]
+            paths = [(name, value) for name, value in calls if name != "records_graph"]
             epilogue = kwargs.get("_epilogue", args[0] if args else None)
             fused = epilogue is not None and epilogue.relu
             one = len(recorded) == len(paths) == 1
-            rows.append(_PATH_ROWS.get((paths[0], recorded[0], fused)) if one else None)
+            key = (paths[0][0], recorded[0], fused, paths[0][1]) if one else None
+            rows.append(_PATH_ROWS.get(key))
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -230,7 +231,8 @@ def _spy_conv_paths(monkeypatch):
             finally:
                 depth[0] -= 1
             if inside and (name == "records_graph" or not depth[0]):
-                inside[-1].append((name, result if name == "records_graph" else None))
+                value = result if name == "records_graph" else name == "_winograd" and args[5]
+                inside[-1].append((name, value))
             return result
 
         monkeypatch.setattr(layers, name, wrapper)
@@ -242,7 +244,7 @@ def _spy_conv_paths(monkeypatch):
             rows.append(BLOCK_ROW)
         return batch_norm(bn, x, relu)
 
-    for name in {"records_graph"} | {name for name, _, _ in _PATH_ROWS}:
+    for name in {"records_graph"} | {key[0] for key in _PATH_ROWS}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
     monkeypatch.setattr(layers, "_batch_norm", spy_batch_norm)
@@ -479,6 +481,31 @@ class TestInPlaceConvBnRelu:
         np.testing.assert_array_equal(x.data, before)
         np.testing.assert_array_equal(out.data, want.data)
 
+    def test_reaches_winograd_conv_only_through_winograd(self, rng, monkeypatch):
+        """The in-place conv has the one Winograd entry the other Winograd convs have."""
+        depths, depth = [], [0]
+        winograd, winograd_conv = layers._winograd, layers._winograd_conv
+
+        def spy_winograd(*args):
+            depth[0] += 1
+            try:
+                return winograd(*args)
+            finally:
+                depth[0] -= 1
+
+        def spy_winograd_conv(*args, **kwargs):
+            depths.append(depth[0])
+            return winograd_conv(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "_winograd", spy_winograd)
+        monkeypatch.setattr(layers, "_winograd_conv", spy_winograd_conv)
+        block = _eval_block(WINO_C, WINO_C, np.float32, rng)
+        x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
+        with no_grad():
+            out = block(x, into=x)
+        assert np.shares_memory(out.data, x.data)
+        assert depths == [1]
+
     def test_into_must_be_the_input(self, rng):
         block = _eval_block(WINO_C, WINO_C, np.float32, rng)
         x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
@@ -494,8 +521,7 @@ def test_fresh_sums_switches_off_every_into_path(rng, fresh_sums):
 
     def run():
         with no_grad():
-            return [T.add(x, top.data.repeat(2, 2).repeat(2, 3), into=x), block(x, into=x),
-                    bilinear_upsample(top, 8, 8, into=x)]
+            return [block(x, into=x), bilinear_upsample(top, 8, 8, into=x)]
 
     for out in fresh_sums(run):
         assert not np.shares_memory(out.data, x.data)
@@ -507,9 +533,9 @@ def _spy_winograd(monkeypatch):
     calls = []
     winograd = layers._winograd
 
-    def spy(x, w, dtype, epilogue, recorded):
+    def spy(x, w, dtype, epilogue, recorded, in_place):
         calls.append((x.shape, recorded))
-        return winograd(x, w, dtype, epilogue, recorded)
+        return winograd(x, w, dtype, epilogue, recorded, in_place)
 
     monkeypatch.setattr(layers, "_winograd", spy)
     return calls

@@ -112,7 +112,7 @@ class TestBackbone:
         for h in heights:
             try:
                 with no_grad():
-                    model(Tensor(np.zeros((1, 3, h, 192), dtype=np.float32)))
+                    model(Tensor(np.zeros((1, 3, h, 192), dtype=np.float32)), train_mode=False)
                 ran = True
             except (ContractError, ShapeError):
                 ran = False

@@ -194,89 +194,6 @@ class TestAccumulate:
         np.testing.assert_array_equal(y.grad, 3.5)
 
 
-def _operand(rng, shape, dtype, layout):
-    """An (n, c, h, w) array: C-ordered, or the NCHW-shaped view of NHWC memory the convs return."""
-    if layout == "c-ordered":
-        return rng.standard_normal(shape).astype(dtype)
-    n, c, h, w = shape
-    return rng.standard_normal((n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
-
-
-class TestAddInto:
-    """`add(a, b, into=a or b)` writes the sum into that operand when no graph is recorded."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("into, layout, b_shape", [
-        ("a", "c-ordered", (2, 3, 4, 5)),
-        ("b", "c-ordered", (2, 3, 4, 5)),
-        ("a", "channels-last", (2, 3, 4, 5)),
-        ("b", "channels-last", (2, 3, 4, 5)),
-        ("a", "c-ordered", (1, 3, 1, 1)),  # a broadcast b
-        ("a", "channels-last", (1, 3, 1, 1)),
-    ], ids=["into-a", "into-b", "channels-last-into-a", "channels-last-into-b",
-            "broadcast-b-into-a", "channels-last-broadcast-b-into-a"])
-    def test_no_grad_sum_lands_in_the_named_operand(self, rng, dtype, into, layout, b_shape):
-        a = Tensor(_operand(rng, (2, 3, 4, 5), dtype, layout))
-        b = Tensor(_operand(rng, b_shape, dtype, layout))
-        want = a.data + b.data
-        kept = (b if into == "a" else a).data.copy()
-        target = a if into == "a" else b
-        with T.no_grad():
-            out = T.add(a, b, into=target)
-        assert out is target and np.shares_memory(out.data, target.data)
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out.data, want)  # bit for bit
-        np.testing.assert_array_equal((b if into == "a" else a).data, kept)
-
-    @pytest.mark.parametrize("a_shape, a_dtype, b_shape, b_dtype, into", [
-        ((2, 3, 4, 5), np.float32, (1, 3, 1, 1), np.float32, "b"),  # broadcast into
-        ((1, 3, 1, 1), np.float32, (2, 3, 4, 5), np.float32, "a"),
-        ((2, 3, 4, 5), np.float32, (2, 3, 4, 5), np.float64, "a"),  # the sum is float64
-    ], ids=["into-broadcast-b", "into-broadcast-a", "into-narrower-dtype"])
-    def test_into_that_cannot_hold_the_sum_gets_a_fresh_array(self, rng, a_shape, a_dtype,
-                                                               b_shape, b_dtype, into):
-        a = Tensor(rng.standard_normal(a_shape).astype(a_dtype))
-        b = Tensor(rng.standard_normal(b_shape).astype(b_dtype))
-        a0, b0 = a.data.copy(), b.data.copy()
-        with T.no_grad():
-            out = T.add(a, b, into=a if into == "a" else b)
-        assert not np.shares_memory(out.data, a.data) and not np.shares_memory(out.data, b.data)
-        np.testing.assert_array_equal(out.data, a0 + b0)
-        np.testing.assert_array_equal(a.data, a0)
-        np.testing.assert_array_equal(b.data, b0)
-
-    @pytest.mark.parametrize("into", ["a", "b"])
-    @pytest.mark.parametrize("needs_grad", ["both", "a", "b"])
-    def test_recorded_graph_ignores_into(self, rng, into, needs_grad):
-        def run(named):
-            a = Tensor(a0.copy(), requires_grad=needs_grad in ("both", "a"))
-            b = Tensor(b0.copy(), requires_grad=needs_grad in ("both", "b"))
-            out = T.add(a, b, into=(a if into == "a" else b) if named else None)
-            T.tsum(out * Tensor(weights)).backward()
-            return a, b, out
-
-        a0 = rng.standard_normal((2, 3, 4, 5))
-        b0 = rng.standard_normal((1, 3, 1, 5))
-        weights = rng.standard_normal((2, 3, 4, 5))
-        a, b, out = run(named=True)
-        plain_a, plain_b, plain = run(named=False)
-        assert out is not a and out is not b
-        assert not np.shares_memory(out.data, a.data) and not np.shares_memory(out.data, b.data)
-        np.testing.assert_array_equal(a.data, a0)
-        np.testing.assert_array_equal(b.data, b0)
-        np.testing.assert_array_equal(out.data, plain.data)
-        for t, plain_t in ((a, plain_a), (b, plain_b)):
-            if t.requires_grad:
-                np.testing.assert_array_equal(t.grad, plain_t.grad)
-
-    @pytest.mark.parametrize("recorded", [False, True])
-    def test_into_must_be_an_operand(self, rng, recorded):
-        a = Tensor(rng.standard_normal(3), requires_grad=recorded)
-        b = Tensor(rng.standard_normal(3))
-        with pytest.raises(ContractError, match="one of its operands"):
-            T.add(a, b, into=Tensor(a.data.copy()))
-
-
 class TestElementwiseOps:
     def test_broadcast_subtract_means(self, rng):
         x = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
