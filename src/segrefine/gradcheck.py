@@ -1,11 +1,12 @@
 """Central finite-difference verification of every backward rule, and the
 oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
 path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
-plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue, and Winograd with
-that epilogue in place over its input; the 1x1 GEMM and
+plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
 the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
-ReLU are one recorded op after a recorded Winograd or im2col conv. Each is
+ReLU are one recorded op after a recorded Winograd or im2col conv, and one for
+an eval `ConvBnRelu` run by `ConvBnRelu.bands` from a row source, as the FPN
+decoder's smoothing blocks run with no graph. Each is
 checked against the direct float64 `conv_reference` on NCHW-contiguous and on
 channels-last inputs, and `segrefine oracle` prints one line per row.
 `resample_deviation` checks banded resampling against the dense float64
@@ -29,6 +30,8 @@ from .config import LossConfig, ModelConfig
 from .datagen import IGNORE_INDEX
 from .layers import (
     _WINOGRAD_MIN_CHANNELS,
+    _array_sink,
+    _array_source,
     BatchNorm2d,
     Conv2d,
     ConvBnRelu,
@@ -279,8 +282,9 @@ class OracleRow(NamedTuple):
     `ConvBnRelu` (so its convs are 3x3, pad 1, one group): an eval one with no
     graph, judged on its output, or, when `recorded`, a training one, judged
     on its output, its input, weight, scale and shift gradients and its
-    updated running statistics. An `in_place` block row passes each
-    channels-last input as `into`, so the conv writes its output over it.
+    updated running statistics. A `banded` block row runs each eval block by
+    `ConvBnRelu.bands`, its input rows written by a callable source as the
+    kernel asks for them and its output scattered band by band.
     `bounds` maps each dtype to the worst deviation allowed.
     """
 
@@ -291,13 +295,13 @@ class OracleRow(NamedTuple):
     recorded: bool
     bounds: dict
     block: bool = False
-    in_place: bool = False
+    banded: bool = False
 
     def cases(self):
         """(conv, batch, h, w, channels_last) for every case of the sweep: each
-        input is drawn NCHW-contiguous and, again, laid out channels-last; an
-        `in_place` row's only channels-last."""
-        layouts = (True,) if self.in_place else (False, True)
+        input is drawn NCHW-contiguous and, again, laid out channels-last; a
+        `banded` row's only channels-last, as the decoder's maps are."""
+        layouts = (True,) if self.banded else (False, True)
         return [(conv, n, h, w, last) for conv, n, (h, w), last
                 in itertools.product(self.convs, self.batches, self.extents, layouts)
                 if min(h, w) + 2 * conv[4] >= conv[2]]
@@ -343,11 +347,11 @@ ORACLE_ROWS = (
     # a training ConvBnRelu on Winograd and im2col convs
     _WINOGRAD._replace(label="recorded conv + bn relu", convs=_WINOGRAD.convs + _BLOCK_IM2COL,
                        recorded=True, block=True),
-    # an eval ConvBnRelu writing over its input: c -> c only; at 13x1024 a chunk is a band
-    # of one or two tile rows, so bands take their top halo row from the band above. Last,
+    # an eval ConvBnRelu on a row source and a band sink; at 13x1024 a chunk is a band of
+    # one or two tile rows, so each band takes two input rows from the band above. Last,
     # so that the rows above draw the cases they drew before it was added
-    _WINOGRAD._replace(label="winograd conv + bn relu epilogue, in place", block=True,
-                       in_place=True, convs=_WINOGRAD_CONVS[:1],
+    _WINOGRAD._replace(label="winograd conv + bn relu epilogue, row source", block=True,
+                       banded=True, convs=_WINOGRAD_CONVS[:1],
                        extents=_WINOGRAD.extents + ((13, 1024),)),
 )
 
@@ -426,9 +430,11 @@ def oracle_deviation(row, dtype, rng):
                 else (conv.bias.grad,))
         else:
             with T.no_grad():
-                if row.in_place:  # the block writes over its input: hand it a copy
-                    mine = Tensor(x.data.copy(order="K"))
-                    got = (block(mine, into=mine).data,)
+                if row.banded:  # each band's rows copied as the kernel asks for them
+                    out = np.empty((n, h, w, out_c), dtype)
+                    block.bands(_array_source(x.data.transpose(0, 2, 3, 1)), _array_sink(out),
+                                (n, h, w), dtype)
+                    got = (out.transpose(0, 3, 1, 2),)
                 else:
                     got = (block(x).data,)
             grad = np.zeros(got[0].shape)

@@ -16,12 +16,16 @@ im2col with (positions, k*k*c/groups) columns, streamed through one buffer of
 gradient when one is. `_scatter_taps` adds up each tap's input gradient for
 every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
 `_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger than
-one 4x4 tile, runs Winograd F(4x4, 3x3) in `_winograd`, recorded or not: its
-forward `_winograd_conv` gathers 6x6 `_windows` in chunks of whole images or
-bands of tile rows, and keeps the transformed tiles for the backward when a
-graph is recorded. So the kernel follows the conv's geometry and map alone.
-With no graph, `_winograd` writes a c -> c conv's output over its channels-last
-input when the caller made that input for it alone (`ConvBnRelu(x, into=x)`). A
+one 4x4 tile (`Conv2d.takes_winograd`), runs Winograd F(4x4, 3x3) in
+`_winograd`, recorded or not: its forward `_winograd_conv` gathers 6x6
+`_windows` in chunks of whole images or bands of tile rows, and keeps the
+transformed tiles for the backward when a graph is recorded. So the kernel
+follows the conv's geometry and map alone. `_winograd_conv` reads its input
+from a row source and hands each band of output to a sink; `_winograd` passes
+an array's rows and scatters into a fresh array, while an eval `ConvBnRelu`
+with no graph can run from any source into any sink (`ConvBnRelu.bands`): the
+FPN decoder feeds it the merge's rows (`_merge_source`) and, at stride 4, runs
+the classifier on each band (`_pointwise_sink`). A
 recorded Winograd conv takes every temporary from `_scratch`, one grow-only
 buffer per role and dtype, kept until `trainer.train` returns (for the process
 when recorded convs run outside it): its zero-bordered input copy
@@ -40,10 +44,7 @@ recorded `ConvBnRelu` runs its batch norm and ReLU as one op,
 output, since no conv backward reads it; `BatchNorm2d` runs the same op without
 the ReLU.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
-matrices (`band_plan`); with no graph, `bilinear_upsample(..., into=lat)` adds
-the resize into `lat` one block of the second axis at a time, so no
-output-sized resize is made. `Module.named_state` names parameters and
-`_buffers`.
+matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, _make, add, records_graph, relu
+from .tensor import ContractError, ShapeError, Tensor, _make, records_graph, relu
 
 
 class Parameter(Tensor):
@@ -353,33 +354,48 @@ def _scatter_tiles(y, out):
         out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
 
 
-def _winograd_conv(x, weight, dtype, epilogue, tiles=None, out=None):
-    """3x3 stride-1 pad-1 correlation of `x` (n, h, w, c) by Winograd F(4x4, 3x3), then
-    `epilogue`; returns (n, h, w, oc), written into `out` when given. `out` may be `x` itself
-    (c == oc): the conv then runs in place.
+def _array_source(x):
+    """A `_winograd_conv` source that copies its rows from `x` (n, h, w, c)."""
+    return lambda dst, i, lo, hi: np.copyto(dst, x[i : i + len(dst), lo:hi])
+
+
+def _array_sink(out):
+    """A `_winograd_conv` sink that scatters each band into its rows of `out` (n, h, w, oc)."""
+    def sink(y, i, r):
+        _scatter_tiles(y, out[i : i + y.shape[2], r : r + 4 * y.shape[3]])
+
+    return sink
+
+
+def _winograd_conv(source, sink, shape, weight, dtype, epilogue, tiles=None):
+    """3x3 stride-1 pad-1 correlation by Winograd F(4x4, 3x3) of an (n, h, w, c) input,
+    `shape` = (n, h, w), then `epilogue`, read from a row `source` and written to a band
+    `sink` one chunk at a time, so neither map need ever be whole.
+
+    `source(dst, i, lo, hi)` writes input rows [lo, hi) of images [i, i + len(dst)) into
+    `dst`, a (len(dst), hi - lo, w, c) view of the chunk's zero-bordered buffer;
+    `_array_source` copies them from an array. `sink(y, i, r)` receives each chunk's 4x4
+    output tiles y (4, 4, m, nb, tw, oc), after the epilogue, for output rows from r of images
+    from i; `_array_sink` scatters them into an array. `y` is overwritten by the next chunk.
 
     Per chunk (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
-    images, or a band of tile rows of one image): the rows are copied into a zero-bordered
-    buffer, its 6x6 `_windows` 4 apart copied out as tiles, and three GEMMs run the input
-    transform, the 36 channel products and the output transform. The shift is added to the
-    products at `_WINOGRAD_ONES` and the ReLU clamps each chunk before its scatter. The
-    transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw, c) when given, in
-    (n, th, tw) order. The filter transform is recomputed each call, so never stale.
-
-    In place, a chunk reads all its input rows before its scatter writes over them, so only a
-    band's top halo row, input row r - 1, is gone when it runs: the band above wrote it. That
-    band's own zero-bordered copy still holds it, as its row 4 * band, and the next band
-    takes it from there. Whole-image chunks have no halo.
+    images, or a band of tile rows of one image): the rows are written into the buffer, its
+    6x6 `_windows` 4 apart copied out as tiles, and three GEMMs run the input transform, the
+    36 channel products and the output transform. The shift is added to the products at
+    `_WINOGRAD_ONES` and the ReLU clamps each chunk before the sink. Consecutive bands of one
+    image share two input rows, which the band below takes from the band above's buffer, so
+    the source is asked for each row once. The transformed tiles V = Bt d B are written to
+    `tiles` (36, n*th*tw, c) when given, in (n, th, tw) order. The filter transform is
+    recomputed each call, so never stale.
     """
-    n, h, w, c = x.shape
-    oc = weight.shape[0]
-    in_place = out is x
-    if out is None:
-        out = np.empty((n, h, w, oc), dtype)
+    n, h, w = shape
+    oc, c = weight.shape[:2]
     th, tw = -(-h // 4), -(-w // 4)
-    kb, kg, ka = _winograd_transforms(out.dtype)
+    kb, kg, ka = _winograd_transforms(dtype)
     u = _filter_transform(weight, kg)
-    images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), out.itemsize, _WINOGRAD_BUDGET)
+    del weight  # folded weights handed over by `ConvBnRelu.bands` die once transformed
+    images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), np.dtype(dtype).itemsize,
+                                _WINOGRAD_BUDGET)
     images = min(images, n)
     take = _scratch if tiles is not None else lambda role, size, dtype: np.empty(size, dtype)
     padded = take("padded", images * (4 * band + 2) * (4 * tw + 2) * c, dtype).reshape(
@@ -396,11 +412,13 @@ def _winograd_conv(x, weight, dtype, epilogue, tiles=None, out=None):
             # padded row j holds input row r - 1 + j; rows outside the input are zero
             lo, hi = max(r - 1, 0), min(r + 4 * nb + 1, h)
             top, bottom = lo - r + 1, hi - r + 1
-            padded[:, :top] = 0
-            if in_place and t:  # the band above wrote over input row r - 1
-                padded[:m, 0] = padded[:m, 4 * band]
-                lo, top = lo + 1, top + 1
-            padded[:m, top:bottom, 1 : w + 1] = x[i : i + m, lo:hi]
+            if t:  # input rows r - 1 and r are the band above's last two (a band is one image)
+                padded[:1, :2] = padded[:1, 4 * band :]
+                lo, top = r + 1, 2
+            else:
+                padded[:, :top] = 0
+            if lo < hi:
+                source(padded[:m, top:bottom, 1 : w + 1], i, lo, hi)
             padded[:, bottom:rows] = 0
             d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
             np.copyto(d, _windows(padded[:m, :rows], 6, 4).transpose(3, 4, 0, 1, 2, 5))
@@ -415,8 +433,7 @@ def _winograd_conv(x, weight, dtype, epilogue, tiles=None, out=None):
             np.matmul(ka, prod.reshape(36, p * oc), out=y)
             if epilogue.relu:
                 np.maximum(y, 0, out=y)
-            _scatter_tiles(y.reshape(4, 4, m, nb, tw, oc), out[i : i + m, r : r + 4 * nb])
-    return out
+            sink(y.reshape(4, 4, m, nb, tw, oc), i, r)
 
 
 # The two parts of a 6-wide tile along one axis, for the recorded path's overlap-add:
@@ -426,11 +443,9 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
 
-def _winograd(x, w, dtype, epilogue, recorded, in_place):
-    """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3): the forward is `_winograd_conv`.
-
-    `in_place` when the caller made `x` for this conv alone: a c -> c conv that records no
-    graph then writes its output over `x` if `x` is channels-last in the output's dtype.
+def _winograd(x, w, dtype, epilogue, recorded):
+    """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3) of the tensor `x` into a fresh
+    array: the forward is `_winograd_conv` from `x`'s rows into that array.
 
     With a graph `recorded`, it keeps the transformed tiles V = Bt d B, (36, n*th*tw, c), a
     quarter of the im2col columns, and returns a backward (else None). The backward transforms
@@ -447,10 +462,9 @@ def _winograd(x, w, dtype, epilogue, recorded, in_place):
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
     v = np.empty((36, tiles, c), dtype) if recorded else None
-    xd = _nhwc(x.data)
-    over = (in_place and not recorded and oc == c and x.dtype == dtype
-            and x.data.transpose(0, 2, 3, 1).flags.c_contiguous)
-    out = _winograd_conv(xd, w.data, dtype, epilogue, v, xd if over else None)
+    out = np.empty((n, h, wd, oc), dtype)
+    _winograd_conv(_array_source(_nhwc(x.data)), _array_sink(out), (n, h, wd), w.data, dtype,
+                   epilogue, v)
     if not recorded:
         return out, None
     kb, kg, ka = _winograd_transforms(dtype)
@@ -538,12 +552,22 @@ class Conv2d(Module):
         self.weight = Parameter(init_kaiming(rng, out_c, in_c // groups, kernel, kernel))
         self.bias = Parameter(np.zeros(out_c, dtype=np.float32)) if bias else None
 
-    def forward(self, x, _epilogue=None, _in_place=False):
-        """Convolve `x`. A no-grad caller may pass an `_Epilogue` that stands in
-        for the bias (`ConvBnRelu` passes its eval batch norm and ReLU), and
-        `_in_place` when it made `x` for this conv alone, which a Winograd conv
-        may write its output over (`_winograd`). Otherwise the output is a fresh
-        array."""
+    def takes_winograd(self, h, w):
+        """Whether this conv runs Winograd F(4x4, 3x3) on an h x w map: 3x3 stride 1 pad 1,
+        ungrouped, with `_WINOGRAD_MIN_CHANNELS` input channels or more, on a map at least
+        4x4 and larger than one tile."""
+        # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
+        # transform costs as much as the products it shrinks. By im2col against Winograd,
+        # forward plus backward of 8x128x4x4 took 3.3 against 5.9 ms; no-grad, 1x128x4x4
+        # 0.34 against 0.72, 8x128x4x4 0.67 against 0.92, 8x128x2x2 0.41 against 0.82 ms
+        # (medians of 80 to 200 interleaved runs; 2-core Xeon, one BLAS thread)
+        return ((self.kernel, self.stride, self.pad, self.groups) == (3, 1, 1, 1)
+                and self.in_c >= _WINOGRAD_MIN_CHANNELS and min(h, w) >= 4 and max(h, w) > 4)
+
+    def forward(self, x, _epilogue=None):
+        """Convolve `x` into a fresh array. A no-grad caller may pass an `_Epilogue`
+        that stands in for the bias (`ConvBnRelu` passes its eval batch norm and
+        ReLU)."""
         if x.shape[1] != self.in_c:
             raise ShapeError(f"conv expects {self.in_c} channels, got {x.shape[1]}")
         w, b = self.weight, self.bias
@@ -557,15 +581,8 @@ class Conv2d(Module):
             raise ContractError("an epilogue stands in for the bias of a no-grad conv")
         else:  # its scale is folded into the weights
             epilogue, w = _epilogue, Tensor(w.data * _epilogue.scale[:, None, None, None])
-        # a map below 4x4 is one tile of mostly padding; on one whole tile the filter
-        # transform costs as much as the products it shrinks. By im2col against Winograd,
-        # forward plus backward of 8x128x4x4 took 3.3 against 5.9 ms; no-grad, 1x128x4x4
-        # 0.34 against 0.72, 8x128x4x4 0.67 against 0.92, 8x128x2x2 0.41 against 0.82 ms
-        # (medians of 80 to 200 interleaved runs; 2-core Xeon, one BLAS thread)
-        winograd = ((k, s, p, g) == (3, 1, 1, 1) and self.in_c >= _WINOGRAD_MIN_CHANNELS
-                    and min(x.shape[2:]) >= 4 and max(x.shape[2:]) > 4)
-        if winograd:
-            out, backward = _winograd(x, w, dtype, epilogue, recorded, _in_place)
+        if self.takes_winograd(*x.shape[2:]):
+            out, backward = _winograd(x, w, dtype, epilogue, recorded)
         elif g > 1 and g == self.in_c == self.out_c:
             out, backward = _depthwise(x, w, s, p, epilogue)
         elif (k, s, p, g) == (1, 1, 0, 1):
@@ -746,58 +763,103 @@ def band_plan(in_size, out_size, kind, dtype, transposed=False):
 _RESAMPLE_FEW_CHANNELS = 16
 
 
-def _apply_plan(a, plan, into=None):
-    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block:
-    a fresh array, or added into `into` (slices, plan.size, rest) one block's product at a time."""
-    if into is None:
-        out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
-        for o, i, block in plan.blocks:
-            np.matmul(block, a[:, i], out=out[:, o])
-        return out
+def _apply_plan(a, plan):
+    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block."""
+    out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
     for o, i, block in plan.blocks:
-        into[:, o] += block @ a[:, i]
-    return into
+        np.matmul(block, a[:, i], out=out[:, o])
+    return out
 
 
-def resample(a, rows, cols, into=None):
+def resample(a, rows, cols):
     """rows @ a @ cols.T over the spatial axes of `a` (n, c, h, w), for `BandPlan`s `rows` and
-    `cols`: the (n, c, oh, ow) view of an (n, oh, ow, c) array, fresh or `into` (C-ordered
-    (n, oh, ow, c)) with the product added to it by the second axis's blocks."""
+    `cols`: the (n, c, oh, ow) view of a fresh (n, oh, ow, c) array."""
     x = _nhwc(a)
     n, h, w, c = x.shape
     oh, ow = rows.size, cols.size
     if c < _RESAMPLE_FEW_CHANNELS and oh > h:
         x = _apply_plan(x.reshape(n * h, w, c), cols).reshape(n, h, ow * c)
-        out = _apply_plan(x, rows, None if into is None else into.reshape(n, oh, ow * c))
+        out = _apply_plan(x, rows)
     else:
         x = _apply_plan(x.reshape(n, h, w * c), rows).reshape(n * oh, w, c)
-        out = _apply_plan(x, cols, None if into is None else into.reshape(n * oh, ow, c))
+        out = _apply_plan(x, cols)
     return out.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
 
 
-def _resample_op(x, out_h, out_w, kind, into=None):
-    """`x` resampled to out_h x out_w, or `into` + that resample when `into` is given: `into`
-    is then an array the calling code has just made for this sum alone, never its own input.
-    With no graph and an `into` of the output's shape and dtype laid out channels-last, the
-    resample is added into it block by block and `into` returned, so no output-sized resample
-    is made; otherwise the sum is `add(into, resample)`. IEEE addition gives the same bits."""
+def _resample_op(x, out_h, out_w, kind):
+    """`x` resampled to out_h x out_w by the `band_plan`s of `kind`, as one graph node."""
     if out_h < 1 or out_w < 1:
         raise ContractError(f"output extents must be positive, got {out_h}x{out_w}")
     n, c, h, w = x.shape
     dt = x.data.dtype
-    rows, cols = band_plan(h, out_h, kind, dt), band_plan(w, out_w, kind, dt)
-    if (into is not None and not records_graph((x, into)) and into.shape == (n, c, out_h, out_w)
-            and into.dtype == dt and into.data.transpose(0, 2, 3, 1).flags.c_contiguous):
-        resample(x.data, rows, cols, into=_nhwc(into.data))
-        return into
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(resample(g, band_plan(h, out_h, kind, dt, True),
                                    band_plan(w, out_w, kind, dt, True)), owned=True)
 
-    out = _make(resample(x.data, rows, cols), (x,), backward)
-    return out if into is None else add(into, out)
+    return _make(resample(x.data, band_plan(h, out_h, kind, dt), band_plan(w, out_w, kind, dt)),
+                 (x,), backward)
+
+
+def _merge_source(lateral, f, top):
+    """A `_winograd_conv` source of the FPN merge `lateral(f) + bilinear_upsample(top, h, w)`,
+    for a 1x1 `lateral` and an (n, c, h, w) `f`, with `top` wide enough to resample height
+    first (`resample`). Per call: the lateral GEMM's rows, plus bias, into a buffer, then the
+    upsample's rows added to it, each row of the height block of `top` that holds them times
+    each width block. The height block is kept for the next call, which asks for the rows
+    that follow. Each product is the one `resample` and `_pointwise` compute on the whole maps
+    (a GEMM of a row subset has the same bits once no small-matrix kernel is picked), so the
+    rows are the merge's rows bit for bit."""
+    fd, above = _nhwc(f.data), _nhwc(top.data)
+    n, h, w, cin = fd.shape
+    _, ha, wa, c = above.shape
+    rows = band_plan(ha, h, "bilinear", above.dtype)
+    cols = band_plan(wa, w, "bilinear", above.dtype)
+    above = above.reshape(n, ha, wa * c)
+    weight = lateral.weight.data.reshape(c, cin).T
+    bias = _Epilogue(None, None if lateral.bias is None else lateral.bias.data, False)
+    held = {}  # (first image, height block) -> that block's rows of the height pass
+
+    def source(dst, i, lo, hi):
+        m = len(dst)
+        merged = np.matmul(fd[i : i + m, lo:hi].reshape(-1, cin), weight).reshape(m, hi - lo, w, c)
+        bias.apply(merged)
+        for k, (o, ki, block) in enumerate(rows.blocks):
+            a, b = max(lo, o.start), min(hi, o.stop)
+            if a >= b:
+                continue
+            if (i, k) not in held:
+                held.clear()
+                held[i, k] = np.matmul(block, above[i : i + m, ki])
+            part = held[i, k][:, a - o.start : b - o.start].reshape(m, b - a, wa, c)
+            sums = merged[:, a - lo : b - lo]
+            for oc, kc, width in cols.blocks:
+                sums[:, :, oc] += width @ part[:, :, kc]
+        np.copyto(dst, merged)
+
+    return source
+
+
+def _pointwise_sink(conv, out, w):
+    """A `_winograd_conv` sink that runs the 1x1 stride-1 `conv` on each band of a w-wide map,
+    into its rows of `out` (n, h, w, conv.out_c): the band is scattered into a buffer, then
+    one GEMM and the bias write its rows, as `_pointwise` computes them on the whole map."""
+    weight = conv.weight.data.reshape(conv.out_c, conv.in_c).T
+    bias = _Epilogue(None, None if conv.bias is None else conv.bias.data, False)
+    buf = []  # the first band's buffer, which no later band outgrows
+
+    def sink(y, i, r):
+        _, _, m, nb, _, c = y.shape
+        dst = out[i : i + m, r : r + 4 * nb]
+        if not buf:
+            buf.append(np.empty(dst.shape[:3] + (c,), y.dtype))
+        band = buf[0][:m, : dst.shape[1]]
+        _scatter_tiles(y, band)
+        np.matmul(band.reshape(-1, c), weight, out=dst.reshape(-1, conv.out_c, copy=False))
+        bias.apply(dst)
+
+    return sink
 
 
 def adaptive_avg_pool(x, out_h, out_w):
@@ -808,10 +870,9 @@ def adaptive_avg_pool(x, out_h, out_w):
     return _resample_op(x, out_h, out_w, "pool")
 
 
-def bilinear_upsample(x, out_h, out_w, into=None):
-    """Bilinear resize (align_corners=False) to out_h x out_w, up or down; with `into`, the
-    sum `into` + resize, written into `into` when no graph is recorded (`_resample_op`)."""
-    return _resample_op(x, out_h, out_w, "bilinear", into)
+def bilinear_upsample(x, out_h, out_w):
+    """Bilinear resize (align_corners=False) to out_h x out_w, up or down."""
+    return _resample_op(x, out_h, out_w, "bilinear")
 
 
 class ReLU(Module):
@@ -829,9 +890,9 @@ class ConvBnRelu(Module):
     In training, or in eval with a graph, the batch norm and ReLU are one
     recorded op after the conv; in training x̂ overwrites the conv output, so
     the graph keeps two output-sized arrays, x̂ and the block's output. In eval
-    with no graph they are the conv's `_Epilogue`, and a c -> c Winograd conv
-    writes the block's output over its input when `forward` is handed
-    `into=x`. `act` names the ReLU's cost row and runs no code of its own."""
+    with no graph they are the conv's `_Epilogue`; `bands` runs such a block on
+    the Winograd kernel from a row source into a band sink. `act` names the
+    ReLU's cost row and runs no code of its own."""
 
     def __init__(self, in_c, out_c, stride=1, rng=None):
         super().__init__()
@@ -839,15 +900,19 @@ class ConvBnRelu(Module):
         self.bn = BatchNorm2d(out_c)
         self.act = ReLU()
 
-    def forward(self, x, into=None):
-        """The block on `x`. `into` may name `x` when the calling code has just made it for
-        this block alone, never its own input: with no graph, a Winograd c -> c conv then
-        writes the output over it (`_winograd`). Otherwise `into` is ignored."""
-        if into is not None and into is not x:
-            raise ContractError("a ConvBnRelu writes into its input or into nothing")
+    def forward(self, x):
         conv, bn = self.conv, self.bn
         if bn.training or records_graph((x, conv.weight, bn.scale, bn.shift)):
             return _batch_norm(bn, conv(x), relu=True)
         # eval with no graph: batch norm and ReLU run as the conv's epilogue
         _, scale, shift = bn.eval_affine()
-        return conv(x, _epilogue=_Epilogue(scale, shift, True), _in_place=into is not None)
+        return conv(x, _epilogue=_Epilogue(scale, shift, True))
+
+    def bands(self, source, sink, shape, dtype):
+        """The eval block with no graph on an (n, c, h, w) input, `shape` = (n, h, w), whose
+        rows `source` writes in `dtype`, with each band of output handed to `sink`: one
+        `_winograd_conv` with the epilogue and folded weights `forward` gives `Conv2d`, so the
+        bands have `forward`'s bits. The caller checks `conv.takes_winograd(h, w)`."""
+        _, scale, shift = self.bn.eval_affine()
+        _winograd_conv(source, sink, shape, self.conv.weight.data * scale[:, None, None, None],
+                       np.result_type(dtype, self.conv.weight.dtype), _Epilogue(scale, shift, True))

@@ -1,6 +1,11 @@
 """End-to-end segmentation network: four-stage backbone, a pluggable
 context head over the concatenated stages, an FPN-style decoder, and a
 training-only embedding head.
+
+With no graph recorded, the decoder runs each level whose smoothing conv takes
+Winograd as one banded kernel (`FpnDecoder.forward`), so its merges and the
+stride-4 features are never whole maps; `FpnDecoder.compose` is the same
+decoder as a plain composition of modules, with the same bits.
 """
 
 from __future__ import annotations
@@ -13,9 +18,25 @@ import numpy as np
 
 from .baselines import DappmHead, PpmHead
 from .config import ConfigError, ModelConfig, _coerce, format_value
-from .layers import Conv2d, ConvBnRelu, Module, bilinear_upsample
+from .layers import (
+    Conv2d,
+    ConvBnRelu,
+    Module,
+    _array_sink,
+    _merge_source,
+    _pointwise_sink,
+    bilinear_upsample,
+)
 from .refine import FeaturePyramid, FeatureRefineHead
-from .tensor import ContractError, FormatError, Tensor, load_array, read_exact, save_array
+from .tensor import (
+    ContractError,
+    FormatError,
+    Tensor,
+    load_array,
+    read_exact,
+    records_graph,
+    save_array,
+)
 
 
 class Backbone(Module):
@@ -65,11 +86,13 @@ class Backbone(Module):
 class FpnDecoder(Module):
     """Lateral 1x1 convs, top-down addition, 3x3 smoothing, classifier.
 
-    With no graph recorded, each level holds one map of its extent: the upsampled level above
-    is added into the lateral map one resample block at a time (`bilinear_upsample(...,
-    into=)`), the smoothing conv writes over that sum (`ConvBnRelu(..., into=)`), and the
-    level above dies once upsampled. The stride-4 features die after the classifier unless
-    the caller keeps them."""
+    `compose` is the decoder as the plain composition of its modules. `forward` computes the
+    same bits; with no graph recorded, each level whose smoothing block can run banded runs
+    as one `ConvBnRelu.bands` call: its source writes the merge's rows (`_merge_source`), and
+    its sink scatters the output into the level's map or, at stride 4 when the caller does
+    not read the features, runs the classifier on each band (`_pointwise_sink`). So the
+    merge, its smoothing and the stride-4 features never exist as full-size maps, and each
+    level dies once the level below has read it."""
 
     def __init__(self, channels, width, num_classes, rng=None):
         super().__init__()
@@ -84,17 +107,40 @@ class FpnDecoder(Module):
 
     def forward(self, p: FeaturePyramid, context: Tensor, out_h, out_w, features):
         """Returns (full-resolution logits, stride-4 decoder features if `features`, else None)."""
-        x = context
-        for lateral, f, smooth in ((self.lateral3, p.f3, self.smooth3),
-                                   (self.lateral2, p.f2, self.smooth2),
-                                   (self.lateral1, p.f1, self.smooth1)):
-            # the lateral map is made for this sum alone, and the sum for its smoothing;
-            # rebinding `x` drops the level above once it is upsampled
-            x = bilinear_upsample(x, *f.shape[2:], into=lateral(f))
-            x = smooth(x, into=x)
-        # the features outlive the classifier only when the caller reads them
-        x, feats = self.classifier(x), (x if features else None)
-        return bilinear_upsample(x, out_h, out_w), feats
+        tensors = (context, *p.stages(), *self.parameters())
+        # one dtype throughout, so each banded product runs in the dtype `compose` gives it
+        banded = not records_graph(tensors) and len({t.dtype for t in tensors}) == 1
+        return self._decode(p, context, out_h, out_w, features, banded)
+
+    def compose(self, p: FeaturePyramid, context: Tensor, out_h, out_w, features):
+        """`forward` as the plain composition of the decoder's modules, each call a fresh
+        array, recorded or not. `profiler.count_costs` counts the decoder's costs through it."""
+        return self._decode(p, context, out_h, out_w, features, False)
+
+    def _decode(self, p, context, out_h, out_w, features, banded):
+        x, logits = context, None
+        for level, (lateral, f, smooth) in enumerate(((self.lateral3, p.f3, self.smooth3),
+                                                      (self.lateral2, p.f2, self.smooth2),
+                                                      (self.lateral1, p.f1, self.smooth1))):
+            n, _, h, w = f.shape
+            if not (banded and not smooth.bn.training and smooth.conv.takes_winograd(h, w)):
+                # rebinding `x` drops the level above once it is upsampled
+                x = smooth(lateral(f) + bilinear_upsample(x, h, w))
+                continue
+            # the source holds the level above until `bands` returns, no longer
+            if level == 2 and not features:  # no stride-4 map: the classifier reads each band
+                out = np.empty((n, h, w, self.classifier.out_c), f.dtype)
+                smooth.bands(_merge_source(lateral, f, x), _pointwise_sink(self.classifier, out, w),
+                             (n, h, w), f.dtype)
+                x, logits = None, Tensor(out.transpose(0, 3, 1, 2))
+            else:
+                out = np.empty((n, h, w, smooth.conv.out_c), f.dtype)
+                smooth.bands(_merge_source(lateral, f, x), _array_sink(out), (n, h, w), f.dtype)
+                x = Tensor(out.transpose(0, 3, 1, 2))
+        if logits is None:
+            # the features outlive the classifier only when the caller reads them
+            logits, x = self.classifier(x), (x if features else None)
+        return bilinear_upsample(logits, out_h, out_w), x
 
 
 def build_context_head(cfg: ModelConfig, rng=None):

@@ -7,12 +7,15 @@ activations, pooling, and interpolation cost one op per output element.
 records what ran. For that forward only, it wraps the `forward` (and, on a
 context head, the `context`) of every submodule instance, which records each
 call's output shape, and `layers._resample_op`, which records each resample's
-output elements; a `finally` takes the wrappers off. A layer's row is its
-`flops(out_shape)` summed over its recorded calls; a module that never ran
-(the embedding head at inference) has no row. Each resample is charged to the
-innermost recorded call around it (see `_RESAMPLE_ROW`). A `ConvBnRelu` runs
-its batch norm and ReLU as its conv's epilogue in this forward, so their rows
-are charged at the conv's recorded output shapes.
+output elements; a `finally` takes the wrappers off. A module with a `compose`
+method (the FPN decoder, whose no-grad forward runs banded kernels instead of
+its submodules) is recorded through that plain composition of its submodules,
+which computes the same output, so each submodule's calls are seen. A layer's
+row is its `flops(out_shape)` summed over its recorded calls; a module that
+never ran (the embedding head at inference) has no row. Each resample is
+charged to the innermost recorded call around it (see `_RESAMPLE_ROW`). A
+`ConvBnRelu` runs its batch norm and ReLU as its conv's epilogue in this
+forward, so their rows are charged at the conv's recorded output shapes.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def count_costs(model: SegModel, input_size, mode="inference"):
 
     resample_op = layers._resample_op
 
-    def recorded_resample(x, out_h, out_w, kind, into=None):
-        out = resample_op(x, out_h, out_w, kind, into)  # a sum into `into` has the resample's size
+    def recorded_resample(x, out_h, out_w, kind):
+        out = resample_op(x, out_h, out_w, kind)
         path, method = frames[-1]
         row = f"{path}.{_RESAMPLE_ROW[kind if method == 'forward' else method]}"
         resampled[row] = resampled.get(row, 0) + out.size
@@ -116,7 +119,9 @@ def count_costs(model: SegModel, input_size, mode="inference"):
         for path, child in model.named_children():
             for method in ("forward", "context"):
                 if hasattr(child, method):
-                    setattr(child, method, recording(path, method, getattr(child, method)))
+                    composed = method == "forward" and hasattr(child, "compose")
+                    call = getattr(child, "compose" if composed else method)
+                    setattr(child, method, recording(path, method, call))
                     wrapped.append((child, method))
         layers._resample_op = recorded_resample
         model.eval()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from segrefine import layers
-from segrefine import tensor as T
+from segrefine.model import FpnDecoder
 from segrefine.tensor import Tensor
 
 
@@ -18,6 +17,19 @@ def set_identity_1x1(conv):
     conv.weight.data = np.eye(c, dtype=conv.weight.dtype).reshape(c, c, 1, 1)
     if conv.bias is not None:
         conv.bias.data = np.zeros(c, dtype=conv.bias.dtype)
+
+
+def record_calls(monkeypatch, owners, methods):
+    """The list each call of one of `methods` on one of `owners` appends (method, args) to."""
+    calls = []
+    for owner in owners:
+        for method in methods:
+            def run(*args, call=getattr(owner, method), method=method):
+                calls.append((method, args))
+                return call(*args)
+
+            monkeypatch.setattr(owner, method, run)
+    return calls
 
 
 def zero_params(module):
@@ -41,19 +53,11 @@ def handed_gradients(monkeypatch):
 
 @pytest.fixture
 def fresh_sums(monkeypatch):
-    """`run(fn)` calls `fn()` with every `into` ignored, so a resample added into an array
-    and a `ConvBnRelu` each make a fresh array: the reference for the ops that write into an
-    operand."""
-    resample_op, block = layers._resample_op, layers.ConvBnRelu.forward
-
-    def resample(x, out_h, out_w, kind, into=None):
-        out = resample_op(x, out_h, out_w, kind)
-        return out if into is None else T.add(into, out)
-
+    """`run(fn)` calls `fn()` with every `FpnDecoder` run as `compose`, the plain composition
+    of its modules, each call a fresh array: the reference for the banded no-grad decoder."""
     def run(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(layers, "_resample_op", resample)
-            patch.setattr(layers.ConvBnRelu, "forward", lambda self, x, into=None: block(self, x))
+            patch.setattr(FpnDecoder, "forward", FpnDecoder.compose)
             return fn()
 
     return run

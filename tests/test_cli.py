@@ -2,6 +2,7 @@ import contextlib
 import io
 import shutil
 import struct
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -210,15 +211,19 @@ def _scaled_no_grad(fn):
     return broken
 
 
-def _scaled_winograd(fused, in_place=False):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run in place
-    over their input (or not): a recorded Winograd conv's forward also runs
-    `_winograd_conv`, with a graph recorded."""
+def _scaled_winograd(fused, banded=False):
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run by
+    `ConvBnRelu.bands` from a row source (or by `_winograd` from an array): a recorded
+    Winograd conv's forward also runs `_winograd_conv`, with a graph recorded."""
     def fault(fn):
-        def broken(x, weight, dtype, epilogue, tiles=None, out=None):
-            y = fn(x, weight, dtype, epilogue, tiles, out)
-            hit = not T._GRAD_ENABLED and epilogue.relu == fused and (out is x) == in_place
-            return y * 1.001 if hit else y
+        def broken(source, sink, shape, weight, dtype, epilogue, tiles=None):
+            by_bands = sys._getframe(1).f_code.co_name == "bands"
+            hit = not T._GRAD_ENABLED and epilogue.relu == fused and by_bands == banded
+
+            def scaled(y, i, r):
+                sink(y * 1.001, i, r)
+
+            return fn(source, scaled if hit else sink, shape, weight, dtype, epilogue, tiles)
 
         return broken
 
@@ -265,7 +270,8 @@ PATH_FAULTS = [
     ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
     ("recorded winograd conv gradients", "_winograd", _scaled_backward),
     ("recorded conv + bn relu", "_batch_norm", _scaled_bn_relu),
-    ("winograd conv + bn relu epilogue, in place", "_winograd_conv", _scaled_winograd(True, True)),
+    ("winograd conv + bn relu epilogue, row source", "_winograd_conv",
+     _scaled_winograd(True, True)),
     ("banded resampling", "resample", _scaled_output),
 ]
 # the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from segrefine.layers import (
 )
 from segrefine.tensor import ContractError, ShapeError, Tensor, no_grad
 
-from conftest import set_identity_1x1
+from conftest import record_calls, set_identity_1x1
 
 
 def _weighted_sum_fd(op, x, out_h, out_w, rng):
@@ -171,39 +172,39 @@ class TestStreamedConv:
 
 
 # the oracle row of each Conv2d path, told apart by the function that computes
-# its forward, by whether the forward records a graph, by whether it runs a
-# batch norm + ReLU epilogue and by `_winograd`'s `in_place` argument
+# its forward, by whether the forward records a graph and by whether it runs a
+# batch norm + ReLU epilogue
 _PATH_ROWS = {
-    ("_winograd", False, False, False): "winograd conv",
-    ("_winograd", False, True, False): "winograd conv + bn relu epilogue",
-    ("_winograd", False, True, True): "winograd conv + bn relu epilogue, in place",
-    ("_pointwise", False, False, False): "1x1 conv",
-    ("_pointwise", True, False, False): "recorded 1x1 conv gradients",
-    ("_depthwise", False, False, False): "depthwise conv",
-    ("_depthwise", True, False, False): "recorded depthwise conv gradients",
-    ("_conv_columns", False, False, False): "im2col conv",
-    ("_conv_columns", False, True, False): "im2col conv + bn relu epilogue",
-    ("_conv_columns", True, False, False): "recorded conv gradients",
-    ("_winograd", True, False, False): "recorded winograd conv gradients",
+    ("_winograd", False, False): "winograd conv",
+    ("_winograd", False, True): "winograd conv + bn relu epilogue",
+    ("_pointwise", False, False): "1x1 conv",
+    ("_pointwise", True, False): "recorded 1x1 conv gradients",
+    ("_depthwise", False, False): "depthwise conv",
+    ("_depthwise", True, False): "recorded depthwise conv gradients",
+    ("_conv_columns", False, False): "im2col conv",
+    ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
+    ("_conv_columns", True, False): "recorded conv gradients",
+    ("_winograd", True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 # the oracle row of a training ConvBnRelu: a recorded conv, then its batch norm and ReLU
 # as one recorded op
 BLOCK_ROW = "recorded conv + bn relu"
+# the oracle row of an eval ConvBnRelu run by `ConvBnRelu.bands`, as the decoder's levels run
+BANDED_ROW = "winograd conv + bn relu epilogue, row source"
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
 RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                        "recorded conv gradients")
 
 
 def _spy_conv_paths(monkeypatch):
-    """The oracle row label of every `Conv2d.forward` call, None where none maps, and
-    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`.
+    """The oracle row label of every `Conv2d.forward` call, None where none maps,
+    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu` and
+    `BANDED_ROW` for every `ConvBnRelu.bands` call.
 
     Spies on `records_graph` and on the functions that compute a forward, and
-    counts only their outermost calls made inside `Conv2d.forward`. A
-    `_winograd` call maps by the `records_graph` value, as the others do, and by
-    its `in_place` argument. No backward runs any of them (see
-    `test_one_scatter_takes_every_input_gradient`).
+    counts only their outermost calls made inside `Conv2d.forward`. No backward
+    runs any of them (see `test_one_scatter_takes_every_input_gradient`).
     The epilogue a `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
@@ -216,11 +217,11 @@ def _spy_conv_paths(monkeypatch):
         finally:
             calls = inside.pop()
             recorded = [value for name, value in calls if name == "records_graph"]
-            paths = [(name, value) for name, value in calls if name != "records_graph"]
+            paths = [name for name, _ in calls if name != "records_graph"]
             epilogue = kwargs.get("_epilogue", args[0] if args else None)
             fused = epilogue is not None and epilogue.relu
             one = len(recorded) == len(paths) == 1
-            key = (paths[0][0], recorded[0], fused, paths[0][1]) if one else None
+            key = (paths[0], recorded[0], fused) if one else None
             rows.append(_PATH_ROWS.get(key))
 
     def spy(name, fn):
@@ -231,8 +232,7 @@ def _spy_conv_paths(monkeypatch):
             finally:
                 depth[0] -= 1
             if inside and (name == "records_graph" or not depth[0]):
-                value = result if name == "records_graph" else name == "_winograd" and args[5]
-                inside[-1].append((name, value))
+                inside[-1].append((name, result))
             return result
 
         monkeypatch.setattr(layers, name, wrapper)
@@ -244,10 +244,17 @@ def _spy_conv_paths(monkeypatch):
             rows.append(BLOCK_ROW)
         return batch_norm(bn, x, relu)
 
+    bands = ConvBnRelu.bands
+
+    def spy_bands(self, *args):
+        rows.append(BANDED_ROW)
+        return bands(self, *args)
+
     for name in {"records_graph"} | {key[0] for key in _PATH_ROWS}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
     monkeypatch.setattr(layers, "_batch_norm", spy_batch_norm)
+    monkeypatch.setattr(ConvBnRelu, "bands", spy_bands)
     return rows
 
 
@@ -420,112 +427,87 @@ def _channels_last(rng, shape, dtype, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
-class TestInPlaceConvBnRelu:
-    """A no-grad c -> c `ConvBnRelu` on a Winograd kernel writes its output over the input
-    its caller names as `into`; elsewhere `into` is ignored."""
+class TestBandedConvBnRelu:
+    """`ConvBnRelu.bands` runs an eval block with no graph on the Winograd kernel from a row
+    source into a band sink, with the bits of `forward`."""
 
-    @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17))], ids=["whole-tiles", "ragged"])
+    @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17)), (1, (13, 1024))],
+                             ids=["whole-tiles", "ragged", "13x1024"])
     @pytest.mark.parametrize("chunks", ["whole-images", "two-images", "one-tile-row",
                                         "three-tile-rows"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_fresh_output(self, rng, monkeypatch, n, hw, chunks, dtype):
+    def test_asks_for_each_row_once_and_matches_forward(self, rng, monkeypatch, n, hw, chunks,
+                                                        dtype):
         tile_row = _three_tile_rows(WINO_C, WINO_C, hw[1], np.dtype(dtype).itemsize) // 3
-        budget = {"whole-images": layers._WINOGRAD_BUDGET, "two-images": 2 * tile_row * 4,
+        budget = {"whole-images": 1 << 30, "two-images": 2 * tile_row * 4,
                   "one-tile-row": tile_row, "three-tile-rows": 3 * tile_row}[chunks]
-        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)  # both maps are 4 tile rows
+        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)  # 16x16 and 13x17 are 4 tile rows
         block = _eval_block(WINO_C, WINO_C, dtype, rng)
         x = _channels_last(rng, (n, WINO_C, *hw), dtype)
+        xd, asked = x.data.transpose(0, 2, 3, 1), np.zeros((n, hw[0]), int)
+        bands = []  # (first image, first output row) of each band the sink receives
+
+        def source(dst, i, lo, hi):
+            asked[i : i + len(dst), lo:hi] += 1
+            np.copyto(dst, xd[i : i + len(dst), lo:hi])
+
+        out = np.empty((n, *hw, WINO_C), dtype)
+        sink = layers._array_sink(out)
+
+        def spy_sink(y, i, r):
+            bands.append((i, r))
+            sink(y, i, r)
+
         with no_grad():
             want = block(x).data
-            out = block(x, into=x)
-        assert np.shares_memory(out.data, x.data)
-        np.testing.assert_array_equal(out.data, want)  # bit for bit
+            block.bands(source, spy_sink, (n, *hw), dtype)
+        np.testing.assert_array_equal(asked, 1)  # the two rows bands share are carried
+        assert bands == sorted(set(bands))
+        np.testing.assert_array_equal(out.transpose(0, 3, 1, 2), want)  # bit for bit
+        # `forward` runs the same kernel, so also compare with the direct float64 reference
+        direct = gradcheck.bn_relu_reference(gradcheck.conv_reference(
+            x.data, block.conv.weight.data, np.zeros(WINO_C), np.zeros(want.shape), 1, 1, 1)[0],
+            block.bn)
+        bound = 1e-4 if dtype == np.float32 else 1e-12
+        assert np.abs(want - direct).max() <= bound * np.abs(direct).max()
 
-    @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-    def test_ignored_with_a_graph(self, rng, training):
-        data = _channels_last(rng, (2, WINO_C, 8, 12), np.float64).data
-        weights = Tensor(rng.standard_normal(data.shape))
-
-        def run(into):
-            block = _eval_block(WINO_C, WINO_C, np.float64, np.random.default_rng(5))
-            x = Tensor(data.copy(order="K"), requires_grad=True)
-            out = block.train(training)(x, into=x if into else None)
-            T.tsum(out * weights).backward()
-            return x, out, block
-
-        x, out, block = run(True)
-        want_x, want, want_block = run(False)
-        assert not np.shares_memory(out.data, x.data)
-        np.testing.assert_array_equal(x.data, data)
-        np.testing.assert_array_equal(out.data, want.data)
-        np.testing.assert_array_equal(x.grad, want_x.grad)
-        for p, q in zip(block.parameters(), want_block.parameters()):
-            np.testing.assert_array_equal(p.grad, q.grad)
-
-    @pytest.mark.parametrize("in_c, out_c, hw, last, dtype", [
-        (WINO_C - 1, WINO_C - 1, (8, 8), True, np.float32),  # im2col
-        (WINO_C, WINO_C, (4, 4), True, np.float32),  # one tile: im2col
-        (WINO_C, WINO_C + 8, (8, 8), True, np.float32),  # the output is wider
-        (WINO_C, WINO_C, (8, 8), False, np.float32),  # NCHW-ordered
-        (WINO_C, WINO_C, (8, 8), True, np.float64),  # the input is float32
-    ], ids=["im2col", "one-tile", "wider", "nchw", "narrower-dtype"])
-    def test_ignored_off_the_in_place_kernel(self, rng, in_c, out_c, hw, last, dtype):
-        block = _eval_block(in_c, out_c, dtype, rng)
-        x = (_channels_last(rng, (2, in_c, *hw), np.float32) if last
-             else Tensor(rng.standard_normal((2, in_c, *hw)).astype(np.float32)))
-        before = x.data.copy()
-        with no_grad():
-            out = block(x, into=x)
-            want = block(x)
-        assert not np.shares_memory(out.data, x.data)
-        np.testing.assert_array_equal(x.data, before)
-        np.testing.assert_array_equal(out.data, want.data)
-
-    def test_reaches_winograd_conv_only_through_winograd(self, rng, monkeypatch):
-        """The in-place conv has the one Winograd entry the other Winograd convs have."""
-        depths, depth = [], [0]
-        winograd, winograd_conv = layers._winograd, layers._winograd_conv
-
-        def spy_winograd(*args):
-            depth[0] += 1
-            try:
-                return winograd(*args)
-            finally:
-                depth[0] -= 1
-
-        def spy_winograd_conv(*args, **kwargs):
-            depths.append(depth[0])
-            return winograd_conv(*args, **kwargs)
-
-        monkeypatch.setattr(layers, "_winograd", spy_winograd)
-        monkeypatch.setattr(layers, "_winograd_conv", spy_winograd_conv)
+    def test_folded_weights_die_once_transformed(self, rng, monkeypatch):
         block = _eval_block(WINO_C, WINO_C, np.float32, rng)
         x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
+        alive = []
+        filter_transform = layers._filter_transform
+
+        def spy(weight, kg):
+            alive.append(weakref.ref(weight))
+            return filter_transform(weight, kg)
+
+        def source(dst, i, lo, hi):
+            assert alive[0]() is None
+            np.copyto(dst, x.data.transpose(0, 2, 3, 1)[i : i + len(dst), lo:hi])
+
+        monkeypatch.setattr(layers, "_filter_transform", spy)
+        out = np.empty((1, 8, 8, WINO_C), np.float32)
         with no_grad():
-            out = block(x, into=x)
-        assert np.shares_memory(out.data, x.data)
-        assert depths == [1]
-
-    def test_into_must_be_the_input(self, rng):
-        block = _eval_block(WINO_C, WINO_C, np.float32, rng)
-        x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
-        with no_grad(), pytest.raises(ContractError):
-            block(x, into=Tensor(x.data.copy(order="K")))
+            block.bands(source, layers._array_sink(out), (1, 8, 8), np.float32)
+        assert len(alive) == 1
 
 
-def test_fresh_sums_switches_off_every_into_path(rng, fresh_sums):
-    block = _eval_block(WINO_C, WINO_C, np.float32, rng)
-    x = _channels_last(rng, (1, WINO_C, 8, 8), np.float32)
-    top = _channels_last(rng, (1, WINO_C, 4, 4), np.float32)
-    before = x.data.copy()
+def test_fresh_sums_runs_the_decoders_composition(rng, fresh_sums, monkeypatch):
+    from segrefine.model import FpnDecoder
+    from segrefine.refine import FeaturePyramid
 
-    def run():
-        with no_grad():
-            return [block(x, into=x), bilinear_upsample(top, 8, 8, into=x)]
-
-    for out in fresh_sums(run):
-        assert not np.shares_memory(out.data, x.data)
-    np.testing.assert_array_equal(x.data, before)
+    decoder = FpnDecoder((8, 16, 32, 64), WINO_C, 5, rng=rng).eval()
+    stages = [_channels_last(rng, (1, c, 16 >> i, 32 >> i), np.float32)
+              for i, c in enumerate((8, 16, 32, 64))]
+    context = _channels_last(rng, (1, WINO_C, 2, 4), np.float32)
+    calls = record_calls(monkeypatch, (decoder.smooth3, decoder.smooth2, decoder.smooth1),
+                         ("forward", "bands"))
+    with no_grad():
+        decoder(FeaturePyramid(*stages), context, 64, 128, False)
+        assert [method for method, _ in calls] == ["bands"] * 3
+        calls.clear()
+        fresh_sums(lambda: decoder(FeaturePyramid(*stages), context, 64, 128, False))
+    assert [method for method, _ in calls] == ["forward"] * 3
 
 
 def _spy_winograd(monkeypatch):
@@ -533,9 +515,9 @@ def _spy_winograd(monkeypatch):
     calls = []
     winograd = layers._winograd
 
-    def spy(x, w, dtype, epilogue, recorded, in_place):
+    def spy(x, w, dtype, epilogue, recorded):
         calls.append((x.shape, recorded))
-        return winograd(x, w, dtype, epilogue, recorded, in_place)
+        return winograd(x, w, dtype, epilogue, recorded)
 
     monkeypatch.setattr(layers, "_winograd", spy)
     return calls
@@ -769,11 +751,10 @@ class TestOracleTable:
                                 "recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                                 BLOCK_ROW}
         # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue, and the
-        # decoder's smoothing convs run in place over their merge sums
+        # decoder's smoothing blocks run banded from the merge's rows
         assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
-                              "im2col conv + bn relu epilogue",
-                              "winograd conv + bn relu epilogue, in place"}
-        assert set(_PATH_ROWS.values()) | {BLOCK_ROW} == set(ORACLE_ROWS)
+                              "im2col conv + bn relu epilogue", BANDED_ROW}
+        assert set(_PATH_ROWS.values()) | {BLOCK_ROW, BANDED_ROW} == set(ORACLE_ROWS)
 
 
 class TestChannelsLast:
@@ -957,54 +938,6 @@ class TestBilinearUpsample:
         err = finite_difference(lambda: T.tsum(bilinear_upsample(x, 120, 30) * weights), [x],
                                 max_elements=300, rng=np.random.default_rng(1))
         assert err < TOLERANCE
-
-
-class TestUpsampleInto:
-    """`bilinear_upsample(x, h, w, into=lat)` is `add(lat, bilinear_upsample(x, h, w))`, added
-    into `lat` block by block when no graph is recorded."""
-
-    @pytest.mark.parametrize("c", [layers._RESAMPLE_FEW_CHANNELS - 1, layers._RESAMPLE_FEW_CHANNELS],
-                             ids=["width-first", "height-first"])
-    @pytest.mark.parametrize("size, out", [((8, 16), (16, 32)), ((13, 9), (40, 29)),
-                                           ((16, 24), (64, 96)), ((3, 3), (6, 6))],
-                             ids=lambda extents: "x".join(map(str, extents)))
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_matches_add_of_upsample(self, rng, c, size, out, dtype):
-        top = _channels_last(rng, (2, c, *size), dtype)
-        lat = _channels_last(rng, (2, c, *out), dtype)
-        want = T.add(lat, bilinear_upsample(top, *out)).data
-        assert bilinear_upsample(top, *out, into=lat) is lat
-        np.testing.assert_array_equal(lat.data, want)  # bit for bit
-
-    @pytest.mark.parametrize("top_dtype, last", [(np.float32, False), (np.float64, True)],
-                             ids=["nchw", "narrower-dtype"])
-    def test_into_that_cannot_hold_the_sum_gets_a_fresh_array(self, rng, top_dtype, last):
-        top = _channels_last(rng, (2, 4, 8, 8), top_dtype)
-        lat = (_channels_last(rng, (2, 4, 16, 16), np.float32) if last
-               else Tensor(rng.standard_normal((2, 4, 16, 16)).astype(np.float32)))
-        before = lat.data.copy()
-        out = bilinear_upsample(top, 16, 16, into=lat)
-        assert not np.shares_memory(out.data, lat.data)
-        np.testing.assert_array_equal(lat.data, before)
-        np.testing.assert_array_equal(out.data, T.add(lat, bilinear_upsample(top, 16, 16)).data)
-
-    def test_ignored_with_a_graph(self, rng):
-        top = _channels_last(rng, (2, 3, 8, 8), np.float64, requires_grad=True)
-        lat = _channels_last(rng, (2, 3, 16, 16), np.float64, requires_grad=True)
-        weights = Tensor(rng.standard_normal(lat.shape))
-        before = lat.data.copy()
-        out = bilinear_upsample(top, 16, 16, into=lat)
-        assert out is not lat and not np.shares_memory(out.data, lat.data)
-        np.testing.assert_array_equal(lat.data, before)
-        T.tsum(out * weights).backward()
-        grads = top.grad.copy(), lat.grad.copy()
-        top.zero_grad()
-        lat.zero_grad()
-        want = T.add(lat, bilinear_upsample(top, 16, 16))
-        T.tsum(want * weights).backward()
-        np.testing.assert_array_equal(out.data, want.data)
-        np.testing.assert_array_equal(grads[0], top.grad)
-        np.testing.assert_array_equal(grads[1], lat.grad)
 
 
 # (in, out, kind) of resampling axes that the closed-form and brute-force

@@ -96,6 +96,25 @@ class TestModelReport:
         golden = Path(__file__).parent / "golden" / "costs_frm_training.csv"
         assert csv.encode() == golden.read_bytes()
 
+    def test_banded_decoder_keeps_its_module_rows(self, rng):
+        # at the default width the no-grad decoder runs every level banded, calling no
+        # submodule; the report counts them through `FpnDecoder.compose`
+        cfg = ModelConfig()
+        report = count_costs(SegModel(cfg, rng=rng), (64, 128))
+        width, classes, c1 = cfg.decoder_channels, cfg.num_classes, cfg.channels[0]
+        positions = 16 * 32  # the stride-4 map of a 64x128 image
+        upsampled = width * positions * (1 + 4 + 16) // 16 + classes * 64 * 128
+        assert {path: report.row(path).flops for path in (
+            "decoder.lateral1", "decoder.smooth1.conv", "decoder.smooth1.bn", "decoder.smooth1.act",
+            "decoder.classifier", "decoder.upsample")} == {
+            "decoder.lateral1": (2 * c1 + 1) * positions * width,
+            "decoder.smooth1.conv": 2 * positions * width * width * 9,
+            "decoder.smooth1.bn": positions * width,
+            "decoder.smooth1.act": positions * width,
+            "decoder.classifier": (2 * width + 1) * positions * classes,
+            "decoder.upsample": upsampled,
+        }
+
     def test_failed_forward_restores_the_model(self, rng):
         model = toy_model(rng, context_head="ppm")  # bin 6 exceeds the 2x2 stage at 64x64
         resample_op = layers._resample_op
