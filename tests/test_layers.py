@@ -492,6 +492,29 @@ class TestBandedConvBnRelu:
         assert len(alive) == 1
 
 
+class TestInPlaceConvBnRelu:
+    """A banded c -> c block can write its output over its input: each band's rows are read
+    before its sink writes, and the two rows consecutive bands share are carried in the
+    buffer, so an array source and an array sink on one map never read a written row."""
+
+    @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17))], ids=["whole-tiles", "ragged"])
+    @pytest.mark.parametrize("chunks", ["whole-images", "two-images", "one-tile-row",
+                                        "three-tile-rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_fresh_output(self, rng, monkeypatch, n, hw, chunks, dtype):
+        tile_row = _three_tile_rows(WINO_C, WINO_C, hw[1], np.dtype(dtype).itemsize) // 3
+        budget = {"whole-images": layers._WINOGRAD_BUDGET, "two-images": 2 * tile_row * 4,
+                  "one-tile-row": tile_row, "three-tile-rows": 3 * tile_row}[chunks]
+        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", budget)  # both maps are 4 tile rows
+        block = _eval_block(WINO_C, WINO_C, dtype, rng)
+        x = _channels_last(rng, (n, WINO_C, *hw), dtype)
+        xd = x.data.transpose(0, 2, 3, 1)
+        with no_grad():
+            want = block(x).data
+            block.bands(layers._array_source(xd), layers._array_sink(xd), (n, *hw), dtype)
+        np.testing.assert_array_equal(x.data, want)  # bit for bit
+
+
 def test_fresh_sums_runs_the_decoders_composition(rng, fresh_sums, monkeypatch):
     from segrefine.model import FpnDecoder
     from segrefine.refine import FeaturePyramid
@@ -938,6 +961,33 @@ class TestBilinearUpsample:
         err = finite_difference(lambda: T.tsum(bilinear_upsample(x, 120, 30) * weights), [x],
                                 max_elements=300, rng=np.random.default_rng(1))
         assert err < TOLERANCE
+
+
+class TestUpsampleInto:
+    """The decoder's merge source (`_merge_source`) adds `bilinear_upsample(top, h, w)` into
+    the rows of its lateral's output, block by block; with an identity lateral, the rows it
+    writes are `add(lat, bilinear_upsample(top, h, w))`'s, whichever rows it is asked for."""
+
+    # the merge source resamples height first, as `resample` does from this many channels
+    @pytest.mark.parametrize("c", [layers._RESAMPLE_FEW_CHANNELS], ids=["height-first"])
+    @pytest.mark.parametrize("size, out", [((8, 16), (16, 32)), ((13, 9), (40, 29)),
+                                           ((16, 24), (64, 96)), ((3, 3), (6, 6))],
+                             ids=lambda extents: "x".join(map(str, extents)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_add_of_upsample(self, rng, c, size, out, dtype):
+        top = _channels_last(rng, (2, c, *size), dtype)
+        lat = _channels_last(rng, (2, c, *out), dtype)
+        want = T.add(lat, bilinear_upsample(top, *out)).data.transpose(0, 2, 3, 1)
+        lateral = Conv2d(c, c, 1).cast(dtype)
+        set_identity_1x1(lateral)
+        # whole images at once, then one image at a time in bands of three rows
+        for images, rows in [(2, out[0]), (1, 3)]:
+            source, got = layers._merge_source(lateral, lat, top), np.empty_like(want)
+            for i in range(0, 2, images):
+                for lo in range(0, out[0], rows):
+                    hi = min(lo + rows, out[0])
+                    source(got[i : i + images, lo:hi], i, lo, hi)
+            np.testing.assert_array_equal(got, want)  # bit for bit
 
 
 # (in, out, kind) of resampling axes that the closed-form and brute-force
