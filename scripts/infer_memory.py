@@ -24,7 +24,12 @@ head and the decoder, then one per top-level module, as it returns:
 
 so the forward's peak is the largest peak_mb, in the module it names. A
 `ConvBnRelu` that runs banded (`ConvBnRelu.bands`, the decoder's smoothing blocks
-with no graph) is listed under its path with " (bands)". Usage:
+with no graph) is listed under its path with " (bands)". One that runs as a row
+source (`ConvBnRelu.rows`, the backbone's chained stem blocks with no graph) is
+listed once under its path with " (rows)", where its source is made: its peak_mb
+is the highest peak of the source's calls, its minflt their sum and its
+current_mb the figure after its last call. stem_b's calls run stem_a's, so
+stem_b's line covers stem_a's. Usage:
 
   PYTHONPATH=src python3 scripts/infer_memory.py [--repeats N] [--heads frm ...]
       [--shapes 1x3x512x1024 ...] [--modules]
@@ -103,7 +108,8 @@ def trace_modules(head, shape):
         peaks[:] = [max(p, peak) for p in peaks]
         tracemalloc.reset_peak()
 
-    def traced(path, call):
+    def traced(path, call, row=None):
+        """`call`, appending its line when it returns, or folding it into the line `row`."""
         def run(*args, **kwargs):
             fold()
             peaks.append(0)
@@ -114,9 +120,23 @@ def trace_modules(head, shape):
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
                 fold()
                 peak = peaks.pop()
-            current = tracemalloc.get_traced_memory()[0]
-            rows.append((path, (current - start[0]) / 2**20, (peak - start[0]) / 2**20, faults))
+            current = (tracemalloc.get_traced_memory()[0] - start[0]) / 2**20
+            peak = (peak - start[0]) / 2**20
+            if row is None:
+                rows.append((path, current, peak, faults))
+            else:
+                row[1:] = current, max(row[2], peak), row[3] + faults
             return out
+
+        return run
+
+    def row_source(path, make):
+        """`make` (a block's `rows`), whose row source's calls fold into one line, listed when
+        the source is made."""
+        def run(*args, **kwargs):
+            row = [path, 0.0, float("-inf"), 0]
+            rows.append(row)
+            return traced(path, make(*args, **kwargs), row)
 
         return run
 
@@ -127,6 +147,7 @@ def trace_modules(head, shape):
             wrapped.append((child, "forward", traced(path, child.forward)))
             if isinstance(child, ConvBnRelu):
                 wrapped.append((child, "bands", traced(path + " (bands)", child.bands)))
+                wrapped.append((child, "rows", row_source(path + " (rows)", child.rows)))
         wrapped.append((top, "forward", traced(name, top.forward)))
     for module, method, call in wrapped:
         setattr(module, method, call)

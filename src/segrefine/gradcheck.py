@@ -6,7 +6,9 @@ the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
 ReLU are one recorded op after a recorded Winograd or im2col conv, and one for
 an eval `ConvBnRelu` run by `ConvBnRelu.bands` from a row source, as the FPN
-decoder's smoothing blocks run with no graph. Each is
+decoder's smoothing blocks run with no graph, and one for the im2col and
+depthwise kernels as row sources (`Conv2d.rows`), chained as the backbone
+chains its stem (`ConvBnRelu.rows`). Each is
 checked against the direct float64 `conv_reference` on NCHW-contiguous and on
 channels-last inputs, and `segrefine oracle` prints one line per row.
 `resample_deviation` checks banded resampling against the dense float64
@@ -32,6 +34,8 @@ from .layers import (
     _WINOGRAD_MIN_CHANNELS,
     _array_sink,
     _array_source,
+    _bn_relu,
+    _chunks,
     BatchNorm2d,
     Conv2d,
     ConvBnRelu,
@@ -284,7 +288,13 @@ class OracleRow(NamedTuple):
     on its output, its input, weight, scale and shift gradients and its
     updated running statistics. A `banded` block row runs each eval block by
     `ConvBnRelu.bands`, its input rows written by a callable source as the
-    kernel asks for them and its output scattered band by band.
+    kernel asks for them and its output scattered band by band. A `chained`
+    row runs each conv with no graph and a drawn eval batch norm + ReLU
+    epilogue as a row source (`Conv2d.rows`), asked for one output row of one
+    image at a time, so every band carries rows from the one above; alone, and
+    feeding the band of a stride-2 eval `ConvBnRelu` (`ConvBnRelu.rows`), as
+    the backbone's stem blocks run. It judges both outputs; an NCHW input is
+    banded in its own order, as the backbone bands an image.
     `bounds` maps each dtype to the worst deviation allowed.
     """
 
@@ -296,6 +306,7 @@ class OracleRow(NamedTuple):
     bounds: dict
     block: bool = False
     banded: bool = False
+    chained: bool = False
 
     def cases(self):
         """(conv, batch, h, w, channels_last) for every case of the sweep: each
@@ -348,12 +359,21 @@ ORACLE_ROWS = (
     _WINOGRAD._replace(label="recorded conv + bn relu", convs=_WINOGRAD.convs + _BLOCK_IM2COL,
                        recorded=True, block=True),
     # an eval ConvBnRelu on a row source and a band sink; at 13x1024 a chunk is a band of
-    # one or two tile rows, so each band takes two input rows from the band above. Last,
-    # so that the rows above draw the cases they drew before it was added
+    # one or two tile rows, so each band takes two input rows from the band above
     _WINOGRAD._replace(label="winograd conv + bn relu epilogue, row source", block=True,
                        banded=True, convs=_WINOGRAD_CONVS[:1],
                        extents=_WINOGRAD.extents + ((13, 1024),)),
+    # im2col at stride 1 and 2, a 3-channel one as the stem's first block, a 1x1 stride-2
+    # one whose bands share no rows, and depthwise at stride 1 and 2; drawn after the
+    # resampling check (`ROWS_BEFORE_RESAMPLING`)
+    _IM2COL._replace(label="im2col and depthwise conv + bn relu epilogue, chained row source",
+                     convs=((3, 6, 3, 2, 1, 1), (4, 6, 3, 1, 1, 2), (4, 6, 1, 2, 0, 1),
+                            (4, 4, 3, 1, 1, 4), (4, 4, 3, 2, 0, 4)),
+                     extents=((2, 33), (5, 7), (13, 6)), batches=(2,), chained=True),
 )
+# `segrefine oracle` checks banded resampling after this many rows: a row added later is
+# drawn after it, so the lines above keep their draws and their numbers
+ROWS_BEFORE_RESAMPLING = 12
 
 
 def _deviation(got, want, worst):
@@ -364,6 +384,15 @@ def _deviation(got, want, worst):
         dev = np.abs(a - ref).max() / (np.abs(ref).max() or 1.0)
         worst = float(np.maximum(worst, dev))
     return worst
+
+
+def _drawn_statistics(bn, dtype, rng):
+    """`bn` with drawn scale, shift and running statistics in `dtype`."""
+    c = bn.channels
+    bn.scale.data, bn.shift.data, bn.running_mean = (
+        rng.standard_normal(c).astype(dtype) for _ in range(3))
+    bn.running_var = rng.uniform(0.2, 3.0, c).astype(dtype)
+    return bn
 
 
 def bn_relu_reference(out, bn):
@@ -406,14 +435,13 @@ def oracle_deviation(row, dtype, rng):
     takes back through the conv. Each array judged is relative to its max
     |reference|.
     """
+    if row.chained:
+        return _chained_deviation(row, dtype, rng)
     worst = 0.0
     for (in_c, out_c, k, s, p, g), n, h, w, last in row.cases():
         if row.block:
             block = ConvBnRelu(in_c, out_c, stride=s, rng=rng).cast(dtype).train(row.recorded)
-            conv, bn = block.conv, block.bn
-            bn.scale.data, bn.shift.data, bn.running_mean = (
-                rng.standard_normal(out_c).astype(dtype) for _ in range(3))
-            bn.running_var = rng.uniform(0.2, 3.0, out_c).astype(dtype)
+            conv, bn = block.conv, _drawn_statistics(block.bn, dtype, rng)
             stats = (bn.scale.data, bn.shift.data, bn.running_mean, bn.running_var)
             bias = np.zeros(out_c)
         else:
@@ -421,11 +449,22 @@ def oracle_deviation(row, dtype, rng):
             conv.bias.data = bias = rng.standard_normal(out_c).astype(dtype)
         x = rng.standard_normal((n, h, w, in_c) if last else (n, in_c, h, w)).astype(dtype)
         x = Tensor(x.transpose(0, 3, 1, 2) if last else x, requires_grad=row.recorded)
+        geometry = (conv.stride, conv.pad, conv.groups)
         if row.recorded:
             out = block(x)
             grad = rng.standard_normal(out.shape).astype(dtype)
+            want = conv_reference(x.data, conv.weight.data, bias, grad, *geometry)
+            got_out = out.data.copy()
+            if row.block:  # batch norm hands the conv its output gradient
+                ref_out, gy, *bn_want = train_bn_relu_reference(want[0], grad, *stats)
+                _, gx, gw, _ = conv_reference(x.data, conv.weight.data, bias, gy, *geometry)
+                want = (ref_out, gx, gw, *bn_want)
+                # judge the gradients with the reference's ReLU mask: the op's backward takes
+                # its mask from its output, so an output within rounding of the kink that fell
+                # on the other side of it would fail a correct backward
+                np.copyto(out.data, ref_out)
             T.tsum(out * Tensor(grad)).backward()
-            got = (out.data, x.grad, conv.weight.grad) + (
+            got = (got_out, x.grad, conv.weight.grad) + (
                 (bn.scale.grad, bn.shift.grad, bn.running_mean, bn.running_var) if row.block
                 else (conv.bias.grad,))
         else:
@@ -437,16 +476,50 @@ def oracle_deviation(row, dtype, rng):
                     got = (out.transpose(0, 3, 1, 2),)
                 else:
                     got = (block(x).data,)
-            grad = np.zeros(got[0].shape)
-        geometry = (conv.stride, conv.pad, conv.groups)
-        want = conv_reference(x.data, conv.weight.data, bias, grad, *geometry)
-        if row.block and row.recorded:  # batch norm hands the conv its output gradient
-            out, gy, *bn_want = train_bn_relu_reference(want[0], grad, *stats)
-            _, gx, gw, _ = conv_reference(x.data, conv.weight.data, bias, gy, *geometry)
-            want = (out, gx, gw, *bn_want)
-        elif row.block:
-            want = (bn_relu_reference(want[0], bn),)
+            want = conv_reference(x.data, conv.weight.data, bias, np.zeros(got[0].shape),
+                                  *geometry)[:1]
+            if row.block:
+                want = (bn_relu_reference(want[0], bn),)
         worst = _deviation(got, want, worst)  # a no-grad row stops at the output
+    return worst
+
+
+def _asked_row_by_row(rows, shape, dtype):
+    """The (n, oh, ow, c) array of `shape` the row source `rows` writes, asked for one output
+    row of one image at a time."""
+    out = np.empty(shape, dtype)
+    for i, _, r, _ in _chunks(shape[0], shape[1], 1, 1):
+        rows(out[i : i + 1, r : r + 1], i, r, r + 1)
+    return out
+
+
+def _chained_deviation(row, dtype, rng):
+    """Worst deviation of a `chained` row's cases in `dtype` from `conv_reference`, each
+    followed by `bn_relu_reference`: the conv's rows alone, then through a stride-2 block."""
+    worst = 0.0
+    for (in_c, out_c, k, s, p, g), n, h, w, last in row.cases():
+        conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, bias=False, rng=rng).cast(dtype)
+        bn = _drawn_statistics(BatchNorm2d(out_c).cast(dtype).eval(), dtype, rng)
+        block = ConvBnRelu(out_c, out_c, stride=2, rng=rng).cast(dtype).eval()
+        _drawn_statistics(block.bn, dtype, rng)
+        x = rng.standard_normal((n, h, w, in_c) if last else (n, in_c, h, w)).astype(dtype)
+        x = x.transpose(0, 3, 1, 2) if last else x
+
+        def rows():
+            return conv.rows(_array_source(x.transpose(0, 2, 3, 1)), (n, h, w), dtype, not last,
+                             _epilogue=_bn_relu(bn))
+
+        want = bn_relu_reference(conv_reference(x, conv.weight.data, np.zeros(out_c), np.zeros(
+            (n, out_c, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)), s, p, g)[0], bn)
+        oh, ow = want.shape[2:]
+        chained = bn_relu_reference(conv_reference(
+            want, block.conv.weight.data, np.zeros(out_c),
+            np.zeros((n, out_c, (oh - 1) // 2 + 1, (ow - 1) // 2 + 1)), 2, 1, 1)[0], block.bn)
+        with T.no_grad():
+            got = (_asked_row_by_row(rows(), (n, oh, ow, out_c), dtype),
+                   _asked_row_by_row(block.rows(rows(), (n, oh, ow), dtype, False),
+                                     (n, *chained.shape[2:], out_c), dtype))
+        worst = _deviation([a.transpose(0, 3, 1, 2) for a in got], (want, chained), worst)
     return worst
 
 

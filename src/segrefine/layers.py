@@ -9,26 +9,37 @@ numpy's elementwise ops, `concat` along channels and the attention's
 each conv's kernel, which returns its (n, oh, ow, oc) output and a backward for
 the input and weight gradients; `Conv2d.forward` makes the one graph node and
 adds the bias gradient. A 1x1 stride-1 conv is one GEMM over the (n*h*w, c)
-matrix, forward and for both gradients; a depthwise conv is one multiply-add
-per kernel tap; batch norm reduces over the (n*h*w, c) matrix. Other convs run
-im2col with (positions, k*k*c/groups) columns, streamed through one buffer of
-`_COL_BUDGET` bytes when no graph is recorded, kept whole for the weight
-gradient when one is. `_scatter_taps` adds up each tap's input gradient for
+matrix, forward and for both gradients; batch norm reduces over the (n*h*w, c)
+matrix. Every other kernel reads k x k windows through one band loop:
+`_chunks` walks the chunks `_chunk_shape` plans (whole images, or bands of
+output rows of one image), and `_band_reader` writes each chunk's input rows,
+asked of a row source `source(dst, i, lo, hi)`, into one zero-bordered band
+buffer, carrying the rows that consecutive bands of one image share. So no
+kernel copies a whole bordered input, and a source is asked for each row once.
+A depthwise conv (`_depthwise_taps`) is one multiply-add per kernel tap over
+the band. Other convs run im2col (`_conv_columns`) with (positions,
+k*k*c/groups) columns per band, in chunks of `_COL_BUDGET` bytes when no graph
+is recorded and in one chunk, kept for the weight gradient, when one is; an
+NCHW image is banded in its own order. These two kernels are row sources
+themselves: `_fill` asks one for each chunk of an output array, and with no
+graph `Conv2d.rows` hands one to the caller, so one conv's rows can feed the
+next conv's band (`ConvBnRelu.rows`: the backbone chains its stem so).
+`_scatter_taps` adds up each tap's input gradient for
 every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
 `_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger than
 one 4x4 tile (`Conv2d.takes_winograd`), runs Winograd F(4x4, 3x3) in
-`_winograd`, recorded or not: its forward `_winograd_conv` gathers 6x6
-`_windows` in chunks of whole images or bands of tile rows, and keeps the
+`_winograd`, recorded or not: its forward `_winograd_conv` runs the band loop
+too, gathering 6x6 `_windows` from bands of tile rows, and keeps the
 transformed tiles for the backward when a graph is recorded. So the kernel
-follows the conv's geometry and map alone. `_winograd_conv` reads its input
-from a row source and hands each band of output to a sink; `_winograd` passes
-an array's rows and scatters into a fresh array, while an eval `ConvBnRelu`
+follows the conv's geometry and map alone. `_winograd_conv` hands each band of
+output to a sink; `_winograd` passes an array's rows and scatters into a fresh
+array, while an eval `ConvBnRelu`
 with no graph can run from any source into any sink (`ConvBnRelu.bands`): the
 FPN decoder feeds it the merge's rows (`_merge_source`) and, at stride 4, runs
 the classifier on each band (`_pointwise_sink`). A
 recorded Winograd conv takes every temporary from `_scratch`, one grow-only
 buffer per role and dtype, kept until `trainer.train` returns (for the process
-when recorded convs run outside it): its zero-bordered input copy
+when recorded convs run outside it): its zero-bordered band buffer
 (`padded`) and the two buffers its GEMMs alternate between (`ping`, `pong`),
 forward and backward. What outlives a call (the output, the kept tiles, the
 gradients) is never carved from it. Fresh, those temporaries were handed back
@@ -217,33 +228,172 @@ def _chunk_shape(windows_shape, itemsize, budget):
     return 1, max(1, budget // row_bytes)
 
 
-def _conv_columns(windows, w_mat, out, budget=None, epilogue=None):
-    """out (n, oh, ow, oc) = im2col(windows) @ w_mat.T per group, then `epilogue`.
+def _fresh(role, size, dtype):
+    """A `_scratch` stand-in that allocates per call, as the no-grad kernels do."""
+    return np.empty(size, dtype)
 
-    Per chunk (`_chunk_shape`), the columns (groups, positions, k*k*c/groups) of `windows`
-    (n, oh, ow, k, k, c) are copied into one buffer and multiplied by `w_mat` (groups,
-    oc/groups, k*k*c/groups) into their slice of `out`. The buffer follows the input's memory
-    order, so copies run along channels, or along positions for an NCHW image (1.7 against
-    4.3 ms for a 3x512x1024 stem). Returns the last chunk's columns (no budget: all)."""
-    n, oh, ow, kh, kw, c = windows.shape
-    g, ocg, kg = w_mat.shape
-    images, rows = _chunk_shape(windows.shape, windows.itemsize, budget)
-    epilogue = epilogue or _Epilogue(None, None, False)
-    buf = np.empty(min(images, n) * min(rows, oh) * ow * kh * kw * c, windows.dtype)
-    by_position = windows.strides[-1] != windows.itemsize
+
+def _grown(buffers, key, size, dtype):
+    """The first `size` elements of the grow-only 1-D `dtype` buffer `buffers[key]`."""
+    buf = buffers.get(key)
+    if buf is None or len(buf) < size:
+        buf = buffers[key] = np.empty(size, dtype)
+    return buf[:size]
+
+
+def _chunks(n, rows, images, band):
+    """(i, m, r, nb) of each chunk of the band loop over n images of `rows` output rows, for a
+    `_chunk_shape` plan of (images, band): images [i, i + m) and output rows [r, r + nb), whole
+    images or a band of one image."""
     for i in range(0, n, images):
-        for r in range(0, oh, rows):
-            part = windows[i : i + images, r : r + rows]
-            m, h = part.shape[:2]
-            cols = (buf[: part.size].reshape(g, kh, kw, c // g, m, h, ow).transpose(0, 4, 5, 6, 1, 2, 3)
-                    if by_position else buf[: part.size].reshape(g, m, h, ow, kh, kw, c // g))
-            np.copyto(cols, part.reshape(m, h, ow, kh, kw, g, c // g).transpose(5, 0, 1, 2, 3, 4, 6))
-            cols = cols.reshape(g, m * h * ow, kg)
-            dst = out[i : i + m, r : r + h]
-            np.matmul(cols, w_mat.transpose(0, 2, 1),
-                      out=dst.reshape(m * h * ow, g, ocg, copy=False).transpose(1, 0, 2))
-            epilogue.apply(dst)
-    return cols
+        for r in range(0, rows, band):
+            yield i, min(images, n - i), r, min(band, rows - r)
+
+
+def _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first=False, width=None,
+                 take=_fresh, largest=None):
+    """The input side of the band loop every kernel that reads rows runs: `read(i, m, r, rows)`
+    returns the zero-bordered input band of output rows [r, r + rows) of images [i, i + m) of a
+    `kernel` x `kernel` conv at `stride` and `pad` on an (n, h, w, c) input, `shape` = (n, h, w),
+    whose rows `source` writes (see `_winograd_conv`).
+
+    The band is an (m, (rows - 1) * stride + kernel, width, c) view of one buffer, taken from
+    `take` for the first band and again only when a band outgrows it; `width` is w + 2 * pad
+    unless given. A caller that knows its `largest` band, (images, output rows), has the buffer
+    taken at once, before its other temporaries: taken at the first band instead, after
+    Winograd's `ping` and `pong`, the heap placed them so that 512x1024 inference in the
+    benchmark's process peaked at 113.5 MB of RSS, against 106.9 MB. Its columns outside
+    [pad, pad + w) are zeroed when it is taken, its rows outside the input on every call. When
+    a band of one image starts inside the band read before it, the rows both hold are carried
+    to its top, so a source read band after band is asked for each row once. `channels_first` lays the buffer out (m, c, rows, width), as an
+    NCHW image is (see `_conv_columns`)."""
+    n, h, w = shape
+    width = width or w + 2 * pad
+    held = {"buf": None, "band": None}  # the buffer, and (image, first, end padded row) in it
+
+    def allocate(m, count):
+        flat = take("padded", m * count * width * c, dtype)
+        buf = (flat.reshape(m, c, count, width).transpose(0, 2, 3, 1) if channels_first
+               else flat.reshape(m, count, width, c))
+        buf[:, :, :pad] = 0
+        buf[:, :, pad + w :] = 0
+        held["buf"] = buf
+        return buf
+
+    if largest is not None:
+        allocate(largest[0], (largest[1] - 1) * stride + kernel)
+
+    def read(i, m, r, rows):
+        first, count = r * stride, (rows - 1) * stride + kernel  # padded row j is input row j - pad
+        buf, last = held["buf"], held["band"]
+        carry = 0
+        if m == 1 and last is not None and last[0] == i and last[1] <= first < last[2]:
+            carry = last[2] - first
+            kept = buf[:1, first - last[1] : last[2] - last[1]]
+        if buf is None or len(buf) < m or buf.shape[1] < count:
+            if carry:  # the new buffer may be the old one's memory (`_scratch`)
+                kept = kept.copy()
+            buf = allocate(max(m, 0 if buf is None else len(buf)), count)
+        band = buf[:m, :count]
+        if carry:
+            band[:, :carry] = kept
+        top = min(max(carry, pad - first), count)  # band rows [top, bottom) are input rows
+        bottom = max(min(count, h + pad - first), top)
+        band[:, carry:top] = 0
+        if top < bottom:
+            source(band[:, top:bottom, pad : pad + w], i, first + top - pad, first + bottom - pad)
+        band[:, bottom:] = 0
+        held["band"] = (i, first, first + count) if m == 1 else None
+        return band
+
+    return read
+
+
+def _rows_out(dst, buffers, dtype):
+    """Where a row source computes `dst`'s rows: `dst` itself when C-ordered, else a grow-only
+    buffer of `dtype` (a band of the next conv's buffer), which `_rows_done` copies over."""
+    if dst.flags.c_contiguous and dst.dtype == dtype:
+        return dst
+    return _grown(buffers, "out", dst.size, dtype).reshape(dst.shape)
+
+
+def _rows_done(out, dst, epilogue):
+    epilogue.apply(out)
+    if out is not dst:
+        np.copyto(dst, out)
+
+
+def _fill(rows, out, kernel, c, itemsize, whole=False):
+    """Every row of `out` (n, oh, ow, oc) from the row source `rows`, in one chunk when
+    `whole`, else chunk by chunk of the plan `_chunk_shape` makes for `_COL_BUDGET` bytes of
+    `kernel` x `kernel` windows of c channels of `itemsize` bytes; returns what the last call
+    returned."""
+    n, oh, ow = out.shape[:3]
+    images, band = _chunk_shape((n, oh, ow, kernel, kernel, c), itemsize,
+                                None if whole else _COL_BUDGET)
+    for i, m, r, nb in _chunks(n, oh, images, band):
+        last = rows(out[i : i + m, r : r + nb], i, r, r + nb)
+    return last
+
+
+def _reads_nchw(a):
+    """Whether the im2col kernel bands `a` (n, c, h, w) in its own NCHW order: an input that is
+    not channels-last (an image). See `_conv_columns`."""
+    return not a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _conv_columns(source, shape, c, w_mat, kernel, stride, pad, dtype, epilogue, channels_first):
+    """The im2col conv of an (n, h, w, c) input, `shape` = (n, h, w), whose rows `source` writes
+    in `dtype`, as a row source: `rows(dst, i, lo, hi)` writes output rows [lo, hi) of images
+    [i, i + len(dst)) into `dst` (m, hi - lo, ow, oc) and returns the columns it multiplied.
+
+    Per call, `_band_reader` reads the input band; its columns (groups, positions,
+    k*k*c/groups) are copied into one buffer and multiplied by `w_mat` (groups, oc/groups,
+    k*k*c/groups), then `epilogue` runs in cache. The band, and so the buffer, follows the
+    input's memory order (`channels_first` for an NCHW image): copies run along channels, or
+    along positions for an image (1.7 against 4.3 ms for a 3x512x1024 stem). The conv's own
+    forward (`_im2col`) fills an array by `_fill`; a chained no-grad block hands its rows to
+    the next block's band (`ConvBnRelu.rows`)."""
+    read = _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first)
+    g, ocg, kg = w_mat.shape
+    out_dtype = np.result_type(dtype, w_mat)
+    buffers = {}
+
+    def rows(dst, i, lo, hi):
+        part = _windows(read(i, len(dst), lo, hi - lo), kernel, stride)
+        m, nr, ow = part.shape[:3]
+        buf = _grown(buffers, "columns", part.size, part.dtype)
+        cols = (buf.reshape(g, kernel, kernel, c // g, m, nr, ow).transpose(0, 4, 5, 6, 1, 2, 3)
+                if channels_first else buf.reshape(g, m, nr, ow, kernel, kernel, c // g))
+        np.copyto(cols, part.reshape(m, nr, ow, kernel, kernel, g, c // g).transpose(5, 0, 1, 2, 3, 4, 6))
+        cols = cols.reshape(g, m * nr * ow, kg)
+        out = _rows_out(dst, buffers, out_dtype)
+        np.matmul(cols, w_mat.transpose(0, 2, 1),
+                  out=out.reshape(m * nr * ow, g, ocg, copy=False).transpose(1, 0, 2))
+        _rows_done(out, dst, epilogue)
+        return cols
+
+    return rows
+
+
+def _depthwise_taps(source, shape, taps, kernel, stride, pad, dtype, epilogue):
+    """The depthwise conv of an (n, h, w, c) input, `shape` = (n, h, w), whose rows `source`
+    writes in `dtype`, as a row source like `_conv_columns`'s: per call, one multiply-add per
+    row of `taps` (k*k, c) over the `_band_reader` band, in cache, then `epilogue`."""
+    read = _band_reader(source, shape, taps.shape[1], kernel, stride, pad, dtype)
+    out_dtype = np.result_type(dtype, taps)
+    buffers = {}
+
+    def rows(dst, i, lo, hi):
+        part = _windows(read(i, len(dst), lo, hi - lo), kernel, stride)
+        out = _rows_out(dst, buffers, out_dtype)
+        tmp = _grown(buffers, "tap", out.size, out_dtype).reshape(out.shape)
+        np.multiply(part[:, :, :, 0, 0], taps[0], out=out)
+        for t in range(1, kernel * kernel):
+            out += np.multiply(part[:, :, :, t // kernel, t % kernel], taps[t], out=tmp)
+        _rows_done(out, dst, epilogue)
+
+    return rows
 
 
 def _pointwise(x, w, epilogue):
@@ -265,29 +415,26 @@ def _pointwise(x, w, epilogue):
     return out.reshape(n, h, wd, oc), backward
 
 
+def _out_extent(size, kernel, stride, pad):
+    return (size + 2 * pad - kernel) // stride + 1
+
+
 def _depthwise(x, w, stride, pad, epilogue):
-    """Depthwise convolution: one multiply-add per kernel tap over (n, oh, ow, c) maps, in
-    the chunks `_chunk_shape` plans for `_COL_BUDGET`, so each chunk's taps add up in cache.
-    It keeps no columns, so it streams with a graph recorded too."""
+    """Depthwise convolution: `_depthwise_taps` from `x`'s rows, in the chunks `_fill` plans, so
+    each chunk's taps add up in cache. It keeps no columns, so it streams with
+    a graph recorded too; the weight gradient reads the windows of a bordered copy of `x`."""
     c, k = w.shape[0], w.shape[2]
-    windows = _windows(_nhwc(x.data, pad), k, stride)
-    n, oh, ow = windows.shape[:3]
+    n, _, h, wd = x.shape
     taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)
-    out = np.empty((n, oh, ow, c), np.result_type(windows, taps))
-    images, rows = _chunk_shape(windows.shape, windows.itemsize, _COL_BUDGET)
-    buf = np.empty(min(images, n) * min(rows, oh) * ow * c, out.dtype)
-    for i in range(0, n, images):
-        for r in range(0, oh, rows):
-            part = windows[i : i + images, r : r + rows]
-            dst = out[i : i + images, r : r + rows]
-            tmp = buf[: dst.size].reshape(dst.shape)
-            np.multiply(part[:, :, :, 0, 0], taps[0], out=dst)
-            for t in range(1, k * k):
-                dst += np.multiply(part[:, :, :, t // k, t % k], taps[t], out=tmp)
-            epilogue.apply(dst)
+    xd = x.data.transpose(0, 2, 3, 1)
+    out = np.empty((n, _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad), c),
+                   np.result_type(xd, taps))
+    _fill(_depthwise_taps(_array_source(xd), (n, h, wd), taps, k, stride, pad, xd.dtype, epilogue),
+          out, k, c, xd.itemsize)
 
     def backward(grad):
         if w.requires_grad:
+            windows = _windows(_nhwc(x.data, pad), k, stride)
             gw = np.empty_like(taps)
             for t in range(k * k):
                 gw[t] = np.einsum("nhwc,nhwc->c", grad, windows[:, :, :, t // k, t % k])
@@ -355,7 +502,7 @@ def _scatter_tiles(y, out):
 
 
 def _array_source(x):
-    """A `_winograd_conv` source that copies its rows from `x` (n, h, w, c)."""
+    """A row source (`_winograd_conv`, `_band_reader`) that copies its rows from `x` (n, h, w, c)."""
     return lambda dst, i, lo, hi: np.copyto(dst, x[i : i + len(dst), lo:hi])
 
 
@@ -378,13 +525,14 @@ def _winograd_conv(source, sink, shape, weight, dtype, epilogue, tiles=None):
     output tiles y (4, 4, m, nb, tw, oc), after the epilogue, for output rows from r of images
     from i; `_array_sink` scatters them into an array. `y` is overwritten by the next chunk.
 
-    Per chunk (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
-    images, or a band of tile rows of one image): the rows are written into the buffer, its
-    6x6 `_windows` 4 apart copied out as tiles, and three GEMMs run the input transform, the
+    Per chunk (`_chunks` of the plan `_chunk_shape` makes of the transformed tiles for
+    `_WINOGRAD_BUDGET` bytes: whole images, or a band of tile rows of one image), the band
+    loop's `_band_reader` writes the rows into its zero-bordered buffer, carrying the two rows
+    consecutive bands of one image share, so the source is asked for each row once. The band's
+    6x6 `_windows` 4 apart are copied out as tiles, and three GEMMs run the input transform, the
     36 channel products and the output transform. The shift is added to the products at
-    `_WINOGRAD_ONES` and the ReLU clamps each chunk before the sink. Consecutive bands of one
-    image share two input rows, which the band below takes from the band above's buffer, so
-    the source is asked for each row once. The transformed tiles V = Bt d B are written to
+    `_WINOGRAD_ONES` and the ReLU clamps each chunk before the sink. The im2col and depthwise
+    kernels read their bands through the same loop. The transformed tiles V = Bt d B are written to
     `tiles` (36, n*th*tw, c) when given, in (n, th, tw) order. The filter transform is
     recomputed each call, so never stale.
     """
@@ -397,43 +545,29 @@ def _winograd_conv(source, sink, shape, weight, dtype, epilogue, tiles=None):
     images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), np.dtype(dtype).itemsize,
                                 _WINOGRAD_BUDGET)
     images = min(images, n)
-    take = _scratch if tiles is not None else lambda role, size, dtype: np.empty(size, dtype)
-    padded = take("padded", images * (4 * band + 2) * (4 * tw + 2) * c, dtype).reshape(
-        images, 4 * band + 2, 4 * tw + 2, c)
-    padded[:, :, 0] = 0
-    padded[:, :, w + 1 :] = 0
+    take = _scratch if tiles is not None else _fresh
+    read = _band_reader(source, shape, c, 3, 1, 1, dtype, width=4 * tw + 2, take=take,
+                        largest=(images, 4 * min(band, th)))
     # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
     ping = take("ping", 36 * max(c, oc) * images * band * tw, dtype)
     pong = take("pong", len(ping), dtype)
-    for i in range(0, n, images):
-        for t in range(0, th, band):
-            m, nb = min(images, n - i), min(band, th - t)
-            r, rows, p = 4 * t, 4 * nb + 2, m * nb * tw
-            # padded row j holds input row r - 1 + j; rows outside the input are zero
-            lo, hi = max(r - 1, 0), min(r + 4 * nb + 1, h)
-            top, bottom = lo - r + 1, hi - r + 1
-            if t:  # input rows r - 1 and r are the band above's last two (a band is one image)
-                padded[:1, :2] = padded[:1, 4 * band :]
-                lo, top = r + 1, 2
-            else:
-                padded[:, :top] = 0
-            if lo < hi:
-                source(padded[:m, top:bottom, 1 : w + 1], i, lo, hi)
-            padded[:, bottom:rows] = 0
-            d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
-            np.copyto(d, _windows(padded[:m, :rows], 6, 4).transpose(3, 4, 0, 1, 2, 5))
-            start = (i * th + t) * tw
-            v = pong[: 36 * p * c].reshape(36, p, c) if tiles is None else tiles[:, start : start + p]
-            np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c, copy=False))
-            prod = ping[: 36 * p * oc].reshape(36, p, oc)
-            np.matmul(v, u.transpose(0, 2, 1), out=prod)
-            if epilogue.shift is not None:
-                prod[_WINOGRAD_ONES] += epilogue.shift
-            y = pong[: 16 * p * oc].reshape(16, p * oc)
-            np.matmul(ka, prod.reshape(36, p * oc), out=y)
-            if epilogue.relu:
-                np.maximum(y, 0, out=y)
-            sink(y.reshape(4, 4, m, nb, tw, oc), i, r)
+    for i, m, r, rows in _chunks(n, 4 * th, images, 4 * band):
+        nb = rows // 4
+        p = m * nb * tw
+        d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
+        np.copyto(d, _windows(read(i, m, r, rows), 6, 4).transpose(3, 4, 0, 1, 2, 5))
+        start = (i * th + r // 4) * tw
+        v = pong[: 36 * p * c].reshape(36, p, c) if tiles is None else tiles[:, start : start + p]
+        np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c, copy=False))
+        prod = ping[: 36 * p * oc].reshape(36, p, oc)
+        np.matmul(v, u.transpose(0, 2, 1), out=prod)
+        if epilogue.shift is not None:
+            prod[_WINOGRAD_ONES] += epilogue.shift
+        y = pong[: 16 * p * oc].reshape(16, p * oc)
+        np.matmul(ka, prod.reshape(36, p * oc), out=y)
+        if epilogue.relu:
+            np.maximum(y, 0, out=y)
+        sink(y.reshape(4, 4, m, nb, tw, oc), i, r)
 
 
 # The two parts of a 6-wide tile along one axis, for the recorded path's overlap-add:
@@ -515,18 +649,19 @@ def _scatter_taps(tap_grads, x_shape, k, stride, pad, dtype):
     return np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + w]).transpose(0, 3, 1, 2)
 
 
-def _im2col(x, w, stride, pad, groups, epilogue, budget):
-    """Any other convolution: `_conv_columns` over the k x k windows of `x`, streamed for a
-    `budget` or kept whole for the weight gradient; the input gradient is `_scatter_taps`."""
+def _im2col(x, w, stride, pad, groups, epilogue, recorded):
+    """Any other convolution: `_conv_columns` from `x`'s rows, filled chunk by chunk (`_fill`),
+    or, with a graph `recorded`, in one chunk whose columns the weight gradient keeps; the
+    input gradient is `_scatter_taps`."""
     oc, cg, k = w.shape[:3]
-    # an NCHW input (an image) is bordered in its own order: see `_conv_columns`
-    last = x.data.transpose(0, 2, 3, 1).flags.c_contiguous
-    xp = _nhwc(x.data, pad) if last else np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = _windows(xp if last else xp.transpose(0, 2, 3, 1), k, stride)
-    n, oh, ow = windows.shape[:3]
+    n, c, h, wd = x.shape
+    xd = x.data.transpose(0, 2, 3, 1)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(groups, oc // groups, k * k * cg)
-    out = np.empty((n, oh, ow, oc), np.result_type(windows, w_mat))
-    cols = _conv_columns(windows, w_mat, out, budget, epilogue)
+    oh, ow = _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad)
+    out = np.empty((n, oh, ow, oc), np.result_type(xd, w_mat))
+    rows = _conv_columns(_array_source(xd), (n, h, wd), c, w_mat, k, stride, pad, xd.dtype,
+                         epilogue, _reads_nchw(x.data))
+    cols = _fill(rows, out, k, c, xd.itemsize, recorded)
 
     def backward(grad):
         gmat = grad.reshape(n * oh * ow, groups, oc // groups).transpose(1, 0, 2)
@@ -564,6 +699,20 @@ class Conv2d(Module):
         return ((self.kernel, self.stride, self.pad, self.groups) == (3, 1, 1, 1)
                 and self.in_c >= _WINOGRAD_MIN_CHANNELS and min(h, w) >= 4 and max(h, w) > 4)
 
+    @property
+    def depthwise(self):
+        return self.groups > 1 and self.groups == self.in_c == self.out_c
+
+    def _folded(self, _epilogue, recorded=False):
+        """(weight tensor, `_Epilogue`): the bias as the epilogue, or a no-grad caller's
+        `_epilogue` with its scale folded into the weights."""
+        w, b = self.weight, self.bias
+        if _epilogue is None:
+            return w, _Epilogue(None, None if b is None else b.data, False)
+        if recorded or b is not None:
+            raise ContractError("an epilogue stands in for the bias of a no-grad conv")
+        return Tensor(w.data * _epilogue.scale[:, None, None, None]), _epilogue
+
     def forward(self, x, _epilogue=None):
         """Convolve `x` into a fresh array. A no-grad caller may pass an `_Epilogue`
         that stands in for the bias (`ConvBnRelu` passes its eval batch norm and
@@ -575,20 +724,15 @@ class Conv2d(Module):
         k, s, p, g = self.kernel, self.stride, self.pad, self.groups
         dtype = np.result_type(*(t.data.dtype for t in parents))
         recorded = records_graph(parents)
-        if _epilogue is None:
-            epilogue = _Epilogue(None, None if b is None else b.data, False)
-        elif recorded or b is not None:
-            raise ContractError("an epilogue stands in for the bias of a no-grad conv")
-        else:  # its scale is folded into the weights
-            epilogue, w = _epilogue, Tensor(w.data * _epilogue.scale[:, None, None, None])
+        w, epilogue = self._folded(_epilogue, recorded)
         if self.takes_winograd(*x.shape[2:]):
             out, backward = _winograd(x, w, dtype, epilogue, recorded)
-        elif g > 1 and g == self.in_c == self.out_c:
+        elif self.depthwise:
             out, backward = _depthwise(x, w, s, p, epilogue)
         elif (k, s, p, g) == (1, 1, 0, 1):
             out, backward = _pointwise(x, w, epilogue)
         else:  # recorded convs keep their whole columns for the weight gradient
-            out, backward = _im2col(x, w, s, p, g, epilogue, None if recorded else _COL_BUDGET)
+            out, backward = _im2col(x, w, s, p, g, epilogue, recorded)
 
         def node_backward(grad):  # the kernel's backward takes x and w
             gd = _nhwc(grad)
@@ -597,6 +741,24 @@ class Conv2d(Module):
             backward(gd)
 
         return _make(out.transpose(0, 3, 1, 2), parents, node_backward)
+
+    def rows(self, source, shape, dtype, channels_first, _epilogue=None):
+        """This conv with no graph as a row source of its (n, oh, ow, out_c) output, for an
+        (n, in_c, h, w) input, `shape` = (n, h, w), whose rows `source` writes in `dtype`
+        (`_winograd_conv` states the contract): `rows(dst, i, lo, hi)` writes output rows
+        [lo, hi) of images [i, i + len(dst)) into `dst`. Asked band after band, it asks
+        `source` for each input row once. `channels_first` bands the input in NCHW order, as
+        `forward` bands an image. An im2col (`_conv_columns`) or depthwise (`_depthwise_taps`)
+        conv only: the caller checks that `forward` would take neither Winograd nor the 1x1
+        GEMM. `_epilogue` is `forward`'s."""
+        w, epilogue = self._folded(_epilogue)
+        k, s, p, g = self.kernel, self.stride, self.pad, self.groups
+        if self.depthwise:
+            taps = np.ascontiguousarray(w.data.reshape(g, k * k).T)
+            return _depthwise_taps(source, shape, taps, k, s, p, dtype, epilogue)
+        w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, self.out_c // g, k * k * self.in_c // g)
+        return _conv_columns(source, shape, self.in_c, w_mat, k, s, p, dtype, epilogue,
+                             channels_first)
 
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape
@@ -883,6 +1045,13 @@ class ReLU(Module):
         return math.prod(out_shape)
 
 
+def _bn_relu(bn):
+    """`bn` in eval mode, then a ReLU, as a no-grad conv's `_Epilogue`, read afresh each call
+    (`BatchNorm2d.eval_affine`)."""
+    _, scale, shift = bn.eval_affine()
+    return _Epilogue(scale, shift, True)
+
+
 class ConvBnRelu(Module):
     """Bias-free 3x3 conv (pad 1) + batch norm + ReLU: the backbone's stage
     block and the decoder's smoothing block.
@@ -905,14 +1074,20 @@ class ConvBnRelu(Module):
         if bn.training or records_graph((x, conv.weight, bn.scale, bn.shift)):
             return _batch_norm(bn, conv(x), relu=True)
         # eval with no graph: batch norm and ReLU run as the conv's epilogue
-        _, scale, shift = bn.eval_affine()
-        return conv(x, _epilogue=_Epilogue(scale, shift, True))
+        return conv(x, _epilogue=_bn_relu(bn))
 
     def bands(self, source, sink, shape, dtype):
         """The eval block with no graph on an (n, c, h, w) input, `shape` = (n, h, w), whose
         rows `source` writes in `dtype`, with each band of output handed to `sink`: one
         `_winograd_conv` with the epilogue and folded weights `forward` gives `Conv2d`, so the
         bands have `forward`'s bits. The caller checks `conv.takes_winograd(h, w)`."""
-        _, scale, shift = self.bn.eval_affine()
-        _winograd_conv(source, sink, shape, self.conv.weight.data * scale[:, None, None, None],
-                       np.result_type(dtype, self.conv.weight.dtype), _Epilogue(scale, shift, True))
+        epilogue = _bn_relu(self.bn)
+        _winograd_conv(source, sink, shape, self.conv.weight.data * epilogue.scale[:, None, None, None],
+                       np.result_type(dtype, self.conv.weight.dtype), epilogue)
+
+    def rows(self, source, shape, dtype, channels_first):
+        """The eval block with no graph as a row source (`Conv2d.rows`) of its im2col conv with
+        `forward`'s epilogue and folded weights, so its rows have `forward`'s bits once a chunk
+        asks for them (`model.Backbone` chains its stem so). The caller checks that the conv
+        does not take Winograd."""
+        return self.conv.rows(source, shape, dtype, channels_first, _epilogue=_bn_relu(self.bn))

@@ -2,10 +2,12 @@
 context head over the concatenated stages, an FPN-style decoder, and a
 training-only embedding head.
 
-With no graph recorded, the decoder runs each level whose smoothing conv takes
-Winograd as one banded kernel (`FpnDecoder.forward`), so its merges and the
-stride-4 features are never whole maps; `FpnDecoder.compose` is the same
-decoder as a plain composition of modules, with the same bits.
+With no graph recorded, the backbone chains its two stem blocks as row sources
+(`Backbone.forward`), so the stride-2 map is never whole, and the decoder runs
+each level whose smoothing conv takes Winograd as one banded kernel
+(`FpnDecoder.forward`), so its merges and the stride-4 features are never whole
+maps. `Backbone.compose` and `FpnDecoder.compose` are the same modules as plain
+compositions, with the same bits.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from .layers import (
     ConvBnRelu,
     Module,
     _array_sink,
+    _array_source,
+    _fill,
     _merge_source,
     _pointwise_sink,
+    _reads_nchw,
     bilinear_upsample,
 )
 from .refine import FeaturePyramid, FeatureRefineHead
@@ -40,7 +45,14 @@ from .tensor import (
 
 
 class Backbone(Module):
-    """Stem at stride 4 plus three downsampling stages (conv3x3+BN+ReLU)."""
+    """Stem at stride 4 plus three downsampling stages (conv3x3+BN+ReLU).
+
+    `compose` is the backbone as the plain composition of its modules. `forward` computes the
+    same bits; with no graph recorded, in eval, it chains the two stride-2 stem blocks as row
+    sources (`ConvBnRelu.rows`): each band of `stem_b` asks `stem_a`'s kernel for the rows of
+    the stride-2 map it needs, and `stem_a` reads its rows from the NCHW image. So neither the
+    stride-2 map nor a bordered copy of the image is ever whole; each is held a band at a
+    time, in the band loop's buffers."""
 
     def __init__(self, channels, rng=None):
         super().__init__()
@@ -72,11 +84,42 @@ class Backbone(Module):
             )
 
     def forward(self, image: Tensor) -> FeaturePyramid:
+        a, b = self.stem_a, self.stem_b
+        tensors = (image, *a.parameters(), *b.parameters())
+        # one dtype throughout, so each banded product runs in the dtype `compose` gives it
+        if (a.bn.training or b.bn.training or records_graph(tensors)
+                or len({t.dtype for t in tensors}) != 1):
+            return self.compose(image)
+        return self._stages(self._chained_stem(image))
+
+    def _chained_stem(self, image):
+        """f1 of the no-grad eval stem: `stem_b`'s rows, filled band by band, from a source that
+        runs `stem_a`'s kernel on the image's rows. The row sources and their band buffers die
+        on return."""
+        a, b = self.stem_a, self.stem_b
+        n, _, h, w = self._checked(image)
+        ha, wa = -(-h // 2), -(-w // 2)  # each stem block halves, rounding up
+        f1 = np.empty((n, -(-ha // 2), -(-wa // 2), b.conv.out_c), image.dtype)
+        stride2 = a.rows(_array_source(image.data.transpose(0, 2, 3, 1)), (n, h, w), image.dtype,
+                         _reads_nchw(image.data))
+        _fill(b.rows(stride2, (n, ha, wa), image.dtype, False), f1, 3, a.conv.out_c,
+              image.dtype.itemsize)
+        return Tensor(f1.transpose(0, 3, 1, 2))
+
+    def compose(self, image: Tensor) -> FeaturePyramid:
+        """`forward` as the plain composition of the backbone's modules, recorded or not.
+        `profiler.count_costs` counts the stem's costs through it."""
+        self._checked(image)
+        return self._stages(self.stem_b(self.stem_a(image)))
+
+    def _checked(self, image):
         n, c, h, w = image.shape
         if c != 3:
             raise ContractError(f"backbone expects Nx3xHxW, got {image.shape}")
         self.check_extents(h, w)
-        f1 = self.stem_b(self.stem_a(image))
+        return image.shape
+
+    def _stages(self, f1):
         f2 = self.stage2(self.stage2_down(f1))
         f3 = self.stage3(self.stage3_down(f2))
         f4 = self.stage4(self.stage4_down(f3))
@@ -234,11 +277,6 @@ def _read_header(f, path):
             k, _, v = line.partition("=")
             header[k] = v
     return header
-
-
-def read_checkpoint_header(path):
-    with open(path, "rb") as f:
-        return _read_header(f, path)
 
 
 def model_config_from_header(header):

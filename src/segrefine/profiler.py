@@ -8,8 +8,9 @@ records what ran. For that forward only, it wraps the `forward` (and, on a
 context head, the `context`) of every submodule instance, which records each
 call's output shape, and `layers._resample_op`, which records each resample's
 output elements; a `finally` takes the wrappers off. A module with a `compose`
-method (the FPN decoder, whose no-grad forward runs banded kernels instead of
-its submodules) is recorded through that plain composition of its submodules,
+method (the backbone and the FPN decoder, whose no-grad forwards run chained or
+banded kernels instead of some of their submodules) is recorded through that
+plain composition of its submodules,
 which computes the same output, so each submodule's calls are seen. A layer's
 row is its `flops(out_shape)` summed over its recorded calls; a module that
 never ran (the embedding head at inference) has no row. Each resample is

@@ -17,7 +17,7 @@ from segrefine import tensor as T
 from segrefine.cli import main
 from segrefine.config import ModelConfig, RunConfig, TrainConfig, _field_map
 from segrefine.datagen import load_pgm, read_manifest, save_pgm
-from segrefine.model import SegModel, read_checkpoint_header, save_checkpoint
+from segrefine.model import SegModel, load_checkpoint, save_checkpoint
 from segrefine.tensor import save_tensor_file
 
 TINY_NET = [
@@ -110,7 +110,7 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--data", data, "--out", str(out)]) == 0
         assert (out / "checkpoint.srcp").exists()
-        header = read_checkpoint_header(out / "checkpoint.srcp")
+        header = load_checkpoint(out / "checkpoint.srcp")[1]
         assert header["iteration"] == "2"
         assert header["num_classes"] == "3"  # adopted from the dataset
         lines = (out / "metrics.csv").read_text().splitlines()
@@ -127,7 +127,7 @@ class TestTrainEval:
         out2 = tmp_path / "resumed"
         assert main(["train", "--config", longer, "--data", data, "--out", str(out2),
                      "--checkpoint", str(out / "checkpoint.srcp")]) == 0
-        assert read_checkpoint_header(out2 / "checkpoint.srcp")["iteration"] == "4"
+        assert load_checkpoint(out2 / "checkpoint.srcp")[1]["iteration"] == "4"
         assert "final_iteration=4" in (out2 / "summary.txt").read_text()
 
     def test_non_finite_loss_stops_training(self, tmp_path, capsys, monkeypatch):
@@ -160,7 +160,7 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--data", data, "--out", str(out),
                      "--context-head", "ppm"]) == 0
-        assert read_checkpoint_header(out / "checkpoint.srcp")["context_head"] == "ppm"
+        assert load_checkpoint(out / "checkpoint.srcp")[1]["context_head"] == "ppm"
 
     def test_eval_reports_per_class_and_mean(self, tmp_path, capsys):
         data = make_dataset(tmp_path)
@@ -230,15 +230,23 @@ def _scaled_winograd(fused, banded=False):
     return fault
 
 
-def _scaled_columns(recorded, fused):
+def _scaled_columns(recorded, fused, rows=False):
     """A fault in im2col convs that record a graph (or not), with (or without) a ReLU
-    epilogue."""
+    epilogue, run by their own forward (`_im2col`), or (`rows`) as a row source by
+    `Conv2d.rows`."""
     def fault(fn):
-        def broken(windows, w_mat, out, budget=None, epilogue=None):
-            cols = fn(windows, w_mat, out, budget, epilogue)
-            if T._GRAD_ENABLED == recorded and bool(epilogue and epilogue.relu) == fused:
-                out *= 1.001
-            return cols
+        def broken(*args):
+            epilogue = args[8]
+            by_rows = sys._getframe(1).f_code.co_name == "rows"
+            hit = T._GRAD_ENABLED == recorded and epilogue.relu == fused and by_rows == rows
+            columns = fn(*args)
+
+            def scaled(dst, i, lo, hi):
+                cols = columns(dst, i, lo, hi)
+                dst *= 1.001
+                return cols
+
+            return scaled if hit else columns
 
         return broken
 
@@ -273,6 +281,8 @@ PATH_FAULTS = [
     ("winograd conv + bn relu epilogue, row source", "_winograd_conv",
      _scaled_winograd(True, True)),
     ("banded resampling", "resample", _scaled_output),
+    ("im2col and depthwise conv + bn relu epilogue, chained row source", "_conv_columns",
+     _scaled_columns(False, True, rows=True)),
 ]
 # the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults
 # fail it too
@@ -310,7 +320,9 @@ class TestChecksAndBench:
         lines = {}
         for line in capsys.readouterr().out.splitlines()[1:]:
             lines[line.removeprefix("max deviation of ").split(" vs ")[0]] = line
-        assert list(lines) == [row.label for row in gradcheck.ORACLE_ROWS] + ["banded resampling"]
+        labels = [row.label for row in gradcheck.ORACLE_ROWS]
+        labels.insert(gradcheck.ROWS_BEFORE_RESAMPLING, "banded resampling")
+        assert list(lines) == labels
         failing = {label, ALSO_FAILS.get(label)}
         for row_label, line in lines.items():  # the fault fails the rows that run its path only
             assert line.endswith("FAIL" if row_label in failing else "ok"), line

@@ -192,6 +192,9 @@ ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 BLOCK_ROW = "recorded conv + bn relu"
 # the oracle row of an eval ConvBnRelu run by `ConvBnRelu.bands`, as the decoder's levels run
 BANDED_ROW = "winograd conv + bn relu epilogue, row source"
+# the oracle row of a conv run as a row source by `Conv2d.rows`, as the backbone's stem
+# blocks run chained (`ConvBnRelu.rows`)
+CHAINED_ROW = "im2col and depthwise conv + bn relu epilogue, chained row source"
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
 RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                        "recorded conv gradients")
@@ -199,8 +202,9 @@ RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv g
 
 def _spy_conv_paths(monkeypatch):
     """The oracle row label of every `Conv2d.forward` call, None where none maps,
-    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu` and
-    `BANDED_ROW` for every `ConvBnRelu.bands` call.
+    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`,
+    `BANDED_ROW` for every `ConvBnRelu.bands` call and `CHAINED_ROW` for every
+    `Conv2d.rows` call.
 
     Spies on `records_graph` and on the functions that compute a forward, and
     counts only their outermost calls made inside `Conv2d.forward`. No backward
@@ -244,29 +248,37 @@ def _spy_conv_paths(monkeypatch):
             rows.append(BLOCK_ROW)
         return batch_norm(bn, x, relu)
 
-    bands = ConvBnRelu.bands
+    bands, conv_rows = ConvBnRelu.bands, Conv2d.rows
 
     def spy_bands(self, *args):
         rows.append(BANDED_ROW)
         return bands(self, *args)
+
+    def spy_rows(self, *args, **kwargs):
+        rows.append(CHAINED_ROW)
+        return conv_rows(self, *args, **kwargs)
 
     for name in {"records_graph"} | {key[0] for key in _PATH_ROWS}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
     monkeypatch.setattr(layers, "_batch_norm", spy_batch_norm)
     monkeypatch.setattr(ConvBnRelu, "bands", spy_bands)
+    monkeypatch.setattr(Conv2d, "rows", spy_rows)
     return rows
 
 
 def _check_oracle_row(row, dtype, rng, monkeypatch):
     """`row` is within its bound in `dtype`, and every case of it took its path: for
-    `BLOCK_ROW`, a recorded Winograd or im2col conv and then the batch norm + ReLU op."""
+    `BLOCK_ROW`, a recorded Winograd or im2col conv and then the batch norm + ReLU op; for
+    `CHAINED_ROW`, the conv's rows alone, then chained into the stride-2 block's."""
     paths = _spy_conv_paths(monkeypatch)
     assert gradcheck.oracle_deviation(row, dtype, rng) <= row.bounds[dtype]
     cases = len(row.cases())
     if row.label == BLOCK_ROW:
         assert len(paths) == 2 * cases and paths[1::2] == [BLOCK_ROW] * cases
         assert set(paths[::2]) == {"recorded winograd conv gradients", "recorded conv gradients"}
+    elif row.label == CHAINED_ROW:
+        assert paths == [CHAINED_ROW] * 3 * cases
     else:
         assert paths == [row.label] * cases
 
@@ -331,13 +343,20 @@ class TestRecordedConv:
         assert calls == ([] if pointwise else [("scatter", ((2, 4, 6, 5), kernel, stride, pad))])
 
     def test_folded_columns_hold_the_whole_batch(self, rng):
-        x = layers._nhwc(rng.standard_normal((3, 4, 5, 6)).astype(np.float32), 1)
+        x = layers._nhwc(rng.standard_normal((3, 4, 5, 6)).astype(np.float32))
         w_mat = rng.standard_normal((2, 3, 18)).astype(np.float32)
+        epilogue = layers._Epilogue(None, None, False)
+
+        def columns():
+            return layers._conv_columns(layers._array_source(x), (3, 5, 6), 4, w_mat, 3, 1, 1,
+                                        np.float32, epilogue, False)
+
         out = np.empty((3, 5, 6, 6), np.float32)
-        cols = layers._conv_columns(layers._windows(x, 3, 1), w_mat, out)
+        cols = layers._fill(columns(), out, 3, 4, 4, whole=True)
         assert cols.shape == (2, 3 * 5 * 6, 18) and cols.flags.c_contiguous
-        want = np.empty_like(out)  # streamed one output row at a time
-        layers._conv_columns(layers._windows(x, 3, 1), w_mat, want, budget=1)
+        want = np.empty_like(out)  # asked for one output row at a time
+        for i, _, r, _ in layers._chunks(3, 5, 1, 1):
+            columns()(want[i : i + 1, r : r + 1], i, r, r + 1)
         np.testing.assert_allclose(out, want, rtol=1e-6, atol=1e-6)
 
 
@@ -490,6 +509,71 @@ class TestBandedConvBnRelu:
         with no_grad():
             block.bands(source, layers._array_sink(out), (1, 8, 8), np.float32)
         assert len(alive) == 1
+
+
+def _growing_bands(oh):
+    """(r, nb) of bands of 1, 2, 4, ... output rows: each band outgrows the buffer before it."""
+    r, nb = 0, 1
+    while r < oh:
+        yield r, min(nb, oh - r)
+        r, nb = r + nb, 2 * nb
+
+
+class TestRowSources:
+    """`Conv2d.rows` runs an im2col or depthwise conv with no graph as a row source: asked band
+    after band, it asks its source for each input row its windows read, and for no row twice,
+    and its rows match `forward`'s."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(in_c=3, out_c=5, kernel=3, stride=2, pad=1),
+        dict(in_c=4, out_c=6, kernel=3, pad=1, groups=2),
+        dict(in_c=4, out_c=5, kernel=3),
+        dict(in_c=4, out_c=5, kernel=1, stride=2),  # bands share no rows; odd rows go unread
+        dict(in_c=4, out_c=4, kernel=3, stride=2, pad=1, groups=4),
+    ], ids=["stride2", "grouped", "pad0", "1x1-stride2", "depthwise"])
+    @pytest.mark.parametrize("bands", ["whole-images", "one-row", "three-rows", "growing"])
+    @pytest.mark.parametrize("nchw", [True, False], ids=["nchw", "channels-last"])
+    def test_asks_for_each_row_once_and_matches_forward(self, rng, kwargs, bands, nchw):
+        conv = Conv2d(rng=rng, **kwargs).cast(np.float64)
+        conv.bias.data = rng.standard_normal(conv.out_c)
+        n, h, w, c = 2, 11, 9, conv.in_c
+        x = rng.standard_normal((n, c, h, w) if nchw else (n, h, w, c))
+        x = x if nchw else x.transpose(0, 3, 1, 2)
+        xd, asked = x.transpose(0, 2, 3, 1), np.zeros((n, h), int)
+
+        def source(dst, i, lo, hi):
+            asked[i : i + len(dst), lo:hi] += 1
+            np.copyto(dst, xd[i : i + len(dst), lo:hi])
+
+        with no_grad():
+            want = conv(Tensor(x)).data.transpose(0, 2, 3, 1)
+            rows = conv.rows(source, (n, h, w), np.float64, nchw)
+        got, oh = np.full_like(want, np.nan), want.shape[1]
+        if bands == "whole-images":
+            chunks = [(0, n, 0, oh)]
+        elif bands == "growing":
+            chunks = [(i, 1, r, nb) for i in range(n) for r, nb in _growing_bands(oh)]
+        else:
+            chunks = layers._chunks(n, oh, 1, {"one-row": 1, "three-rows": 3}[bands])
+        for i, m, r, nb in chunks:
+            rows(got[i : i + m, r : r + nb], i, r, r + nb)
+        k, s, p = conv.kernel, conv.stride, conv.pad
+        read = np.zeros(h, int)  # 1 where some window reads the input row
+        for r in range(oh):
+            read[max(r * s - p, 0) : r * s - p + k] = 1
+        assert (asked <= 1).all() and (asked >= read).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_writes_through_a_buffer_into_a_strided_band(self, rng):
+        conv = Conv2d(4, 6, 3, stride=2, pad=1, rng=rng)
+        x = rng.standard_normal((1, 9, 9, 4)).astype(np.float32)
+        with no_grad():
+            want = conv(Tensor(x.transpose(0, 3, 1, 2))).data.transpose(0, 2, 3, 1)
+            rows = conv.rows(layers._array_source(x), (1, 9, 9), np.float32, False)
+        band = np.zeros((1, 5, 7, 6), np.float32)  # a zero-bordered band of the next conv
+        rows(band[:, :, 1:6], 0, 0, 5)
+        np.testing.assert_allclose(band[:, :, 1:6], want, rtol=1e-6, atol=1e-6)
+        assert not band[:, :, [0, 6]].any()
 
 
 class TestInPlaceConvBnRelu:
@@ -773,11 +857,13 @@ class TestOracleTable:
         assert set(trained) == {"recorded conv gradients", "recorded winograd conv gradients",
                                 "recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                                 BLOCK_ROW}
-        # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue, and the
-        # decoder's smoothing blocks run banded from the merge's rows
+        # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue, the stem's
+        # two blocks run chained as row sources and the decoder's smoothing blocks run
+        # banded from the merge's rows
         assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
-                              "im2col conv + bn relu epilogue", BANDED_ROW}
-        assert set(_PATH_ROWS.values()) | {BLOCK_ROW, BANDED_ROW} == set(ORACLE_ROWS)
+                              "im2col conv + bn relu epilogue", BANDED_ROW, CHAINED_ROW}
+        assert paths.count(CHAINED_ROW) == 2
+        assert set(_PATH_ROWS.values()) | {BLOCK_ROW, BANDED_ROW, CHAINED_ROW} == set(ORACLE_ROWS)
 
 
 class TestChannelsLast:

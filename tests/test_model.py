@@ -16,7 +16,6 @@ from segrefine.model import (
     SegModel,
     load_checkpoint,
     model_config_from_header,
-    read_checkpoint_header,
     save_checkpoint,
 )
 from segrefine.baselines import PpmHead
@@ -75,6 +74,44 @@ class TestBackbone:
         with pytest.raises(ContractError):
             b(Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32)))
 
+
+    @pytest.mark.parametrize("budget", ["default", "three-row-bands"])
+    def test_no_grad_stem_runs_chained_with_the_composition_bits(self, rng, monkeypatch, budget):
+        if budget != "default":  # stem_b's chunks are bands of three output rows
+            monkeypatch.setattr(layers, "_COL_BUDGET", 3 * 9 * 8 * 24 * 4)
+        b = Backbone((8, 16, 32, 64), rng=rng).eval()
+        seeded_buffers(b, rng)
+        image = Tensor(rng.standard_normal((2, 3, 61, 93)).astype(np.float32))  # ragged halves
+        calls = record_calls(monkeypatch, (b.stem_a, b.stem_b), ("forward", "rows"))
+        with no_grad():
+            got = b(image)
+            assert [method for method, _ in calls] == ["rows", "rows"]
+            calls.clear()
+            want = b.compose(image)
+        assert [method for method, _ in calls] == ["forward", "forward"]
+        assert got.f1.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        for a, c in zip(got.stages(), want.stages()):
+            np.testing.assert_array_equal(a.data, c.data)  # bit for bit
+
+    def test_no_grad_stem_never_holds_the_stride_2_map(self, rng, monkeypatch):
+        # the paper's 1024x2048: stem_a's whole output would be 33.5 MB; chained, the
+        # backbone peaks in stage4's Winograd temporaries (24.5 MB measured, 2-core Xeon,
+        # numpy 2.4), and at 73.1 MB with the stride-2 map and its bordered copy whole
+        b = Backbone(ModelConfig().channels, rng=rng).eval()
+        image = Tensor(rng.standard_normal((1, 3, 1024, 2048)).astype(np.float32))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                b(image)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < b.stem_a.conv.out_c * 512 * 1024 * 4
+        # a recorded forward runs stem_a and then stem_b through their modules
+        calls = record_calls(monkeypatch, (b.stem_a, b.stem_b), ("forward", "rows"))
+        b(Tensor(image.data[:, :, :64, :64]))
+        assert [(method, args[0].shape[1]) for method, args in calls] == [("forward", 3),
+                                                                          ("forward", 16)]
 
     def test_extent_rule_matches_the_pyramid_check(self, rng):
         b = Backbone((1, 1, 1, 1), rng=rng)
@@ -288,7 +325,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         assert raw[4:8] == len(text).to_bytes(4, "little")
         assert raw[8 : 8 + len(text)] == text
-        header = read_checkpoint_header(path)
+        header = load_checkpoint(path)[1]
         assert model_config_from_header(header) == replace(TOY, context_head="ppm")
 
     @pytest.mark.parametrize("key, value", [
