@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Memory and latency of one no-grad forward, measured in-process.
+"""Memory and latency of one no-grad forward, and of `SegModel.predict`, measured in-process.
 
 For each context head (frm, ppm, dappm) and input shape (1x3x512x1024 and
-8x3x256x256 by default), a fresh Python process builds the seeded default model
-(5 classes) in eval mode, runs one warm-up forward, then times `--repeats`
-forwards and prints, per forward:
+8x3x256x256 by default), and for each call (`forward`: the no-grad forward's
+logits; `predict`: `SegModel.predict`'s class mask, built from the stride-4
+logits by bands), a fresh Python process builds the seeded default model
+(`--classes` classes, 5 by default) in eval mode, runs one warm-up call, then
+times `--repeats` calls and prints, per call:
 
   p50_ms      median wall time (perf_counter)
-  maxrss_mb   ru_maxrss of the process after the timed forwards
-  traced_mb   tracemalloc peak of one more forward, above what was live before it
+  maxrss_mb   ru_maxrss of the process after the timed calls
+  traced_mb   tracemalloc peak of one more call, above what was live before it
   minflt      median minor page faults (ru_minflt)
 
 Each case runs in its own process, so ru_maxrss is that case's alone. BLAS runs on
@@ -32,7 +34,7 @@ current_mb the figure after its last call. stem_b's calls run stem_a's, so
 stem_b's line covers stem_a's. Usage:
 
   PYTHONPATH=src python3 scripts/infer_memory.py [--repeats N] [--heads frm ...]
-      [--shapes 1x3x512x1024 ...] [--modules]
+      [--shapes 1x3x512x1024 ...] [--calls forward predict] [--classes N] [--modules]
 """
 
 import argparse
@@ -44,17 +46,19 @@ import sys
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 HEADS = ("frm", "ppm", "dappm")
 SHAPES = ("1x3x512x1024", "8x3x256x256")
+CALLS = ("forward", "predict")
 
 
-def _case(head, shape):
-    """The seeded default model in eval mode and its no-grad forward on a seeded image."""
+def _case(head, shape, classes=5, call="forward"):
+    """The seeded default model in eval mode and one `call` of it on a seeded image: the
+    no-grad forward (its logits) or `SegModel.predict` (its class mask)."""
     import numpy as np
 
     from segrefine.config import ModelConfig
     from segrefine.model import SegModel
     from segrefine.tensor import Tensor, no_grad
 
-    model = SegModel(ModelConfig(num_classes=5, context_head=head),
+    model = SegModel(ModelConfig(num_classes=classes, context_head=head),
                      rng=np.random.default_rng(0)).eval()
     image = Tensor(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
 
@@ -62,43 +66,44 @@ def _case(head, shape):
         with no_grad():
             return model(image, train_mode=False)["logits"]
 
-    forward()  # builds the cached resample plans and transforms
-    return model, forward
+    run = forward if call == "forward" else lambda: model.predict(image)
+    run()  # builds the cached resample plans and transforms
+    return model, run
 
 
-def measure(head, shape, repeats):
-    """(p50 ms, ru_maxrss MB, tracemalloc peak MB, median minor faults) per forward."""
+def measure(head, shape, repeats, classes, call):
+    """(p50 ms, ru_maxrss MB, tracemalloc peak MB, median minor faults) per call."""
     import resource
     import time
     import tracemalloc
 
-    _, forward = _case(head, shape)
+    _, run = _case(head, shape, classes, call)
     times, faults = [], []
     for _ in range(repeats):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        forward()
+        run()
         times.append(time.perf_counter() - start)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        forward()
+        run()
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
     return (statistics.median(times) * 1e3, maxrss, peak / 2**20, statistics.median(faults))
 
 
-def trace_modules(head, shape):
+def trace_modules(head, shape, classes=5):
     """(path, current MB, peak MB, minor faults) per module call of one traced forward."""
     import resource
     import tracemalloc
 
     from segrefine.layers import ConvBnRelu
 
-    model, forward = _case(head, shape)
+    model, forward = _case(head, shape, classes)
     rows, start = [], [0]
     peaks = []  # the highest traced peak so far of each call now running, innermost last
 
@@ -164,42 +169,52 @@ def trace_modules(head, shape):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=5, help="timed forwards per case")
+    parser.add_argument("--repeats", type=int, default=5, help="timed calls per case")
     parser.add_argument("--heads", nargs="+", default=HEADS, choices=HEADS)
     parser.add_argument("--shapes", nargs="+", default=SHAPES, help="NxCxHxW input shapes")
+    parser.add_argument("--calls", nargs="+", default=CALLS, choices=CALLS,
+                        help="what each case times (--modules traces the forward only)")
+    parser.add_argument("--classes", type=int, default=5, help="num_classes of the model")
     parser.add_argument("--modules", action="store_true",
                         help="trace one forward module by module instead of timing")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.classes < 1:
+        parser.error("--classes must be at least 1")
     if args.one:  # a child: one case, its lines of numbers
         shape = tuple(int(v) for v in args.shapes[0].split("x"))
         if args.modules:
-            for path, current, peak, faults in trace_modules(args.heads[0], shape):
+            for path, current, peak, faults in trace_modules(args.heads[0], shape, args.classes):
                 print(f"{path:<32}{current:>12.1f}{peak:>9.1f}{faults:>8}")
         else:
-            print(" ".join(f"{v:.1f}" for v in measure(args.heads[0], shape, args.repeats)))
+            print(" ".join(f"{v:.1f}" for v in measure(args.heads[0], shape, args.repeats,
+                                                        args.classes, args.calls[0])))
         return
     env = {**os.environ, **BLAS_ENV}
     if args.modules:
         for shape in args.shapes:
             for head in args.heads:
                 done = subprocess.run([sys.executable, __file__, "--one", "--modules",
-                                       "--heads", head, "--shapes", shape],
+                                       "--heads", head, "--shapes", shape,
+                                       "--classes", str(args.classes)],
                                       env=env, capture_output=True, text=True, check=True)
                 print(f"# {head} {shape}")
                 print(f"{'module':<32}{'current_mb':>12}{'peak_mb':>9}{'minflt':>8}")
                 print(done.stdout, end="")
         return
-    print(f"{'head':<6}{'shape':>14}{'p50_ms':>10}{'maxrss_mb':>11}{'traced_mb':>11}{'minflt':>8}")
+    print(f"{'head':<6}{'shape':>14}{'call':>9}{'p50_ms':>10}{'maxrss_mb':>11}{'traced_mb':>11}"
+          f"{'minflt':>8}")
     for shape in args.shapes:
         for head in args.heads:
-            done = subprocess.run([sys.executable, __file__, "--one", "--repeats", str(args.repeats),
-                                   "--heads", head, "--shapes", shape],
-                                  env=env, capture_output=True, text=True, check=True)
-            p50, rss, traced, faults = done.stdout.split()
-            print(f"{head:<6}{shape:>14}{p50:>10}{rss:>11}{traced:>11}{faults:>8}")
+            for call in args.calls:
+                done = subprocess.run([sys.executable, __file__, "--one", "--repeats",
+                                       str(args.repeats), "--heads", head, "--shapes", shape,
+                                       "--calls", call, "--classes", str(args.classes)],
+                                      env=env, capture_output=True, text=True, check=True)
+                p50, rss, traced, faults = done.stdout.split()
+                print(f"{head:<6}{shape:>14}{call:>9}{p50:>10}{rss:>11}{traced:>11}{faults:>8}")
 
 
 if __name__ == "__main__":

@@ -238,11 +238,7 @@ def cmd_infer(cfg: RunConfig, args):
     if image.ndim != 3 or image.shape[0] != 3:
         raise FormatError(f"{args.input}: expected a 3xHxW image tensor")
     _check_extents(model, image.shape[1:], FormatError, args.input)
-    model.eval()
-    with no_grad():
-        logits = model(Tensor(image[None]), train_mode=False)["logits"]
-    mask = np.argmax(logits.data[0], axis=0)
-    datagen.save_pgm(args.output, mask)
+    datagen.save_pgm(args.output, model.predict(image[None])[0])
     print(f"wrote mask to {args.output}")
     return 0
 

@@ -55,7 +55,10 @@ recorded `ConvBnRelu` runs its batch norm and ReLU as one op,
 output, since no conv backward reads it; `BatchNorm2d` runs the same op without
 the ReLU.
 Pooling and bilinear resizing are Rh @ x @ Rw.T with cached, banded per-axis
-matrices (`band_plan`). `Module.named_state` names parameters and `_buffers`.
+matrices (`band_plan`); `resample` writes its output one height block at a time
+through `_block_writer`, which `bilinear_argmax` shares to arg-max a bilinear
+upsample by blocks, so a class mask needs no upsampled map. `Module.named_state`
+names parameters and `_buffers`.
 """
 
 from __future__ import annotations
@@ -925,27 +928,73 @@ def band_plan(in_size, out_size, kind, dtype, transposed=False):
 _RESAMPLE_FEW_CHANNELS = 16
 
 
-def _apply_plan(a, plan):
-    """The plan's matrix times each (size, rest) slice of `a` (slices, size, rest), by block."""
-    out = np.empty((a.shape[0], plan.size, a.shape[2]), a.dtype)
+def _apply_plan(a, plan, out=None):
+    """The plan's matrix times each (size, rest) slice of `a` (..., size, rest), by block, into
+    `out` (..., plan.size, rest) or a fresh array."""
+    if out is None:
+        out = np.empty(a.shape[:-2] + (plan.size, a.shape[-1]), a.dtype)
     for o, i, block in plan.blocks:
-        np.matmul(block, a[:, i], out=out[:, o])
+        np.matmul(block, a[..., i, :], out=out[..., o, :])
     return out
+
+
+def _block_writer(x, rows, cols):
+    """`write(ki, block, out)`: the rows that one block (o, ki, block) of the height `BandPlan`
+    `rows` gives of rows @ x @ cols.T, written into `out` (m, len(o), ow, c), for a channels-last
+    x (m, h, w, c). This is the one block primitive of `resample` and `bilinear_argmax`. The
+    axis order follows `_RESAMPLE_FEW_CHANNELS`. Width first, the width pass of every input row
+    runs once, here, since consecutive blocks read overlapping input rows; each block is then
+    one GEMM per image. Height first, each call runs its block's height GEMM per image and the
+    width pass of those rows into `out`. Every GEMM is a whole per-image or per-row slice, as
+    on the whole map, so a block's rows have the whole map's bits for any number of images."""
+    m, h, w, c = x.shape
+    ow = cols.size
+    if c < _RESAMPLE_FEW_CHANNELS and rows.size > h:
+        wide = _apply_plan(x.reshape(m * h, w, c), cols).reshape(m, h, ow * c)
+
+        def write(ki, block, out):
+            np.matmul(block, wide[:, ki], out=out.reshape(m, len(block), ow * c, copy=False))
+    else:
+        tall = x.reshape(m, h, w * c)
+
+        def write(ki, block, out):
+            _apply_plan(np.matmul(block, tall[:, ki]).reshape(m, len(block), w, c), cols, out)
+
+    return write
 
 
 def resample(a, rows, cols):
     """rows @ a @ cols.T over the spatial axes of `a` (n, c, h, w), for `BandPlan`s `rows` and
-    `cols`: the (n, c, oh, ow) view of a fresh (n, oh, ow, c) array."""
+    `cols`: the (n, c, oh, ow) view of a fresh (n, oh, ow, c) array, written one height block
+    at a time (`_block_writer`)."""
+    x = _nhwc(a)
+    write = _block_writer(x, rows, cols)  # before `out`: the heap places the width pass first
+    out = np.empty((x.shape[0], rows.size, cols.size, x.shape[3]), x.dtype)
+    for o, ki, block in rows.blocks:
+        write(ki, block, out[:, o])
+    return out.transpose(0, 3, 1, 2)
+
+
+def bilinear_argmax(a, out_h, out_w):
+    """`np.argmax(bilinear_upsample(a, out_h, out_w).data, axis=1)` of an (n, c, h, w) array, bit
+    for bit, without the upsampled map: the (n, out_h, out_w) intp class mask. Each `band_plan`
+    height block of each image is resampled into a buffer of at most `_BAND_ROWS` rows
+    (`_block_writer`, as `resample` writes it) and arg-maxed over its classes into the mask
+    rows, with `np.argmax`'s tie and NaN rules. The width-first pass of few classes holds one
+    image's width pass, a quarter of its upsampled map at 4x."""
     x = _nhwc(a)
     n, h, w, c = x.shape
-    oh, ow = rows.size, cols.size
-    if c < _RESAMPLE_FEW_CHANNELS and oh > h:
-        x = _apply_plan(x.reshape(n * h, w, c), cols).reshape(n, h, ow * c)
-        out = _apply_plan(x, rows)
-    else:
-        x = _apply_plan(x.reshape(n, h, w * c), rows).reshape(n * oh, w, c)
-        out = _apply_plan(x, cols)
-    return out.reshape(n, oh, ow, c).transpose(0, 3, 1, 2)
+    rows = band_plan(h, out_h, "bilinear", x.dtype)
+    cols = band_plan(w, out_w, "bilinear", x.dtype)
+    mask = np.empty((n, out_h, out_w), np.intp)
+    band = np.empty((1, max(len(block) for _, _, block in rows.blocks), out_w, c), x.dtype)
+    for i in range(n):
+        write = _block_writer(x[i : i + 1], rows, cols)
+        for o, ki, block in rows.blocks:
+            dst = band[:, : len(block)]
+            write(ki, block, dst)
+            np.argmax(dst, axis=3, out=mask[i : i + 1, o])
+    return mask
 
 
 def _resample_op(x, out_h, out_w, kind):

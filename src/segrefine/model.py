@@ -7,7 +7,9 @@ With no graph recorded, the backbone chains its two stem blocks as row sources
 each level whose smoothing conv takes Winograd as one banded kernel
 (`FpnDecoder.forward`), so its merges and the stride-4 features are never whole
 maps. `Backbone.compose` and `FpnDecoder.compose` are the same modules as plain
-compositions, with the same bits.
+compositions, with the same bits. `SegModel.predict` gives the class mask alone: it
+upsamples and arg-maxes the decoder's stride-4 logits by bands of output rows
+(`layers.bilinear_argmax`), so the full-size logits are never built.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .layers import (
     _merge_source,
     _pointwise_sink,
     _reads_nchw,
+    bilinear_argmax,
     bilinear_upsample,
 )
 from .refine import FeaturePyramid, FeatureRefineHead
@@ -38,6 +41,7 @@ from .tensor import (
     FormatError,
     Tensor,
     load_array,
+    no_grad,
     read_exact,
     records_graph,
     save_array,
@@ -135,7 +139,9 @@ class FpnDecoder(Module):
     its sink scatters the output into the level's map or, at stride 4 when the caller does
     not read the features, runs the classifier on each band (`_pointwise_sink`). So the
     merge, its smoothing and the stride-4 features never exist as full-size maps, and each
-    level dies once the level below has read it."""
+    level dies once the level below has read it. The classifier's stride-4 logits are
+    computed apart from the final `bilinear_upsample`, which runs only when the caller asks
+    for an output size: `SegModel.predict` asks for none and arg-maxes them by bands."""
 
     def __init__(self, channels, width, num_classes, rng=None):
         super().__init__()
@@ -148,14 +154,15 @@ class FpnDecoder(Module):
         self.smooth1 = ConvBnRelu(width, width, rng=rng)
         self.classifier = Conv2d(width, num_classes, 1, rng=rng)
 
-    def forward(self, p: FeaturePyramid, context: Tensor, out_h, out_w, features):
-        """Returns (full-resolution logits, stride-4 decoder features if `features`, else None)."""
+    def forward(self, p: FeaturePyramid, context: Tensor, out_h=None, out_w=None, features=False):
+        """Returns (logits, stride-4 decoder features if `features`, else None): the logits
+        upsampled to out_h x out_w, or the classifier's stride-4 logits when no size is given."""
         tensors = (context, *p.stages(), *self.parameters())
         # one dtype throughout, so each banded product runs in the dtype `compose` gives it
         banded = not records_graph(tensors) and len({t.dtype for t in tensors}) == 1
         return self._decode(p, context, out_h, out_w, features, banded)
 
-    def compose(self, p: FeaturePyramid, context: Tensor, out_h, out_w, features):
+    def compose(self, p: FeaturePyramid, context: Tensor, out_h=None, out_w=None, features=False):
         """`forward` as the plain composition of the decoder's modules, each call a fresh
         array, recorded or not. `profiler.count_costs` counts the decoder's costs through it."""
         return self._decode(p, context, out_h, out_w, features, False)
@@ -183,7 +190,9 @@ class FpnDecoder(Module):
         if logits is None:
             # the features outlive the classifier only when the caller reads them
             logits, x = self.classifier(x), (x if features else None)
-        return bilinear_upsample(logits, out_h, out_w), x
+        if out_h is not None:
+            logits = bilinear_upsample(logits, out_h, out_w)
+        return logits, x
 
 
 def build_context_head(cfg: ModelConfig, rng=None):
@@ -227,6 +236,27 @@ class SegModel(Module):
         if train_mode:
             out["embeddings"] = self.embedding_head(feats)
         return out
+
+    def predict(self, image):
+        """The (n, H, W) class mask of an (n, 3, H, W) image array or Tensor: the intp
+        `np.argmax(self(image, train_mode=False)["logits"].data, axis=1)`, bit for bit, run in
+        eval mode with no graph recorded; the model's mode is restored on return.
+
+        The full-size logits are never built. The decoder stops at its stride-4 logits, and
+        `layers.bilinear_argmax` upsamples them one `band_plan` height block of one image at
+        a time, with the products and axis order of `forward`'s upsample, and arg-maxes each
+        block into the mask's rows."""
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                image = Tensor(image)
+                pyramid = self.backbone(image)
+                logits, _ = self.decoder(pyramid, self.context_head(pyramid))
+                del pyramid  # the stages die before the mask is built
+                return bilinear_argmax(logits.data, image.shape[2], image.shape[3])
+        finally:
+            self.train(was_training)
 
 
 # ---------------------------------------------------------------------------

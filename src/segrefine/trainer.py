@@ -17,7 +17,7 @@ from .datagen import IGNORE_INDEX
 from .layers import _SCRATCH, resample_matrix
 from .losses import hybrid_loss
 from .model import SegModel, save_checkpoint
-from .tensor import ContractError, Tensor, no_grad
+from .tensor import ContractError, Tensor
 
 
 class NonFiniteLoss(RuntimeError):
@@ -120,14 +120,35 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, pred, target):
-        """Count (target, pred) pairs, skipping pixels labelled IGNORE_INDEX."""
-        pred = np.asarray(pred).ravel()
-        target = np.asarray(target).ravel()
-        valid = target != IGNORE_INDEX
-        idx = target[valid] * self.num_classes + pred[valid]
-        self.counts += np.bincount(idx, minlength=self.num_classes**2).reshape(
-            self.num_classes, self.num_classes
-        )
+        """Count (target, pred) pairs of two integer arrays of one shape, skipping pixels
+        labelled IGNORE_INDEX.
+
+        One `bincount` of `target * num_classes + pred` over every pixel, whose bins of
+        target IGNORE_INDEX are dropped, so no mask of valid pixels or compacted copy is
+        built: the one temporary is that intp index array. A pred outside 0..num_classes-1,
+        or a target that is neither such a class nor IGNORE_INDEX, is a ContractError that
+        names the value."""
+        nc = self.num_classes
+        pred, target = np.asarray(pred), np.asarray(target)
+        if pred.shape != target.shape:
+            raise ContractError(f"pred shape {pred.shape} is not target shape {target.shape}")
+        if not pred.size:
+            return
+        for value in (pred.min(), pred.max()):
+            if not 0 <= value < nc:
+                raise ContractError(f"pred {value} is not a class (0..{nc - 1})")
+        if target.min() < 0:
+            raise ContractError(f"target {target.min()} is neither a class (0..{nc - 1}) "
+                                f"nor {IGNORE_INDEX}")
+        idx = np.multiply(target, nc, dtype=np.intp)
+        idx += pred
+        bins = np.bincount(idx.ravel(), minlength=nc * nc)
+        bins = np.pad(bins, (0, -len(bins) % nc)).reshape(-1, nc)  # one row per target value
+        for value in np.flatnonzero(bins[nc:].any(axis=1)) + nc:
+            if value != IGNORE_INDEX:
+                raise ContractError(f"target {value} is neither a class (0..{nc - 1}) "
+                                    f"nor {IGNORE_INDEX}")
+        self.counts += bins[:nc]
 
     def miou(self):
         """(mean IoU, per-class IoU list with nan for absent classes)."""
@@ -145,28 +166,25 @@ class ConfusionMatrix:
 
 
 def evaluate(model: SegModel, dataset, indices=None, batch=8):
-    """mIoU of the model over a dataset (inference mode, no embedding head)."""
-    was_training = model.training
-    model.eval()
+    """mIoU of the model over a dataset. Each batch's class mask comes from `SegModel.predict`
+    (eval mode, no graph, no embedding head, no full-size logits) and goes to one
+    `ConfusionMatrix.update` with the batch's labels; the model's mode is kept."""
     cm = ConfusionMatrix(model.cfg.num_classes)
     if indices is None:
         indices = range(len(dataset))
     indices = list(indices)
-    with no_grad():
-        for lo in range(0, len(indices), batch):
-            chunk = indices[lo : lo + batch]
-            labels = []
-            for j, i in enumerate(chunk):  # one read per index; `Dataset` holds each to its size
-                image, label = dataset[i]
-                if j == 0:
-                    images = np.empty((len(chunk), *image.shape), image.dtype)
-                images[j] = image
-                labels.append(label)
-            del image, label
-            labels = np.stack(labels)
-            logits = model(Tensor(images), train_mode=False)["logits"]
-            cm.update(np.argmax(logits.data, axis=1), labels)
-    model.train(was_training)
+    for lo in range(0, len(indices), batch):
+        chunk = indices[lo : lo + batch]
+        labels = []
+        for j, i in enumerate(chunk):  # one read per index; `Dataset` holds each to its size
+            image, label = dataset[i]
+            if j == 0:
+                images = np.empty((len(chunk), *image.shape), image.dtype)
+            images[j] = image
+            labels.append(label)
+        del image, label
+        labels = np.stack(labels)
+        cm.update(model.predict(images), labels)
     return cm.miou()
 
 

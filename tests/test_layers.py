@@ -1076,6 +1076,44 @@ class TestUpsampleInto:
             np.testing.assert_array_equal(got, want)  # bit for bit
 
 
+class TestBilinearArgmax:
+    """`bilinear_argmax` is the class mask of `bilinear_upsample`'s output, built one height
+    block of one image at a time through the block primitive `resample` runs."""
+
+    # 5 classes resample width first, 19 height first (`_RESAMPLE_FEW_CHANNELS`)
+    @pytest.mark.parametrize("c", [5, 19], ids=["width-first", "height-first"])
+    @pytest.mark.parametrize("size, out", [((32, 32), (126, 128)), ((16, 24), (64, 96)),
+                                           ((8, 8), (32, 32)), ((13, 9), (40, 29)),
+                                           ((24, 20), (12, 10))],
+                             ids=lambda extents: "x".join(map(str, extents)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_argmax_of_upsample_with_ties_and_nans(self, rng, c, size, out, dtype):
+        for data in (_channels_last(rng, (3, c, *size), dtype).data,
+                     rng.standard_normal((1, c, *size)).astype(dtype)):  # channels-last, NCHW
+            data = np.round(data)  # small integers: many ties after the upsample too
+            data[:, :, 0, 0] = np.nan  # NaN wins wherever its taps reach
+            want = np.argmax(bilinear_upsample(Tensor(data), *out).data, axis=1)
+            got = layers.bilinear_argmax(data, *out)
+            assert got.dtype == want.dtype == np.intp
+            np.testing.assert_array_equal(got, want)  # bit for bit
+
+    @pytest.mark.parametrize("c, bound", [(5, 0.4), (19, 0.12)],
+                             ids=["width-first", "height-first"])
+    def test_holds_no_upsampled_map(self, rng, c, bound):
+        data = _channels_last(rng, (1, c, 64, 128), np.float32).data
+        layers.bilinear_argmax(data, 256, 512)  # builds the cached plans
+        tracemalloc.start()
+        try:
+            mask = layers.bilinear_argmax(data, 256, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        logits = c * 256 * 512 * 4
+        # width first holds one image's width pass, a quarter of the map, and a 16-row band;
+        # height first one band and its height product
+        assert peak - mask.nbytes < bound * logits
+
+
 # (in, out, kind) of resampling axes that the closed-form and brute-force
 # tests above run in several band blocks
 BANDED_CASES = [(24, 96, "bilinear"), (32, 128, "bilinear"), (300, 130, "bilinear"),

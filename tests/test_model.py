@@ -188,6 +188,60 @@ class TestModelForward:
         assert out["embeddings"].shape == (1, 16, 16, 16)
 
 
+class TestPredict:
+    """`SegModel.predict` is the arg-max of the eval forward's logits, built without them."""
+
+    @pytest.mark.parametrize("head", ["frm", "ppm", "dappm"])
+    @pytest.mark.parametrize("batch", [1, 8])
+    # 5 classes upsample width first, 19 height first (`layers._RESAMPLE_FEW_CHANNELS`)
+    @pytest.mark.parametrize("num_classes", [5, 19])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_mask_is_the_forward_argmax(self, rng, head, batch, num_classes, dtype):
+        model = toy_model(rng, context_head=head, num_classes=num_classes, ppm_bins=(1, 2),
+                          dappm_scales=(2, 0)).cast(dtype).eval()
+        seeded_buffers(model, rng)
+        # 126 output rows: neither a multiple of the 16-row blocks nor 4x the 32 stride-4 rows
+        image = rng.standard_normal((batch, 3, 126, 128)).astype(dtype)
+        with no_grad():
+            want = np.argmax(model(Tensor(image), train_mode=False)["logits"].data, axis=1)
+        got = model.predict(image)
+        assert got.dtype == want.dtype and got.shape == (batch, 126, 128)
+        np.testing.assert_array_equal(got, want)  # bit for bit
+
+    def test_runs_in_eval_and_keeps_the_mode(self, rng):
+        model = toy_model(rng)
+        seeded_buffers(model, rng)
+        image = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+        stats = [b.copy() for b in (model.decoder.smooth1.bn.running_mean,
+                                    model.decoder.smooth1.bn.running_var)]
+        got = model.predict(Tensor(image, requires_grad=True))
+        assert model.training  # restored
+        np.testing.assert_array_equal(model.decoder.smooth1.bn.running_mean, stats[0])
+        np.testing.assert_array_equal(model.decoder.smooth1.bn.running_var, stats[1])
+        model.eval()
+        with no_grad():
+            want = np.argmax(model(Tensor(image), train_mode=False)["logits"].data, axis=1)
+        np.testing.assert_array_equal(got, want)
+        model.predict(image)
+        assert not model.training
+
+    def test_never_upsamples_the_logits(self, rng, monkeypatch):
+        model = toy_model(rng).eval()
+        upsample, sizes = model_module.bilinear_upsample, []
+
+        def spy(x, out_h, out_w):
+            sizes.append((out_h, out_w))
+            return upsample(x, out_h, out_w)
+
+        monkeypatch.setattr(model_module, "bilinear_upsample", spy)
+        image = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
+        assert model.predict(image).shape == (1, 64, 64)
+        assert (64, 64) not in sizes  # only the decoder's merges ran the upsample
+        with no_grad():
+            model(Tensor(image), train_mode=False)
+        assert sizes[-1] == (64, 64)
+
+
 def decoder_inputs(rng, channels, width, h, w):
     """A pyramid with an (h, w) stride-4 stage and a `width`-channel context at its deepest extent."""
     stages = [Tensor(rng.standard_normal((1, c, h >> i, w >> i)).astype(np.float32))

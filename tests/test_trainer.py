@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from segrefine import layers
 from segrefine.layers import Parameter
 from segrefine.losses import hybrid_loss
-from segrefine.tensor import FormatError, Tensor
+from segrefine.tensor import ContractError, FormatError, Tensor
 from segrefine.config import LossConfig, ModelConfig
 from segrefine.datagen import IGNORE_INDEX, Dataset, SceneSpec, generate
 from segrefine.model import SegModel
@@ -228,6 +228,38 @@ class TestMiou:
         miou, _ = ConfusionMatrix(3).miou()
         assert np.isnan(miou)
 
+    @pytest.mark.parametrize("pred, target, message", [
+        (3, 0, "pred 3 is not a class"),
+        (-1, 1, "pred -1 is not a class"),
+        (0, 7, "target 7 is neither a class"),
+        (0, -2, "target -2 is neither a class"),
+    ])
+    def test_out_of_range_values_are_contract_errors(self, pred, target, message):
+        cm = ConfusionMatrix(3)
+        gt = np.array([[0, 1], [IGNORE_INDEX, target]])
+        with pytest.raises(ContractError, match=message):
+            cm.update(np.array([[0, 1], [2, pred]]), gt)
+        assert cm.counts.sum() == 0
+
+    def test_shapes_that_would_broadcast_are_contract_errors(self):
+        cm = ConfusionMatrix(3)
+        with pytest.raises(ContractError, match="shape"):
+            cm.update(np.zeros((4, 4), np.int64), np.zeros((2, 4, 4), np.int64))
+
+    @pytest.mark.parametrize("k", [1, 3, 19])
+    @pytest.mark.parametrize("pred_dtype", [np.intp, np.uint8, np.int32])
+    def test_matches_the_compaction_formula(self, rng, k, pred_dtype):
+        for shape in [(8, 16, 16), (37,), (3, 5, 7)]:
+            gt = rng.integers(0, k, shape)
+            gt[rng.random(shape) < 0.2] = IGNORE_INDEX
+            pred = rng.integers(0, k, shape).astype(pred_dtype)
+            cm = ConfusionMatrix(k)
+            cm.update(pred, gt.astype(np.uint8))
+            cm.update(pred, gt)
+            valid = gt != IGNORE_INDEX
+            want = np.bincount(gt[valid] * k + pred[valid], minlength=k * k).reshape(k, k)
+            np.testing.assert_array_equal(cm.counts, 2 * want)
+
 
 class TestEvaluate:
     def test_reads_each_sample_once(self, tmp_path, monkeypatch):
@@ -244,6 +276,26 @@ class TestEvaluate:
         miou, per_class = evaluate(model, Dataset(tmp_path), batch=2)
         assert sorted(reads) == [0, 1, 2, 3, 4]
         assert len(per_class) == 3
+
+    def test_updates_once_per_batch_with_the_predicted_mask(self, tmp_path, monkeypatch):
+        generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 5, tmp_path)
+        dataset = Dataset(tmp_path)
+        model = SegModel(TINY)
+        calls = []
+        update = ConfusionMatrix.update
+
+        def spy(cm, pred, target):
+            calls.append((pred, target))
+            return update(cm, pred, target)
+
+        monkeypatch.setattr(ConfusionMatrix, "update", spy)
+        evaluate(model, dataset, batch=2)
+        assert [pred.shape for pred, _ in calls] == [(2, 32, 32), (2, 32, 32), (1, 32, 32)]
+        assert model.training  # kept
+        for lo, (pred, target) in zip(range(0, 5, 2), calls):
+            samples = [dataset[i] for i in range(lo, lo + len(pred))]
+            np.testing.assert_array_equal(pred, model.predict(np.stack([s[0] for s in samples])))
+            np.testing.assert_array_equal(target, [s[1] for s in samples])
 
     def test_samples_of_another_size_are_a_format_error(self, tmp_path):
         generate(SceneSpec(height=32, width=32, num_classes=3, seed=2), 2, tmp_path / "a")
