@@ -24,14 +24,14 @@ head and the decoder, then one per top-level module, as it returns:
   peak_mb     tracemalloc peak during the call, on the same scale
   minflt      minor page faults during the call (ru_minflt)
 
-so the forward's peak is the largest peak_mb, in the module it names. A
-`ConvBnRelu` that runs banded (`ConvBnRelu.bands`, the decoder's smoothing blocks
-with no graph) is listed under its path with " (bands)". One that runs as a row
-source (`ConvBnRelu.rows`, the backbone's chained stem blocks with no graph) is
-listed once under its path with " (rows)", where its source is made: its peak_mb
-is the highest peak of the source's calls, its minflt their sum and its
-current_mb the figure after its last call. stem_b's calls run stem_a's, so
-stem_b's line covers stem_a's. Usage:
+so the forward's peak is the largest peak_mb, in the module it names. A conv or
+`ConvBnRelu` that runs as a row source with no graph (`rows`: the backbone's
+chained stem blocks, the decoder's smoothing blocks and, at stride 4, its
+classifier) is listed once under its path with " (rows)", where its row source
+is made: its peak_mb is the highest peak of the row source's calls, its minflt
+their sum and its current_mb the figure after its last call. A row source's
+calls run its source's: stem_b's line covers stem_a's, and the classifier's
+covers smooth1's. Usage:
 
   PYTHONPATH=src python3 scripts/infer_memory.py [--repeats N] [--heads frm ...]
       [--shapes 1x3x512x1024 ...] [--calls forward predict] [--classes N] [--modules]
@@ -101,8 +101,6 @@ def trace_modules(head, shape, classes=5):
     import resource
     import tracemalloc
 
-    from segrefine.layers import ConvBnRelu
-
     model, forward = _case(head, shape, classes)
     rows, start = [], [0]
     peaks = []  # the highest traced peak so far of each call now running, innermost last
@@ -136,12 +134,15 @@ def trace_modules(head, shape, classes=5):
         return run
 
     def row_source(path, make):
-        """`make` (a block's `rows`), whose row source's calls fold into one line, listed when
-        the source is made."""
+        """`make` (a module's `rows`), whose row source's calls fold into one line, listed when
+        the row source is made; the row source's plan passes through."""
         def run(*args, **kwargs):
             row = [path, 0.0, float("-inf"), 0]
             rows.append(row)
-            return traced(path, make(*args, **kwargs), row)
+            made = make(*args, **kwargs)
+            wrapped = traced(path, made, row)
+            wrapped.plan = made.plan
+            return wrapped
 
         return run
 
@@ -150,8 +151,7 @@ def trace_modules(head, shape, classes=5):
         for child_name, child in top._children.items():
             path = f"{name}.{child_name}"
             wrapped.append((child, "forward", traced(path, child.forward)))
-            if isinstance(child, ConvBnRelu):
-                wrapped.append((child, "bands", traced(path + " (bands)", child.bands)))
+            if hasattr(child, "rows"):  # a conv or a ConvBnRelu
                 wrapped.append((child, "rows", row_source(path + " (rows)", child.rows)))
         wrapped.append((top, "forward", traced(name, top.forward)))
     for module, method, call in wrapped:

@@ -94,7 +94,8 @@ def save_pgm(path, labels):
 
 
 def load_pgm(path):
-    """Labels of a binary PGM; a short or garbled header is a FormatError."""
+    """Labels of a binary PGM as a writable (h, w) uint8 array, one byte per pixel as on disk;
+    a short or garbled header is a FormatError."""
     with open(path, "rb") as f:
         data = f.read()
     fields = []
@@ -123,7 +124,7 @@ def load_pgm(path):
     raster = data[pos : pos + w * h]
     if len(raster) != w * h:
         raise FormatError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.int64)
+    return np.frombuffer(bytearray(raster), dtype=np.uint8).reshape(h, w)
 
 
 def generate(spec: SceneSpec, count, out_dir):

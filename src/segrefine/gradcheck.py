@@ -4,11 +4,11 @@ path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
 plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
 the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
-ReLU are one recorded op after a recorded Winograd or im2col conv, and one for
-an eval `ConvBnRelu` run by `ConvBnRelu.bands` from a row source, as the FPN
-decoder's smoothing blocks run with no graph, and one for the im2col and
-depthwise kernels as row sources (`Conv2d.rows`), chained as the backbone
-chains its stem (`ConvBnRelu.rows`). Each is
+ReLU are one recorded op after a recorded Winograd or im2col conv, and three
+for convs run as row sources (`Conv2d.rows`): an eval Winograd `ConvBnRelu`,
+as the FPN decoder's smoothing blocks run; the im2col and depthwise kernels,
+chained as the backbone chains its stem; a Winograd conv chained into a 1x1
+conv, as the decoder's classifier reads its stride-4 rows. Each is
 checked against the direct float64 `conv_reference` on NCHW-contiguous and on
 channels-last inputs, and `segrefine oracle` prints one line per row.
 `resample_deviation` checks banded resampling against the dense float64
@@ -32,10 +32,10 @@ from .config import LossConfig, ModelConfig
 from .datagen import IGNORE_INDEX
 from .layers import (
     _WINOGRAD_MIN_CHANNELS,
-    _array_sink,
     _array_source,
     _bn_relu,
     _chunks,
+    _fill,
     BatchNorm2d,
     Conv2d,
     ConvBnRelu,
@@ -286,15 +286,17 @@ class OracleRow(NamedTuple):
     `ConvBnRelu` (so its convs are 3x3, pad 1, one group): an eval one with no
     graph, judged on its output, or, when `recorded`, a training one, judged
     on its output, its input, weight, scale and shift gradients and its
-    updated running statistics. A `banded` block row runs each eval block by
-    `ConvBnRelu.bands`, its input rows written by a callable source as the
-    kernel asks for them and its output scattered band by band. A `chained`
-    row runs each conv with no graph and a drawn eval batch norm + ReLU
-    epilogue as a row source (`Conv2d.rows`), asked for one output row of one
-    image at a time, so every band carries rows from the one above; alone, and
-    feeding the band of a stride-2 eval `ConvBnRelu` (`ConvBnRelu.rows`), as
-    the backbone's stem blocks run. It judges both outputs; an NCHW input is
-    banded in its own order, as the backbone bands an image.
+    updated running statistics. A `banded` block row runs each eval block as a
+    row source (`ConvBnRelu.rows`), its input rows written by a callable source
+    as the kernel asks for them, filled chunk by chunk of the kernel's plan
+    (`layers._fill`). A `chained` row runs each conv with no graph and a drawn
+    eval batch norm + ReLU epilogue as a row source (`Conv2d.rows`), asked for
+    one output row of one image at a time, so every band carries rows from the
+    one above; alone, and feeding the band of a stride-2 eval `ConvBnRelu`
+    (`ConvBnRelu.rows`), as the backbone's stem blocks run, or, when `banded`
+    too, of a 1x1 conv with a drawn bias, as the FPN decoder's classifier runs.
+    It judges both outputs; an NCHW input is banded in its own order, as the
+    backbone bands an image.
     `bounds` maps each dtype to the worst deviation allowed.
     """
 
@@ -358,7 +360,7 @@ ORACLE_ROWS = (
     # a training ConvBnRelu on Winograd and im2col convs
     _WINOGRAD._replace(label="recorded conv + bn relu", convs=_WINOGRAD.convs + _BLOCK_IM2COL,
                        recorded=True, block=True),
-    # an eval ConvBnRelu on a row source and a band sink; at 13x1024 a chunk is a band of
+    # an eval ConvBnRelu as a row source on a callable source; at 13x1024 a chunk is a band of
     # one or two tile rows, so each band takes two input rows from the band above
     _WINOGRAD._replace(label="winograd conv + bn relu epilogue, row source", block=True,
                        banded=True, convs=_WINOGRAD_CONVS[:1],
@@ -370,6 +372,10 @@ ORACLE_ROWS = (
                      convs=((3, 6, 3, 2, 1, 1), (4, 6, 3, 1, 1, 2), (4, 6, 1, 2, 0, 1),
                             (4, 4, 3, 1, 1, 4), (4, 4, 3, 2, 0, 4)),
                      extents=((2, 33), (5, 7), (13, 6)), batches=(2,), chained=True),
+    # a Winograd conv, then the FPN decoder's classifier on its rows; drawn after every row
+    # above
+    _WINOGRAD._replace(label="winograd conv + bn relu epilogue and 1x1 conv, chained row source",
+                       convs=_WINOGRAD_CONVS[:1], chained=True, banded=True),
 )
 # `segrefine oracle` checks banded resampling after this many rows: a row added later is
 # drawn after it, so the lines above keep their draws and their numbers
@@ -471,8 +477,8 @@ def oracle_deviation(row, dtype, rng):
             with T.no_grad():
                 if row.banded:  # each band's rows copied as the kernel asks for them
                     out = np.empty((n, h, w, out_c), dtype)
-                    block.bands(_array_source(x.data.transpose(0, 2, 3, 1)), _array_sink(out),
-                                (n, h, w), dtype)
+                    _fill(block.rows(_array_source(x.data.transpose(0, 2, 3, 1)), (n, h, w), dtype,
+                                     False), out)
                     got = (out.transpose(0, 3, 1, 2),)
                 else:
                     got = (block(x).data,)
@@ -495,13 +501,18 @@ def _asked_row_by_row(rows, shape, dtype):
 
 def _chained_deviation(row, dtype, rng):
     """Worst deviation of a `chained` row's cases in `dtype` from `conv_reference`, each
-    followed by `bn_relu_reference`: the conv's rows alone, then through a stride-2 block."""
+    followed by `bn_relu_reference`: the conv's rows alone, then through a stride-2 block or,
+    in a `banded` row, through a 1x1 conv with a drawn bias, whose reference stops there."""
     worst = 0.0
     for (in_c, out_c, k, s, p, g), n, h, w, last in row.cases():
         conv = Conv2d(in_c, out_c, k, stride=s, pad=p, groups=g, bias=False, rng=rng).cast(dtype)
         bn = _drawn_statistics(BatchNorm2d(out_c).cast(dtype).eval(), dtype, rng)
-        block = ConvBnRelu(out_c, out_c, stride=2, rng=rng).cast(dtype).eval()
-        _drawn_statistics(block.bn, dtype, rng)
+        if row.banded:
+            block = Conv2d(out_c, 6, 1, rng=rng).cast(dtype)
+            block.bias.data = rng.standard_normal(6).astype(dtype)
+        else:
+            block = ConvBnRelu(out_c, out_c, stride=2, rng=rng).cast(dtype).eval()
+            _drawn_statistics(block.bn, dtype, rng)
         x = rng.standard_normal((n, h, w, in_c) if last else (n, in_c, h, w)).astype(dtype)
         x = x.transpose(0, 3, 1, 2) if last else x
 
@@ -512,13 +523,17 @@ def _chained_deviation(row, dtype, rng):
         want = bn_relu_reference(conv_reference(x, conv.weight.data, np.zeros(out_c), np.zeros(
             (n, out_c, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)), s, p, g)[0], bn)
         oh, ow = want.shape[2:]
-        chained = bn_relu_reference(conv_reference(
-            want, block.conv.weight.data, np.zeros(out_c),
-            np.zeros((n, out_c, (oh - 1) // 2 + 1, (ow - 1) // 2 + 1)), 2, 1, 1)[0], block.bn)
+        if row.banded:
+            chained = conv_reference(want, block.weight.data, block.bias.data,
+                                     np.zeros((n, 6, oh, ow)), 1, 0, 1)[0]
+        else:
+            chained = bn_relu_reference(conv_reference(
+                want, block.conv.weight.data, np.zeros(out_c),
+                np.zeros((n, out_c, (oh - 1) // 2 + 1, (ow - 1) // 2 + 1)), 2, 1, 1)[0], block.bn)
         with T.no_grad():
             got = (_asked_row_by_row(rows(), (n, oh, ow, out_c), dtype),
                    _asked_row_by_row(block.rows(rows(), (n, oh, ow), dtype, False),
-                                     (n, *chained.shape[2:], out_c), dtype))
+                                     chained.transpose(0, 2, 3, 1).shape, dtype))
         worst = _deviation([a.transpose(0, 3, 1, 2) for a in got], (want, chained), worst)
     return worst
 

@@ -10,38 +10,37 @@ each conv's kernel, which returns its (n, oh, ow, oc) output and a backward for
 the input and weight gradients; `Conv2d.forward` makes the one graph node and
 adds the bias gradient. A 1x1 stride-1 conv is one GEMM over the (n*h*w, c)
 matrix, forward and for both gradients; batch norm reduces over the (n*h*w, c)
-matrix. Every other kernel reads k x k windows through one band loop:
-`_chunks` walks the chunks `_chunk_shape` plans (whole images, or bands of
-output rows of one image), and `_band_reader` writes each chunk's input rows,
-asked of a row source `source(dst, i, lo, hi)`, into one zero-bordered band
+matrix. Every other kernel reads k x k windows through one band loop, and every
+no-grad kernel speaks one contract. A source `source(dst, i, lo, hi)` writes
+input rows [lo, hi) of images [i, i + len(dst)) into `dst`, and `_band_reader`
+writes each chunk's input rows, asked of a source, into one zero-bordered band
 buffer, carrying the rows that consecutive bands of one image share. So no
 kernel copies a whole bordered input, and a source is asked for each row once.
-A depthwise conv (`_depthwise_taps`) is one multiply-add per kernel tap over
-the band. Other convs run im2col (`_conv_columns`) with (positions,
+Each kernel is a row source: a source of its own output rows that carries
+`rows.plan`, the chunks it wants (whole images, or bands of output rows of one
+image, from `_chunk_shape`), and `_fill` asks it for each chunk of an output
+array. A depthwise conv (`_depthwise_taps`) is one multiply-add per kernel tap
+over the band. Other convs run im2col (`_conv_columns`) with (positions,
 k*k*c/groups) columns per band, in chunks of `_COL_BUDGET` bytes when no graph
 is recorded and in one chunk, kept for the weight gradient, when one is; an
-NCHW image is banded in its own order. These two kernels are row sources
-themselves: `_fill` asks one for each chunk of an output array, and with no
-graph `Conv2d.rows` hands one to the caller, so one conv's rows can feed the
-next conv's band (`ConvBnRelu.rows`: the backbone chains its stem so).
-`_scatter_taps` adds up each tap's input gradient for
-every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at least
-`_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger than
-one 4x4 tile (`Conv2d.takes_winograd`), runs Winograd F(4x4, 3x3) in
-`_winograd`, recorded or not: its forward `_winograd_conv` runs the band loop
-too, gathering 6x6 `_windows` from bands of tile rows, and keeps the
-transformed tiles for the backward when a graph is recorded. So the kernel
-follows the conv's geometry and map alone. `_winograd_conv` hands each band of
-output to a sink; `_winograd` passes an array's rows and scatters into a fresh
-array, while an eval `ConvBnRelu`
-with no graph can run from any source into any sink (`ConvBnRelu.bands`): the
-FPN decoder feeds it the merge's rows (`_merge_source`) and, at stride 4, runs
-the classifier on each band (`_pointwise_sink`). A
-recorded Winograd conv takes every temporary from `_scratch`, one grow-only
-buffer per role and dtype, kept until `trainer.train` returns (for the process
-when recorded convs run outside it): its zero-bordered band buffer
-(`padded`) and the two buffers its GEMMs alternate between (`ping`, `pong`),
-forward and backward. What outlives a call (the output, the kept tiles, the
+NCHW image is banded in its own order. `_scatter_taps` adds up each tap's input
+gradient for every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at
+least `_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger
+than one 4x4 tile (`Conv2d.takes_winograd`), runs Winograd F(4x4, 3x3) in
+`_winograd`, recorded or not: its forward fills the output from
+`_winograd_tiles`, which gathers 6x6 `_windows` from bands of tile rows in
+chunks of `_WINOGRAD_BUDGET` bytes and keeps the transformed tiles for the
+backward when a graph is recorded. So the kernel follows the conv's geometry
+and map alone. With no graph, `Conv2d.rows` hands the caller the row source of
+whichever kernel `forward` would take (a 1x1 conv's is `_conv_columns` on the
+band itself, in its source's chunks), so one conv's rows can feed the next: the
+backbone chains its stem so (`ConvBnRelu.rows`), and the FPN decoder smooths
+the merge's rows (`_merge_source`) and, at stride 4, runs the classifier on
+the smoothed rows. A recorded Winograd conv takes every temporary from
+`_scratch`, one grow-only buffer per role and dtype, kept until `trainer.train`
+returns (for the process when recorded convs run outside it): its zero-bordered
+band buffer (`padded`) and the two buffers its GEMMs alternate between (`ping`,
+`pong`), forward and backward. What outlives a call (the output, the kept tiles, the
 gradients) is never carved from it. Fresh, those temporaries were handed back
 to the OS and mapped again on every call: a train-64-shaped step took a median
 of about 2400 minor page faults, and about 1 with the scratch. The no-grad
@@ -188,15 +187,11 @@ _SCRATCH = {}
 
 
 def _scratch(role, size, dtype):
-    """The first `size` elements of the grow-only 1-D `dtype` buffer of `role`, kept across
-    calls, so a recorded kernel's temporaries stop mapping fresh pages. What it returns dies
-    before the next call for `role`: nothing that escapes a call is carved from it. No lock:
-    the grad flag is process-wide too."""
-    key = (role, np.dtype(dtype))
-    buf = _SCRATCH.get(key)
-    if buf is None or len(buf) < size:
-        buf = _SCRATCH[key] = np.empty(size, dtype)
-    return buf[:size]
+    """The first `size` elements of the grow-only 1-D `dtype` buffer of `role` (`_grown`), kept
+    across calls, so a recorded kernel's temporaries stop mapping fresh pages. What it returns
+    dies before the next call for `role`: nothing that escapes a call is carved from it. No
+    lock: the grad flag is process-wide too."""
+    return _grown(_SCRATCH, (role, np.dtype(dtype)), size, dtype)
 
 
 class _Epilogue(NamedTuple):
@@ -227,7 +222,7 @@ def _chunk_shape(windows_shape, itemsize, budget):
         return n, oh
     row_bytes = c * kh * kw * ow * itemsize
     if row_bytes * oh <= budget:
-        return budget // (row_bytes * oh), oh
+        return min(n, budget // (row_bytes * oh)), oh
     return 1, max(1, budget // row_bytes)
 
 
@@ -258,7 +253,7 @@ def _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first=Fa
     """The input side of the band loop every kernel that reads rows runs: `read(i, m, r, rows)`
     returns the zero-bordered input band of output rows [r, r + rows) of images [i, i + m) of a
     `kernel` x `kernel` conv at `stride` and `pad` on an (n, h, w, c) input, `shape` = (n, h, w),
-    whose rows `source` writes (see `_winograd_conv`).
+    whose rows `source` writes (see `Conv2d.rows`).
 
     The band is an (m, (rows - 1) * stride + kernel, width, c) view of one buffer, taken from
     `take` for the first band and again only when a band outgrows it; `width` is w + 2 * pad
@@ -268,8 +263,8 @@ def _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first=Fa
     benchmark's process peaked at 113.5 MB of RSS, against 106.9 MB. Its columns outside
     [pad, pad + w) are zeroed when it is taken, its rows outside the input on every call. When
     a band of one image starts inside the band read before it, the rows both hold are carried
-    to its top, so a source read band after band is asked for each row once. `channels_first` lays the buffer out (m, c, rows, width), as an
-    NCHW image is (see `_conv_columns`)."""
+    to its top, so a source read band after band is asked for each row once. `channels_first`
+    lays the buffer out (m, c, rows, width), as an NCHW image is (see `_conv_columns`)."""
     n, h, w = shape
     width = width or w + 2 * pad
     held = {"buf": None, "band": None}  # the buffer, and (image, first, end padded row) in it
@@ -326,15 +321,11 @@ def _rows_done(out, dst, epilogue):
         np.copyto(dst, out)
 
 
-def _fill(rows, out, kernel, c, itemsize, whole=False):
-    """Every row of `out` (n, oh, ow, oc) from the row source `rows`, in one chunk when
-    `whole`, else chunk by chunk of the plan `_chunk_shape` makes for `_COL_BUDGET` bytes of
-    `kernel` x `kernel` windows of c channels of `itemsize` bytes; returns what the last call
-    returned."""
-    n, oh, ow = out.shape[:3]
-    images, band = _chunk_shape((n, oh, ow, kernel, kernel, c), itemsize,
-                                None if whole else _COL_BUDGET)
-    for i, m, r, nb in _chunks(n, oh, images, band):
+def _fill(rows, out):
+    """Every row of `out` (n, oh, ow, oc) from the row source `rows`, chunk by chunk of the
+    plan it carries, `rows.plan` = (images, output rows) per chunk; returns what the last
+    call returned."""
+    for i, m, r, nb in _chunks(*out.shape[:2], *rows.plan):
         last = rows(out[i : i + m, r : r + nb], i, r, r + nb)
     return last
 
@@ -345,45 +336,63 @@ def _reads_nchw(a):
     return not a.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
-def _conv_columns(source, shape, c, w_mat, kernel, stride, pad, dtype, epilogue, channels_first):
+def _conv_columns(source, shape, c, w_mat, kernel, stride, pad, dtype, epilogue, channels_first,
+                  budget):
     """The im2col conv of an (n, h, w, c) input, `shape` = (n, h, w), whose rows `source` writes
     in `dtype`, as a row source: `rows(dst, i, lo, hi)` writes output rows [lo, hi) of images
     [i, i + len(dst)) into `dst` (m, hi - lo, ow, oc) and returns the columns it multiplied.
+    Its plan holds `budget` bytes of columns per chunk, or the whole batch when None.
 
     Per call, `_band_reader` reads the input band; its columns (groups, positions,
     k*k*c/groups) are copied into one buffer and multiplied by `w_mat` (groups, oc/groups,
     k*k*c/groups), then `epilogue` runs in cache. The band, and so the buffer, follows the
     input's memory order (`channels_first` for an NCHW image): copies run along channels, or
-    along positions for an image (1.7 against 4.3 ms for a 3x512x1024 stem). The conv's own
-    forward (`_im2col`) fills an array by `_fill`; a chained no-grad block hands its rows to
-    the next block's band (`ConvBnRelu.rows`)."""
+    along positions for an image (1.7 against 4.3 ms for a 3x512x1024 stem). A 1x1 stride-1
+    pad-0 ungrouped conv multiplies a channels-last band itself, as `_pointwise` multiplies the
+    whole map, and takes its source's plan (`source.plan`), so on a row source each call asks
+    for one of the source's chunks (the FPN decoder's classifier on Winograd tile rows). The
+    conv's own forward (`_im2col`) fills an array by `_fill`; a chained no-grad block hands its
+    rows to the next block's band (`ConvBnRelu.rows`)."""
     read = _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first)
+    n, h, w = shape
     g, ocg, kg = w_mat.shape
+    pointwise = (kernel, stride, pad, g) == (1, 1, 0, 1)
     out_dtype = np.result_type(dtype, w_mat)
     buffers = {}
 
     def rows(dst, i, lo, hi):
-        part = _windows(read(i, len(dst), lo, hi - lo), kernel, stride)
-        m, nr, ow = part.shape[:3]
-        buf = _grown(buffers, "columns", part.size, part.dtype)
-        cols = (buf.reshape(g, kernel, kernel, c // g, m, nr, ow).transpose(0, 4, 5, 6, 1, 2, 3)
-                if channels_first else buf.reshape(g, m, nr, ow, kernel, kernel, c // g))
-        np.copyto(cols, part.reshape(m, nr, ow, kernel, kernel, g, c // g).transpose(5, 0, 1, 2, 3, 4, 6))
-        cols = cols.reshape(g, m * nr * ow, kg)
+        band = read(i, len(dst), lo, hi - lo)
+        if pointwise and not channels_first:  # the band is the column matrix
+            cols = band.reshape(1, -1, c)
+        else:
+            part = _windows(band, kernel, stride)
+            m, nr, ow = part.shape[:3]
+            buf = _grown(buffers, "columns", part.size, part.dtype)
+            cols = (buf.reshape(g, kernel, kernel, c // g, m, nr, ow).transpose(0, 4, 5, 6, 1, 2, 3)
+                    if channels_first else buf.reshape(g, m, nr, ow, kernel, kernel, c // g))
+            np.copyto(cols, part.reshape(m, nr, ow, kernel, kernel, g, c // g)
+                      .transpose(5, 0, 1, 2, 3, 4, 6))
+            cols = cols.reshape(g, m * nr * ow, kg)
         out = _rows_out(dst, buffers, out_dtype)
         np.matmul(cols, w_mat.transpose(0, 2, 1),
-                  out=out.reshape(m * nr * ow, g, ocg, copy=False).transpose(1, 0, 2))
+                  out=out.reshape(-1, g, ocg, copy=False).transpose(1, 0, 2))
         _rows_done(out, dst, epilogue)
         return cols
 
+    rows.plan = source.plan if pointwise else _chunk_shape(
+        (n, _out_extent(h, kernel, stride, pad), _out_extent(w, kernel, stride, pad), kernel,
+         kernel, c), np.dtype(dtype).itemsize, budget)
     return rows
 
 
 def _depthwise_taps(source, shape, taps, kernel, stride, pad, dtype, epilogue):
     """The depthwise conv of an (n, h, w, c) input, `shape` = (n, h, w), whose rows `source`
     writes in `dtype`, as a row source like `_conv_columns`'s: per call, one multiply-add per
-    row of `taps` (k*k, c) over the `_band_reader` band, in cache, then `epilogue`."""
-    read = _band_reader(source, shape, taps.shape[1], kernel, stride, pad, dtype)
+    row of `taps` (k*k, c) over the `_band_reader` band, in cache, then `epilogue`. Its plan
+    holds `_COL_BUDGET` bytes of k x k windows per chunk."""
+    n, h, w = shape
+    c = taps.shape[1]
+    read = _band_reader(source, shape, c, kernel, stride, pad, dtype)
     out_dtype = np.result_type(dtype, taps)
     buffers = {}
 
@@ -396,6 +405,9 @@ def _depthwise_taps(source, shape, taps, kernel, stride, pad, dtype, epilogue):
             out += np.multiply(part[:, :, :, t // kernel, t % kernel], taps[t], out=tmp)
         _rows_done(out, dst, epilogue)
 
+    rows.plan = _chunk_shape((n, _out_extent(h, kernel, stride, pad),
+                              _out_extent(w, kernel, stride, pad), kernel, kernel, c),
+                             np.dtype(dtype).itemsize, _COL_BUDGET)
     return rows
 
 
@@ -433,7 +445,7 @@ def _depthwise(x, w, stride, pad, epilogue):
     out = np.empty((n, _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad), c),
                    np.result_type(xd, taps))
     _fill(_depthwise_taps(_array_source(xd), (n, h, wd), taps, k, stride, pad, xd.dtype, epilogue),
-          out, k, c, xd.itemsize)
+          out)
 
     def backward(grad):
         if w.requires_grad:
@@ -493,84 +505,81 @@ def _filter_transform(weight, kg):
     return (kg @ weight.reshape(-1, 9).T).reshape(36, *weight.shape[:2])
 
 
-def _scatter_tiles(y, out):
-    """out (n, h, w, oc) <- the 4x4 output tiles y (4, 4, n, th, tw, oc), cut to h x w."""
+def _scatter_tiles(y, out, top):
+    """out (n, h, w, oc) <- rows [top, top + h) and columns [0, w) of the 4x4 output tiles y
+    (4, 4, n, th, tw, oc)."""
     _, _, n, th, tw, oc = y.shape
     h, w = out.shape[1:3]
     tiles = y.transpose(2, 3, 0, 4, 1, 5)  # n, th, 4, tw, 4, oc
-    if (h, w) == (4 * th, 4 * tw):
+    if (top, h, w) == (0, 4 * th, 4 * tw):
         np.copyto(out.reshape(n, th, 4, tw, 4, oc), tiles)
-    else:  # ragged edge tiles
-        out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, :h, :w]
+    else:  # ragged edge tiles, or rows inside tiles
+        out[...] = tiles.reshape(n, 4 * th, 4 * tw, oc)[:, top : top + h, :w]
 
 
 def _array_source(x):
-    """A row source (`_winograd_conv`, `_band_reader`) that copies its rows from `x` (n, h, w, c)."""
-    return lambda dst, i, lo, hi: np.copyto(dst, x[i : i + len(dst), lo:hi])
+    """A source (`_band_reader`) that copies its rows from `x` (n, h, w, c). Its plan is the
+    whole batch, so a 1x1 conv on it (`_conv_columns`) is `_pointwise`'s one GEMM."""
+    def source(dst, i, lo, hi):
+        np.copyto(dst, x[i : i + len(dst), lo:hi])
+
+    source.plan = x.shape[:2]
+    return source
 
 
-def _array_sink(out):
-    """A `_winograd_conv` sink that scatters each band into its rows of `out` (n, h, w, oc)."""
-    def sink(y, i, r):
-        _scatter_tiles(y, out[i : i + y.shape[2], r : r + 4 * y.shape[3]])
-
-    return sink
-
-
-def _winograd_conv(source, sink, shape, weight, dtype, epilogue, tiles=None):
+def _winograd_tiles(source, shape, weight, dtype, epilogue, tiles=None):
     """3x3 stride-1 pad-1 correlation by Winograd F(4x4, 3x3) of an (n, h, w, c) input,
-    `shape` = (n, h, w), then `epilogue`, read from a row `source` and written to a band
-    `sink` one chunk at a time, so neither map need ever be whole.
+    `shape` = (n, h, w), then `epilogue`, as a row source like `_conv_columns`'s:
+    `rows(dst, i, lo, hi)` computes the rows of 4x4 output tiles that hold output rows
+    [lo, hi) of images [i, i + len(dst)) and writes those rows into `dst`.
 
-    `source(dst, i, lo, hi)` writes input rows [lo, hi) of images [i, i + len(dst)) into
-    `dst`, a (len(dst), hi - lo, w, c) view of the chunk's zero-bordered buffer;
-    `_array_source` copies them from an array. `sink(y, i, r)` receives each chunk's 4x4
-    output tiles y (4, 4, m, nb, tw, oc), after the epilogue, for output rows from r of images
-    from i; `_array_sink` scatters them into an array. `y` is overwritten by the next chunk.
-
-    Per chunk (`_chunks` of the plan `_chunk_shape` makes of the transformed tiles for
-    `_WINOGRAD_BUDGET` bytes: whole images, or a band of tile rows of one image), the band
-    loop's `_band_reader` writes the rows into its zero-bordered buffer, carrying the two rows
-    consecutive bands of one image share, so the source is asked for each row once. The band's
-    6x6 `_windows` 4 apart are copied out as tiles, and three GEMMs run the input transform, the
-    36 channel products and the output transform. The shift is added to the products at
-    `_WINOGRAD_ONES` and the ReLU clamps each chunk before the sink. The im2col and depthwise
-    kernels read their bands through the same loop. The transformed tiles V = Bt d B are written to
-    `tiles` (36, n*th*tw, c) when given, in (n, th, tw) order. The filter transform is
-    recomputed each call, so never stale.
+    Its plan (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
+    images, or a band of tile rows of one image) asks for whole tile rows, so each is computed
+    once; its buffers hold one such chunk, which no call may outgrow. Per call, the band loop's
+    `_band_reader` writes the rows `source` gives into its zero-bordered buffer, carrying the
+    two rows consecutive bands of one image share, so the source is asked for each row once. The
+    band's 6x6 `_windows` 4 apart are copied out as tiles, and three GEMMs run the input
+    transform, the 36 channel products and the output transform. The shift is added to the
+    products at `_WINOGRAD_ONES` and the ReLU clamps the tiles before they are scattered. The
+    transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw, c) when given, in (n, th,
+    tw) order, by whole tile rows. The filter transform is computed when the row source is made,
+    so a folded weight dies then.
     """
     n, h, w = shape
     oc, c = weight.shape[:2]
     th, tw = -(-h // 4), -(-w // 4)
     kb, kg, ka = _winograd_transforms(dtype)
-    u = _filter_transform(weight, kg)
-    del weight  # folded weights handed over by `ConvBnRelu.bands` die once transformed
+    u = _filter_transform(weight, kg).transpose(0, 2, 1)
     images, band = _chunk_shape((n, th, tw, 6, 6, max(c, oc)), np.dtype(dtype).itemsize,
                                 _WINOGRAD_BUDGET)
-    images = min(images, n)
     take = _scratch if tiles is not None else _fresh
     read = _band_reader(source, shape, c, 3, 1, 1, dtype, width=4 * tw + 2, take=take,
                         largest=(images, 4 * min(band, th)))
     # each GEMM reads one buffer and writes the other: tiles, transforms, products, outputs
     ping = take("ping", 36 * max(c, oc) * images * band * tw, dtype)
     pong = take("pong", len(ping), dtype)
-    for i, m, r, rows in _chunks(n, 4 * th, images, 4 * band):
-        nb = rows // 4
+
+    def rows(dst, i, lo, hi):
+        m, first = len(dst), lo // 4
+        nb = -(-hi // 4) - first
         p = m * nb * tw
         d = ping[: 36 * p * c].reshape(6, 6, m, nb, tw, c)
-        np.copyto(d, _windows(read(i, m, r, rows), 6, 4).transpose(3, 4, 0, 1, 2, 5))
-        start = (i * th + r // 4) * tw
+        np.copyto(d, _windows(read(i, m, 4 * first, 4 * nb), 6, 4).transpose(3, 4, 0, 1, 2, 5))
+        start = (i * th + first) * tw
         v = pong[: 36 * p * c].reshape(36, p, c) if tiles is None else tiles[:, start : start + p]
         np.matmul(kb, d.reshape(36, p * c), out=v.reshape(36, p * c, copy=False))
         prod = ping[: 36 * p * oc].reshape(36, p, oc)
-        np.matmul(v, u.transpose(0, 2, 1), out=prod)
+        np.matmul(v, u, out=prod)
         if epilogue.shift is not None:
             prod[_WINOGRAD_ONES] += epilogue.shift
         y = pong[: 16 * p * oc].reshape(16, p * oc)
         np.matmul(ka, prod.reshape(36, p * oc), out=y)
         if epilogue.relu:
             np.maximum(y, 0, out=y)
-        sink(y.reshape(4, 4, m, nb, tw, oc), i, r)
+        _scatter_tiles(y.reshape(4, 4, m, nb, tw, oc), dst, lo - 4 * first)
+
+    rows.plan = images, 4 * band
+    return rows
 
 
 # The two parts of a 6-wide tile along one axis, for the recorded path's overlap-add:
@@ -582,7 +591,7 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
 
 def _winograd(x, w, dtype, epilogue, recorded):
     """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3) of the tensor `x` into a fresh
-    array: the forward is `_winograd_conv` from `x`'s rows into that array.
+    array: the forward fills it from `_winograd_tiles` on `x`'s rows.
 
     With a graph `recorded`, it keeps the transformed tiles V = Bt d B, (36, n*th*tw, c), a
     quarter of the im2col columns, and returns a backward (else None). The backward transforms
@@ -600,8 +609,8 @@ def _winograd(x, w, dtype, epilogue, recorded):
     tiles = n * th * tw
     v = np.empty((36, tiles, c), dtype) if recorded else None
     out = np.empty((n, h, wd, oc), dtype)
-    _winograd_conv(_array_source(_nhwc(x.data)), _array_sink(out), (n, h, wd), w.data, dtype,
-                   epilogue, v)
+    _fill(_winograd_tiles(_array_source(_nhwc(x.data)), (n, h, wd), w.data, dtype, epilogue, v),
+          out)
     if not recorded:
         return out, None
     kb, kg, ka = _winograd_transforms(dtype)
@@ -663,8 +672,8 @@ def _im2col(x, w, stride, pad, groups, epilogue, recorded):
     oh, ow = _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad)
     out = np.empty((n, oh, ow, oc), np.result_type(xd, w_mat))
     rows = _conv_columns(_array_source(xd), (n, h, wd), c, w_mat, k, stride, pad, xd.dtype,
-                         epilogue, _reads_nchw(x.data))
-    cols = _fill(rows, out, k, c, xd.itemsize, recorded)
+                         epilogue, _reads_nchw(x.data), None if recorded else _COL_BUDGET)
+    cols = _fill(rows, out)
 
     def backward(grad):
         gmat = grad.reshape(n * oh * ow, groups, oc // groups).transpose(1, 0, 2)
@@ -747,21 +756,25 @@ class Conv2d(Module):
 
     def rows(self, source, shape, dtype, channels_first, _epilogue=None):
         """This conv with no graph as a row source of its (n, oh, ow, out_c) output, for an
-        (n, in_c, h, w) input, `shape` = (n, h, w), whose rows `source` writes in `dtype`
-        (`_winograd_conv` states the contract): `rows(dst, i, lo, hi)` writes output rows
-        [lo, hi) of images [i, i + len(dst)) into `dst`. Asked band after band, it asks
-        `source` for each input row once. `channels_first` bands the input in NCHW order, as
-        `forward` bands an image. An im2col (`_conv_columns`) or depthwise (`_depthwise_taps`)
-        conv only: the caller checks that `forward` would take neither Winograd nor the 1x1
-        GEMM. `_epilogue` is `forward`'s."""
+        (n, in_c, h, w) input, `shape` = (n, h, w), whose rows `source` writes in `dtype`:
+        `source(dst, i, lo, hi)` writes input rows [lo, hi) of images [i, i + len(dst)) into
+        `dst`, and `rows(dst, i, lo, hi)` writes output rows so. It runs the kernel `forward`
+        would pick on that map, Winograd (`_winograd_tiles`), depthwise (`_depthwise_taps`)
+        or im2col (`_conv_columns`, which runs a 1x1 conv as `_pointwise` does), so
+        `_fill(rows, out)` gives `forward`'s bits. `rows.plan` is the chunks the kernel wants
+        (a 1x1 conv's is its source's). Asked band after band, it asks `source` for each input
+        row once. `channels_first` bands an im2col input in NCHW order, as `forward` bands an
+        image. `_epilogue` is `forward`'s."""
         w, epilogue = self._folded(_epilogue)
         k, s, p, g = self.kernel, self.stride, self.pad, self.groups
+        if self.takes_winograd(*shape[1:]):
+            return _winograd_tiles(source, shape, w.data, np.result_type(dtype, w.dtype), epilogue)
         if self.depthwise:
             taps = np.ascontiguousarray(w.data.reshape(g, k * k).T)
             return _depthwise_taps(source, shape, taps, k, s, p, dtype, epilogue)
         w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, self.out_c // g, k * k * self.in_c // g)
         return _conv_columns(source, shape, self.in_c, w_mat, k, s, p, dtype, epilogue,
-                             channels_first)
+                             channels_first, _COL_BUDGET)
 
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape
@@ -1014,7 +1027,7 @@ def _resample_op(x, out_h, out_w, kind):
 
 
 def _merge_source(lateral, f, top):
-    """A `_winograd_conv` source of the FPN merge `lateral(f) + bilinear_upsample(top, h, w)`,
+    """A source (`_band_reader`) of the FPN merge `lateral(f) + bilinear_upsample(top, h, w)`,
     for a 1x1 `lateral` and an (n, c, h, w) `f`, with `top` wide enough to resample height
     first (`resample`). Per call: the lateral GEMM's rows, plus bias, into a buffer, then the
     upsample's rows added to it, each row of the height block of `top` that holds them times
@@ -1052,27 +1065,6 @@ def _merge_source(lateral, f, top):
     return source
 
 
-def _pointwise_sink(conv, out, w):
-    """A `_winograd_conv` sink that runs the 1x1 stride-1 `conv` on each band of a w-wide map,
-    into its rows of `out` (n, h, w, conv.out_c): the band is scattered into a buffer, then
-    one GEMM and the bias write its rows, as `_pointwise` computes them on the whole map."""
-    weight = conv.weight.data.reshape(conv.out_c, conv.in_c).T
-    bias = _Epilogue(None, None if conv.bias is None else conv.bias.data, False)
-    buf = []  # the first band's buffer, which no later band outgrows
-
-    def sink(y, i, r):
-        _, _, m, nb, _, c = y.shape
-        dst = out[i : i + m, r : r + 4 * nb]
-        if not buf:
-            buf.append(np.empty(dst.shape[:3] + (c,), y.dtype))
-        band = buf[0][:m, : dst.shape[1]]
-        _scatter_tiles(y, band)
-        np.matmul(band.reshape(-1, c), weight, out=dst.reshape(-1, conv.out_c, copy=False))
-        bias.apply(dst)
-
-    return sink
-
-
 def adaptive_avg_pool(x, out_h, out_w):
     """Mean over floor/ceil-partitioned windows that tile the input exactly."""
     _, _, h, w = x.shape
@@ -1108,9 +1100,9 @@ class ConvBnRelu(Module):
     In training, or in eval with a graph, the batch norm and ReLU are one
     recorded op after the conv; in training x̂ overwrites the conv output, so
     the graph keeps two output-sized arrays, x̂ and the block's output. In eval
-    with no graph they are the conv's `_Epilogue`; `bands` runs such a block on
-    the Winograd kernel from a row source into a band sink. `act` names the
-    ReLU's cost row and runs no code of its own."""
+    with no graph they are the conv's `_Epilogue`, and `rows` runs such a block
+    as a row source (`Conv2d.rows`) on whichever kernel `forward` takes. `act`
+    names the ReLU's cost row and runs no code of its own."""
 
     def __init__(self, in_c, out_c, stride=1, rng=None):
         super().__init__()
@@ -1125,18 +1117,8 @@ class ConvBnRelu(Module):
         # eval with no graph: batch norm and ReLU run as the conv's epilogue
         return conv(x, _epilogue=_bn_relu(bn))
 
-    def bands(self, source, sink, shape, dtype):
-        """The eval block with no graph on an (n, c, h, w) input, `shape` = (n, h, w), whose
-        rows `source` writes in `dtype`, with each band of output handed to `sink`: one
-        `_winograd_conv` with the epilogue and folded weights `forward` gives `Conv2d`, so the
-        bands have `forward`'s bits. The caller checks `conv.takes_winograd(h, w)`."""
-        epilogue = _bn_relu(self.bn)
-        _winograd_conv(source, sink, shape, self.conv.weight.data * epilogue.scale[:, None, None, None],
-                       np.result_type(dtype, self.conv.weight.dtype), epilogue)
-
     def rows(self, source, shape, dtype, channels_first):
-        """The eval block with no graph as a row source (`Conv2d.rows`) of its im2col conv with
-        `forward`'s epilogue and folded weights, so its rows have `forward`'s bits once a chunk
-        asks for them (`model.Backbone` chains its stem so). The caller checks that the conv
-        does not take Winograd."""
+        """The eval block with no graph as a row source (`Conv2d.rows`) of its conv with
+        `forward`'s epilogue and folded weights, so `_fill` gives `forward`'s bits
+        (`model.Backbone` chains its stem so, and `model.FpnDecoder` smooths its levels)."""
         return self.conv.rows(source, shape, dtype, channels_first, _epilogue=_bn_relu(self.bn))

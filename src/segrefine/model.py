@@ -2,9 +2,11 @@
 context head over the concatenated stages, an FPN-style decoder, and a
 training-only embedding head.
 
-With no graph recorded, the backbone chains its two stem blocks as row sources
-(`Backbone.forward`), so the stride-2 map is never whole, and the decoder runs
-each level whose smoothing conv takes Winograd as one banded kernel
+With no graph recorded, convs run as row sources (`layers.Conv2d.rows`), which
+ask their source, maybe another conv's rows, for the rows each chunk needs. The
+backbone chains its two stem blocks so (`Backbone.forward`), so the stride-2 map
+is never whole, and the decoder smooths each level whose smoothing conv takes
+Winograd from the merge's rows and classifies the smoothed stride-4 rows
 (`FpnDecoder.forward`), so its merges and the stride-4 features are never whole
 maps. `Backbone.compose` and `FpnDecoder.compose` are the same modules as plain
 compositions, with the same bits. `SegModel.predict` gives the class mask alone: it
@@ -26,11 +28,9 @@ from .layers import (
     Conv2d,
     ConvBnRelu,
     Module,
-    _array_sink,
     _array_source,
     _fill,
     _merge_source,
-    _pointwise_sink,
     _reads_nchw,
     bilinear_argmax,
     bilinear_upsample,
@@ -106,8 +106,7 @@ class Backbone(Module):
         f1 = np.empty((n, -(-ha // 2), -(-wa // 2), b.conv.out_c), image.dtype)
         stride2 = a.rows(_array_source(image.data.transpose(0, 2, 3, 1)), (n, h, w), image.dtype,
                          _reads_nchw(image.data))
-        _fill(b.rows(stride2, (n, ha, wa), image.dtype, False), f1, 3, a.conv.out_c,
-              image.dtype.itemsize)
+        _fill(b.rows(stride2, (n, ha, wa), image.dtype, False), f1)
         return Tensor(f1.transpose(0, 3, 1, 2))
 
     def compose(self, image: Tensor) -> FeaturePyramid:
@@ -134,14 +133,15 @@ class FpnDecoder(Module):
     """Lateral 1x1 convs, top-down addition, 3x3 smoothing, classifier.
 
     `compose` is the decoder as the plain composition of its modules. `forward` computes the
-    same bits; with no graph recorded, each level whose smoothing block can run banded runs
-    as one `ConvBnRelu.bands` call: its source writes the merge's rows (`_merge_source`), and
-    its sink scatters the output into the level's map or, at stride 4 when the caller does
-    not read the features, runs the classifier on each band (`_pointwise_sink`). So the
-    merge, its smoothing and the stride-4 features never exist as full-size maps, and each
-    level dies once the level below has read it. The classifier's stride-4 logits are
-    computed apart from the final `bilinear_upsample`, which runs only when the caller asks
-    for an output size: `SegModel.predict` asks for none and arg-maxes them by bands."""
+    same bits; with no graph recorded, each level whose smoothing conv takes Winograd fills its
+    map from `smooth.rows` on the merge's rows (`_merge_source`) or, at stride 4 when the caller
+    does not read the features, fills the stride-4 logits from `classifier.rows` on those rows.
+    So the merge, its smoothing and the stride-4 features never exist as full-size maps, and
+    each level dies once the level below has read it. The other levels run the composition:
+    banding a level below `_RESAMPLE_FEW_CHANNELS` channels would need `_merge_source` to
+    resample width first too. The classifier's stride-4 logits are computed apart from the final
+    `bilinear_upsample`, which runs only when the caller asks for an output size:
+    `SegModel.predict` asks for none and arg-maxes them by bands."""
 
     def __init__(self, channels, width, num_classes, rng=None):
         super().__init__()
@@ -177,16 +177,16 @@ class FpnDecoder(Module):
                 # rebinding `x` drops the level above once it is upsampled
                 x = smooth(lateral(f) + bilinear_upsample(x, h, w))
                 continue
-            # the source holds the level above until `bands` returns, no longer
-            if level == 2 and not features:  # no stride-4 map: the classifier reads each band
-                out = np.empty((n, h, w, self.classifier.out_c), f.dtype)
-                smooth.bands(_merge_source(lateral, f, x), _pointwise_sink(self.classifier, out, w),
-                             (n, h, w), f.dtype)
-                x, logits = None, Tensor(out.transpose(0, 3, 1, 2))
-            else:
-                out = np.empty((n, h, w, smooth.conv.out_c), f.dtype)
-                smooth.bands(_merge_source(lateral, f, x), _array_sink(out), (n, h, w), f.dtype)
-                x = Tensor(out.transpose(0, 3, 1, 2))
+            classify = level == 2 and not features  # no stride-4 map: the classifier reads rows
+            # allocated before the kernels' buffers, an order the heap's placement follows
+            # (see `layers._band_reader`)
+            out = np.empty((n, h, w, (self.classifier if classify else smooth.conv).out_c), f.dtype)
+            rows = smooth.rows(_merge_source(lateral, f, x), (n, h, w), f.dtype, False)
+            _fill(self.classifier.rows(rows, (n, h, w), f.dtype, False) if classify else rows, out)
+            del rows  # its source holds the level above, no longer
+            x = Tensor(out.transpose(0, 3, 1, 2))
+            if classify:
+                x, logits = None, x
         if logits is None:
             # the features outlive the classifier only when the caller reads them
             logits, x = self.classifier(x), (x if features else None)

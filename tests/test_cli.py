@@ -211,19 +211,27 @@ def _scaled_no_grad(fn):
     return broken
 
 
-def _scaled_winograd(fused, banded=False):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run by
-    `ConvBnRelu.bands` from a row source (or by `_winograd` from an array): a recorded
-    Winograd conv's forward also runs `_winograd_conv`, with a graph recorded."""
+def _scaled_rows(rows):
+    """The row source `rows` with a fault in every row it writes; its plan passes through."""
+    def scaled(dst, i, lo, hi):
+        made = rows(dst, i, lo, hi)
+        dst *= 1.001
+        return made
+
+    scaled.plan = rows.plan
+    return scaled
+
+
+def _scaled_winograd(fused, rows=False):
+    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run as a row
+    source by `Conv2d.rows` (or by `_winograd` from an array): a recorded Winograd conv's
+    forward also runs `_winograd_tiles`, with a graph recorded."""
     def fault(fn):
-        def broken(source, sink, shape, weight, dtype, epilogue, tiles=None):
-            by_bands = sys._getframe(1).f_code.co_name == "bands"
-            hit = not T._GRAD_ENABLED and epilogue.relu == fused and by_bands == banded
-
-            def scaled(y, i, r):
-                sink(y * 1.001, i, r)
-
-            return fn(source, scaled if hit else sink, shape, weight, dtype, epilogue, tiles)
+        def broken(source, shape, weight, dtype, epilogue, tiles=None):
+            by_rows = sys._getframe(1).f_code.co_name == "rows"
+            hit = not T._GRAD_ENABLED and epilogue.relu == fused and by_rows == rows
+            made = fn(source, shape, weight, dtype, epilogue, tiles)
+            return _scaled_rows(made) if hit else made
 
         return broken
 
@@ -233,20 +241,14 @@ def _scaled_winograd(fused, banded=False):
 def _scaled_columns(recorded, fused, rows=False):
     """A fault in im2col convs that record a graph (or not), with (or without) a ReLU
     epilogue, run by their own forward (`_im2col`), or (`rows`) as a row source by
-    `Conv2d.rows`."""
+    `Conv2d.rows`, as 1x1 stride-1 convs run too."""
     def fault(fn):
         def broken(*args):
             epilogue = args[8]
             by_rows = sys._getframe(1).f_code.co_name == "rows"
             hit = T._GRAD_ENABLED == recorded and epilogue.relu == fused and by_rows == rows
             columns = fn(*args)
-
-            def scaled(dst, i, lo, hi):
-                cols = columns(dst, i, lo, hi)
-                dst *= 1.001
-                return cols
-
-            return scaled if hit else columns
+            return _scaled_rows(columns) if hit else columns
 
         return broken
 
@@ -267,8 +269,8 @@ def _scaled_bn_relu(fn):
 # a small fault in the path of each oracle line: (line label, the `layers`
 # function it breaks, the wrapper that breaks it)
 PATH_FAULTS = [
-    ("winograd conv", "_winograd_conv", _scaled_winograd(False)),
-    ("winograd conv + bn relu epilogue", "_winograd_conv", _scaled_winograd(True)),
+    ("winograd conv", "_winograd_tiles", _scaled_winograd(False)),
+    ("winograd conv + bn relu epilogue", "_winograd_tiles", _scaled_winograd(True)),
     ("1x1 conv", "_pointwise", _scaled_no_grad),
     ("recorded 1x1 conv gradients", "_pointwise", _scaled_backward),
     ("depthwise conv", "_depthwise", _scaled_no_grad),
@@ -278,16 +280,20 @@ PATH_FAULTS = [
     ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
     ("recorded winograd conv gradients", "_winograd", _scaled_backward),
     ("recorded conv + bn relu", "_batch_norm", _scaled_bn_relu),
-    ("winograd conv + bn relu epilogue, row source", "_winograd_conv",
+    ("winograd conv + bn relu epilogue, row source", "_winograd_tiles",
      _scaled_winograd(True, True)),
     ("banded resampling", "resample", _scaled_output),
     ("im2col and depthwise conv + bn relu epilogue, chained row source", "_conv_columns",
      _scaled_columns(False, True, rows=True)),
+    ("winograd conv + bn relu epilogue and 1x1 conv, chained row source", "_conv_columns",
+     _scaled_columns(False, False, rows=True)),
 ]
 # the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults
-# fail it too
+# fail it too; the chained 1x1 line reads a Winograd conv's rows
 ALSO_FAILS = dict.fromkeys(["recorded conv gradients", "recorded winograd conv gradients"],
                            "recorded conv + bn relu")
+ALSO_FAILS["winograd conv + bn relu epilogue, row source"] = (
+    "winograd conv + bn relu epilogue and 1x1 conv, chained row source")
 
 
 class TestChecksAndBench:

@@ -190,11 +190,19 @@ ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 # the oracle row of a training ConvBnRelu: a recorded conv, then its batch norm and ReLU
 # as one recorded op
 BLOCK_ROW = "recorded conv + bn relu"
-# the oracle row of an eval ConvBnRelu run by `ConvBnRelu.bands`, as the decoder's levels run
+# the oracle row of an eval ConvBnRelu run as a Winograd row source, as the decoder's
+# levels run
 BANDED_ROW = "winograd conv + bn relu epilogue, row source"
-# the oracle row of a conv run as a row source by `Conv2d.rows`, as the backbone's stem
-# blocks run chained (`ConvBnRelu.rows`)
+# the oracle row of an im2col or depthwise conv run as a row source by `Conv2d.rows`, as the
+# backbone's stem blocks run chained (`ConvBnRelu.rows`)
 CHAINED_ROW = "im2col and depthwise conv + bn relu epilogue, chained row source"
+# the oracle row of a 1x1 conv run as a row source on a Winograd conv's rows, as the
+# decoder's classifier runs
+CLASSIFIER_ROW = "winograd conv + bn relu epilogue and 1x1 conv, chained row source"
+# the oracle row of each `Conv2d.rows` call, told apart by the kernel that makes its rows
+# and by whether the conv is 1x1 stride-1 pad-0 ungrouped
+_ROW_SOURCE_ROWS = {("_winograd_tiles", False): BANDED_ROW, ("_depthwise_taps", False): CHAINED_ROW,
+                    ("_conv_columns", False): CHAINED_ROW, ("_conv_columns", True): CLASSIFIER_ROW}
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
 RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                        "recorded conv gradients")
@@ -202,14 +210,14 @@ RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv g
 
 def _spy_conv_paths(monkeypatch):
     """The oracle row label of every `Conv2d.forward` call, None where none maps,
-    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`,
-    `BANDED_ROW` for every `ConvBnRelu.bands` call and `CHAINED_ROW` for every
-    `Conv2d.rows` call.
+    `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`, and the
+    `_ROW_SOURCE_ROWS` label of every `Conv2d.rows` call, by the kernel it runs.
 
-    Spies on `records_graph` and on the functions that compute a forward, and
-    counts only their outermost calls made inside `Conv2d.forward`. No backward
-    runs any of them (see `test_one_scatter_takes_every_input_gradient`).
-    The epilogue a `ConvBnRelu` passes goes through to the forward.
+    Spies on `records_graph` and on the functions that compute a forward or make a
+    row source, and counts only their outermost calls made inside `Conv2d.forward`
+    or `Conv2d.rows`. No backward runs any of them (see
+    `test_one_scatter_takes_every_input_gradient`). The epilogue a `ConvBnRelu`
+    passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
     forward = Conv2d.forward
@@ -248,21 +256,22 @@ def _spy_conv_paths(monkeypatch):
             rows.append(BLOCK_ROW)
         return batch_norm(bn, x, relu)
 
-    bands, conv_rows = ConvBnRelu.bands, Conv2d.rows
-
-    def spy_bands(self, *args):
-        rows.append(BANDED_ROW)
-        return bands(self, *args)
+    conv_rows = Conv2d.rows
 
     def spy_rows(self, *args, **kwargs):
-        rows.append(CHAINED_ROW)
-        return conv_rows(self, *args, **kwargs)
+        inside.append([])
+        try:
+            return conv_rows(self, *args, **kwargs)
+        finally:
+            kernels = [name for name, _ in inside.pop()]
+            pointwise = (self.kernel, self.stride, self.pad, self.groups) == (1, 1, 0, 1)
+            rows.append(_ROW_SOURCE_ROWS.get((kernels[0], pointwise)) if len(kernels) == 1
+                        else None)
 
-    for name in {"records_graph"} | {key[0] for key in _PATH_ROWS}:
+    for name in {"records_graph"} | {key[0] for key in (*_PATH_ROWS, *_ROW_SOURCE_ROWS)}:
         spy(name, getattr(layers, name))
     monkeypatch.setattr(Conv2d, "forward", spy_forward)
     monkeypatch.setattr(layers, "_batch_norm", spy_batch_norm)
-    monkeypatch.setattr(ConvBnRelu, "bands", spy_bands)
     monkeypatch.setattr(Conv2d, "rows", spy_rows)
     return rows
 
@@ -270,7 +279,8 @@ def _spy_conv_paths(monkeypatch):
 def _check_oracle_row(row, dtype, rng, monkeypatch):
     """`row` is within its bound in `dtype`, and every case of it took its path: for
     `BLOCK_ROW`, a recorded Winograd or im2col conv and then the batch norm + ReLU op; for
-    `CHAINED_ROW`, the conv's rows alone, then chained into the stride-2 block's."""
+    `CHAINED_ROW`, the conv's rows alone, then chained into the stride-2 block's; for
+    `CLASSIFIER_ROW`, the Winograd conv's rows alone, then under the 1x1 conv's."""
     paths = _spy_conv_paths(monkeypatch)
     assert gradcheck.oracle_deviation(row, dtype, rng) <= row.bounds[dtype]
     cases = len(row.cases())
@@ -279,6 +289,8 @@ def _check_oracle_row(row, dtype, rng, monkeypatch):
         assert set(paths[::2]) == {"recorded winograd conv gradients", "recorded conv gradients"}
     elif row.label == CHAINED_ROW:
         assert paths == [CHAINED_ROW] * 3 * cases
+    elif row.label == CLASSIFIER_ROW:
+        assert paths == [BANDED_ROW, BANDED_ROW, CLASSIFIER_ROW] * cases
     else:
         assert paths == [row.label] * cases
 
@@ -349,10 +361,10 @@ class TestRecordedConv:
 
         def columns():
             return layers._conv_columns(layers._array_source(x), (3, 5, 6), 4, w_mat, 3, 1, 1,
-                                        np.float32, epilogue, False)
+                                        np.float32, epilogue, False, None)
 
         out = np.empty((3, 5, 6, 6), np.float32)
-        cols = layers._fill(columns(), out, 3, 4, 4, whole=True)
+        cols = layers._fill(columns(), out)
         assert cols.shape == (2, 3 * 5 * 6, 18) and cols.flags.c_contiguous
         want = np.empty_like(out)  # asked for one output row at a time
         for i, _, r, _ in layers._chunks(3, 5, 1, 1):
@@ -447,8 +459,8 @@ def _channels_last(rng, shape, dtype, requires_grad=False):
 
 
 class TestBandedConvBnRelu:
-    """`ConvBnRelu.bands` runs an eval block with no graph on the Winograd kernel from a row
-    source into a band sink, with the bits of `forward`."""
+    """`ConvBnRelu.rows` runs an eval block with no graph as a Winograd row source, which
+    `_fill` asks for the chunks of its plan, with the bits of `forward`."""
 
     @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17)), (1, (13, 1024))],
                              ids=["whole-tiles", "ragged", "13x1024"])
@@ -464,22 +476,24 @@ class TestBandedConvBnRelu:
         block = _eval_block(WINO_C, WINO_C, dtype, rng)
         x = _channels_last(rng, (n, WINO_C, *hw), dtype)
         xd, asked = x.data.transpose(0, 2, 3, 1), np.zeros((n, hw[0]), int)
-        bands = []  # (first image, first output row) of each band the sink receives
+        bands = []  # (first image, first output row) of each band the row source is asked for
 
         def source(dst, i, lo, hi):
             asked[i : i + len(dst), lo:hi] += 1
             np.copyto(dst, xd[i : i + len(dst), lo:hi])
 
         out = np.empty((n, *hw, WINO_C), dtype)
-        sink = layers._array_sink(out)
-
-        def spy_sink(y, i, r):
-            bands.append((i, r))
-            sink(y, i, r)
 
         with no_grad():
             want = block(x).data
-            block.bands(source, spy_sink, (n, *hw), dtype)
+            rows = block.rows(source, (n, *hw), dtype, False)
+
+            def spy_rows(dst, i, lo, hi):
+                bands.append((i, lo))
+                rows(dst, i, lo, hi)
+
+            spy_rows.plan = rows.plan
+            layers._fill(spy_rows, out)
         np.testing.assert_array_equal(asked, 1)  # the two rows bands share are carried
         assert bands == sorted(set(bands))
         np.testing.assert_array_equal(out.transpose(0, 3, 1, 2), want)  # bit for bit
@@ -507,7 +521,7 @@ class TestBandedConvBnRelu:
         monkeypatch.setattr(layers, "_filter_transform", spy)
         out = np.empty((1, 8, 8, WINO_C), np.float32)
         with no_grad():
-            block.bands(source, layers._array_sink(out), (1, 8, 8), np.float32)
+            layers._fill(block.rows(source, (1, 8, 8), np.float32, False), out)
         assert len(alive) == 1
 
 
@@ -520,9 +534,64 @@ def _growing_bands(oh):
 
 
 class TestRowSources:
-    """`Conv2d.rows` runs an im2col or depthwise conv with no graph as a row source: asked band
-    after band, it asks its source for each input row its windows read, and for no row twice,
-    and its rows match `forward`'s."""
+    """`Conv2d.rows` runs a conv with no graph as a row source on the kernel `forward` picks:
+    asked band after band, it asks its source for each input row its windows read, and for no
+    row twice, and its rows match `forward`'s."""
+
+    # (conv, input extents, the oracle rows of `forward`'s kernel and of the row source's)
+    @pytest.mark.parametrize("kwargs, hw, paths", [
+        (dict(in_c=WINO_C, out_c=WINO_C + 8, kernel=3, pad=1), (16, 16),
+         ["winograd conv", BANDED_ROW]),
+        (dict(in_c=WINO_C, out_c=16, kernel=3, pad=1), (13, 17), ["winograd conv", BANDED_ROW]),
+        (dict(in_c=4, out_c=6, kernel=1), (7, 5), ["1x1 conv", CLASSIFIER_ROW]),
+        (dict(in_c=4, out_c=4, kernel=3, stride=2, pad=1, groups=4), (7, 5),
+         ["depthwise conv", CHAINED_ROW]),
+        (dict(in_c=4, out_c=6, kernel=3, stride=2, pad=1), (7, 5), ["im2col conv", CHAINED_ROW]),
+    ], ids=["winograd", "winograd-ragged", "1x1", "depthwise", "im2col"])
+    @pytest.mark.parametrize("budget", ["default", "small"])
+    @pytest.mark.parametrize("nchw", [True, False], ids=["nchw", "channels-last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_fill_matches_forward_bit_for_bit(self, rng, monkeypatch, kwargs, hw, paths, budget,
+                                              nchw, dtype):
+        if budget == "small":  # chunks of one tile row, or of one or two output rows
+            monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", 1)
+            monkeypatch.setattr(layers, "_COL_BUDGET", 9 * 4 * 5 * np.dtype(dtype).itemsize)
+        kernels = _spy_conv_paths(monkeypatch)
+        conv = Conv2d(rng=rng, **kwargs).cast(dtype)
+        conv.bias.data = rng.standard_normal(conv.out_c).astype(dtype)
+        n, c = 3, conv.in_c
+        x = rng.standard_normal((n, c, *hw) if nchw else (n, *hw, c)).astype(dtype)
+        x = x if nchw else x.transpose(0, 3, 1, 2)
+        with no_grad():
+            want = conv(Tensor(x)).data.transpose(0, 2, 3, 1)
+            got = np.empty_like(want)
+            layers._fill(conv.rows(layers._array_source(x.transpose(0, 2, 3, 1)), (n, *hw), dtype,
+                                   nchw), got)
+        assert kernels == paths
+        np.testing.assert_array_equal(got, want)  # bit for bit
+
+    @pytest.mark.parametrize("hw", [(16, 16), (13, 17), (5, 7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_winograd_asked_row_by_row_matches_direct_reference(self, rng, hw, dtype):
+        conv = Conv2d(WINO_C, 16, 3, pad=1, rng=rng).cast(dtype)
+        conv.bias.data = rng.standard_normal(16).astype(dtype)
+        n = 2
+        x = rng.standard_normal((n, *hw, WINO_C)).astype(dtype)
+        asked = np.zeros((n, hw[0]), int)
+
+        def source(dst, i, lo, hi):
+            asked[i : i + len(dst), lo:hi] += 1
+            np.copyto(dst, x[i : i + len(dst), lo:hi])
+
+        with no_grad():
+            got = gradcheck._asked_row_by_row(conv.rows(source, (n, *hw), dtype, False),
+                                              (n, *hw, 16), dtype)
+        # each tile row is computed for each of its output rows, from rows read once
+        np.testing.assert_array_equal(asked, 1)
+        direct = gradcheck.conv_reference(x.transpose(0, 3, 1, 2), conv.weight.data,
+                                          conv.bias.data, np.zeros((n, 16, *hw)), 1, 1, 1)[0]
+        bound = ORACLE_ROWS[BANDED_ROW].bounds[dtype]
+        assert np.abs(got.transpose(0, 3, 1, 2) - direct).max() <= bound * np.abs(direct).max()
 
     @pytest.mark.parametrize("kwargs", [
         dict(in_c=3, out_c=5, kernel=3, stride=2, pad=1),
@@ -578,8 +647,8 @@ class TestRowSources:
 
 class TestInPlaceConvBnRelu:
     """A banded c -> c block can write its output over its input: each band's rows are read
-    before its sink writes, and the two rows consecutive bands share are carried in the
-    buffer, so an array source and an array sink on one map never read a written row."""
+    before the band is written, and the two rows consecutive bands share are carried in the
+    buffer, so `_fill` from an array source into that array never reads a written row."""
 
     @pytest.mark.parametrize("n, hw", [(3, (16, 16)), (2, (13, 17))], ids=["whole-tiles", "ragged"])
     @pytest.mark.parametrize("chunks", ["whole-images", "two-images", "one-tile-row",
@@ -595,7 +664,7 @@ class TestInPlaceConvBnRelu:
         xd = x.data.transpose(0, 2, 3, 1)
         with no_grad():
             want = block(x).data
-            block.bands(layers._array_source(xd), layers._array_sink(xd), (n, *hw), dtype)
+            layers._fill(block.rows(layers._array_source(xd), (n, *hw), dtype, False), xd)
         np.testing.assert_array_equal(x.data, want)  # bit for bit
 
 
@@ -608,10 +677,10 @@ def test_fresh_sums_runs_the_decoders_composition(rng, fresh_sums, monkeypatch):
               for i, c in enumerate((8, 16, 32, 64))]
     context = _channels_last(rng, (1, WINO_C, 2, 4), np.float32)
     calls = record_calls(monkeypatch, (decoder.smooth3, decoder.smooth2, decoder.smooth1),
-                         ("forward", "bands"))
+                         ("forward", "rows"))
     with no_grad():
         decoder(FeaturePyramid(*stages), context, 64, 128, False)
-        assert [method for method, _ in calls] == ["bands"] * 3
+        assert [method for method, _ in calls] == ["rows"] * 3
         calls.clear()
         fresh_sums(lambda: decoder(FeaturePyramid(*stages), context, 64, 128, False))
     assert [method for method, _ in calls] == ["forward"] * 3
@@ -858,12 +927,15 @@ class TestOracleTable:
                                 "recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                                 BLOCK_ROW}
         # every ConvBnRelu runs its batch norm and ReLU as its conv's epilogue, the stem's
-        # two blocks run chained as row sources and the decoder's smoothing blocks run
-        # banded from the merge's rows
+        # two blocks run chained as row sources, the decoder's smoothing blocks run
+        # banded from the merge's rows and its classifier on the stride-4 block's rows
         assert set(paths) == {"winograd conv + bn relu epilogue", "1x1 conv", "depthwise conv",
-                              "im2col conv + bn relu epilogue", BANDED_ROW, CHAINED_ROW}
+                              "im2col conv + bn relu epilogue", BANDED_ROW, CHAINED_ROW,
+                              CLASSIFIER_ROW}
         assert paths.count(CHAINED_ROW) == 2
-        assert set(_PATH_ROWS.values()) | {BLOCK_ROW, BANDED_ROW, CHAINED_ROW} == set(ORACLE_ROWS)
+        assert paths.count(BANDED_ROW) == 3 and paths.count(CLASSIFIER_ROW) == 1
+        assert set(_PATH_ROWS.values()) | {BLOCK_ROW, BANDED_ROW, CHAINED_ROW,
+                                           CLASSIFIER_ROW} == set(ORACLE_ROWS)
 
 
 class TestChannelsLast:

@@ -271,20 +271,21 @@ class TestFpnDecoder:
     def test_no_grad_levels_die_once_read(self, rng, monkeypatch, features):
         decoder = FpnDecoder(TOY.channels, 32, 5, rng=rng).eval()
         pyramid, context = decoder_inputs(rng, TOY.channels, 32, 16, 32)
-        maps = []  # weak references to the level maps the sinks write, in level order
+        maps = []  # weak references to the level maps the row sources fill, in level order
         alive = []  # at each merge and at the logits upsample: which level maps are alive
 
         def spy(name, fn):
             def run(*args):
-                if name == "_array_sink":
-                    maps.append(weakref.ref(args[0]))
+                if name == "_fill":
+                    if args[1].shape[-1] == 32:  # a level map, not the stride-4 logits
+                        maps.append(weakref.ref(args[1]))
                 else:
                     alive.append([ref() is not None for ref in maps])
                 return fn(*args)
 
             monkeypatch.setattr(model_module, name, run)
 
-        for name in ("_array_sink", "_merge_source", "bilinear_upsample"):
+        for name in ("_fill", "_merge_source", "bilinear_upsample"):
             spy(name, getattr(model_module, name))
         with no_grad():
             _, p1 = decoder(pyramid, context, 64, 128, features)
@@ -324,11 +325,11 @@ class TestFpnDecoder:
         image = Tensor(rng.standard_normal((2, 3, 64, 128)))
         decoder = model.decoder
         calls = record_calls(monkeypatch, (decoder.smooth3, decoder.smooth2, decoder.smooth1),
-                             ("bands",))
+                             ("rows",))
         with no_grad():
             got = model(image, train_mode=False)["logits"].data
         # every level ran banded
-        assert [args[2] for _, args in calls] == [(2, 4, 8), (2, 8, 16), (2, 16, 32)]
+        assert [args[1] for _, args in calls] == [(2, 4, 8), (2, 8, 16), (2, 16, 32)]
         want = model(image, train_mode=False)["logits"]
         assert want.requires_grad and len(calls) == 3
         assert np.abs(got - want.data).max() <= 1e-12 * np.abs(want.data).max()
@@ -337,7 +338,7 @@ class TestFpnDecoder:
         decoder = FpnDecoder(TOY.channels, 16, 5, rng=rng).eval()  # too narrow for Winograd
         pyramid, context = decoder_inputs(rng, TOY.channels, 16, 16, 32)
         calls = record_calls(monkeypatch, (decoder.smooth3, decoder.smooth2, decoder.smooth1),
-                             ("forward", "bands"))
+                             ("forward", "rows"))
         with no_grad():
             logits, _ = decoder(pyramid, context, 64, 128, False)
             want, _ = decoder.compose(pyramid, context, 64, 128, False)
