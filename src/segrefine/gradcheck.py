@@ -1,6 +1,8 @@
 """Central finite-difference verification of every backward rule, and the
 oracle table of the convolution fast paths: `ORACLE_ROWS` has one row per
-path `Conv2d.forward` can take (no-grad Winograd and no-grad im2col, each
+path `Conv2d.forward` can take, by the kernel `Conv2d._kernel_for` picks
+(`_winograd`, `_depthwise`, or `_im2col` with its 1x1 stride-1 GEMM branch)
+and by whether a graph is recorded (no-grad Winograd and no-grad im2col, each
 plain and with a `ConvBnRelu`'s batch norm + ReLU epilogue; the 1x1 GEMM and
 the depthwise per-tap paths, each no-grad and recorded; recorded im2col and
 recorded Winograd), plus one for a training `ConvBnRelu`, whose batch norm and
@@ -344,7 +346,8 @@ _WINOGRAD = OracleRow("winograd conv", _WINOGRAD_CONVS[:2],
 # the ConvBnRelu convs narrow enough for im2col: stride 1 and stride 2
 _BLOCK_IM2COL = tuple((4, 6, 3, s, 1, 1) for s in (1, 2))
 
-# every path Conv2d.forward can take, one row each, in `segrefine oracle` order
+# every path Conv2d.forward can take, by kernel factory (the 1x1 GEMM branch of `_im2col`
+# apart) and by whether a graph is recorded, one row each, in `segrefine oracle` order
 ORACLE_ROWS = (
     _WINOGRAD,
     _WINOGRAD._replace(label="winograd conv + bn relu epilogue", block=True),

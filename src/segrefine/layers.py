@@ -2,46 +2,48 @@
 
 Memory format: every activation is stored channels-last, (n, h, w, c), behind
 its logical (n, c, h, w) shape. Each op reads `_nhwc(x)`, free for a
-channels-last array and one copy for an NCHW one (im2col reads an NCHW image
+channels-last array and one copy for an NCHW one (a conv reads an NCHW image
 as it is), and returns the (n, c, h, w) view of an (n, h, w, c) array, so
 numpy's elementwise ops, `concat` along channels and the attention's
-(n, c, h*w) reshape keep the layout. Weights stay OIHW. `Conv2d.forward` picks
-each conv's kernel, which returns its (n, oh, ow, oc) output and a backward for
-the input and weight gradients; `Conv2d.forward` makes the one graph node and
-adds the bias gradient. A 1x1 stride-1 conv is one GEMM over the (n*h*w, c)
-matrix, forward and for both gradients; batch norm reduces over the (n*h*w, c)
-matrix. Every other kernel reads k x k windows through one band loop, and every
-no-grad kernel speaks one contract. A source `source(dst, i, lo, hi)` writes
-input rows [lo, hi) of images [i, i + len(dst)) into `dst`, and `_band_reader`
-writes each chunk's input rows, asked of a source, into one zero-bordered band
-buffer, carrying the rows that consecutive bands of one image share. So no
-kernel copies a whole bordered input, and a source is asked for each row once.
-Each kernel is a row source: a source of its own output rows that carries
-`rows.plan`, the chunks it wants (whole images, or bands of output rows of one
-image, from `_chunk_shape`), and `_fill` asks it for each chunk of an output
-array. A depthwise conv (`_depthwise_taps`) is one multiply-add per kernel tap
-over the band. Other convs run im2col (`_conv_columns`) with (positions,
-k*k*c/groups) columns per band, in chunks of `_COL_BUDGET` bytes when no graph
-is recorded and in one chunk, kept for the weight gradient, when one is; an
-NCHW image is banded in its own order. `_scatter_taps` adds up each tap's input
-gradient for every im2col and depthwise conv. A 3x3 stride-1 pad-1 conv with at
-least `_WINOGRAD_MIN_CHANNELS` input channels, on a map at least 4x4 and larger
-than one 4x4 tile (`Conv2d.takes_winograd`), runs Winograd F(4x4, 3x3) in
-`_winograd`, recorded or not: its forward fills the output from
-`_winograd_tiles`, which gathers 6x6 `_windows` from bands of tile rows in
-chunks of `_WINOGRAD_BUDGET` bytes and keeps the transformed tiles for the
-backward when a graph is recorded. So the kernel follows the conv's geometry
-and map alone. With no graph, `Conv2d.rows` hands the caller the row source of
-whichever kernel `forward` would take (a 1x1 conv's is `_conv_columns` on the
-band itself, in its source's chunks), so one conv's rows can feed the next: the
-backbone chains its stem so (`ConvBnRelu.rows`), and the FPN decoder smooths
-the merge's rows (`_merge_source`) and, at stride 4, runs the classifier on
-the smoothed rows. A recorded Winograd conv takes every temporary from
-`_scratch`, one grow-only buffer per role and dtype, kept until `trainer.train`
-returns (for the process when recorded convs run outside it): its zero-bordered
-band buffer (`padded`) and the two buffers its GEMMs alternate between (`ping`,
-`pong`), forward and backward. What outlives a call (the output, the kept tiles, the
-gradients) is never carved from it. Fresh, those temporaries were handed back
+(n, c, h*w) reshape keep the layout. Weights stay OIHW. One method,
+`Conv2d._kernel_for`, picks each conv's kernel from the conv's geometry and map
+alone and calls its factory (`_winograd`, `_depthwise` or `_im2col`), which
+lays out the weights once and returns the kernel's row source and, for a
+recorded input, its backward for the input and weight gradients.
+`Conv2d.forward` fills a fresh output from that row source on its input's rows
+and makes the one graph node, which adds the bias gradient; `Conv2d.rows` hands
+a no-grad caller the same row source on any source's rows. Batch norm reduces
+over the (n*h*w, c) matrix. A source `source(dst, i, lo, hi)` writes input rows
+[lo, hi) of images [i, i + len(dst)) into `dst`, and `_band_reader` writes each
+chunk's input rows, asked of a source, into one zero-bordered band buffer,
+carrying the rows that consecutive bands of one image share. So no kernel
+copies a whole bordered input, and a source is asked for each row once. A row
+source is a source of a kernel's output rows that carries `rows.plan`, the
+chunks it wants (whole images, or bands of output rows of one image, from
+`_chunk_shape`), and `_fill` asks it for each chunk of an output array. A
+depthwise conv (`_depthwise_taps`) is one multiply-add per kernel tap over the
+band. Other convs run im2col (`_conv_columns`) with (positions, k*k*c/groups)
+columns per band, in chunks of `_COL_BUDGET` bytes when no graph is recorded
+and in one chunk, kept for the weight gradient, when one is; an NCHW image is
+banded in its own order. A 1x1 stride-1 pad-0 ungrouped conv builds no
+columns: it takes its source's chunks, and on an array (`_array_source`, as
+`forward` reads its input) it is one GEMM over the (n*h*w, c) matrix of the
+array's rows, as is each gradient. `_scatter_taps` adds up each tap's input
+gradient for every other im2col conv and every depthwise conv. A 3x3 stride-1
+pad-1 conv with at least `_WINOGRAD_MIN_CHANNELS` input channels, on a map at
+least 4x4 and larger than one 4x4 tile (`Conv2d.takes_winograd`), runs
+Winograd F(4x4, 3x3), recorded or not: `_winograd_tiles` gathers 6x6
+`_windows` from bands of tile rows in chunks of `_WINOGRAD_BUDGET` bytes and
+keeps the transformed tiles for the backward when a graph is recorded. Since a
+conv's rows can feed the next conv, the backbone chains its stem
+(`ConvBnRelu.rows`), and the FPN decoder smooths the merge's rows
+(`_merge_source`) and, at stride 4, runs the classifier on the smoothed rows.
+A recorded Winograd conv takes every temporary from `_scratch`, one grow-only
+buffer per role and dtype, kept until `trainer.train` returns (for the process
+when recorded convs run outside it): its zero-bordered band buffer (`padded`)
+and the two buffers its GEMMs alternate between (`ping`, `pong`), forward and
+backward. What outlives a call (the output, the kept tiles, the gradients) is
+never carved from it. Fresh, those temporaries were handed back
 to the OS and mapped again on every call: a train-64-shaped step took a median
 of about 2400 minor page faults, and about 1 with the scratch. The no-grad
 forward still allocates per call: putting it on the scratch too raised peak RSS
@@ -348,24 +350,29 @@ def _conv_columns(source, shape, c, w_mat, kernel, stride, pad, dtype, epilogue,
     k*k*c/groups), then `epilogue` runs in cache. The band, and so the buffer, follows the
     input's memory order (`channels_first` for an NCHW image): copies run along channels, or
     along positions for an image (1.7 against 4.3 ms for a 3x512x1024 stem). A 1x1 stride-1
-    pad-0 ungrouped conv multiplies a channels-last band itself, as `_pointwise` multiplies the
-    whole map, and takes its source's plan (`source.plan`), so on a row source each call asks
-    for one of the source's chunks (the FPN decoder's classifier on Winograd tile rows). The
-    conv's own forward (`_im2col`) fills an array by `_fill`; a chained no-grad block hands its
-    rows to the next block's band (`ConvBnRelu.rows`)."""
+    pad-0 ungrouped conv copies no columns and takes its source's plan (`source.plan`): on an
+    `_array_source` it multiplies the array's rows themselves, so `Conv2d.forward` runs it as
+    one GEMM over the whole batch; on a channels-last band it multiplies the band, so on a row
+    source each call asks for one of the source's chunks (the FPN decoder's classifier on
+    Winograd tile rows). `_im2col` makes this row source for `Conv2d.forward` and
+    `Conv2d.rows` alike; a chained no-grad block hands its rows to the next block's band
+    (`ConvBnRelu.rows`)."""
     read = _band_reader(source, shape, c, kernel, stride, pad, dtype, channels_first)
     n, h, w = shape
     g, ocg, kg = w_mat.shape
     pointwise = (kernel, stride, pad, g) == (1, 1, 0, 1)
+    array = getattr(source, "array", None)
     out_dtype = np.result_type(dtype, w_mat)
     buffers = {}
 
     def rows(dst, i, lo, hi):
-        band = read(i, len(dst), lo, hi - lo)
-        if pointwise and not channels_first:  # the band is the column matrix
-            cols = band.reshape(1, -1, c)
+        if pointwise and array is not None:  # the rows themselves, copied where not C-ordered:
+            # a column-major operand (an NCHW image's rows) changes the GEMM's rounding
+            cols = np.ascontiguousarray(array[i : i + len(dst), lo:hi]).reshape(1, -1, c)
+        elif pointwise and not channels_first:  # the band is the column matrix
+            cols = read(i, len(dst), lo, hi - lo).reshape(1, -1, c)
         else:
-            part = _windows(band, kernel, stride)
+            part = _windows(read(i, len(dst), lo, hi - lo), kernel, stride)
             m, nr, ow = part.shape[:3]
             buf = _grown(buffers, "columns", part.size, part.dtype)
             cols = (buf.reshape(g, kernel, kernel, c // g, m, nr, ow).transpose(0, 4, 5, 6, 1, 2, 3)
@@ -411,43 +418,22 @@ def _depthwise_taps(source, shape, taps, kernel, stride, pad, dtype, epilogue):
     return rows
 
 
-def _pointwise(x, w, epilogue):
-    """1x1 stride-1 convolution: one GEMM over the (n*h*w, c) matrix of `x`, as is each gradient."""
-    xd = _nhwc(x.data)
-    n, h, wd, c = xd.shape
-    x2, oc = xd.reshape(-1, c), w.shape[0]
-    out = x2 @ w.data.reshape(oc, c).T
-    epilogue.apply(out.reshape(n * h, wd, oc))
-
-    def backward(grad):
-        g2 = grad.reshape(-1, oc)
-        if w.requires_grad:
-            w._accumulate((g2.T @ x2).reshape(w.shape), owned=True)
-        if x.requires_grad:
-            gx = g2 @ w.data.reshape(oc, c)
-            x._accumulate(gx.reshape(n, h, wd, c).transpose(0, 3, 1, 2), owned=True)
-
-    return out.reshape(n, h, wd, oc), backward
-
-
 def _out_extent(size, kernel, stride, pad):
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _depthwise(x, w, stride, pad, epilogue):
-    """Depthwise convolution: `_depthwise_taps` from `x`'s rows, in the chunks `_fill` plans, so
-    each chunk's taps add up in cache. It keeps no columns, so it streams with
-    a graph recorded too; the weight gradient reads the windows of a bordered copy of `x`."""
-    c, k = w.shape[0], w.shape[2]
-    n, _, h, wd = x.shape
-    taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)
-    xd = x.data.transpose(0, 2, 3, 1)
-    out = np.empty((n, _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad), c),
-                   np.result_type(xd, taps))
-    _fill(_depthwise_taps(_array_source(xd), (n, h, wd), taps, k, stride, pad, xd.dtype, epilogue),
-          out)
+def _depthwise(conv, source, shape, dtype, channels_first, w, epilogue, x):
+    """The depthwise kernel (see `Conv2d._kernel_for`): `_depthwise_taps` with the taps laid out
+    once, (k*k, c). It keeps no columns, so it streams with a graph recorded too; the backward's
+    weight gradient reads the windows of a bordered copy of `x`, and its input gradient is
+    `_scatter_taps`."""
+    k, stride, pad = conv.kernel, conv.stride, conv.pad
+    taps = np.ascontiguousarray(w.data.reshape(conv.groups, k * k).T)
+    rows = _depthwise_taps(source, shape, taps, k, stride, pad, dtype, epilogue)
+    if x is None:
+        return rows, None
 
-    def backward(grad):
+    def backward(grad, _):
         if w.requires_grad:
             windows = _windows(_nhwc(x.data, pad), k, stride)
             gw = np.empty_like(taps)
@@ -456,9 +442,9 @@ def _depthwise(x, w, stride, pad, epilogue):
             w._accumulate(np.ascontiguousarray(gw.T).reshape(w.shape), owned=True)
         if x.requires_grad:
             x._accumulate(_scatter_taps((grad * tap for tap in taps), x.shape, k, stride, pad,
-                                        out.dtype), owned=True)
+                                        np.result_type(dtype, taps)), owned=True)
 
-    return out, backward
+    return rows, backward
 
 
 @functools.lru_cache(maxsize=8)
@@ -518,12 +504,13 @@ def _scatter_tiles(y, out, top):
 
 
 def _array_source(x):
-    """A source (`_band_reader`) that copies its rows from `x` (n, h, w, c). Its plan is the
-    whole batch, so a 1x1 conv on it (`_conv_columns`) is `_pointwise`'s one GEMM."""
+    """A source (`_band_reader`) that copies its rows from `x` (n, h, w, c), which it carries as
+    `source.array`. Its plan is the whole batch, so a 1x1 conv on it (`_conv_columns`) is one
+    GEMM over the rows of `x` themselves."""
     def source(dst, i, lo, hi):
         np.copyto(dst, x[i : i + len(dst), lo:hi])
 
-    source.plan = x.shape[:2]
+    source.plan, source.array = x.shape[:2], x
     return source
 
 
@@ -535,15 +522,17 @@ def _winograd_tiles(source, shape, weight, dtype, epilogue, tiles=None):
 
     Its plan (`_chunk_shape` of the transformed tiles for `_WINOGRAD_BUDGET` bytes: whole
     images, or a band of tile rows of one image) asks for whole tile rows, so each is computed
-    once; its buffers hold one such chunk, which no call may outgrow. Per call, the band loop's
-    `_band_reader` writes the rows `source` gives into its zero-bordered buffer, carrying the
-    two rows consecutive bands of one image share, so the source is asked for each row once. The
-    band's 6x6 `_windows` 4 apart are copied out as tiles, and three GEMMs run the input
-    transform, the 36 channel products and the output transform. The shift is added to the
-    products at `_WINOGRAD_ONES` and the ReLU clamps the tiles before they are scattered. The
-    transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw, c) when given, in (n, th,
-    tw) order, by whole tile rows. The filter transform is computed when the row source is made,
-    so a folded weight dies then.
+    once. Its buffers hold one such chunk and are taken when it is made. A call that asks for
+    more rows or images than one chunk, as a chained row source may, runs chunk by chunk of the
+    plan, from row 0 of each image, so its rows have the bits `_fill` gives them. Per chunk,
+    the band loop's `_band_reader` writes the rows `source` gives into its zero-bordered
+    buffer, carrying the two rows consecutive bands of one image share, so the source is asked
+    for each row once. The band's 6x6 `_windows` 4 apart are copied out as tiles, and three
+    GEMMs run the input transform, the 36 channel products and the output transform. The
+    shift is added to the products at `_WINOGRAD_ONES` and the ReLU clamps the tiles before
+    they are scattered. The transformed tiles V = Bt d B are written to `tiles` (36, n*th*tw,
+    c) when given, in (n, th, tw) order, by whole tile rows. The filter transform is computed
+    when the row source is made, so a folded weight dies then.
     """
     n, h, w = shape
     oc, c = weight.shape[:2]
@@ -559,7 +548,7 @@ def _winograd_tiles(source, shape, weight, dtype, epilogue, tiles=None):
     ping = take("ping", 36 * max(c, oc) * images * band * tw, dtype)
     pong = take("pong", len(ping), dtype)
 
-    def rows(dst, i, lo, hi):
+    def chunk(dst, i, lo, hi):
         m, first = len(dst), lo // 4
         nb = -(-hi // 4) - first
         p = m * nb * tw
@@ -578,6 +567,13 @@ def _winograd_tiles(source, shape, weight, dtype, epilogue, tiles=None):
             np.maximum(y, 0, out=y)
         _scatter_tiles(y.reshape(4, 4, m, nb, tw, oc), dst, lo - 4 * first)
 
+    def rows(dst, i, lo, hi):  # by the chunks of the plan that hold the rows asked for
+        step = 4 * band
+        for j in range(0, len(dst), images):
+            for r in range(lo - lo % step, hi, step):
+                a, b = max(r, lo), min(r + step, hi)
+                chunk(dst[j : j + images, a - lo : b - lo], i + j, a, b)
+
     rows.plan = images, 4 * band
     return rows
 
@@ -589,33 +585,32 @@ _TILE_PARTS = ((slice(0, 4), slice(None, -1), slice(0, 4)),
                (slice(4, 6), slice(1, None), slice(0, 2)))
 
 
-def _winograd(x, w, dtype, epilogue, recorded):
-    """3x3 stride-1 pad-1 convolution by Winograd F(4x4, 3x3) of the tensor `x` into a fresh
-    array: the forward fills it from `_winograd_tiles` on `x`'s rows.
+def _winograd(conv, source, shape, dtype, channels_first, w, epilogue, x):
+    """The Winograd F(4x4, 3x3) kernel of a 3x3 stride-1 pad-1 conv (see `Conv2d._kernel_for`):
+    `_winograd_tiles` in the dtype of the input and the weights.
 
-    With a graph `recorded`, it keeps the transformed tiles V = Bt d B, (36, n*th*tw, c), a
-    quarter of the im2col columns, and returns a backward (else None). The backward transforms
-    the output gradient once, dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the
-    input gradient B (dM U) Bt overlap-added from the tiles, with U = G w Gt recomputed then.
+    With a recorded `x`, the row source keeps the transformed tiles V = Bt d B, (36, n*th*tw, c),
+    a quarter of the im2col columns, and the backward transforms the output gradient once,
+    dM = A dY At: the weight gradient is Gt (sum of dMt V) G, the input gradient B (dM U) Bt
+    overlap-added from the tiles, with U = G w Gt recomputed then.
 
-    The recorded forward and the backward carve their temporaries from `_scratch`; each
+    The recorded row source and the backward carve their temporaries from `_scratch`; each
     step reads one of `ping` and `pong` and writes the other, and each buffer is sized for
-    the backward's largest temporary. V, the output and both gradients are allocated per call,
-    since they outlive it. The no-grad forward allocates per call (see the module notes).
+    the backward's largest temporary. V and both gradients are allocated per call, since they
+    outlive it. The no-grad row source allocates per call (see the module notes).
     """
-    n, c, h, wd = x.shape
-    oc = w.shape[0]
+    n, h, wd = shape
+    oc, c = conv.out_c, conv.in_c
+    dtype = np.result_type(dtype, w.dtype)
     th, tw = -(-h // 4), -(-wd // 4)
     tiles = n * th * tw
-    v = np.empty((36, tiles, c), dtype) if recorded else None
-    out = np.empty((n, h, wd, oc), dtype)
-    _fill(_winograd_tiles(_array_source(_nhwc(x.data)), (n, h, wd), w.data, dtype, epilogue, v),
-          out)
-    if not recorded:
-        return out, None
+    v = None if x is None else np.empty((36, tiles, c), dtype)
+    rows = _winograd_tiles(source, shape, w.data, dtype, epilogue, v)
+    if x is None:
+        return rows, None
     kb, kg, ka = _winograd_transforms(dtype)
 
-    def backward(grad):
+    def backward(grad, _):
         # each step reads one scratch buffer and writes the other; what escapes is fresh
         size = max(36 * max(tiles, oc) * max(c, oc), 16 * n * (th + 1) * (tw + 1) * c)
         ping, pong = _scratch("ping", size, dtype), _scratch("pong", size, dtype)
@@ -645,13 +640,14 @@ def _winograd(x, w, dtype, epilogue, recorded):
         gx = np.ascontiguousarray(blocks.reshape(n, 4 * th + 4, 4 * tw + 4, c)[:, 1 : h + 1, 1 : wd + 1])
         x._accumulate(gx.transpose(0, 3, 1, 2), owned=True)
 
-    return out, backward
+    return rows, backward
 
 
 def _scatter_taps(tap_grads, x_shape, k, stride, pad, dtype):
     """Input gradient of a k x k conv on an `x_shape` (n, c, h, w) input, as the (n, c, h, w)
     view of an (n, h, w, c) array: the t-th of `tap_grads` (row-major taps), (n, oh, ow, ...)
-    with c values per position, adds into the inputs tap t reads. Every im2col and depthwise
+    with c values per position, adds into the inputs tap t reads. Every im2col conv but the
+    1x1 stride-1 one, whose one tap's gradient is the input gradient, and every depthwise
     conv takes its input gradient here."""
     n, c, h, w = x_shape
     gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype)
@@ -661,31 +657,38 @@ def _scatter_taps(tap_grads, x_shape, k, stride, pad, dtype):
     return np.ascontiguousarray(gx[:, pad : pad + h, pad : pad + w]).transpose(0, 3, 1, 2)
 
 
-def _im2col(x, w, stride, pad, groups, epilogue, recorded):
-    """Any other convolution: `_conv_columns` from `x`'s rows, filled chunk by chunk (`_fill`),
-    or, with a graph `recorded`, in one chunk whose columns the weight gradient keeps; the
-    input gradient is `_scatter_taps`."""
-    oc, cg, k = w.shape[:3]
-    n, c, h, wd = x.shape
-    xd = x.data.transpose(0, 2, 3, 1)
-    w_mat = w.data.transpose(0, 2, 3, 1).reshape(groups, oc // groups, k * k * cg)
-    oh, ow = _out_extent(h, k, stride, pad), _out_extent(wd, k, stride, pad)
-    out = np.empty((n, oh, ow, oc), np.result_type(xd, w_mat))
-    rows = _conv_columns(_array_source(xd), (n, h, wd), c, w_mat, k, stride, pad, xd.dtype,
-                         epilogue, _reads_nchw(x.data), None if recorded else _COL_BUDGET)
-    cols = _fill(rows, out)
+def _im2col(conv, source, shape, dtype, channels_first, w, epilogue, x):
+    """The kernel of every other conv (see `Conv2d._kernel_for`): `_conv_columns` with the
+    weight matrix laid out once, (groups, oc/groups, k*k*c/groups). With no graph its plan
+    streams chunks of `_COL_BUDGET` bytes of columns. With a recorded `x` it runs one chunk,
+    whose columns the weight gradient reads; the input gradient is `_scatter_taps` of the taps'
+    GEMM result, or, for a 1x1 stride-1 pad-0 ungrouped conv, that one tap's result itself."""
+    k, s, p, g = conv.kernel, conv.stride, conv.pad, conv.groups
+    oc, cg = conv.out_c, conv.in_c // g
+    w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, oc // g, k * k * cg)
+    rows = _conv_columns(source, shape, conv.in_c, w_mat, k, s, p, dtype, epilogue,
+                         channels_first, _COL_BUDGET if x is None else None)
+    if x is None:
+        return rows, None
+    n, h, wd = shape
+    oh, ow = _out_extent(h, k, s, p), _out_extent(wd, k, s, p)
 
-    def backward(grad):
-        gmat = grad.reshape(n * oh * ow, groups, oc // groups).transpose(1, 0, 2)
+    def backward(grad, cols):
+        gmat = grad.reshape(n * oh * ow, g, oc // g).transpose(1, 0, 2)
         if w.requires_grad:
             gw = np.matmul(gmat.transpose(0, 2, 1), cols).reshape(oc, k, k, cg)
             w._accumulate(np.ascontiguousarray(gw.transpose(0, 3, 1, 2)), owned=True)
-        if x.requires_grad:
-            taps = np.matmul(gmat, w_mat).reshape(groups, n, oh, ow, k * k, cg)
-            x._accumulate(_scatter_taps(taps.transpose(4, 1, 2, 3, 0, 5), x.shape, k, stride, pad,
-                                        out.dtype), owned=True)
+        if not x.requires_grad:
+            return
+        taps = np.matmul(gmat, w_mat).reshape(g, n, oh, ow, k * k, cg)
+        if (k, s, p, g) == (1, 1, 0, 1):  # the one tap's GEMM result is the input gradient
+            gx = taps.reshape(n, h, wd, cg).transpose(0, 3, 1, 2)
+        else:
+            gx = _scatter_taps(taps.transpose(4, 1, 2, 3, 0, 5), x.shape, k, s, p,
+                               np.result_type(dtype, w_mat))
+        x._accumulate(gx, owned=True)
 
-    return out, backward
+    return rows, backward
 
 
 class Conv2d(Module):
@@ -725,32 +728,47 @@ class Conv2d(Module):
             raise ContractError("an epilogue stands in for the bias of a no-grad conv")
         return Tensor(w.data * _epilogue.scale[:, None, None, None]), _epilogue
 
+    def _kernel_for(self, source, shape, dtype, channels_first, w, epilogue, x):
+        """(row source, backward) of the kernel this conv runs on an (n, in_c, h, w) input,
+        `shape` = (n, h, w), whose rows `source` writes in `dtype`; `w` and `epilogue` are
+        `_folded`'s. The kernel follows the conv's geometry and map alone: Winograd
+        (`_winograd`) where `takes_winograd`, depthwise (`_depthwise`), else im2col (`_im2col`,
+        which runs a 1x1 stride-1 pad-0 ungrouped conv as one GEMM). Its row source (see
+        `rows`) writes the (n, oh, ow, out_c) output. With a recorded input `x`, `backward(grad,
+        made)` adds the input and weight gradients for the channels-last output gradient, where
+        `made` is what the row source's last call returned (im2col's columns); else it is None.
+        `channels_first` bands an im2col input in NCHW order (see `_conv_columns`)."""
+        kernel = (_winograd if self.takes_winograd(*shape[1:]) else
+                  _depthwise if self.depthwise else _im2col)
+        return kernel(self, source, shape, dtype, channels_first, w, epilogue, x)
+
     def forward(self, x, _epilogue=None):
-        """Convolve `x` into a fresh array. A no-grad caller may pass an `_Epilogue`
-        that stands in for the bias (`ConvBnRelu` passes its eval batch norm and
-        ReLU)."""
+        """Convolve `x` into a fresh array, which `_fill` fills from the row source of
+        `_kernel_for` on `x`'s rows; a recorded conv's graph node runs the kernel's backward and
+        adds the bias gradient. A no-grad caller may pass an `_Epilogue` that stands in for the
+        bias (`ConvBnRelu` passes its eval batch norm and ReLU)."""
         if x.shape[1] != self.in_c:
             raise ShapeError(f"conv expects {self.in_c} channels, got {x.shape[1]}")
         w, b = self.weight, self.bias
         parents = (x, w) if b is None else (x, w, b)
-        k, s, p, g = self.kernel, self.stride, self.pad, self.groups
-        dtype = np.result_type(*(t.data.dtype for t in parents))
         recorded = records_graph(parents)
         w, epilogue = self._folded(_epilogue, recorded)
-        if self.takes_winograd(*x.shape[2:]):
-            out, backward = _winograd(x, w, dtype, epilogue, recorded)
-        elif self.depthwise:
-            out, backward = _depthwise(x, w, s, p, epilogue)
-        elif (k, s, p, g) == (1, 1, 0, 1):
-            out, backward = _pointwise(x, w, epilogue)
-        else:  # recorded convs keep their whole columns for the weight gradient
-            out, backward = _im2col(x, w, s, p, g, epilogue, recorded)
+        n, _, h, wd = x.shape
+        k, s, p = self.kernel, self.stride, self.pad
+        # allocated before the kernel's buffers, an order the heap's placement follows (see
+        # `_band_reader`)
+        out = np.empty((n, _out_extent(h, k, s, p), _out_extent(wd, k, s, p), self.out_c),
+                       np.result_type(x.dtype, w.dtype))
+        rows, backward = self._kernel_for(_array_source(x.data.transpose(0, 2, 3, 1)),
+                                          (n, h, wd), x.dtype, _reads_nchw(x.data), w, epilogue,
+                                          x if recorded else None)
+        made = _fill(rows, out)
 
         def node_backward(grad):  # the kernel's backward takes x and w
             gd = _nhwc(grad)
             if b is not None and b.requires_grad:
                 b._accumulate(_channel_sums(gd.reshape(-1, self.out_c)))
-            backward(gd)
+            backward(gd, made)
 
         return _make(out.transpose(0, 3, 1, 2), parents, node_backward)
 
@@ -758,23 +776,14 @@ class Conv2d(Module):
         """This conv with no graph as a row source of its (n, oh, ow, out_c) output, for an
         (n, in_c, h, w) input, `shape` = (n, h, w), whose rows `source` writes in `dtype`:
         `source(dst, i, lo, hi)` writes input rows [lo, hi) of images [i, i + len(dst)) into
-        `dst`, and `rows(dst, i, lo, hi)` writes output rows so. It runs the kernel `forward`
-        would pick on that map, Winograd (`_winograd_tiles`), depthwise (`_depthwise_taps`)
-        or im2col (`_conv_columns`, which runs a 1x1 conv as `_pointwise` does), so
-        `_fill(rows, out)` gives `forward`'s bits. `rows.plan` is the chunks the kernel wants
-        (a 1x1 conv's is its source's). Asked band after band, it asks `source` for each input
-        row once. `channels_first` bands an im2col input in NCHW order, as `forward` bands an
-        image. `_epilogue` is `forward`'s."""
-        w, epilogue = self._folded(_epilogue)
-        k, s, p, g = self.kernel, self.stride, self.pad, self.groups
-        if self.takes_winograd(*shape[1:]):
-            return _winograd_tiles(source, shape, w.data, np.result_type(dtype, w.dtype), epilogue)
-        if self.depthwise:
-            taps = np.ascontiguousarray(w.data.reshape(g, k * k).T)
-            return _depthwise_taps(source, shape, taps, k, s, p, dtype, epilogue)
-        w_mat = w.data.transpose(0, 2, 3, 1).reshape(g, self.out_c // g, k * k * self.in_c // g)
-        return _conv_columns(source, shape, self.in_c, w_mat, k, s, p, dtype, epilogue,
-                             channels_first, _COL_BUDGET)
+        `dst`, and `rows(dst, i, lo, hi)` writes output rows so. It is the row source of
+        `_kernel_for`, which `forward` fills its output from, so `_fill(rows, out)` gives
+        `forward`'s bits. `rows.plan` is the chunks the kernel wants (a 1x1 conv's is its
+        source's). Asked band after band, it asks `source` for each input row once.
+        `channels_first` bands an im2col input in NCHW order, as `forward` bands an image.
+        `_epilogue` is `forward`'s."""
+        return self._kernel_for(source, shape, dtype, channels_first, *self._folded(_epilogue),
+                                None)[0]
 
     def flops(self, out_shape):
         n, oc, oh, ow = out_shape
@@ -1032,9 +1041,10 @@ def _merge_source(lateral, f, top):
     first (`resample`). Per call: the lateral GEMM's rows, plus bias, into a buffer, then the
     upsample's rows added to it, each row of the height block of `top` that holds them times
     each width block. The height block is kept for the next call, which asks for the rows
-    that follow. Each product is the one `resample` and `_pointwise` compute on the whole maps
-    (a GEMM of a row subset has the same bits once no small-matrix kernel is picked), so the
-    rows are the merge's rows bit for bit."""
+    that follow. Each product is the one `resample` and the lateral conv's forward (the 1x1
+    GEMM of `_conv_columns`) compute on the whole maps (a GEMM of a row subset has the same
+    bits once no small-matrix kernel is picked), so the rows are the merge's rows bit for
+    bit."""
     fd, above = _nhwc(f.data), _nhwc(top.data)
     n, h, w, cin = fd.shape
     _, ha, wa, c = above.shape

@@ -48,6 +48,12 @@ from .tensor import (
 )
 
 
+def _banded(tensors):
+    """Whether the no-grad banded path may run on `tensors`: no graph is recorded through them,
+    and they share one dtype, so each banded product runs in the dtype `compose` gives it."""
+    return not records_graph(tensors) and len({t.dtype for t in tensors}) == 1
+
+
 class Backbone(Module):
     """Stem at stride 4 plus three downsampling stages (conv3x3+BN+ReLU).
 
@@ -89,10 +95,7 @@ class Backbone(Module):
 
     def forward(self, image: Tensor) -> FeaturePyramid:
         a, b = self.stem_a, self.stem_b
-        tensors = (image, *a.parameters(), *b.parameters())
-        # one dtype throughout, so each banded product runs in the dtype `compose` gives it
-        if (a.bn.training or b.bn.training or records_graph(tensors)
-                or len({t.dtype for t in tensors}) != 1):
+        if a.bn.training or b.bn.training or not _banded((image, *a.parameters(), *b.parameters())):
             return self.compose(image)
         return self._stages(self._chained_stem(image))
 
@@ -157,9 +160,7 @@ class FpnDecoder(Module):
     def forward(self, p: FeaturePyramid, context: Tensor, out_h=None, out_w=None, features=False):
         """Returns (logits, stride-4 decoder features if `features`, else None): the logits
         upsampled to out_h x out_w, or the classifier's stride-4 logits when no size is given."""
-        tensors = (context, *p.stages(), *self.parameters())
-        # one dtype throughout, so each banded product runs in the dtype `compose` gives it
-        banded = not records_graph(tensors) and len({t.dtype for t in tensors}) == 1
+        banded = _banded((context, *p.stages(), *self.parameters()))
         return self._decode(p, context, out_h, out_w, features, banded)
 
     def compose(self, p: FeaturePyramid, context: Tensor, out_h=None, out_w=None, features=False):

@@ -193,24 +193,6 @@ def _scaled_output(fn):
     return lambda *args: fn(*args) * 1.001
 
 
-def _scaled_backward(fn):
-    """A fault in the backward that the kernel `fn` returns with its output."""
-    def broken(*args):
-        out, backward = fn(*args)
-        return out, lambda grad: backward(grad * 1.001)
-
-    return broken
-
-
-def _scaled_no_grad(fn):
-    """A fault in the outputs of the kernel `fn` in calls that record no graph."""
-    def broken(*args):
-        out, backward = fn(*args)
-        return out * (1.0 if T._GRAD_ENABLED else 1.001), backward
-
-    return broken
-
-
 def _scaled_rows(rows):
     """The row source `rows` with a fault in every row it writes; its plan passes through."""
     def scaled(dst, i, lo, hi):
@@ -222,32 +204,50 @@ def _scaled_rows(rows):
     return scaled
 
 
-def _scaled_winograd(fused, rows=False):
-    """A fault in no-grad Winograd convs with (or without) a ReLU epilogue, run as a row
-    source by `Conv2d.rows` (or by `_winograd` from an array): a recorded Winograd conv's
-    forward also runs `_winograd_tiles`, with a graph recorded."""
+def _pointwise(kernel, stride, pad, groups):
+    return (kernel, stride, pad, groups) == (1, 1, 0, 1)
+
+
+def _made_by_rows():
+    """Whether the kernel being made was asked for by `Conv2d.rows`, not by `Conv2d.forward`."""
+    codes = (layers.Conv2d.rows.__code__, layers.Conv2d.forward.__code__)
+    frame = sys._getframe(1)
+    while frame.f_code not in codes:
+        frame = frame.f_back
+    return frame.f_code is codes[0]
+
+
+def _scaled_kernel(recorded, fused, rows=False, backward=False, pointwise=False):
+    """A fault in the kernels a factory (`_winograd`, `_depthwise`, `_im2col`) makes for convs
+    that record a graph (or not), with (or without) a ReLU epilogue, asked for by
+    `Conv2d.rows` (or by `Conv2d.forward`), that are (or are not) 1x1 stride-1 pad-0
+    ungrouped: in every row their row source writes or, with `backward`, in their backward."""
     def fault(fn):
-        def broken(source, shape, weight, dtype, epilogue, tiles=None):
-            by_rows = sys._getframe(1).f_code.co_name == "rows"
-            hit = not T._GRAD_ENABLED and epilogue.relu == fused and by_rows == rows
-            made = fn(source, shape, weight, dtype, epilogue, tiles)
-            return _scaled_rows(made) if hit else made
+        def broken(conv, *args):
+            made, back = fn(conv, *args)
+            epilogue = args[5]
+            case = (T._GRAD_ENABLED, epilogue.relu, _made_by_rows(),
+                    _pointwise(conv.kernel, conv.stride, conv.pad, conv.groups))
+            if case != (recorded, fused, rows, pointwise):
+                return made, back
+            if backward:
+                return made, lambda grad, cols: back(grad * 1.001, cols)
+            return _scaled_rows(made), back
 
         return broken
 
     return fault
 
 
-def _scaled_columns(recorded, fused, rows=False):
-    """A fault in im2col convs that record a graph (or not), with (or without) a ReLU
-    epilogue, run by their own forward (`_im2col`), or (`rows`) as a row source by
-    `Conv2d.rows`, as 1x1 stride-1 convs run too."""
+def _scaled_pointwise(rows):
+    """A fault in the rows that the 1x1 branch of `_conv_columns` writes for no-grad 1x1
+    stride-1 convs, asked for by `Conv2d.rows` (`rows`) or by `Conv2d.forward`."""
     def fault(fn):
         def broken(*args):
-            epilogue = args[8]
-            by_rows = sys._getframe(1).f_code.co_name == "rows"
-            hit = T._GRAD_ENABLED == recorded and epilogue.relu == fused and by_rows == rows
             columns = fn(*args)
+            kernel, stride, pad, groups = *args[4:7], len(args[3])
+            hit = (not T._GRAD_ENABLED and _pointwise(kernel, stride, pad, groups)
+                   and _made_by_rows() == rows)
             return _scaled_rows(columns) if hit else columns
 
         return broken
@@ -269,24 +269,25 @@ def _scaled_bn_relu(fn):
 # a small fault in the path of each oracle line: (line label, the `layers`
 # function it breaks, the wrapper that breaks it)
 PATH_FAULTS = [
-    ("winograd conv", "_winograd_tiles", _scaled_winograd(False)),
-    ("winograd conv + bn relu epilogue", "_winograd_tiles", _scaled_winograd(True)),
-    ("1x1 conv", "_pointwise", _scaled_no_grad),
-    ("recorded 1x1 conv gradients", "_pointwise", _scaled_backward),
-    ("depthwise conv", "_depthwise", _scaled_no_grad),
-    ("recorded depthwise conv gradients", "_depthwise", _scaled_backward),
-    ("im2col conv", "_conv_columns", _scaled_columns(False, False)),
-    ("im2col conv + bn relu epilogue", "_conv_columns", _scaled_columns(False, True)),
-    ("recorded conv gradients", "_conv_columns", _scaled_columns(True, False)),
-    ("recorded winograd conv gradients", "_winograd", _scaled_backward),
+    ("winograd conv", "_winograd", _scaled_kernel(False, False)),
+    ("winograd conv + bn relu epilogue", "_winograd", _scaled_kernel(False, True)),
+    ("1x1 conv", "_conv_columns", _scaled_pointwise(False)),
+    ("recorded 1x1 conv gradients", "_im2col",
+     _scaled_kernel(True, False, backward=True, pointwise=True)),
+    ("depthwise conv", "_depthwise", _scaled_kernel(False, False)),
+    ("recorded depthwise conv gradients", "_depthwise", _scaled_kernel(True, False, backward=True)),
+    ("im2col conv", "_im2col", _scaled_kernel(False, False)),
+    ("im2col conv + bn relu epilogue", "_im2col", _scaled_kernel(False, True)),
+    ("recorded conv gradients", "_im2col", _scaled_kernel(True, False)),
+    ("recorded winograd conv gradients", "_winograd", _scaled_kernel(True, False, backward=True)),
     ("recorded conv + bn relu", "_batch_norm", _scaled_bn_relu),
-    ("winograd conv + bn relu epilogue, row source", "_winograd_tiles",
-     _scaled_winograd(True, True)),
+    ("winograd conv + bn relu epilogue, row source", "_winograd",
+     _scaled_kernel(False, True, rows=True)),
     ("banded resampling", "resample", _scaled_output),
-    ("im2col and depthwise conv + bn relu epilogue, chained row source", "_conv_columns",
-     _scaled_columns(False, True, rows=True)),
+    ("im2col and depthwise conv + bn relu epilogue, chained row source", "_im2col",
+     _scaled_kernel(False, True, rows=True)),
     ("winograd conv + bn relu epilogue and 1x1 conv, chained row source", "_conv_columns",
-     _scaled_columns(False, False, rows=True)),
+     _scaled_pointwise(True)),
 ]
 # the training ConvBnRelu line runs recorded im2col and Winograd convs, so their faults
 # fail it too; the chained 1x1 line reads a Winograd conv's rows

@@ -137,17 +137,45 @@ class TestStreamedConv:
         assert plan(shape[0], streamed.shape[2], images, rows)
         np.testing.assert_allclose(streamed.data, recorded.data, rtol=rtol, atol=0)
 
-    def test_1x1_reads_a_channels_last_input_in_place(self, rng, monkeypatch):
-        read = []
-        nhwc = layers._nhwc
-        monkeypatch.setattr(layers, "_nhwc", lambda a: read.append(nhwc(a)) or read[-1])
-        x = rng.standard_normal((2, 4, 3, 5)).astype(np.float32)  # n, h, w, c
-        conv = Conv2d(5, 6, 1, bias=False, rng=rng)
-        with no_grad():
-            out = conv(Tensor(x.transpose(0, 3, 1, 2)))
-        assert len(read) == 1 and np.shares_memory(read[0], x)
-        want = np.einsum("oc,nhwc->nohw", conv.weight.data[:, :, 0, 0], x)
-        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-6)
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("nchw", [True, False], ids=["nchw", "channels-last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_1x1_is_one_gemm_each_way(self, rng, monkeypatch, handed_gradients, bias, nchw,
+                                      dtype):
+        """Over the (n*h*w, c) matrix x2 of its input, a 1x1 stride-1 conv's output is
+        x2 @ W.T (plus the bias) and its gradients g2.T @ x2 and g2 @ W, bit for bit. A
+        channels-last input is multiplied in place, no column buffer is built, and the input
+        gradient `x._accumulate` is handed is the GEMM's result, with no scatter pass."""
+        n, c, h, w, oc = 2, 5, 4, 3, 6
+        conv = Conv2d(c, oc, 1, bias=bias, rng=rng).cast(dtype)
+        if bias:
+            conv.bias.data = rng.standard_normal(oc).astype(dtype)
+        data = rng.standard_normal((n, c, h, w) if nchw else (n, h, w, c)).astype(dtype)
+        x = Tensor(data if nchw else data.transpose(0, 3, 1, 2), requires_grad=True)
+        g = rng.standard_normal((n, h, w, oc)).astype(dtype)
+        made, products, taken = [], [], []
+        fill, grown, matmul = layers._fill, layers._grown, np.matmul
+        monkeypatch.setattr(layers, "_fill",
+                            lambda rows, out: made.append(fill(rows, out)) or made[-1])
+        monkeypatch.setattr(layers, "_grown",
+                            lambda buffers, key, *a: taken.append(key) or grown(buffers, key, *a))
+        monkeypatch.setattr(layers, "_scatter_taps", lambda *a: taken.append("scatter"))
+        out = conv(x)
+        with monkeypatch.context() as backward:  # every GEMM result of the backward
+            backward.setattr(np, "matmul",
+                             lambda *a, **kw: products.append(matmul(*a, **kw)) or products[-1])
+            T.tsum(out * Tensor(g.transpose(0, 3, 1, 2))).backward()
+        x2 = np.ascontiguousarray(data.transpose(0, 2, 3, 1) if nchw else data).reshape(-1, c)
+        weight, g2 = conv.weight.data.reshape(oc, c), g.reshape(-1, oc)
+        want = x2 @ weight.T
+        if bias:
+            want += conv.bias.data
+        np.testing.assert_array_equal(out.data.transpose(0, 2, 3, 1).reshape(-1, oc), want)
+        np.testing.assert_array_equal(conv.weight.grad.reshape(oc, c), g2.T @ x2)
+        np.testing.assert_array_equal(x.grad.transpose(0, 2, 3, 1).reshape(-1, c), g2 @ weight)
+        assert taken == [] and len(made) == 1
+        assert np.shares_memory(made[0], data) == (not nchw)  # the matrix it multiplied
+        assert any(np.shares_memory(handed_gradients[id(x)], p) for p in products)
 
     def test_1x1_input_gradient_closed_form(self, rng):
         conv = Conv2d(5, 3, 1, bias=False, rng=rng).cast(np.float64)
@@ -171,20 +199,20 @@ class TestStreamedConv:
         assert peak < columns_bytes
 
 
-# the oracle row of each Conv2d path, told apart by the function that computes
-# its forward, by whether the forward records a graph and by whether it runs a
-# batch norm + ReLU epilogue
+# the oracle row of each Conv2d path, told apart by the kernel factory that makes its
+# row source, by whether the conv is 1x1 stride-1 pad-0 ungrouped, by whether the forward
+# records a graph and by whether it runs a batch norm + ReLU epilogue
 _PATH_ROWS = {
-    ("_winograd", False, False): "winograd conv",
-    ("_winograd", False, True): "winograd conv + bn relu epilogue",
-    ("_pointwise", False, False): "1x1 conv",
-    ("_pointwise", True, False): "recorded 1x1 conv gradients",
-    ("_depthwise", False, False): "depthwise conv",
-    ("_depthwise", True, False): "recorded depthwise conv gradients",
-    ("_conv_columns", False, False): "im2col conv",
-    ("_conv_columns", False, True): "im2col conv + bn relu epilogue",
-    ("_conv_columns", True, False): "recorded conv gradients",
-    ("_winograd", True, False): "recorded winograd conv gradients",
+    ("_winograd", False, False, False): "winograd conv",
+    ("_winograd", False, False, True): "winograd conv + bn relu epilogue",
+    ("_im2col", True, False, False): "1x1 conv",
+    ("_im2col", True, True, False): "recorded 1x1 conv gradients",
+    ("_depthwise", False, False, False): "depthwise conv",
+    ("_depthwise", False, True, False): "recorded depthwise conv gradients",
+    ("_im2col", False, False, False): "im2col conv",
+    ("_im2col", False, False, True): "im2col conv + bn relu epilogue",
+    ("_im2col", False, True, False): "recorded conv gradients",
+    ("_winograd", False, True, False): "recorded winograd conv gradients",
 }
 ORACLE_ROWS = {row.label: row for row in gradcheck.ORACLE_ROWS}
 # the oracle row of a training ConvBnRelu: a recorded conv, then its batch norm and ReLU
@@ -199,13 +227,17 @@ CHAINED_ROW = "im2col and depthwise conv + bn relu epilogue, chained row source"
 # the oracle row of a 1x1 conv run as a row source on a Winograd conv's rows, as the
 # decoder's classifier runs
 CLASSIFIER_ROW = "winograd conv + bn relu epilogue and 1x1 conv, chained row source"
-# the oracle row of each `Conv2d.rows` call, told apart by the kernel that makes its rows
-# and by whether the conv is 1x1 stride-1 pad-0 ungrouped
-_ROW_SOURCE_ROWS = {("_winograd_tiles", False): BANDED_ROW, ("_depthwise_taps", False): CHAINED_ROW,
-                    ("_conv_columns", False): CHAINED_ROW, ("_conv_columns", True): CLASSIFIER_ROW}
+# the oracle row of each `Conv2d.rows` call, told apart by the kernel factory that makes its
+# rows and by whether the conv is 1x1 stride-1 pad-0 ungrouped
+_ROW_SOURCE_ROWS = {("_winograd", False): BANDED_ROW, ("_depthwise", False): CHAINED_ROW,
+                    ("_im2col", False): CHAINED_ROW, ("_im2col", True): CLASSIFIER_ROW}
 # the recorded rows that share the 4-channel sweep of kernels, strides, pads and groups
 RECORDED_SWEEP_ROWS = ("recorded 1x1 conv gradients", "recorded depthwise conv gradients",
                        "recorded conv gradients")
+
+
+def _pointwise(conv):
+    return (conv.kernel, conv.stride, conv.pad, conv.groups) == (1, 1, 0, 1)
 
 
 def _spy_conv_paths(monkeypatch):
@@ -213,11 +245,10 @@ def _spy_conv_paths(monkeypatch):
     `BLOCK_ROW` for every batch norm + ReLU op of a training `ConvBnRelu`, and the
     `_ROW_SOURCE_ROWS` label of every `Conv2d.rows` call, by the kernel it runs.
 
-    Spies on `records_graph` and on the functions that compute a forward or make a
-    row source, and counts only their outermost calls made inside `Conv2d.forward`
-    or `Conv2d.rows`. No backward runs any of them (see
-    `test_one_scatter_takes_every_input_gradient`). The epilogue a `ConvBnRelu`
-    passes goes through to the forward.
+    Spies on `records_graph` and on the kernel factories that `Conv2d._kernel_for` picks
+    from, and counts only their calls made inside `Conv2d.forward` or `Conv2d.rows`. No
+    backward runs any of them (see `test_one_scatter_takes_every_input_gradient`). The
+    epilogue a `ConvBnRelu` passes goes through to the forward.
     """
     rows, inside, depth = [], [], [0]
     forward = Conv2d.forward
@@ -233,7 +264,7 @@ def _spy_conv_paths(monkeypatch):
             epilogue = kwargs.get("_epilogue", args[0] if args else None)
             fused = epilogue is not None and epilogue.relu
             one = len(recorded) == len(paths) == 1
-            key = (paths[0], recorded[0], fused) if one else None
+            key = (paths[0], _pointwise(self), recorded[0], fused) if one else None
             rows.append(_PATH_ROWS.get(key))
 
     def spy(name, fn):
@@ -264,9 +295,8 @@ def _spy_conv_paths(monkeypatch):
             return conv_rows(self, *args, **kwargs)
         finally:
             kernels = [name for name, _ in inside.pop()]
-            pointwise = (self.kernel, self.stride, self.pad, self.groups) == (1, 1, 0, 1)
-            rows.append(_ROW_SOURCE_ROWS.get((kernels[0], pointwise)) if len(kernels) == 1
-                        else None)
+            rows.append(_ROW_SOURCE_ROWS.get((kernels[0], _pointwise(self)))
+                        if len(kernels) == 1 else None)
 
     for name in {"records_graph"} | {key[0] for key in (*_PATH_ROWS, *_ROW_SOURCE_ROWS)}:
         spy(name, getattr(layers, name))
@@ -337,11 +367,16 @@ class TestRecordedConv:
     def test_one_scatter_takes_every_input_gradient(self, rng, monkeypatch, kernel, stride, pad,
                                                     groups):
         calls = []
-        scatter_taps, conv_columns = layers._scatter_taps, layers._conv_columns
+        scatter_taps, grown = layers._scatter_taps, layers._grown
         monkeypatch.setattr(layers, "_scatter_taps",
                             lambda *a: calls.append(("scatter", a[1:5])) or scatter_taps(*a))
-        monkeypatch.setattr(layers, "_conv_columns",
-                            lambda *a: calls.append(("columns",)) or conv_columns(*a))
+
+        def spy_grown(buffers, key, size, dtype):  # every im2col column buffer is taken here
+            if key == "columns":
+                calls.append(("columns",))
+            return grown(buffers, key, size, dtype)
+
+        monkeypatch.setattr(layers, "_grown", spy_grown)
         conv = Conv2d(4, 4 if groups == 4 else 6, kernel, stride=stride, pad=pad, groups=groups,
                       rng=rng)
         x = Tensor(rng.standard_normal((2, 4, 6, 5)).astype(np.float32), requires_grad=True)
@@ -633,6 +668,24 @@ class TestRowSources:
         assert (asked <= 1).all() and (asked >= read).all()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_winograd_rows_answer_an_ask_beyond_their_plan(self, rng, monkeypatch):
+        """A stride-2 conv's rows on a Winograd conv's rows, whose plan is one tile row: the
+        stride-2 conv asks for the whole map at once, and the Winograd kernel's buffers grow to
+        that ask, with `forward`'s bits."""
+        tile_row = _three_tile_rows(WINO_C, WINO_C, 64, 4) // 3
+        monkeypatch.setattr(layers, "_WINOGRAD_BUDGET", tile_row)
+        first = Conv2d(WINO_C, WINO_C, 3, pad=1, rng=rng)
+        second = Conv2d(WINO_C, WINO_C, 3, stride=2, pad=1, rng=rng)
+        x = rng.standard_normal((1, 40, 64, WINO_C)).astype(np.float32)
+        with no_grad():
+            want = second(first(Tensor(x.transpose(0, 3, 1, 2)))).data.transpose(0, 2, 3, 1)
+            rows = first.rows(layers._array_source(x), (1, 40, 64), np.float32, False)
+            chained = second.rows(rows, (1, 40, 64), np.float32, False)
+            assert rows.plan == (1, 4) and chained.plan == (1, 20)
+            got = np.empty_like(want)
+            layers._fill(chained, got)
+        np.testing.assert_array_equal(got, want)  # bit for bit
+
     def test_writes_through_a_buffer_into_a_strided_band(self, rng):
         conv = Conv2d(4, 6, 3, stride=2, pad=1, rng=rng)
         x = rng.standard_normal((1, 9, 9, 4)).astype(np.float32)
@@ -687,13 +740,15 @@ def test_fresh_sums_runs_the_decoders_composition(rng, fresh_sums, monkeypatch):
 
 
 def _spy_winograd(monkeypatch):
-    """Record the input shape and `recorded` flag of every Winograd convolution."""
+    """Record the (n, c, h, w) input shape and whether a graph is recorded of every Winograd
+    kernel a conv makes."""
     calls = []
     winograd = layers._winograd
 
-    def spy(x, w, dtype, epilogue, recorded):
-        calls.append((x.shape, recorded))
-        return winograd(x, w, dtype, epilogue, recorded)
+    def spy(conv, source, shape, dtype, channels_first, w, epilogue, x):
+        n, h, wd = shape
+        calls.append(((n, conv.in_c, h, wd), x is not None))
+        return winograd(conv, source, shape, dtype, channels_first, w, epilogue, x)
 
     monkeypatch.setattr(layers, "_winograd", spy)
     return calls
